@@ -9,8 +9,8 @@ oracle cross-check and classification jobs with JSON/CSV reports.
     solitonlab report --in report.json --format csv
 
 Exit codes: 0 all residuals below their thresholds, 1 threshold breach
-(report still written), 2 usage error.  Reports are byte-identical across
-runs of the same job.
+(report still written), 2 usage or domain error (one message line on
+stderr, no report).  Reports are byte-identical across runs of the same job.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
                 and args.family is None:
             raise UsageError("--family is required")
         return _dispatch(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError covers DomainError
         print(f"solitonlab: error: {exc}", file=sys.stderr)
         return 2
 

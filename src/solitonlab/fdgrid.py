@@ -13,6 +13,12 @@ margin of 4 nodes while plain curvature needs 2.
 Grids can carry a different node count per axis.  Accuracy is set by the
 spacing, not the count, so axes the metric does not vary along (Killing
 directions of the families) only need the minimal 2*margin+1 nodes.
+
+The metric array may be a read-only broadcast view with stride 0 along such
+axes, as `grid_from_family` returns it: g is then stored once per node of
+the non-Killing sub-grid, and callers must copy it before writing to it.
+Validation runs on that distinct slice, and the Codazzi stencil skips the
+stride-0 axes, along which the Ricci differences are exactly zero.
 """
 
 from __future__ import annotations
@@ -60,13 +66,19 @@ class MetricGrid:
         shape = tuple(len(ax) for ax in self.axes) + (DIM, DIM)
         if self.g.shape != shape:
             raise ValueError(f"metric array shape {self.g.shape} != {shape}")
-        if np.max(np.abs(self.g - np.swapaxes(self.g, -1, -2))) > 1e-12:
+        distinct = self.g[tuple(0 if b else slice(None) for b in self.broadcast_axes)]
+        if np.max(np.abs(distinct - np.swapaxes(distinct, -1, -2))) > 1e-12:
             raise ValueError("metric components must be symmetric")
-        _assert_positive_definite(self.g)
+        _assert_positive_definite(distinct)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return tuple(len(ax) for ax in self.axes)
+
+    @property
+    def broadcast_axes(self) -> tuple[bool, bool, bool, bool]:
+        """Per axis, whether g is stored once along it (stride 0)."""
+        return tuple(st == 0 for st in self.g.strides[:DIM])
 
     @property
     def spacings(self) -> np.ndarray:
@@ -79,10 +91,17 @@ class MetricGrid:
         margin = self.margin if margin is None else margin
         return all(margin <= node[i] <= self.shape[i] - 1 - margin for i in range(DIM))
 
-    def require_interior(self, node, margin: int | None = None) -> None:
-        if not self.interior(node, margin):
+    def require_interior(self, nodes, margin: int | None = None) -> None:
+        """Raise GridBoundaryError naming the first of ``nodes`` (one node or
+        an (N, 4) batch) that lies within ``margin`` of the boundary."""
+        margin = self.margin if margin is None else margin
+        nodes = np.atleast_2d(nodes)
+        outside = np.any((nodes < margin)
+                         | (nodes > np.array(self.shape) - 1 - margin), axis=1)
+        if np.any(outside):
+            node = tuple(int(i) for i in nodes[np.argmax(outside)])
             raise GridBoundaryError(
-                f"node {tuple(node)} too close to the boundary of {self.shape}")
+                f"node {node} too close to the boundary of {self.shape}")
 
     def interior_nodes(self, margin: int | None = None) -> np.ndarray:
         margin = self.margin if margin is None else margin
@@ -144,8 +163,12 @@ def _metric_derivs(grid: MetricGrid, nodes: np.ndarray):
     g0 = _gather(g, nodes, np.zeros(DIM, dtype=int))
     dg = np.zeros((N, DIM, DIM, DIM))
     d2g = np.zeros((N, DIM, DIM, DIM, DIM))
-    # center-value subtraction makes the annihilation of constants exact
+    # center-value subtraction makes the annihilation of constants exact, so
+    # derivatives along broadcast (stride-0) axes alone are exactly 0: skipped
+    skip = grid.broadcast_axes
     for l in range(DIM):
+        if skip[l]:
+            continue
         e = np.zeros(DIM, dtype=int)
         stack = []
         for off in _OFFSETS:
@@ -156,6 +179,8 @@ def _metric_derivs(grid: MetricGrid, nodes: np.ndarray):
         d2g[:, l, l] = np.tensordot(_D2_W, stack, axes=(0, 0)) / h[l] ** 2
     for l in range(DIM):
         for m in range(l + 1, DIM):
+            if skip[l] and skip[m]:
+                continue
             acc = np.zeros((N, DIM, DIM))
             for i, oi in enumerate(_OFFSETS):
                 if _D1_W[i] == 0.0:
@@ -219,7 +244,10 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray, g0, ginv, gam, ric, scal
     h = grid.spacings
     dric = np.zeros((N, DIM, DIM, DIM))
     dscal = np.zeros((N, DIM))
+    skip = grid.broadcast_axes  # shifted Ricci equals ric exactly there: dric = 0
     for l in range(DIM):
+        if skip[l]:
+            continue
         ric_stack, scal_stack = [], []
         for off in _OFFSETS:
             if off == 0:
@@ -244,8 +272,7 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray, g0, ginv, gam, ric, scal
 def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
     """Batched Ricci/scalar (with the node metrics) at interior nodes."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
-    for node in nodes:
-        grid.require_interior(node, MARGIN_CURVATURE)
+    grid.require_interior(nodes, MARGIN_CURVATURE)
     g0, _, _, _, ric, scalar = _curvature_batch(grid, nodes)
     return {"g": g0, "ric": ric, "scalar": scalar}
 
@@ -268,8 +295,7 @@ def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
 
 def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
     nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
-    for node in nodes:
-        grid.require_interior(node, MARGIN_CODAZZI)
+    grid.require_interior(nodes, MARGIN_CODAZZI)
     g0, ginv, gam, riem, ric, scalar = _curvature_batch(grid, nodes)
     return _codazzi_batch(grid, nodes, g0, ginv, gam, ric, scalar)
 
@@ -294,6 +320,11 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
     not vary along (t, phi; theta for 2-d fibers) get ``cross_nodes`` nodes
     at the s-spacing.  For warped3 the theta axis also uses the s-spacing,
     centered at theta = pi/2.
+
+    The metric is stored once per node of the non-Killing axes (s, r and,
+    for warped3, theta): ``grid.g`` is a read-only ``np.broadcast_to`` view
+    with stride 0 along the Killing axes (t and phi for doubly-warped
+    families, phi for warped3).  Copy it before writing to it.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     ds = (hi - lo) / (n_s - 1)
@@ -312,8 +343,7 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
     if m.kind == KIND_WARPED3:
         th_ax = cross(math.pi / 2.0)
         axes = (s_ax, r_ax, th_ax, cross(0.0))
-        shape = (n_s, n_r, cross_nodes, cross_nodes)
-        g = np.zeros(shape + (DIM, DIM))
+        g = np.zeros((n_s, n_r, cross_nodes, 1, DIM, DIM))
         H = h_vals[:, None, None, None]
         U = u_vals[None, :, None, None]
         ST = np.sin(th_ax)[None, None, :, None]
@@ -321,19 +351,19 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
         g[..., 1, 1] = H**2
         g[..., 2, 2] = (H * U) ** 2
         g[..., 3, 3] = (H * U * ST) ** 2
-        return MetricGrid(axes, g)
-    p_vals = _profile_values(m.p, s_ax)
-    axes = (s_ax, cross(0.0), r_ax, cross(0.0))
-    shape = (n_s, cross_nodes, n_r, cross_nodes)
-    g = np.zeros(shape + (DIM, DIM))
-    P = p_vals[:, None, None, None]
-    H = h_vals[:, None, None, None]
-    U = u_vals[None, None, :, None]
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = P**2
-    g[..., 2, 2] = H**2
-    g[..., 3, 3] = (H * U) ** 2
-    return MetricGrid(axes, g)
+    else:
+        p_vals = _profile_values(m.p, s_ax)
+        axes = (s_ax, cross(0.0), r_ax, cross(0.0))
+        g = np.zeros((n_s, 1, n_r, 1, DIM, DIM))
+        P = p_vals[:, None, None, None]
+        H = h_vals[:, None, None, None]
+        U = u_vals[None, None, :, None]
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = P**2
+        g[..., 2, 2] = H**2
+        g[..., 3, 3] = (H * U) ** 2
+    shape = tuple(len(ax) for ax in axes) + (DIM, DIM)
+    return MetricGrid(axes, np.broadcast_to(g, shape))
 
 
 # ---------------------------------------------------------------------------

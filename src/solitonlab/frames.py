@@ -22,9 +22,6 @@ from .errors import DomainError
 
 DIM = 4
 
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 64
-
 
 @dataclass(frozen=True)
 class Frame4:
@@ -53,7 +50,7 @@ def as_sym2(m, tol: float = 0.0) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.shape != (DIM, DIM):
         raise ValueError(f"expected a (4, 4) array, got {a.shape}")
-    asym = np.max(np.abs(a - a.T))
+    asym = abs(a - a.T).max()
     if asym > tol:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     return 0.5 * (a + a.T) if tol > 0 else a
@@ -83,72 +80,34 @@ def _cholesky_spd(g: np.ndarray) -> np.ndarray:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise DomainError("metric is not positive definite") from exc
-    if not np.all(np.isfinite(L)):
+    if not np.isfinite(L).all():
         raise DomainError("metric is not positive definite")
     return L
-
-
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a small symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.  Iterates full
-    sweeps until the off-diagonal Frobenius norm drops below ``_JACOBI_TOL``
-    relative to the matrix scale.
-    """
-    n = a.shape[0]
-    A = np.array(a, dtype=float)
-    V = np.eye(n)
-    scale = max(float(np.max(np.abs(A))), 1.0)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(sum(A[p, q] ** 2 for p in range(n) for q in range(p + 1, n)) * 2.0)
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                # classical Jacobi rotation annihilating A[p, q]
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-    w = np.diag(A).copy()
-    return w, V
 
 
 def sym_eigen(t, g=None) -> list[tuple[float, np.ndarray]]:
     """g-orthonormal eigenpairs of a symmetric 2-tensor t relative to g.
 
     Solves the generalized problem ``t v = w g v`` for positive definite g by
-    Cholesky reduction followed by a cyclic Jacobi diagonalization.  Returns
+    Cholesky reduction followed by LAPACK's symmetric ``eigh``.  Returns
     the four pairs sorted by descending eigenvalue; the eigenvectors satisfy
     ``v_i^T g v_j = delta_ij``.  Rounding-level asymmetry in the inputs (as
     produced by matrix products) is symmetrized away.
     """
     t = np.asarray(t, dtype=float)
-    t = as_sym2(t, tol=1e-12 * max(1.0, float(np.max(np.abs(t)))))
+    t = as_sym2(t, tol=1e-12 * max(1.0, float(abs(t).max())))
     if g is None:
         g = np.eye(DIM)
     else:
         g = np.asarray(g, dtype=float)
-        g = as_sym2(g, tol=1e-12 * max(1.0, float(np.max(np.abs(g)))))
+        g = as_sym2(g, tol=1e-12 * max(1.0, float(abs(g).max())))
     L = _cholesky_spd(g)
     Linv = np.linalg.inv(L)
     B = Linv @ t @ Linv.T
     B = 0.5 * (B + B.T)
-    w, Y = _jacobi_eigh(B)
-    V = Linv.T @ Y
-    order = np.argsort(-w, kind="stable")
-    return [(float(w[i]), V[:, i].copy()) for i in order]
+    w, Y = np.linalg.eigh(B)  # ascending
+    V = (Linv.T @ Y)[:, ::-1].T.copy()  # row i: eigenvector of the i-th largest
+    return list(zip(w[::-1].tolist(), V))
 
 
 def weyl_from_riemann(riem, ric, scalar: float, g) -> np.ndarray:

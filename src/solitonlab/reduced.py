@@ -83,15 +83,22 @@ def dw_rhs(st: ReducedState) -> DwDerivatives:
     return DwDerivatives(ap, bp, fpp, hp, diag)
 
 
+def _require_positive_s(s: float) -> None:
+    if not s > 0.0:
+        raise DomainError(f"s = {s!r} must be positive")
+
+
 def singular_steady_state(s: float = 1.0) -> ReducedState:
     """Reduced data of the singular steady metric: a = 1/(3s), b = 2/(3s),
     f' = 2/(3s), h = s^(2/3), lambda = k = 0."""
+    _require_positive_s(s)
     return ReducedState(s, 1.0 / (3.0 * s), 2.0 / (3.0 * s), 2.0 / (3.0 * s),
                         s ** (2.0 / 3.0), 0.0, 0.0)
 
 
 def product_state(s: float, lam: float) -> ReducedState:
     """Reduced data of the product family: a = 1/s, b = 0, f' = lam s, h = 1."""
+    _require_positive_s(s)
     return ReducedState(s, 1.0 / s, 0.0, lam * s, 1.0, lam, lam)
 
 

@@ -92,6 +92,22 @@ def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--family", "singular-steady", "--from", "-1"],
+    ["integrate", "--family", "singular-steady", "--step", "0"],
+    ["classify", "--family", "singular-steady", "--samples", "4"],
+    ["oracle", "--family", "singular-steady", "--nodes", "9"],
+    ["verify", "--family", "product", "--lam", "0"],
+])
+def test_domain_errors_exit_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solitonlab: error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_bad_job_file_exits_2(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text("[1, 2, 3]")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,18 @@ def test_grid_rejects_bad_input():
         MetricGrid((ax, ax, ax, ax), bad)
 
 
+def test_grid_rejects_bad_broadcast_metric():
+    # one bad node in a metric stored once per s-node, broadcast over the rest
+    ax = np.arange(9) * 0.1
+    asym = np.tile(np.eye(4), (9, 1, 1, 1, 1, 1))
+    asym[4, ..., 0, 1] = 1e-3
+    indefinite = np.tile(np.eye(4), (9, 1, 1, 1, 1, 1))
+    indefinite[4, ..., 3, 3] = -1.0
+    for bad in (asym, indefinite):
+        with pytest.raises(ValueError):
+            MetricGrid((ax, ax, ax, ax), np.broadcast_to(bad, (9, 9, 9, 9, 4, 4)))
+
+
 def test_grid_point_and_interior_helpers():
     grid = flat_grid()
     assert grid.point((4, 4, 4, 4)) == (0.4, 0.4, 0.4, 0.4)
@@ -123,6 +136,49 @@ def test_fd_curvature_flat_grid_exactly_zero():
 def test_fd_curvature_boundary_error(steady_grid):
     with pytest.raises(GridBoundaryError):
         fd_curvature(steady_grid, (2, 4, 64, 4))
+
+
+@pytest.mark.parametrize("block, first_bad, later_bad", [
+    (fd_ricci_block, (10, 4, 1, 4), (32, 4, 4, 4)),
+    (fd_codazzi_block, (10, 4, 3, 4), (29, 4, 4, 4)),
+], ids=["ricci", "codazzi"])
+def test_block_boundary_error_names_first_bad_node(block, first_bad, later_bad):
+    grid = narrow_grid(singular_steady_family(), 33)
+    nodes = [(i, 4, 4, 4) for i in range(4, 29)]
+    nodes[6:6] = [first_bad]
+    nodes.append(later_bad)
+    with pytest.raises(GridBoundaryError, match=re.escape(f"node {first_bad} ")):
+        block(grid, np.array(nodes))
+
+
+# ---------------------------------------------------------------------------
+# compact grids: g stored once per non-Killing node, broadcast along the rest
+
+COMPACT_CASES = [(product_family(-1.0), (False, True, False, True)),
+                 (cylinder_family(2.0), (False, False, False, True))]
+
+
+@pytest.mark.parametrize("fam, killing", COMPACT_CASES, ids=["product", "warped3"])
+def test_compact_grid_is_read_only_broadcast_on_killing_axes(fam, killing):
+    grid = narrow_grid(fam, 33)
+    assert tuple(st == 0 for st in grid.g.strides[:4]) == killing
+    assert grid.broadcast_axes == killing
+    assert not grid.g.flags.writeable
+
+
+@pytest.mark.parametrize("fam, killing", COMPACT_CASES, ids=["product", "warped3"])
+def test_compact_grid_matches_dense_copy_bit_for_bit(fam, killing):
+    grid = narrow_grid(fam, 33)
+    dense = MetricGrid(grid.axes, np.ascontiguousarray(grid.g))
+    assert not any(dense.broadcast_axes)
+    nodes = line_nodes(grid)
+    for key, val in fd_ricci_block(grid, nodes).items():
+        assert np.array_equal(val, fd_ricci_block(dense, nodes)[key])
+    assert np.array_equal(fd_codazzi_block(grid, nodes), fd_codazzi_block(dense, nodes))
+    a, b = fd_curvature(grid, nodes[10]), fd_curvature(dense, nodes[10])
+    for field in ("g", "christoffel", "riem", "ric", "weyl", "codazzi_residual"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert a.scalar == b.scalar
 
 
 def test_fd_singular_steady_ricci_at_s1(steady_grid):
@@ -218,6 +274,7 @@ def test_bundles_to_json_keys_by_node():
 
 def test_grid_json_roundtrip():
     grid = narrow_grid(singular_steady_family(), 9, s_range=(0.9, 1.1))
+    assert grid.broadcast_axes == (False, True, False, True)
     back = grid_from_json(grid_to_json(grid))
     for a, b in zip(grid.axes, back.axes):
         assert_allclose(a, b, rtol=0, atol=1e-15)

@@ -91,6 +91,23 @@ def test_sym_eigen_rotation_invariance(seed):
     assert_allclose(w0, w1, atol=1e-10)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_sym_eigen_fully_degenerate_round_sphere(seed):
+    # Ric = 3 g on the unit round 4-sphere: one eigenvalue of multiplicity 4
+    g = random_spd(np.random.default_rng(300 + seed))
+    pairs = sym_eigen(3.0 * g, g)
+    assert_allclose([w for w, _ in pairs], [3.0] * 4, rtol=1e-13)
+    V = np.column_stack([v for _, v in pairs])
+    assert_allclose(V.T @ g @ V, np.eye(4), atol=1e-12)
+
+
+def test_sym_eigen_rejects_asymmetric_tensor():
+    t = np.eye(4)
+    t[0, 1] = 1e-3
+    with pytest.raises(ValueError):
+        sym_eigen(t, np.eye(4))
+
+
 def test_sym_eigen_rejects_indefinite_metric():
     with pytest.raises(DomainError):
         sym_eigen(np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]))

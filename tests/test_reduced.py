@@ -53,6 +53,14 @@ def test_integrate_backwards():
     assert abs(traj.final.a - 1.0 / 1.8) <= 1e-9
 
 
+@pytest.mark.parametrize("s", [0.0, -1.0])
+def test_reduced_states_reject_nonpositive_s(s):
+    with pytest.raises(DomainError):
+        singular_steady_state(s)
+    with pytest.raises(DomainError):
+        product_state(s, -1.0)
+
+
 def test_integrate_zero_state_stays_zero():
     traj = integrate(ReducedState(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0), 3.0, 0.01)
     assert all(st.a == 0.0 and st.fp == 0.0 for st in traj.states)

@@ -28,8 +28,8 @@ from .families import (FiberProfile, MetricFamily, Profile, SolitonData,
 from .fdgrid import (MetricGrid, bundle_to_json, bundles_to_json, fd_curvature,
                      fd_partial, grid_from_family, grid_from_json, grid_to_json)
 from .frames import (Frame4, as_sym2, ricci_from_riemann,
-                     riemann_symmetry_residuals, scalar_from_ricci, sym_eigen,
-                     tensor_norm, weyl_from_riemann)
+                     riemann_symmetry_residuals, sym_eigen, tensor_norm,
+                     weyl_from_riemann)
 from .reduced import (DwDerivatives, ReducedState, Trajectory, branch_label,
                       distinct_fprime, distinct_frame_relations, dw_rhs,
                       exclusion_residual, integrate, product_state,

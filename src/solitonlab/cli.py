@@ -59,6 +59,13 @@ def _build_family(name: str, lam) -> MetricFamily:
     return _FAMILY_BUILDERS[name](lam)
 
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(x) for x in text.split(":"))
@@ -188,10 +195,14 @@ def _cmd_oracle(args) -> tuple[dict, bool, None]:
 def _cmd_classify(args) -> tuple[dict, bool, None]:
     tol = args.tol if args.tol is not None else 1e-8
     if args.samples_file:
-        raw = json.loads(Path(args.samples_file).read_text())
-        samples = [ClassifySample(row["s"], tuple(row["eigenvalues"]),
-                                  row["fprime"], row["scalar"], row["weyl_sq"])
-                   for row in raw]
+        raw = _read_json(args.samples_file, "samples file")
+        try:
+            samples = [ClassifySample(row["s"], tuple(row["eigenvalues"]),
+                                      row["fprime"], row["scalar"], row["weyl_sq"])
+                       for row in raw]
+        except (KeyError, TypeError) as exc:
+            raise UsageError("samples file must be a list of objects with keys s, "
+                             f"eigenvalues, fprime, scalar, weyl_sq: {exc!r}") from exc
         job_src = {"samples_file": args.samples_file}
     else:
         fam = _build_family(args.family, args.lam)
@@ -215,7 +226,9 @@ def _cmd_classify(args) -> tuple[dict, bool, None]:
 
 
 def _cmd_report(args) -> tuple[dict, bool, None]:
-    data = json.loads(Path(getattr(args, "in")).read_text())
+    data = _read_json(getattr(args, "in"), "report")
+    if not isinstance(data, dict):
+        raise UsageError("a report must be a JSON object")
     return data, bool(data.get("pass", True)), None
 
 
@@ -293,10 +306,7 @@ _JOB_KEYS = ("family", "lam", "s", "tol", "out", "format", "samples",
 
 
 def _args_from_job(parser: argparse.ArgumentParser, path: str):
-    try:
-        spec = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read job file {path!r}: {exc}") from exc
+    spec = _read_json(path, "job file")
     if not isinstance(spec, dict) or "command" not in spec:
         raise UsageError("job file must be a JSON object with a 'command' field")
     argv = [str(spec["command"])]

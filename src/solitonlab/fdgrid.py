@@ -6,9 +6,12 @@ grid, and produces Christoffel symbols, Riemann/Ricci/scalar/Weyl curvature
 and the Codazzi residual of Ric - (R/6) g by 4th-order central differences.
 
 Stencils are fixed at 5 points.  First and second metric derivatives are
-taken at the node itself; the covariant derivative of Ricci is assembled
-from Ricci values at stencil neighbors, so the Codazzi residual needs a
-margin of 4 nodes while plain curvature needs 2.
+taken at the node itself.  For the covariant derivative of Ricci, Ricci and
+R are evaluated once on the distinct stencil neighbourhood of a batch of
+nodes, and the first-derivative stencil is applied to that field, so the
+Codazzi residual needs a margin of 4 nodes while plain curvature needs 2.
+Curvature is evaluated in blocks of 256 nodes, which bounds the memory of
+its rank-5 temporaries on any batch size.
 
 Grids can carry a different node count per axis.  Accuracy is set by the
 spacing, not the count, so axes the metric does not vary along (Killing
@@ -40,6 +43,10 @@ MARGIN_CODAZZI = 4
 _D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFSETS = np.array([-2, -1, 0, 1, 2])
+
+# nodes per `_curvature_batch` call; its (N, 4, 4, 4, 4) temporaries are
+# 2 kB per node, and larger blocks raised peak memory without a speed gain
+_BLOCK = 256
 
 _TRIU = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
@@ -198,28 +205,50 @@ def _metric_derivs(grid: MetricGrid, nodes: np.ndarray):
 
 
 def _curvature_batch(grid: MetricGrid, nodes: np.ndarray):
-    """(g0, ginv, gam, riem, ric, scalar) at a batch of interior nodes."""
+    """(g0, gam, riem, ric, scalar) at a batch of interior nodes.
+
+    The connection, its derivative and R^c_ijk are built with the upper
+    index last (``*_t``), so the contractions with g and g^-1 are batched
+    matmuls over the trailing two axes.
+    """
     g0, dg, d2g = _metric_derivs(grid, nodes)
+    N = nodes.shape[0]
     ginv = np.linalg.inv(g0)
+    ginv_t = np.ascontiguousarray(np.swapaxes(ginv, 1, 2))
     # bracket[n,a,b,d] = d_a g_db + d_b g_da - d_d g_ab   (dg[n,l,i,j] = d_l g_ij)
     bracket = (np.einsum("nadb->nabd", dg) + np.einsum("nbda->nabd", dg)
-               - np.einsum("ndab->nabd", dg))
-    gam = 0.5 * np.einsum("ncd,nabd->ncab", ginv, bracket)
+               - np.einsum("ndab->nabd", dg)).reshape(N, DIM * DIM, DIM)
+    # gam_t[n,a,b,c] = Gamma^c_ab
+    gam_t = (0.5 * (bracket @ ginv_t)).reshape(N, DIM, DIM, DIM)
     # d_l of the bracket and of g^{-1}, for d_l Gamma^c_ab
     dbracket = (np.einsum("nladb->nlabd", d2g) + np.einsum("nlbda->nlabd", d2g)
-                - np.einsum("nldab->nlabd", d2g))
-    dginv = -np.einsum("ncp,nlpq,nqd->nlcd", ginv, dg, ginv)
-    dgam = (0.5 * np.einsum("nlcd,nabd->nlcab", dginv, bracket)
-            + 0.5 * np.einsum("ncd,nlabd->nlcab", ginv, dbracket))
-    # R^c_ijk = d_i Gamma^c_jk - d_j Gamma^c_ik
-    #           + Gamma^m_jk Gamma^c_im - Gamma^m_ik Gamma^c_jm
-    rup = (np.einsum("nicjk->ncijk", dgam) - np.einsum("njcik->ncijk", dgam)
-           + np.einsum("nmjk,ncim->ncijk", gam, gam)
-           - np.einsum("nmik,ncjm->ncijk", gam, gam))
-    riem = np.einsum("nlm,nmijk->nijkl", g0, rup)
+                - np.einsum("nldab->nlabd", d2g)).reshape(N, DIM, DIM * DIM, DIM)
+    del d2g
+    dginv_t = -(ginv_t[:, None] @ np.swapaxes(dg, 2, 3) @ ginv_t[:, None])
+    # dgam_t[n,l,a,b,c] = d_l Gamma^c_ab
+    dgam_t = 0.5 * (dbracket @ ginv_t[:, None] + bracket[:, None] @ dginv_t)
+    del dbracket
+    # rup_t[n,i,j,k,c] = R^c_ijk = d_i Gamma^c_jk - d_j Gamma^c_ik
+    #                            + Gamma^m_jk Gamma^c_im - Gamma^m_ik Gamma^c_jm
+    # The Gamma Gamma sum over m is an ordered multiply-add, not a matmul:
+    # BLAS fuses the multiply-adds and moves Ricci by an ulp, which the 1/h
+    # Codazzi stencil amplifies to ~1e-13.
+    quad = gam_t[:, None, :, :, 0, None] * gam_t[:, :, None, None, 0, :]
+    for m in range(1, DIM):
+        quad += gam_t[:, None, :, :, m, None] * gam_t[:, :, None, None, m, :]
+    # in place, and with the rank-5 inputs freed early, to cap peak memory
+    dgam_t = dgam_t.reshape((N,) + (DIM,) * 4)
+    rup_t = dgam_t - dgam_t.transpose(0, 2, 1, 3, 4)
+    del dgam_t
+    rup_t += quad
+    rup_t -= quad.transpose(0, 2, 1, 3, 4)
+    rup_t = rup_t.reshape(N, DIM ** 3, DIM)
+    # riem[n,i,j,k,l] = g_lm R^m_ijk, kept l-major (N, l, ijk) in memory: the
+    # einsum below sums in memory order, so this layout fixes Ricci's rounding
+    riem = (g0 @ np.swapaxes(rup_t, 1, 2)).reshape((N,) + (DIM,) * 4).transpose(0, 2, 3, 4, 1)
     ric = np.einsum("nab,njabl->njl", ginv, riem)
     scalar = np.einsum("njl,njl->n", ginv, ric)
-    return g0, ginv, gam, riem, ric, scalar
+    return g0, gam_t.transpose(0, 3, 1, 2), riem, ric, scalar
 
 
 def _weyl_batch(riem, ric, scalar, g0):
@@ -232,37 +261,56 @@ def _weyl_batch(riem, ric, scalar, g0):
     return riem + 0.5 * kulkarni - (scalar[:, None, None, None, None] / 6.0) * metric_part
 
 
-def _ricci_simple(grid: MetricGrid, nodes: np.ndarray):
-    _, _, _, _, ric, scalar = _curvature_batch(grid, nodes)
-    return ric, scalar
+def _curvature_blocks(grid: MetricGrid, nodes: np.ndarray, christoffel_at=()):
+    """(g0, gam, ric, scalar) at interior nodes, with gam only at
+    ``nodes[christoffel_at]``.  `_curvature_batch` runs on `_BLOCK` nodes at
+    a time, writing into preallocated outputs, which caps its
+    (N, 4, 4, 4, 4) temporaries."""
+    n = nodes.shape[0]
+    want = np.asarray(christoffel_at, dtype=int)
+    g0, ric, scalar = np.empty((n, DIM, DIM)), np.empty((n, DIM, DIM)), np.empty(n)
+    gam = np.empty((len(want), DIM, DIM, DIM))
+    for lo in range(0, n, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        g0[blk], gam_blk, _, ric[blk], scalar[blk] = _curvature_batch(grid, nodes[blk])
+        here = (want >= lo) & (want < lo + _BLOCK)
+        gam[here] = gam_blk[want[here] - lo]
+    return g0, gam, ric, scalar
 
 
-def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray, g0, ginv, gam, ric, scalar):
+def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
     """Codazzi residual C_kij = cov_k Ric_ij - cov_i Ric_kj
-    + (d_i R / 6) g_kj - (d_k R / 6) g_ij at the batch nodes."""
+    + (d_i R / 6) g_kj - (d_k R / 6) g_ij at the batch nodes.
+
+    Ricci and R are evaluated once on the distinct stencil neighbourhood of
+    the batch, in blocks of `_BLOCK` nodes: the nodes and their +-1, +-2
+    neighbours along every axis where g is not stride-0, deduplicated by
+    flat index.  The 5-point first-derivative stencil is then applied to
+    that one field.  Stride-0 axes are skipped: the Ricci differences along
+    them are exactly 0.
+    """
     N = nodes.shape[0]
     h = grid.spacings
+    axes = [l for l in range(DIM) if not grid.broadcast_axes[l]]
+    # the nodes themselves, then the 5-point stencil along each of `axes`
+    shifts = np.zeros((1 + len(axes) * len(_OFFSETS), DIM), dtype=int)
+    for i, l in enumerate(axes):
+        shifts[1 + i * len(_OFFSETS):1 + (i + 1) * len(_OFFSETS), l] = _OFFSETS
+    flat = np.ravel_multi_index(tuple((nodes + shifts[:, None]).reshape(-1, DIM).T),
+                                grid.shape)
+    distinct, where = np.unique(flat, return_inverse=True)
+    where = where.reshape(len(shifts), N)
+    center, stencils = where[0], where[1:].reshape(len(axes), len(_OFFSETS), N)
+    g0, gam, ric, scalar = _curvature_blocks(
+        grid, np.stack(np.unravel_index(distinct, grid.shape), axis=1), center)
+    g0, ric_c, scal_c = g0[center], ric[center], scalar[center]
     dric = np.zeros((N, DIM, DIM, DIM))
     dscal = np.zeros((N, DIM))
-    skip = grid.broadcast_axes  # shifted Ricci equals ric exactly there: dric = 0
-    for l in range(DIM):
-        if skip[l]:
-            continue
-        ric_stack, scal_stack = [], []
-        for off in _OFFSETS:
-            if off == 0:
-                ric_stack.append(np.zeros_like(ric))
-                scal_stack.append(np.zeros_like(scalar))
-                continue
-            e = np.zeros(DIM, dtype=int)
-            e[l] = off
-            r_n, s_n = _ricci_simple(grid, nodes + e)
-            ric_stack.append(r_n - ric)
-            scal_stack.append(s_n - scalar)
-        dric[:, l] = np.tensordot(_D1_W, np.stack(ric_stack), axes=(0, 0)) / h[l]
-        dscal[:, l] = np.tensordot(_D1_W, np.stack(scal_stack), axes=(0, 0)) / h[l]
-    cov = (dric - np.einsum("nmki,nmj->nkij", gam, ric)
-           - np.einsum("nmkj,nim->nkij", gam, ric))
+    for l, stencil in zip(axes, stencils):
+        dric[:, l] = np.tensordot(_D1_W, ric[stencil] - ric_c, axes=(0, 0)) / h[l]
+        dscal[:, l] = np.tensordot(_D1_W, scalar[stencil] - scal_c, axes=(0, 0)) / h[l]
+    cov = (dric - np.einsum("nmki,nmj->nkij", gam, ric_c)
+           - np.einsum("nmkj,nim->nkij", gam, ric_c))
     c = (cov - cov.transpose(0, 2, 1, 3)
          + np.einsum("ni,nkj->nkij", dscal, g0) / 6.0
          - np.einsum("nk,nij->nkij", dscal, g0) / 6.0)
@@ -273,7 +321,7 @@ def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
     """Batched Ricci/scalar (with the node metrics) at interior nodes."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
     grid.require_interior(nodes, MARGIN_CURVATURE)
-    g0, _, _, _, ric, scalar = _curvature_batch(grid, nodes)
+    g0, _, ric, scalar = _curvature_blocks(grid, nodes)
     return {"g": g0, "ric": ric, "scalar": scalar}
 
 
@@ -285,9 +333,9 @@ def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
     node = tuple(int(i) for i in node)
     grid.require_interior(node, MARGIN_CODAZZI)
     nodes = np.array([node])
-    g0, ginv, gam, riem, ric, scalar = _curvature_batch(grid, nodes)
+    g0, gam, riem, ric, scalar = _curvature_batch(grid, nodes)
     weyl = _weyl_batch(riem, ric, scalar, g0)
-    codazzi = _codazzi_batch(grid, nodes, g0, ginv, gam, ric, scalar)
+    codazzi = _codazzi_batch(grid, nodes)
     labels = tuple(f"x{i+1}" for i in range(DIM))
     return CurvatureBundle(Frame4("coordinate", labels), g0[0], gam[0], riem[0],
                            ric[0], float(scalar[0]), weyl[0], codazzi[0])
@@ -296,8 +344,7 @@ def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
 def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
     nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
     grid.require_interior(nodes, MARGIN_CODAZZI)
-    g0, ginv, gam, riem, ric, scalar = _curvature_batch(grid, nodes)
-    return _codazzi_batch(grid, nodes, g0, ginv, gam, ric, scalar)
+    return _codazzi_batch(grid, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,3 @@ def ricci_from_riemann(riem, g=None) -> np.ndarray:
     ginv = np.linalg.inv(as_sym2(g))
     return np.einsum("ab,jabl->jl", ginv, r)
 
-
-def scalar_from_ricci(ric, g=None) -> float:
-    ric = np.asarray(ric, dtype=float)
-    if g is None:
-        return float(np.trace(ric))
-    return float(np.einsum("ij,ij->", np.linalg.inv(as_sym2(g)), ric))

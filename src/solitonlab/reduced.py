@@ -295,11 +295,3 @@ def trajectory_to_csv(traj: Trajectory, fmt: str = "%.17g") -> str:
         writer.writerow({k: fmt % v for k, v in row.items()})
     return buf.getvalue()
 
-
-def trajectory_to_json_dict(traj: Trajectory) -> dict:
-    return {
-        "truncated": traj.truncated,
-        "reason": traj.reason,
-        "branch": list(branch_label(traj)),
-        "rows": trajectory_rows(traj),
-    }

@@ -108,6 +108,31 @@ def test_domain_errors_exit_2_with_one_line(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+SAMPLE_ROW = {"s": 1.0, "eigenvalues": [1.0, 1.0, 1.0, 1.0], "fprime": 0.0,
+              "scalar": 4.0, "weyl_sq": 0.0}
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["classify", "--samples-file"], [{k: v for k, v in SAMPLE_ROW.items()
+                                       if k != "eigenvalues"}] * 8),
+    (["classify", "--samples-file"], [SAMPLE_ROW] * 7 + [[1.0, 2.0]]),
+    (["classify", "--samples-file"], None),
+    (["report", "--in"], None),
+    (["report", "--in"], [1, 2, 3]),
+], ids=["row-missing-key", "row-not-object", "missing-samples-file",
+        "missing-report", "report-not-object"])
+def test_bad_input_files_exit_2_with_one_line(argv, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solitonlab: error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_bad_job_file_exits_2(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text("[1, 2, 3]")

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,98 @@ def test_compact_grid_matches_dense_copy_bit_for_bit(fam, killing):
     for field in ("g", "christoffel", "riem", "ric", "weyl", "codazzi_residual"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
     assert a.scalar == b.scalar
+
+
+# ---------------------------------------------------------------------------
+# Codazzi from one Ricci field, evaluated in bounded node blocks
+
+def smooth_random_grid(shape, seed=0, spacing=0.1):
+    """A dense grid of the smooth, non-diagonal metric
+    g = I + 0.05 sum_k (A_k + A_k^T) sin(k . x + phi_k), three random waves."""
+    rng = np.random.default_rng(seed)
+    axes = tuple(np.arange(n) * spacing for n in shape)
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    g = np.tile(np.eye(4), shape + (1, 1))
+    for _ in range(3):
+        a = rng.standard_normal((4, 4))
+        wave = np.sin(x @ rng.uniform(-1.5, 1.5, 4) + rng.uniform(0.0, 2.0 * np.pi))
+        g += 0.05 * (a + a.T) * wave[..., None, None]
+    return MetricGrid(axes, g)
+
+
+def codazzi_reference(grid, nodes):
+    """Codazzi residual from fd_ricci_block on the shifted node sets of the
+    5-point first-derivative stencil along all four axes, contracted with
+    Christoffel symbols from the same stencil applied to grid.g."""
+    h = grid.spacings
+    center = fd_ricci_block(grid, nodes)
+    ric, scalar, g = center["ric"], center["scalar"], center["g"]
+    weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    dg = np.zeros((len(nodes), 4, 4, 4))
+    dric = np.zeros((len(nodes), 4, 4, 4))
+    dscal = np.zeros((len(nodes), 4))
+    for l in range(4):
+        for w, off in zip(weights, range(-2, 3)):
+            shifted_nodes = nodes.copy()
+            shifted_nodes[:, l] += off
+            shifted = fd_ricci_block(grid, shifted_nodes)
+            dg[:, l] += w * (shifted["g"] - g) / h[l]
+            dric[:, l] += w * (shifted["ric"] - ric) / h[l]
+            dscal[:, l] += w * (shifted["scalar"] - scalar) / h[l]
+    bracket = (np.einsum("nadb->nabd", dg) + np.einsum("nbda->nabd", dg)
+               - np.einsum("ndab->nabd", dg))
+    gam = 0.5 * np.einsum("ncd,nabd->ncab", np.linalg.inv(g), bracket)
+    cov = (dric - np.einsum("nmki,nmj->nkij", gam, ric)
+           - np.einsum("nmkj,nim->nkij", gam, ric))
+    return (cov - cov.transpose(0, 2, 1, 3)
+            + (np.einsum("ni,nkj->nkij", dscal, g) - np.einsum("nk,nij->nkij", dscal, g)) / 6.0)
+
+
+def codazzi_case(name):
+    if name == "dense_random":
+        grid = smooth_random_grid((11, 10, 9, 9))
+        return grid, grid.interior_nodes()
+    if name == "warped3":
+        grid = narrow_grid(cylinder_family(2.0), 33)
+        return grid, line_nodes(grid)
+    # doubly-warped, more nodes than one block
+    grid = grid_from_family(product_family(-1.0), (0.5, 2.0), 65,
+                            r_range=(0.6, 0.6 + 12 * 1.5 / 64), n_r=13)
+    return grid, grid.interior_nodes()
+
+
+@pytest.mark.parametrize("case", ["dense_random", "warped3", "product_over_block"])
+def test_codazzi_block_matches_shifted_ricci_reference(case):
+    grid, nodes = codazzi_case(case)
+    if case == "product_over_block":
+        assert len(nodes) > 256
+    got = fd_codazzi_block(grid, nodes)
+    want = codazzi_reference(grid, nodes)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.max(np.abs(want)) > 1e-9   # the residual is not trivially 0
+
+
+def test_ricci_block_across_block_boundaries_matches_per_node():
+    grid = smooth_random_grid((9, 9, 8, 8), seed=1)
+    nodes = grid.interior_nodes(margin=2)
+    assert len(nodes) > 256
+    blk = fd_ricci_block(grid, nodes)
+    for j, node in enumerate(nodes):
+        one = fd_ricci_block(grid, node)
+        for key in ("g", "ric", "scalar"):
+            assert np.array_equal(blk[key][j], one[key][0])
+
+
+def test_ricci_block_peak_memory_on_full_grid(steady_grid):
+    nodes = steady_grid.interior_nodes()
+    tracemalloc.start()
+    try:
+        fd_ricci_block(steady_grid, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nodes) == 121 * 121
+    assert peak < 32 * 2**20
 
 
 def test_fd_singular_steady_ricci_at_s1(steady_grid):

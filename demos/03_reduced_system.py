@@ -9,18 +9,16 @@ conserved and the branch detector name the solution family, and then
 evaluates the algebra that rules out pairwise-distinct fiber eigenvalues.
 """
 
-from solitonlab import (branch_label, distinct_fprime, dw_rhs,
-                        exclusion_residual, integrate,
-                        reduced_identity_residuals)
+from solitonlab import (branch_label, distinct_fprime, exclusion_residual,
+                        integrate)
 from solitonlab.reduced import product_state, singular_steady_state
 
 for title, state in (("singular steady", singular_steady_state(1.0)),
                      ("product (lam = -1)", product_state(1.0, -1.0))):
     traj = integrate(state, 2.0, 1e-3)
     end = traj.final
-    worst = max(max(abs(v) for v in
-                    reduced_identity_residuals(st, dw_rhs(st).ap).values())
-                for st in traj.states)
+    worst = max(max(abs(v) for v in res.values())
+                for res in traj.identity_residual_rows())
     print(f"{title}: integrated s = 1 -> 2 in {len(traj.states) - 1} steps")
     print(f"  endpoint   a = {end.a:.12f}  b = {end.b:.12f}  f' = {end.fp:.12f}")
     print(f"  max identity residual along the way: {worst:.2e}")

@@ -18,24 +18,24 @@ from .curvature import (CurvatureBundle, DWConnection, dw_connection,
 from .errors import (DomainError, GridBoundaryError, PreconditionError,
                      UnsupportedFamilyError)
 from .families import (FiberProfile, MetricFamily, Profile, SolitonData,
-                       broken_family, canonical_soliton_for, constant_profile,
-                       cylinder_family, doubly_warped_family, family_from_json,
-                       family_metric_at, family_to_json, fiber_profile_eval,
-                       flat_family, gaussian_family, log_profile,
-                       power_profile, product_family, quadratic_potential,
-                       sin_profile, singular_steady_family, sphere_family,
-                       soliton_data, warped3_family)
+                       broken_family, canonical_family, canonical_soliton_for,
+                       constant_profile, cylinder_family, doubly_warped_family,
+                       family_from_json, family_metric_at, family_to_json,
+                       fiber_profile_eval, flat_family, gaussian_family,
+                       log_profile, power_profile, product_family,
+                       quadratic_potential, sin_profile, singular_steady_family,
+                       sphere_family, soliton_data, warped3_family)
 from .fdgrid import (MetricGrid, bundle_to_json, bundles_to_json, fd_curvature,
                      fd_partial, grid_from_family, grid_from_json, grid_to_json)
 from .frames import (Frame4, as_sym2, ricci_from_riemann,
-                     riemann_symmetry_residuals, sym_eigen, tensor_norm,
-                     weyl_from_riemann)
+                     riemann_symmetry_residuals, sym_eigen, sym_eigvals,
+                     tensor_norm, weyl_from_riemann)
 from .reduced import (DwDerivatives, ReducedState, Trajectory, branch_label,
                       distinct_fprime, distinct_frame_relations, dw_rhs,
                       exclusion_residual, integrate, product_state,
                       reduced_identity_residuals, singular_steady_state,
                       warp3_rhs)
 from .verify import (ResidualReport, codazzi_residual_closed, hamilton_check,
-                     soliton_residual)
+                     oracle_deviation, soliton_residual)
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ from .curvature import family_eigenvalues, family_weyl_sq
 from .families import MetricFamily, SolitonData
 
 DEFAULT_TOL_CLOSED = 1e-8
-DEFAULT_TOL_FD = 1e-4
 MIN_SAMPLES = 8
 
 LABEL_EINSTEIN = "Einstein_i"

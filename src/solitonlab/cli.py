@@ -17,46 +17,36 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .classify import ClassifySample, LABEL_UNKNOWN, classify, sample_family
-from .curvature import family_eigenvalues
 from .errors import UnsupportedFamilyError
-from .families import (MetricFamily, broken_family, canonical_soliton_for,
-                       cylinder_family, flat_family, gaussian_family,
-                       product_family, singular_steady_family, sphere_family)
-from .fdgrid import fd_ricci_block, grid_from_family
-from .frames import sym_eigen
-from .reduced import (branch_label, dw_rhs, integrate, product_state,
-                      reduced_identity_residuals, singular_steady_state,
-                      trajectory_to_csv)
+from .families import (CANONICAL_FAMILIES, MetricFamily, canonical_family,
+                       canonical_soliton_for)
+from .fdgrid import grid_from_family
+from .reduced import (branch_label, integrate, product_state,
+                      singular_steady_state, trajectory_to_csv)
 from .report import canonical_csv, canonical_json
-from .verify import codazzi_residual_closed, hamilton_check, soliton_residual
+from .verify import (codazzi_residual_closed, hamilton_check, oracle_deviation,
+                     soliton_residual)
 
 
 class UsageError(Exception):
     pass
 
 
-_FAMILY_BUILDERS = {
-    "singular-steady": lambda lam: singular_steady_family(),
-    "product": lambda lam: product_family(-1.0 if lam is None else lam),
-    "gaussian": lambda lam: gaussian_family(1.0 if lam is None else lam),
-    "cylinder": lambda lam: cylinder_family(2.0 if lam is None else lam),
-    "sphere": lambda lam: sphere_family(),
-    "flat": lambda lam: flat_family(),
-    "broken-product": lambda lam: broken_family(),
-}
+_CLI_FAMILIES = {name.replace("_", "-"): name for name in CANONICAL_FAMILIES}
 
 
 def _build_family(name: str, lam) -> MetricFamily:
-    if name not in _FAMILY_BUILDERS:
+    if name not in _CLI_FAMILIES:
         raise UsageError(f"unknown family {name!r}; choose from "
-                         f"{sorted(_FAMILY_BUILDERS)}")
-    return _FAMILY_BUILDERS[name](lam)
+                         f"{sorted(_CLI_FAMILIES)}")
+    return canonical_family(_CLI_FAMILIES[name], lam)
 
 
 def _read_json(path: str, what: str):
@@ -66,11 +56,21 @@ def _read_json(path: str, what: str):
         raise UsageError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _finite_float(text: str) -> float:
     try:
-        lo, hi = (float(x) for x in text.split(":"))
+        value = float(text)
     except ValueError as exc:
-        raise UsageError(f"range must look like 0.5:2.0, got {text!r}") from exc
+        raise UsageError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_range(text: str) -> tuple[float, float]:
+    ends = text.split(":")
+    if len(ends) != 2:
+        raise UsageError(f"range must look like 0.5:2.0, got {text!r}")
+    lo, hi = map(_finite_float, ends)
     if not lo < hi:
         raise UsageError(f"empty range {text!r}")
     return lo, hi
@@ -93,57 +93,42 @@ def _samples(fam: MetricFamily, s_range, count: int) -> np.ndarray:
 def _cmd_verify(args) -> tuple[dict, bool, None]:
     fam = _build_family(args.family, args.lam)
     samples = _samples(fam, args.s, args.samples)
-    tol = args.tol if args.tol is not None else 1e-9
-    checks: dict = {}
-    breaches = []
-    cod = codazzi_residual_closed(fam, samples)
-    checks["codazzi"] = cod.as_dict()
-    breaches.append(cod.max_abs > tol)
+    reports = {"codazzi": codazzi_residual_closed(fam, samples)}
     try:
         sol = canonical_soliton_for(fam)
     except UnsupportedFamilyError:
-        checks["soliton"] = {"skipped": "family has no canonical potential"}
-        checks["hamilton"] = {"skipped": "family has no canonical potential"}
+        skipped = {"skipped": "family has no canonical potential"}
+        checks = {"soliton": skipped, "hamilton": skipped}
     else:
-        srep = soliton_residual(fam, sol, samples)
-        hrep = hamilton_check(fam, sol, samples)
-        checks["soliton"] = srep.as_dict()
-        checks["hamilton"] = hrep.as_dict()
-        breaches += [srep.max_abs > tol, hrep.max_abs > tol]
-    passed = not any(breaches)
+        reports["soliton"] = soliton_residual(fam, sol, samples)
+        reports["hamilton"] = hamilton_check(fam, sol, samples)
+        checks = {}
+    checks.update((name, rep.as_dict()) for name, rep in reports.items())
+    passed = all(rep.max_abs <= args.tol for rep in reports.values())
     report = {
         "job": {"command": "verify", "family": args.family,
                 "s_range": list(args.s), "samples": args.samples},
-        "thresholds": {"residual_tol": tol},
+        "thresholds": {"residual_tol": args.tol},
         "checks": checks,
         "pass": passed,
     }
     return report, passed, None
 
 
-_REDUCED_STATES = {
-    "singular-steady": lambda lam, s: singular_steady_state(s),
-    "product": lambda lam, s: product_state(s, -1.0 if lam is None else lam),
-}
-
-
 def _cmd_integrate(args) -> tuple[dict, bool, str | None]:
-    if args.family not in _REDUCED_STATES:
+    if args.family not in ("product", "singular-steady"):
         raise UsageError("integrate supports the families with reduced data: "
-                         f"{sorted(_REDUCED_STATES)}")
-    tol = args.tol if args.tol is not None else 1e-10
-    st0 = _REDUCED_STATES[args.family](args.lam, getattr(args, "from"))
+                         "['product', 'singular-steady']")
+    fam, s0 = _build_family(args.family, args.lam), getattr(args, "from")
+    st0 = product_state(s0, fam.lam) if fam.name == "product" else singular_steady_state(s0)
     traj = integrate(st0, args.to, args.step)
-    worst = 0.0
-    for st in traj.states:
-        res = reduced_identity_residuals(st, dw_rhs(st).ap)
-        worst = max(worst, max(abs(v) for v in res.values()))
+    worst = max(max(map(abs, res.values())) for res in traj.identity_residual_rows())
     end = traj.final
-    passed = (worst <= tol) and not traj.truncated
+    passed = (worst <= args.tol) and not traj.truncated
     report = {
         "job": {"command": "integrate", "family": args.family,
                 "from": getattr(args, "from"), "to": args.to, "step": args.step},
-        "thresholds": {"identity_tol": tol},
+        "thresholds": {"identity_tol": args.tol},
         "truncated": traj.truncated,
         "reason": traj.reason,
         "branch": list(branch_label(traj)),
@@ -158,32 +143,26 @@ def _cmd_integrate(args) -> tuple[dict, bool, str | None]:
 
 def _cmd_oracle(args) -> tuple[dict, bool, None]:
     fam = _build_family(args.family, args.lam)
-    tol = args.tol if args.tol is not None else 1e-6
     lo, hi = args.s
     n_s = args.nodes
+    if n_s < 9:
+        raise UsageError("oracle needs --nodes >= 9: 4 margin nodes on each "
+                         "side of the checked s nodes")
+    fam.require(lo)  # the grid spans [lo, hi]
+    fam.require(hi)
     h = (hi - lo) / (n_s - 1)
     grid = grid_from_family(fam, (lo, hi), n_s, r_range=(1.0 - 4 * h, 1.0 + 4 * h),
                             n_r=9)
-    sh = grid.shape
-    mid = tuple(n // 2 for n in sh)
-    nodes = np.array([(i, mid[1], mid[2], mid[3]) for i in range(4, sh[0] - 4)])
-    blk = fd_ricci_block(grid, nodes)
-    worst = 0.0
-    worst_s = float(grid.axes[0][nodes[0][0]])
-    for j, node in enumerate(nodes):
-        s = float(grid.axes[0][node[0]])
-        cf = np.array(family_eigenvalues(fam, s))
-        eigs = np.array([w for w, _ in sym_eigen(blk["ric"][j], blk["g"][j])])
-        scale = max(1.0, abs(cf[4]), float(np.max(np.abs(cf[:4]))))
-        dev = max(float(np.max(np.abs(eigs - np.sort(cf[:4])[::-1]))),
-                  abs(float(blk["scalar"][j]) - cf[4])) / scale
-        if dev > worst:
-            worst, worst_s = dev, s
-    passed = bool(worst <= tol)
+    mid = [n // 2 for n in grid.shape]
+    nodes = np.array([(i, *mid[1:]) for i in range(4, n_s - 4)])
+    devs = oracle_deviation(fam, grid, nodes)
+    worst = float(devs.max())
+    worst_s = float(grid.axes[0][nodes[int(np.argmax(devs))][0]])
+    passed = bool(worst <= args.tol)
     report = {
         "job": {"command": "oracle", "family": args.family,
                 "s_range": list(args.s), "nodes": n_s},
-        "thresholds": {"agreement_tol": tol},
+        "thresholds": {"agreement_tol": args.tol},
         "max_relative_deviation": worst,
         "worst_s": worst_s,
         "interior_nodes_checked": int(len(nodes)),
@@ -193,7 +172,6 @@ def _cmd_oracle(args) -> tuple[dict, bool, None]:
 
 
 def _cmd_classify(args) -> tuple[dict, bool, None]:
-    tol = args.tol if args.tol is not None else 1e-8
     if args.samples_file:
         raw = _read_json(args.samples_file, "samples file")
         try:
@@ -214,11 +192,11 @@ def _cmd_classify(args) -> tuple[dict, bool, None]:
         samples = sample_family(fam, sol, _samples(fam, args.s, args.samples))
         job_src = {"family": args.family, "s_range": list(args.s),
                    "samples": args.samples}
-    verdict = classify(samples, tol)
+    verdict = classify(samples, args.tol)
     passed = verdict.label != LABEL_UNKNOWN
     report = {
         "job": {"command": "classify", **job_src},
-        "thresholds": {"tol": tol},
+        "thresholds": {"tol": args.tol},
         "verdict": verdict.as_dict(),
         "pass": passed,
     }
@@ -247,12 +225,12 @@ def _dispatch(args) -> int:
 
 def _add_common(sp, with_range=True):
     sp.add_argument("--family", required=False, default=None)
-    sp.add_argument("--lam", type=float, default=None,
+    sp.add_argument("--lam", type=_finite_float, default=None,
                     help="soliton constant for the parametric families")
     if with_range:
         sp.add_argument("--s", type=_parse_range, default=(0.5, 2.0),
                         metavar="LO:HI")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_finite_float)
     sp.add_argument("--out", default=None, metavar="PATH")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -267,27 +245,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="soliton / Codazzi / conservation residuals")
     _add_common(p)
     p.add_argument("--samples", type=int, default=64)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, tol=1e-9)
 
     p = sub.add_parser("integrate", help="integrate the reduced system")
     _add_common(p, with_range=False)
-    p.add_argument("--from", type=float, default=1.0)
-    p.add_argument("--to", type=float, default=2.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.set_defaults(handler=_cmd_integrate)
+    p.add_argument("--from", type=_finite_float, default=1.0)
+    p.add_argument("--to", type=_finite_float, default=2.0)
+    p.add_argument("--step", type=_finite_float, default=1e-3)
+    p.set_defaults(handler=_cmd_integrate, tol=1e-10)
 
     p = sub.add_parser("oracle", help="finite-difference cross-check of closed forms")
     _add_common(p)
     p.add_argument("--nodes", type=int, default=129,
                    help="s-axis resolution; the 1e-6 agreement default is "
                         "calibrated at 129")
-    p.set_defaults(handler=_cmd_oracle)
+    p.set_defaults(handler=_cmd_oracle, tol=1e-6)
 
     p = sub.add_parser("classify", help="match sampled data to the four types")
     _add_common(p)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--samples-file", default=None)
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_cmd_classify, tol=1e-8)
 
     p = sub.add_parser("report", help="re-emit an existing JSON report")
     p.add_argument("--in", required=True, metavar="PATH")
@@ -299,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("jobfile")
     p.set_defaults(handler=None)
     return parser
-
-
-_JOB_KEYS = ("family", "lam", "s", "tol", "out", "format", "samples",
-             "from", "to", "step", "nodes", "samples_file", "in")
 
 
 def _args_from_job(parser: argparse.ArgumentParser, path: str):

@@ -205,26 +205,32 @@ def _riemann_from_sectionals(sec: dict[tuple[int, int], float]) -> np.ndarray:
     return riem
 
 
-def _codazzi_closed(eigs, eig_primes, scalarp, zetas) -> np.ndarray:
-    """Closed-form Codazzi residual C_kij of Ric - (R/6) g in the adapted
-    frame.  Only the components C_1ii = -C_i1i = lam_i' + zeta_i (lam_i -
-    lam_1) - R'/6, i = 2, 3, 4, can be nonzero for these ansaetze."""
-    c = np.zeros((DIM, DIM, DIM))
-    for i in (1, 2, 3):
-        d = eig_primes[i] + zetas[i - 1] * (eigs[i] - eigs[0]) - scalarp / 6.0
-        c[0, i, i] = d
-        c[i, 0, i] = -d
-    return c
+def codazzi_components(t: DWTable | W3Table) -> tuple[float, float, float]:
+    """(D_2, D_3, D_4) of the closed-form Codazzi residual of Ric - (R/6) g,
+    D_i = lam_i' + zeta_i (lam_i - lam_1) - R'/6, with zeta_i = (a, b, b)
+    on the doubly-warped ansatz and (b, b, b) on the 3-fiber warped one.
+    These are the only components that can be nonzero on the ansaetze."""
+    if isinstance(t, W3Table):
+        zetas, primes, eigs = (t.b,) * 3, (t.lamfp,) * 3, (t.lamf,) * 3
+    else:
+        zetas = (t.a, t.b, t.b)
+        primes = (t.lam2p, t.lam3p, t.lam3p)
+        eigs = (t.lam2, t.lam3, t.lam3)
+    return tuple(ep + z * (e - t.lam1) - t.scalarp / 6.0
+                 for ep, z, e in zip(primes, zetas, eigs))
 
 
-def _bundle_from_tables(g, christoffel, sec, eigs, eig_primes, scalar, scalarp,
-                        zetas, labels) -> CurvatureBundle:
-    riem = _riemann_from_sectionals(sec)
+def _bundle_from_table(christoffel, t: DWTable | W3Table) -> CurvatureBundle:
+    g = np.eye(DIM)
+    riem = _riemann_from_sectionals(t.sectionals())
     ric = ricci_from_riemann(riem)
-    weyl = weyl_from_riemann(riem, ric, scalar, g)
-    codazzi = _codazzi_closed(eigs, eig_primes, scalarp, zetas)
-    return CurvatureBundle(Frame4("orthonormal", labels), g, christoffel,
-                           riem, ric, scalar, weyl, codazzi)
+    weyl = weyl_from_riemann(riem, ric, t.scalar, g)
+    codazzi = np.zeros((DIM, DIM, DIM))  # C_1ii = -C_i1i = D_i, zero otherwise
+    for i, d in enumerate(codazzi_components(t), start=1):
+        codazzi[0, i, i] = d
+        codazzi[i, 0, i] = -d
+    return CurvatureBundle(Frame4("orthonormal", ("E1", "E2", "E3", "E4")), g,
+                           christoffel, riem, ric, t.scalar, weyl, codazzi)
 
 
 def dw_connection(p: Profile, h: Profile, k: float, s: float, r: float) -> DWConnection:
@@ -244,11 +250,7 @@ def _dw_bundle_unchecked(p: Profile, h: Profile, k: float, point) -> CurvatureBu
         gam[0, i, i] = -z     # grad_{E_i} E_i = -zeta_i E_1 (+ beta_4 E_3 for i=4)
     gam[2, 3, 3] = b4
     gam[3, 3, 2] = -b4
-    eigs = t.eigenvalues()
-    primes = (t.lam1p, t.lam2p, t.lam3p, t.lam3p)
-    return _bundle_from_tables(np.eye(DIM), gam, t.sectionals(), eigs, primes,
-                               t.scalar, t.scalarp, (a, b, b),
-                               ("E1", "E2", "E3", "E4"))
+    return _bundle_from_table(gam, t)
 
 
 def dw_full_bundle(p: Profile, h: Profile, k: float, point) -> CurvatureBundle:
@@ -282,11 +284,7 @@ def warp3_full_bundle(h: Profile, k: float, point) -> CurvatureBundle:
     gam[1, 3, 3] = -g_r
     gam[3, 3, 2] = g_t
     gam[2, 3, 3] = -g_t
-    eigs = t.eigenvalues()
-    primes = (t.lam1p, t.lamfp, t.lamfp, t.lamfp)
-    return _bundle_from_tables(np.eye(DIM), gam, t.sectionals(), eigs, primes,
-                               t.scalar, t.scalarp, (b, b, b),
-                               ("E1", "E2", "E3", "E4"))
+    return _bundle_from_table(gam, t)
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,6 @@ class MetricFamily:
     def fiber(self) -> FiberProfile:
         return FiberProfile(self.k)
 
-    @property
-    def fiber_dim(self) -> int:
-        return 3 if self.kind == KIND_WARPED3 else 2
-
     def coordinates(self) -> tuple[str, str, str, str]:
         if self.kind == KIND_WARPED3:
             return ("s", "r", "theta", "phi")
@@ -207,7 +203,7 @@ def warped3_family(h: Profile, k: float, domain=(BOUNDARY_MARGIN, math.inf),
     return MetricFamily(KIND_WARPED3, h, k, lam=lam, domain=domain, name=name)
 
 
-def product_family(lam: float) -> MetricFamily:
+def product_family(lam: float = -1.0) -> MetricFamily:
     """R^2 x N: g = ds^2 + s^2 dt^2 + gt, fiber of constant curvature lam != 0."""
     if lam == 0.0:
         raise ValueError("the product family needs lam != 0")
@@ -260,6 +256,28 @@ def broken_family() -> MetricFamily:
     return MetricFamily(KIND_DOUBLY_WARPED, power_profile(1.0, 0.5), 1.0,
                         p=power_profile(1.0, 1.0),
                         domain=(BOUNDARY_MARGIN, math.inf), name="broken_product")
+
+
+CANONICAL_FAMILIES = {
+    "singular_steady": singular_steady_family,
+    "product": product_family,
+    "gaussian": gaussian_family,
+    "cylinder": cylinder_family,
+    "sphere": sphere_family,
+    "flat": flat_family,
+    "broken_product": broken_family,
+}
+_PARAMETRIC = ("product", "gaussian", "cylinder")
+
+
+def canonical_family(name: str, lam: float | None = None) -> MetricFamily:
+    """The canonical family called ``name``; ``lam`` sets the soliton
+    constant of the parametric ones (product, gaussian, cylinder), whose
+    constructors hold its default, and the others ignore it."""
+    if name not in CANONICAL_FAMILIES:
+        raise UnsupportedFamilyError(f"unknown family name {name!r}")
+    build = CANONICAL_FAMILIES[name]
+    return build() if lam is None or name not in _PARAMETRIC else build(lam)
 
 
 def family_metric_at(m: MetricFamily, point) -> np.ndarray:
@@ -328,7 +346,7 @@ def canonical_soliton_for(m: MetricFamily) -> SolitonData:
     """
     if m.name == "singular_steady":
         return soliton_data(m, log_profile(2.0 / 3.0), 0.0)
-    if m.name in ("product", "gaussian", "cylinder"):
+    if m.name in _PARAMETRIC:
         return soliton_data(m, quadratic_potential(m.lam), m.lam)
     if m.name in ("sphere", "flat"):
         return soliton_data(m, constant_profile(0.0), m.lam)
@@ -338,17 +356,6 @@ def canonical_soliton_for(m: MetricFamily) -> SolitonData:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-_CANONICAL_BUILDERS = {
-    "product": lambda d: product_family(d.get("lambda", -1.0)),
-    "singular_steady": lambda d: singular_steady_family(),
-    "gaussian": lambda d: gaussian_family(d.get("lambda", 1.0)),
-    "cylinder": lambda d: cylinder_family(d.get("lambda", 2.0)),
-    "sphere": lambda d: sphere_family(),
-    "flat": lambda d: flat_family(),
-    "broken_product": lambda d: broken_family(),
-}
-
 
 def family_to_json(m: MetricFamily) -> dict:
     if not m.name:
@@ -365,6 +372,4 @@ def family_from_json(d: dict) -> MetricFamily:
     name = d.get("name") or d.get("kind")
     if name == KIND_PRODUCT:
         name = "product"
-    if name not in _CANONICAL_BUILDERS:
-        raise UnsupportedFamilyError(f"unknown family name {name!r}")
-    return _CANONICAL_BUILDERS[name](d)
+    return canonical_family(name, d.get("lambda"))

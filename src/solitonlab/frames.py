@@ -37,9 +37,6 @@ class Frame4:
             raise ValueError("a frame needs exactly 4 distinct labels")
 
 
-ORTHONORMAL = Frame4("orthonormal", ("e1", "e2", "e3", "e4"))
-
-
 def as_sym2(m, tol: float = 0.0) -> np.ndarray:
     """Validate and return a (4, 4) symmetric array.
 
@@ -108,6 +105,29 @@ def sym_eigen(t, g=None) -> list[tuple[float, np.ndarray]]:
     w, Y = np.linalg.eigh(B)  # ascending
     V = (Linv.T @ Y)[:, ::-1].T.copy()  # row i: eigenvector of the i-th largest
     return list(zip(w[::-1].tolist(), V))
+
+
+def sym_eigvals(t, g) -> np.ndarray:
+    """Eigenvalues of ``t v = w g v`` for (N, 4, 4) stacks, each row
+    descending: `sym_eigen`'s eigenvalues bit for bit, with its checks,
+    symmetrization and Cholesky reduction applied per matrix."""
+    t, g = np.asarray(t, dtype=float), np.asarray(g, dtype=float)
+    if t.ndim != 3 or t.shape[1:] != (DIM, DIM) or g.shape != t.shape:
+        raise ValueError(f"expected two (N, 4, 4) stacks, got {t.shape} and {g.shape}")
+    t, g = _symmetrized(t), _symmetrized(g)
+    Linv = np.linalg.inv(_cholesky_spd(g))
+    B = Linv @ t @ Linv.swapaxes(1, 2)
+    return np.linalg.eigh(0.5 * (B + B.swapaxes(1, 2)))[0][:, ::-1]
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    aT = a.swapaxes(1, 2)
+    asym = np.abs(a - aT).max(axis=(1, 2))
+    bad = np.flatnonzero(asym > 1e-12 * np.maximum(1.0, np.abs(a).max(axis=(1, 2))))
+    if bad.size:
+        raise ValueError(f"matrix {bad[0]} of the stack is not symmetric "
+                         f"(max asymmetry {asym[bad[0]]:.3e})")
+    return 0.5 * (a + aT)
 
 
 def weyl_from_riemann(riem, ric, scalar: float, g) -> np.ndarray:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -57,12 +57,13 @@ class ReducedState:
     k: float
 
     def k_h2(self) -> float:
-        if self.h == 0.0:
-            raise DomainError("h vanished: the fiber scale degenerated")
+        _require_h(self.h)
         return self.k / self.h**2
 
-    def replace(self, **kw) -> "ReducedState":
-        return _replace(self, **kw)
+
+def _require_h(h: float) -> None:
+    if h == 0.0:
+        raise DomainError("h vanished: the fiber scale degenerated")
 
 
 class DwDerivatives(NamedTuple):
@@ -73,12 +74,16 @@ class DwDerivatives(NamedTuple):
     diagnostic: float  # |fp b - (b' + 2b^2 + ab - k/h^2 + lambda)|
 
 
+def _rhs(a: float, b: float, fp: float, h: float, lam: float):
+    """(a', b', fp', h') of the reduced system."""
+    _require_h(h)
+    ap = fp * a - a**2 - 2.0 * a * b - lam
+    return (ap, ap + a**2 - b**2, 3.0 * ap + 3.0 * a**2 + lam, b * h)
+
+
 def dw_rhs(st: ReducedState) -> DwDerivatives:
     """Right-hand side of the reduced system, plus the conserved diagnostic."""
-    ap = st.fp * st.a - st.a**2 - 2.0 * st.a * st.b - st.lam
-    bp = ap + st.a**2 - st.b**2
-    fpp = 3.0 * ap + 3.0 * st.a**2 + st.lam
-    hp = st.b * st.h
+    ap, bp, fpp, hp = _rhs(st.a, st.b, st.fp, st.h, st.lam)
     diag = abs(st.fp * st.b - (bp + 2.0 * st.b**2 + st.a * st.b - st.k_h2() + st.lam))
     return DwDerivatives(ap, bp, fpp, hp, diag)
 
@@ -118,21 +123,19 @@ class Trajectory:
         return [reduced_identity_residuals(st, dw_rhs(st).ap) for st in self.states]
 
 
-def _rk4_step(st: ReducedState, ds: float) -> ReducedState:
-    def f(y):
-        d = dw_rhs(y)
-        return (d.ap, d.bp, d.fpp, d.hp)
+def _rk4_step(y: tuple, ds: float, lam: float) -> tuple:
+    """One classical RK4 step of the state y = (a, b, fp, h)."""
+    half = 0.5 * ds
 
-    def shift(y, k, c):
-        return y.replace(s=y.s + c * ds, a=y.a + c * ds * k[0], b=y.b + c * ds * k[1],
-                         fp=y.fp + c * ds * k[2], h=y.h + c * ds * k[3])
+    def shift(step, k):
+        return tuple(v + step * kv for v, kv in zip(y, k))
 
-    k1 = f(st)
-    k2 = f(shift(st, k1, 0.5))
-    k3 = f(shift(st, k2, 0.5))
-    k4 = f(shift(st, k3, 1.0))
-    mix = tuple((k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0 for i in range(4))
-    return shift(st, mix, 1.0)
+    k1 = _rhs(*y, lam)
+    k2 = _rhs(*shift(half, k1), lam)
+    k3 = _rhs(*shift(half, k2), lam)
+    k4 = _rhs(*shift(ds, k3), lam)
+    return shift(ds, [(k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0
+                      for i in range(4)])
 
 
 def integrate(st0: ReducedState, s_end: float, step: float) -> Trajectory:
@@ -150,17 +153,17 @@ def integrate(st0: ReducedState, s_end: float, step: float) -> Trajectory:
     n = max(1, round(abs(span) / step))
     ds = span / n
     states = [st0]
-    st = st0
+    y = (st0.a, st0.b, st0.fp, st0.h)
     for i in range(n):
-        st = _rk4_step(st, ds)
-        st = st.replace(s=st0.s + (i + 1) * ds)  # no additive s drift
-        if not all(map(math.isfinite, (st.a, st.b, st.fp, st.h))):
+        y = _rk4_step(y, ds, st0.lam)
+        if not all(map(math.isfinite, y)):
             return Trajectory(tuple(states), True, "non-finite state")
-        if max(abs(st.a), abs(st.b), abs(st.fp), abs(st.h)) > BLOWUP_LIMIT:
+        if max(map(abs, y)) > BLOWUP_LIMIT:
             return Trajectory(tuple(states), True, "state blow-up")
-        if st.h < H_FLOOR:
+        if y[3] < H_FLOOR:
             return Trajectory(tuple(states), True, "h reached its floor")
-        states.append(st)
+        # s from the step count, so no additive drift
+        states.append(ReducedState(st0.s + (i + 1) * ds, *y, st0.lam, st0.k))
     return Trajectory(tuple(states))
 
 
@@ -276,13 +279,9 @@ _CSV_COLUMNS = ("s", "a", "b", "fp", "h")
 
 
 def trajectory_rows(traj: Trajectory) -> list[dict[str, float]]:
-    rows = []
-    for st in traj.states:
-        row = {"s": st.s, "a": st.a, "b": st.b, "fp": st.fp, "h": st.h}
-        res = reduced_identity_residuals(st, dw_rhs(st).ap)
-        row.update({f"res_{k}": v for k, v in res.items()})
-        rows.append(row)
-    return rows
+    return [{"s": st.s, "a": st.a, "b": st.b, "fp": st.fp, "h": st.h,
+             **{f"res_{k}": v for k, v in res.items()}}
+            for st, res in zip(traj.states, traj.identity_residual_rows())]
 
 
 def trajectory_to_csv(traj: Trajectory, fmt: str = "%.17g") -> str:

@@ -1,13 +1,15 @@
 """Residual checkers for the defining soliton identities.
 
 Three independent checks, all evaluated on the closed-form side so that
-equation error is isolated from differentiation error (the finite-difference
-engine in :mod:`solitonlab.fdgrid` provides the cross-check):
+equation error is isolated from differentiation error:
 
 * the gradient soliton equation  Hess f + Ric - lambda g = 0,
 * the Codazzi condition on Ric - (R/6) g (divergence-free Weyl tensor),
 * the conservation identities  R + |grad f|^2 - 2 lambda f = const  and
   dR/2 = lambda_1 f' satisfied by every gradient soliton.
+
+`oracle_deviation` cross-checks the closed forms against the independent
+finite-difference engine of :mod:`solitonlab.fdgrid`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import family_table
-from .families import KIND_WARPED3, MetricFamily, SolitonData
+from .curvature import codazzi_components, family_eigenvalues, family_table
+from .families import MetricFamily, SolitonData
+from .fdgrid import MetricGrid, fd_ricci_block
+from .frames import sym_eigvals
 
 CURVATURE_SCALE_FLOOR = 1e-8
 
@@ -44,10 +48,20 @@ def _report(samples, abs_values, scales, per_equation) -> ResidualReport:
                           float(samples[worst]), per_equation)
 
 
-def _eigenvalues_and_scale(m: MetricFamily, s: float):
-    t = family_table(m, s)
-    eigs = t.eigenvalues()
-    return t, eigs, max(abs(t.scalar), CURVATURE_SCALE_FLOOR)
+def _componentwise(m: MetricFamily, samples, keys, components) -> ResidualReport:
+    """Report of the residual components ``components(table, s)``, named by
+    ``keys``, over the samples, each relative to |R| at its sample."""
+    samples = [float(s) for s in samples]
+    per_eq = dict.fromkeys(keys, 0.0)
+    abs_vals, scales = [], []
+    for s in samples:
+        t = family_table(m, s)
+        comps = components(t, s)
+        for key, c in zip(keys, comps):
+            per_eq[key] = max(per_eq[key], abs(c))
+        abs_vals.append(max(abs(c) for c in comps))
+        scales.append(abs(t.scalar))
+    return _report(samples, abs_vals, scales, per_eq)
 
 
 def soliton_residual(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport:
@@ -57,21 +71,14 @@ def soliton_residual(m: MetricFamily, sol: SolitonData, samples) -> ResidualRepo
     (f'', zeta_2 f', zeta_3 f', zeta_4 f'), so the residual matrix is
     diagonal and the report carries one entry per frame direction.
     """
-    samples = [float(s) for s in samples]
-    per_eq: dict[str, float] = {}
-    abs_vals, scales = [], []
-    for s in samples:
-        _, eigs, scale = _eigenvalues_and_scale(m, s)
-        zetas = (None, *sol.zeta_values(s))
+    def hessian_entries(t, s):
+        eigs = t.eigenvalues()
         fp = sol.f.d1(s)
-        entries = [sol.f.d2(s) + eigs[0] - sol.lam]
-        entries += [zetas[i] * fp + eigs[i] - sol.lam for i in (1, 2, 3)]
-        for i, e in enumerate(entries, start=1):
-            key = f"hess_{i}{i}"
-            per_eq[key] = max(per_eq.get(key, 0.0), abs(e))
-        abs_vals.append(max(abs(e) for e in entries))
-        scales.append(scale)
-    return _report(samples, abs_vals, scales, per_eq)
+        return [sol.f.d2(s) + eigs[0] - sol.lam] + [
+            z * fp + e - sol.lam for z, e in zip(sol.zeta_values(s), eigs[1:])]
+
+    return _componentwise(m, samples, [f"hess_{i}{i}" for i in (1, 2, 3, 4)],
+                          hessian_entries)
 
 
 def codazzi_residual_closed(m: MetricFamily, samples) -> ResidualReport:
@@ -81,27 +88,8 @@ def codazzi_residual_closed(m: MetricFamily, samples) -> ResidualReport:
     are D_i = lam_i' + zeta_i (lam_i - lam_1) - R'/6 for the three
     level-surface directions; the report carries each of them.
     """
-    samples = [float(s) for s in samples]
-    per_eq: dict[str, float] = {}
-    abs_vals, scales = [], []
-    for s in samples:
-        t = family_table(m, s)
-        if m.kind == KIND_WARPED3:
-            zetas = (t.b, t.b, t.b)
-            eig_primes = (t.lamfp, t.lamfp, t.lamfp)
-            eigs = (t.lamf, t.lamf, t.lamf)
-        else:
-            zetas = (t.a, t.b, t.b)
-            eig_primes = (t.lam2p, t.lam3p, t.lam3p)
-            eigs = (t.lam2, t.lam3, t.lam3)
-        ds = [ep + z * (e - t.lam1) - t.scalarp / 6.0
-              for ep, z, e in zip(eig_primes, zetas, eigs)]
-        for i, d in enumerate(ds, start=2):
-            key = f"direction_{i}"
-            per_eq[key] = max(per_eq.get(key, 0.0), abs(d))
-        abs_vals.append(max(abs(d) for d in ds))
-        scales.append(max(abs(t.scalar), CURVATURE_SCALE_FLOOR))
-    return _report(samples, abs_vals, scales, per_eq)
+    return _componentwise(m, samples, [f"direction_{i}" for i in (2, 3, 4)],
+                          lambda t, s: codazzi_components(t))
 
 
 def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport:
@@ -121,7 +109,7 @@ def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport
         fp = sol.f.d1(s)
         conserved.append(t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s))
         slope_res.append(abs(0.5 * t.scalarp - t.lam1 * fp))
-        scales.append(max(abs(t.scalar), CURVATURE_SCALE_FLOOR))
+        scales.append(abs(t.scalar))
     mean = float(np.mean(conserved))
     dev = [abs(c - mean) for c in conserved]
     per_eq = {"conserved_deviation": float(max(dev)),
@@ -129,3 +117,19 @@ def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport
               "scalar_slope": float(max(slope_res))}
     abs_vals = [max(d, r) for d, r in zip(dev, slope_res)]
     return _report(samples, np.asarray(abs_vals), scales, per_eq)
+
+
+def oracle_deviation(m: MetricFamily, grid: MetricGrid, nodes) -> np.ndarray:
+    """Per-node deviation of FD Ricci eigenvalues and R on a grid of ``m``
+    (first axis s) from the closed forms, relative to max(1, |R|, max
+    |lambda_i|) of the closed form."""
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
+    blk = fd_ricci_block(grid, nodes)
+    s_index, where = np.unique(nodes[:, 0], return_inverse=True)
+    cf = np.array([family_eigenvalues(m, float(grid.axes[0][i]))
+                   for i in s_index])[where]
+    expected = np.sort(cf[:, :4], axis=1)[:, ::-1]
+    eig_dev = np.abs(sym_eigvals(blk["ric"], blk["g"]) - expected).max(axis=1)
+    dev = np.maximum(eig_dev, np.abs(blk["scalar"] - cf[:, 4]))
+    scale = np.maximum(1.0, np.maximum(np.abs(cf[:, 4]), np.abs(cf[:, :4]).max(axis=1)))
+    return dev / scale

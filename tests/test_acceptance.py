@@ -17,13 +17,12 @@ from solitonlab.families import (broken_family, canonical_soliton_for,
                                  soliton_data, sphere_family)
 from solitonlab.fdgrid import (fd_codazzi_block, fd_curvature, fd_ricci_block,
                                grid_from_family)
-from solitonlab.frames import sym_eigen, tensor_norm
+from solitonlab.frames import tensor_norm
 from solitonlab.reduced import (distinct_fprime, distinct_frame_relations,
-                                dw_rhs, exclusion_residual, fprime_numerator,
-                                integrate, reduced_identity_residuals,
-                                singular_steady_state)
+                                exclusion_residual, fprime_numerator,
+                                integrate, singular_steady_state)
 from solitonlab.verify import (codazzi_residual_closed, hamilton_check,
-                               soliton_residual)
+                               oracle_deviation, soliton_residual)
 
 FAMILIES = {
     "einstein_sphere": sphere_family(),
@@ -72,17 +71,7 @@ def _grid_devs(fam, n_s, narrow: bool):
                           for i in range(stride, n_s - 4, stride)])
     else:
         nodes = grid.interior_nodes()
-    blk = fd_ricci_block(grid, nodes)
-    worst = 0.0
-    for j, node in enumerate(nodes):
-        s = float(grid.axes[0][node[0]])
-        cf = np.array(family_eigenvalues(fam, s))
-        eigs = np.array([w for w, _ in sym_eigen(blk["ric"][j], blk["g"][j])])
-        scale = max(1.0, abs(cf[4]), float(np.max(np.abs(cf[:4]))))
-        dev = max(float(np.max(np.abs(eigs - np.sort(cf[:4])[::-1]))),
-                  abs(float(blk["scalar"][j]) - cf[4])) / scale
-        worst = max(worst, dev)
-    return grid, worst
+    return grid, float(oracle_deviation(fam, grid, nodes).max())
 
 
 def test_criterion_2_oracle_agreement_and_convergence():
@@ -186,10 +175,8 @@ def test_criterion_6_reduced_ode_fidelity():
     traj = integrate(singular_steady_state(1.0), 2.0, 1e-3)
     end = traj.final
     endpoint_err = max(abs(end.a - 1 / 6), abs(end.b - 1 / 3), abs(end.fp - 1 / 3))
-    worst_identity = 0.0
-    for st in traj.states:
-        res = reduced_identity_residuals(st, dw_rhs(st).ap)
-        worst_identity = max(worst_identity, max(abs(v) for v in res.values()))
+    worst_identity = max(max(abs(v) for v in res.values())
+                         for res in traj.identity_residual_rows())
     errs = []
     for step in (0.01, 0.0025):
         e = integrate(singular_steady_state(1.0), 2.0, step).final

@@ -1,9 +1,15 @@
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from solitonlab.cli import main
+from solitonlab.cli import _build_family, main
+from solitonlab.families import family_from_json, family_to_json
 from solitonlab.report import canonical_csv, canonical_json, flatten
+
+CLI_FAMILIES = ["singular-steady", "product", "gaussian", "cylinder", "sphere",
+                "flat", "broken-product"]
 
 
 def run(argv, capsys):
@@ -100,12 +106,53 @@ def test_usage_errors_exit_2(argv, capsys):
     ["verify", "--family", "product", "--lam", "0"],
 ])
 def test_domain_errors_exit_2_with_one_line(argv, capsys):
-    assert main(argv) == 2
+    assert_exit_2_with_one_line(argv, capsys)
+
+
+def assert_exit_2_with_one_line(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert not caught  # a warning would be one more stderr line
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("solitonlab: error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--family", "singular-steady", "--to", "inf"],
+    ["verify", "--family", "broken-product", "--tol", "nan"],
+    ["verify", "--family", "gaussian", "--lam", "nan"],
+    ["verify", "--family", "flat", "--s", "0.5:inf"],
+], ids=["to-inf", "tol-nan", "lam-nan", "range-inf"])
+def test_non_finite_numbers_exit_2_with_one_line(argv, capsys):
+    assert_exit_2_with_one_line(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--family", "flat", "--nodes", "1"],
+    ["oracle", "--family", "flat", "--s", "0.5:0.52", "--nodes", "5"],
+    ["oracle", "--family", "singular-steady", "--s=-1:1"],
+], ids=["one-node", "no-checked-node", "grid-outside-domain"])
+def test_oracle_grid_errors_exit_2_with_one_line(argv, capsys):
+    assert_exit_2_with_one_line(argv, capsys)
+
+
+@pytest.mark.parametrize("lam", [None, 0.75])
+@pytest.mark.parametrize("cli_name", CLI_FAMILIES)
+def test_cli_and_json_family_names_build_the_same_family(cli_name, lam):
+    spec = {"name": cli_name.replace("-", "_")}
+    if lam is not None:
+        spec["lambda"] = lam
+    from_cli, from_json = _build_family(cli_name, lam), family_from_json(spec)
+    assert family_to_json(from_cli) == family_to_json(from_json)
+    assert from_cli.h.label == from_json.h.label
+    assert (from_cli.p and from_cli.p.label) == (from_json.p and from_json.p.label)
+    default = {"product": -1.0, "gaussian": 1.0, "cylinder": 2.0}
+    if cli_name in default:
+        assert from_cli.lam == (default[cli_name] if lam is None else lam)
 
 
 SAMPLE_ROW = {"s": 1.0, "eigenvalues": [1.0, 1.0, 1.0, 1.0], "fprime": 0.0,
@@ -179,3 +226,66 @@ def test_canonical_csv_flatten():
     assert rows["a.b.0"] == "1.5"
     text = canonical_csv(obj)
     assert '"x,y"' in text
+
+
+# Exit-code contract: boundary values of every option give exit 0, 1 or 2,
+# never an escaping exception.  Values stay small so that no run builds a
+# large grid or takes many RK4 steps.
+NUMBERS = st.sampled_from(["0", "-0", "-1", "1", "2.5", "nan", "inf", "-inf", "x"])
+RANGES = st.one_of(st.tuples(NUMBERS, NUMBERS).map(":".join),
+                   st.sampled_from(["1", "1:2:3", ":"]))
+COMMON = {"--lam": NUMBERS, "--tol": NUMBERS}
+OPTIONS = {
+    "verify": {"--s": RANGES, "--samples": st.sampled_from(["-1", "0", "2", "3", "8"])},
+    "classify": {"--s": RANGES, "--samples": st.sampled_from(["-1", "0", "4", "8"])},
+    "oracle": {"--s": RANGES, "--nodes": st.sampled_from(["-1", "0", "1", "8", "9", "17"])},
+    "integrate": {"--from": NUMBERS, "--to": NUMBERS, "--step": NUMBERS},
+}
+# mostly families the command can run, so that the values reach its code
+FAMILIES = {command: CLI_FAMILIES for command in OPTIONS}
+FAMILIES["integrate"] = ["singular-steady", "product"]
+BAD_FAMILIES = ["nosuch", "singular_steady", "", "gaussian"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    family = draw(st.one_of(st.sampled_from(FAMILIES[command]),
+                            st.sampled_from(FAMILIES[command]),
+                            st.sampled_from(BAD_FAMILIES), st.none()))
+    argv = [command] + ([] if family is None else [f"--family={family}"])
+    options = {**COMMON, **OPTIONS[command]}
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), min_size=1,
+                              max_size=3, unique=True)):
+        argv.append(f"{flag}={draw(options[flag])}")
+    return argv
+
+
+def exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        return exc.code
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_cli_exit_contract_on_boundary_values(tmp_path_factory, argv):
+    out = tmp_path_factory.getbasetemp() / "contract_report.json"
+    assert exit_code(argv + ["--out", str(out)]) in (0, 1, 2)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(["", "[1, 2]", "{}", '{"pass": false}', "{", "null"]),
+       st.sampled_from(["verify", "oracle", "report", "nosuch", None]),
+       st.dictionaries(st.sampled_from(["family", "lam", "tol", "s_range", "in"]),
+                       NUMBERS, max_size=3))
+def test_report_and_job_exit_contract(tmp_path_factory, text, command, fields):
+    path = tmp_path_factory.getbasetemp() / "contract_input.json"
+    path.write_text(text)
+    assert exit_code(["report", "--in", str(path)]) in (0, 1, 2)
+    spec = dict(fields, **({"in": str(path)} if command == "report" else {}))
+    if command is not None:
+        spec["command"] = command
+    path.write_text(json.dumps(spec))
+    assert exit_code(["job", str(path)]) in (0, 1, 2)

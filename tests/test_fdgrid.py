@@ -14,7 +14,7 @@ from solitonlab.fdgrid import (MetricGrid, fd_codazzi_block, fd_curvature,
                                fd_partial, fd_ricci_block, grid_from_family,
                                grid_from_json, grid_to_json)
 from solitonlab.frames import sym_eigen, tensor_norm
-from solitonlab.verify import codazzi_residual_closed
+from solitonlab.verify import codazzi_residual_closed, oracle_deviation
 
 
 def flat_grid(n=9, spacing=0.1):
@@ -33,20 +33,6 @@ def line_nodes(grid, step=1):
     mid = tuple(n // 2 for n in sh)
     return np.array([(i, mid[1], mid[2], mid[3])
                      for i in range(4, sh[0] - 4, step)])
-
-
-def eig_dev_on_line(fam, grid, nodes):
-    blk = fd_ricci_block(grid, nodes)
-    worst = 0.0
-    for j, node in enumerate(nodes):
-        s = grid.axes[0][node[0]]
-        cf = np.array(family_eigenvalues(fam, s))
-        eigs = np.array([w for w, _ in sym_eigen(blk["ric"][j], blk["g"][j])])
-        scale = max(1.0, abs(cf[4]), np.max(np.abs(cf[:4])))
-        dev = max(np.max(np.abs(eigs - np.sort(cf[:4])[::-1])),
-                  abs(blk["scalar"][j] - cf[4])) / scale
-        worst = max(worst, dev)
-    return worst
 
 
 def narrow_grid(fam, n_s, s_range=(0.5, 2.0), r0=1.0):
@@ -291,7 +277,7 @@ def test_fd_singular_steady_ricci_at_s1(steady_grid):
 
 def test_fd_singular_steady_line_agreement(steady_grid):
     fam = singular_steady_family()
-    worst = eig_dev_on_line(fam, steady_grid, line_nodes(steady_grid, step=8))
+    worst = oracle_deviation(fam, steady_grid, line_nodes(steady_grid, step=8)).max()
     assert worst <= 1e-6
 
 
@@ -352,7 +338,7 @@ def test_fd_convergence_halving_factor():
     for n_s, lo, step in ((65, 8, 8), (129, 16, 16)):
         grid = narrow_grid(fam, n_s)
         nodes = np.array([(i, 4, 4, 4) for i in range(lo, n_s - 4, step)])
-        devs.append(eig_dev_on_line(fam, grid, nodes))
+        devs.append(oracle_deviation(fam, grid, nodes).max())
     assert devs[0] / devs[1] >= 12.0
 
 

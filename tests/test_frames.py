@@ -6,7 +6,8 @@ from solitonlab.curvature import family_eigenvalues
 from solitonlab.errors import DomainError
 from solitonlab.families import singular_steady_family
 from solitonlab.frames import (Frame4, as_sym2, riemann_symmetry_residuals,
-                               sym_eigen, tensor_norm, weyl_from_riemann)
+                               sym_eigen, sym_eigvals, tensor_norm,
+                               weyl_from_riemann)
 
 
 def charpoly_roots(a):
@@ -111,6 +112,31 @@ def test_sym_eigen_rejects_asymmetric_tensor():
 def test_sym_eigen_rejects_indefinite_metric():
     with pytest.raises(DomainError):
         sym_eigen(np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sym_eigvals_matches_sym_eigen_bit_for_bit(seed):
+    rng = np.random.default_rng(500 + seed)
+    t = rng.normal(size=(64, 4, 4))
+    t = t + t.swapaxes(1, 2)
+    g = np.array([random_spd(rng, scale=3.0) for _ in range(64)])
+    assert np.any(g - g.swapaxes(1, 2))  # rounding asymmetry to symmetrize away
+    ref = [[w for w, _ in sym_eigen(t[i], g[i])] for i in range(64)]
+    assert np.array_equal(sym_eigvals(t, g), np.array(ref))
+
+
+def test_sym_eigvals_rejects_what_sym_eigen_rejects():
+    t = np.stack([np.eye(4)] * 5)
+    g = t.copy()
+    bad_t, bad_g = t.copy(), g.copy()
+    bad_t[3, 0, 1] = 1e-3
+    bad_g[3] = np.diag([1.0, 1.0, 1.0, -1.0])
+    for stack_t, stack_g in ((bad_t, g), (t, bad_g)):
+        with pytest.raises(ValueError) as single:
+            sym_eigen(stack_t[3], stack_g[3])
+        with pytest.raises(ValueError) as batched:
+            sym_eigvals(stack_t, stack_g)
+        assert type(batched.value) is type(single.value)
 
 
 @pytest.mark.parametrize("seed", range(4))

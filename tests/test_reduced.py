@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,8 +116,7 @@ def test_identity_residuals_inapplicable_when_a_equals_b():
 ])
 def test_identities_and_branch_along_trajectories(state, expected_branch):
     traj = integrate(state, 2.0, 1e-3)
-    for st0 in traj.states:
-        res = reduced_identity_residuals(st0, dw_rhs(st0).ap)
+    for st0, res in zip(traj.states, traj.identity_residual_rows()):
         assert max(abs(v) for v in res.values()) <= 1e-10
         assert dw_rhs(st0).diagnostic <= 1e-11
     assert branch_label(traj) == (expected_branch,)
@@ -247,3 +247,44 @@ def test_trajectory_csv_export():
     assert header[:5] == ["s", "a", "b", "fp", "h"]
     assert any(col.startswith("res_") for col in header)
     assert len(text.splitlines()) == len(traj.states) + 1
+
+
+def reference_rk4_states(st0, s_end, step):
+    """The RK4 of `integrate`, stage by stage on `ReducedState` objects
+    through `dw_rhs`, for the states of an untruncated run."""
+    n = max(1, round(abs(s_end - st0.s) / step))
+    ds = (s_end - st0.s) / n
+
+    def shift(y, k, c):
+        return dataclasses.replace(y, a=y.a + c * ds * k[0], b=y.b + c * ds * k[1],
+                                   fp=y.fp + c * ds * k[2], h=y.h + c * ds * k[3])
+
+    states = [st0]
+    for i in range(n):
+        st = states[-1]
+        k1 = dw_rhs(st)
+        k2 = dw_rhs(shift(st, k1, 0.5))
+        k3 = dw_rhs(shift(st, k2, 0.5))
+        k4 = dw_rhs(shift(st, k3, 1.0))
+        mix = [(k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0 for j in range(4)]
+        states.append(dataclasses.replace(shift(st, mix, 1.0),
+                                          s=st0.s + (i + 1) * ds))
+    return states
+
+
+@pytest.mark.parametrize("st0, s_end, step", [
+    (singular_steady_state(1.0), 2.0, 1e-3),
+    (singular_steady_state(1.0), 0.3, 7e-3),
+    (product_state(1.0, -1.0), 1.5, 1e-2),
+    (ReducedState(1.0, 0.4, -0.3, 0.2, 1.3, 0.7, -0.5), 1.2, 1e-2),
+])
+def test_integrate_matches_reference_rk4_bit_for_bit(st0, s_end, step):
+    traj = integrate(st0, s_end, step)
+    assert not traj.truncated
+    assert list(traj.states) == reference_rk4_states(st0, s_end, step)
+
+
+def test_integrate_rejects_a_vanishing_h_in_a_stage():
+    # h' = b h, so the first half stage lands on h = 1 + 0.5 * (-2) * 1 = 0
+    with pytest.raises(DomainError):
+        integrate(ReducedState(1.0, 0.0, -2.0, 0.0, 1.0, 0.0, 0.0), 2.0, 1.0)

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from solitonlab.curvature import family_eigenvalues
 from solitonlab.families import (Profile, broken_family, canonical_soliton_for,
                                  cylinder_family, flat_family, gaussian_family,
                                  product_family, singular_steady_family,
                                  soliton_data, sphere_family)
+from solitonlab.fdgrid import fd_ricci_block, grid_from_family
+from solitonlab.frames import sym_eigen
 from solitonlab.verify import (codazzi_residual_closed, hamilton_check,
-                               soliton_residual)
+                               oracle_deviation, soliton_residual)
 
 SAMPLES = np.linspace(0.5, 2.0, 64)
 
@@ -100,3 +103,37 @@ def test_soliton_implies_hamilton():
         sol = canonical_soliton_for(fam)
         if soliton_residual(fam, sol, SAMPLES).max_abs <= 1e-10:
             assert hamilton_check(fam, sol, SAMPLES).max_abs <= 1e-9
+
+
+def per_node_oracle_deviation(fam, grid, nodes):
+    """Reference for `oracle_deviation`: one closed-form table and one
+    `sym_eigen` solve per node."""
+    blk = fd_ricci_block(grid, nodes)
+    devs = []
+    for j, node in enumerate(nodes):
+        s = float(grid.axes[0][node[0]])
+        cf = np.array(family_eigenvalues(fam, s))
+        eigs = np.array([w for w, _ in sym_eigen(blk["ric"][j], blk["g"][j])])
+        scale = max(1.0, abs(cf[4]), float(np.max(np.abs(cf[:4]))))
+        devs.append(max(float(np.max(np.abs(eigs - np.sort(cf[:4])[::-1]))),
+                        abs(float(blk["scalar"][j]) - cf[4])) / scale)
+    return np.array(devs)
+
+
+ACCEPTANCE = [sphere_family(), product_family(-1.0), singular_steady_family(),
+              gaussian_family(1.0), cylinder_family(2.0)]
+
+
+@pytest.mark.parametrize("fam", ACCEPTANCE, ids=lambda f: f.name)
+def test_oracle_deviation_matches_per_node_loop(fam):
+    h = 1.5 / 128
+    grid = grid_from_family(fam, (0.5, 2.0), 129,
+                            r_range=(1.0 - 4 * h, 1.0 + 4 * h), n_r=9)
+    # every interior s node twice, off the middle of a cross axis, shuffled,
+    # so closed forms shared by several nodes are mapped back per node
+    nodes = np.array([(i, j, 4, 4) for i in range(4, 125) for j in (3, 5)])
+    nodes = nodes[np.random.default_rng(7).permutation(len(nodes))]
+    got = oracle_deviation(fam, grid, nodes)
+    assert got.shape == (len(nodes),)
+    assert np.array_equal(got, per_node_oracle_deviation(fam, grid, nodes))
+    assert got.max() <= 1e-6

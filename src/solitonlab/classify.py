@@ -37,41 +37,47 @@ class EigenSignature:
     tol: float
     values: tuple[float, ...]
 
-    def group_of(self, index: int) -> tuple[int, ...]:
-        for grp in self.groups:
-            if index in grp:
-                return grp
-        raise KeyError(index)
-
     def as_dict(self) -> dict:
         return {"groups": [list(g) for g in self.groups], "tol": self.tol,
                 "values": list(self.values)}
 
 
-def eigen_signature(values: Sequence[float], tol: float) -> EigenSignature:
-    """Single-linkage grouping of four eigenvalues at threshold
-    tol * max(1, max |value|).
+def signature_labels(values, tol: float) -> np.ndarray:
+    """Single-linkage grouping of the rows of an (N, 4) eigenvalue array at
+    threshold tol * max(1, max |value|) per row.
 
-    Deterministic: values are pre-sorted descending and ties merge
-    left-to-right; groups are reported as (1-based) index sets of the input
-    order.
+    Each row is sorted descending (stable, so ties keep input order) and a
+    new group starts wherever the next value lies more than the threshold
+    below the previous one.  Entry [n, i] is the group number of slot i in
+    row n, with groups numbered from the largest values down.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2 or vals.shape[1] != 4:
+        raise ValueError("need exactly 4 eigenvalues per sample")
+    thr = tol * np.fmax(1.0, np.abs(vals).max(axis=1))  # fmax: a NaN row keeps tol
+    order = np.argsort(-vals, axis=1, kind="stable")
+    ranked = np.take_along_axis(vals, order, axis=1)
+    splits = ~(ranked[:, :-1] - ranked[:, 1:] <= thr[:, None])
+    groups = np.concatenate([np.zeros((len(vals), 1), dtype=int),
+                             np.cumsum(splits, axis=1)], axis=1)
+    labels = np.empty_like(groups)
+    np.put_along_axis(labels, order, groups, axis=1)
+    return labels
+
+
+def eigen_signature(values: Sequence[float], tol: float) -> EigenSignature:
+    """The `signature_labels` grouping of four eigenvalues, reported as
+    (1-based) index sets of the input order, largest values first."""
+    vals = np.asarray(values, dtype=float)
     if vals.shape != (4,):
         raise ValueError("need exactly 4 eigenvalues")
-    thr = tol * max(1.0, float(np.max(np.abs(vals))))
-    order = np.argsort(-vals, kind="stable")
-    groups: list[list[int]] = [[int(order[0])]]
-    for prev, cur in zip(order[:-1], order[1:]):
-        if vals[prev] - vals[cur] <= thr:
-            groups[-1].append(int(cur))
-        else:
-            groups.append([int(cur)])
-    tuples = tuple(tuple(sorted(i + 1 for i in grp)) for grp in groups)
-    reps = tuple(float(np.mean([vals[i - 1] for i in grp])) for grp in tuples)
-    return EigenSignature(tuples, tol, reps)
+    labels = signature_labels(vals[None], tol)[0]
+    groups = tuple(tuple(int(i) + 1 for i in np.flatnonzero(labels == g))
+                   for g in range(labels.max() + 1))
+    reps = tuple(float(np.mean([vals[i - 1] for i in grp])) for grp in groups)
+    return EigenSignature(groups, tol, reps)
 
 
 @dataclass(frozen=True)
@@ -85,13 +91,11 @@ class ClassifySample:
 
 def sample_family(m: MetricFamily, sol: SolitonData, s_values) -> list[ClassifySample]:
     """Closed-form classification samples of a family along s."""
-    out = []
-    for s in s_values:
-        s = float(s)
-        l1, l2, l3, l4, scalar = family_eigenvalues(m, s)
-        out.append(ClassifySample(s, (l1, l2, l3, l4), sol.f.d1(s), scalar,
-                                  family_weyl_sq(m, s)))
-    return out
+    s = np.asarray(s_values, dtype=float)
+    *eigs, scalar = family_eigenvalues(m, s)
+    rows = zip(s.tolist(), np.stack(eigs, axis=1).tolist(), sol.f.d1(s).tolist(),
+               scalar.tolist(), family_weyl_sq(m, s).tolist())
+    return [ClassifySample(si, tuple(e), fp, r, w2) for si, e, fp, r, w2 in rows]
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,6 @@ class TypeVerdict:
     evidence: dict[str, float] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
     sub_label: str | None = None
-    signatures: tuple[EigenSignature, ...] = ()
 
     def as_dict(self) -> dict:
         out = {"label": self.label, "evidence": dict(self.evidence),
@@ -108,12 +111,6 @@ class TypeVerdict:
         if self.sub_label is not None:
             out["sub_label"] = self.sub_label
         return out
-
-
-def _pair_structure(sig: EigenSignature) -> bool:
-    """lambda_3 and lambda_4 coincide while lambda_2 stays apart."""
-    g3 = sig.group_of(3)
-    return 4 in g3 and 2 not in g3
 
 
 def classify(samples: Sequence[ClassifySample], tol: float = DEFAULT_TOL_CLOSED,
@@ -127,10 +124,10 @@ def classify(samples: Sequence[ClassifySample], tol: float = DEFAULT_TOL_CLOSED,
     """
     if len(samples) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {len(samples)}")
-    sigs = tuple(eigen_signature(sm.eigenvalues, tol) for sm in samples)
+    labels = signature_labels([sm.eigenvalues for sm in samples], tol)
     evidence: dict[str, float] = {}
     notes: list[str] = []
-    if flag_signature_changes and len({s.groups for s in sigs}) > 1:
+    if flag_signature_changes and np.any(labels != labels[0]):
         notes.append("per-sample eigenvalue signatures are not constant")
 
     scale = max(1.0, max(abs(sm.scalar) for sm in samples),
@@ -138,15 +135,17 @@ def classify(samples: Sequence[ClassifySample], tol: float = DEFAULT_TOL_CLOSED,
     max_fp = max(abs(sm.fprime) for sm in samples)
     evidence["max_abs_fprime"] = max_fp
     if max_fp <= tol:
-        return TypeVerdict(LABEL_EINSTEIN, evidence, tuple(notes), None, sigs)
+        return TypeVerdict(LABEL_EINSTEIN, evidence, tuple(notes))
 
     max_w2 = max(abs(sm.weyl_sq) for sm in samples)
     evidence["max_weyl_sq"] = max_w2
     if max_w2 <= tol * scale:
         sub = _warped_sub_label(h_data, tol) if h_data is not None else None
-        return TypeVerdict(LABEL_WARPED, evidence, tuple(notes), sub, sigs)
+        return TypeVerdict(LABEL_WARPED, evidence, tuple(notes), sub)
 
-    pair_frac = float(np.mean([_pair_structure(s) for s in sigs]))
+    # lambda_3 and lambda_4 coincide while lambda_2 stays apart
+    pair = (labels[:, 2] == labels[:, 3]) & (labels[:, 1] != labels[:, 2])
+    pair_frac = float(np.mean(pair))
     evidence["pair_signature_fraction"] = pair_frac
     if pair_frac > 0.5:
         scalars = np.array([sm.scalar for sm in samples])
@@ -159,18 +158,19 @@ def classify(samples: Sequence[ClassifySample], tol: float = DEFAULT_TOL_CLOSED,
             fit = abs(mean_r - 2.0 * lam_hat)
             evidence["scalar_minus_twice_fiber"] = fit
             if fit <= tol * (1.0 + abs(mean_r)):
-                return TypeVerdict(LABEL_PRODUCT, evidence, tuple(notes), None, sigs)
+                return TypeVerdict(LABEL_PRODUCT, evidence, tuple(notes))
         rs2 = np.array([sm.scalar * sm.s**2 for sm in samples])
         steady_dev = float(np.max(np.abs(rs2 + 4.0 / 9.0)))
         evidence["scalar_s2_plus_4_9_dev"] = steady_dev
         if steady_dev <= tol:
-            return TypeVerdict(LABEL_STEADY, evidence, tuple(notes), None, sigs)
+            return TypeVerdict(LABEL_STEADY, evidence, tuple(notes))
 
-    distinct = all(len({s.group_of(i) for i in (2, 3, 4)}) == 3 for s in sigs)
-    if distinct:
+    level = labels[:, 1:]
+    if np.all((level[:, 0] != level[:, 1]) & (level[:, 1] != level[:, 2])
+              & (level[:, 0] != level[:, 2])):
         notes.append("pairwise-distinct level-surface eigenvalues with a "
                      "nonzero potential slope cannot occur on a true soliton")
-    return TypeVerdict(LABEL_UNKNOWN, evidence, tuple(notes), None, sigs)
+    return TypeVerdict(LABEL_UNKNOWN, evidence, tuple(notes))
 
 
 def _warped_sub_label(h_data, tol: float) -> str | None:

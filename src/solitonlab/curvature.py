@@ -10,40 +10,56 @@ the doubly-warped ansatz are
 
 and for the 3-fiber warped product R_1ii1 = -h''/h, R_ijji = -b^2 + k/h^2.
 Ricci eigenvalues and scalar curvature follow by contraction.  The
-divergence-free-Weyl structure forces p''/p = h''/h; operations prefixed
-``dw_`` enforce that as a precondition, while the ``*_table`` functions
-evaluate the unconstrained formulas (needed to diagnose violating inputs).
+divergence-free-Weyl structure forces p''/p = h''/h; ``dw_full_bundle``
+enforces that as a precondition, while the tables evaluate the unconstrained
+formulas (needed to diagnose violating inputs).
+
+The tables, ``family_eigenvalues`` and ``family_weyl_sq`` take one s or an
+array of s.  A Python float gives floats, computed as the scalar formulas
+compute them; an array gives arrays of its shape from one call.  Each call
+checks the family domain, the positivity of p and h and the finiteness of
+every table entry once, and a failure names the first bad s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .families import (KIND_WARPED3, FiberProfile, MetricFamily, Profile,
-                       fiber_profile_eval)
+                       fiber_profile_eval, first_failure)
 from .frames import (DIM, Frame4, ricci_from_riemann, tensor_norm,
                      weyl_from_riemann)
 
 DW_CONSTRAINT_TOL = 1e-9
 
+Values = float | np.ndarray  # a float at a float s, an array of its shape at an array
 
-@dataclass(frozen=True)
-class DWConnection:
-    """Connection coefficients of the doubly-warped ansatz at a point.
+# Array evaluation keeps float semantics: overflow and invalid operations give
+# inf or nan without numpy's RuntimeWarnings, and the tables then reject a
+# non-finite value by naming its s.
+float_semantics = np.errstate(all="ignore")
 
-    In this gauge every other rotation coefficient of the adapted frame
-    (frame rotation along E_1, fiber rotation along E_2, and the E_3
-    counterpart of beta_4) vanishes identically, so these three numbers
-    determine the connection.
-    """
 
-    zeta2: float   # p'/p
-    zeta3: float   # h'/h (= zeta4)
-    beta4: float   # u'(r) / (h u(r))
+def _over_samples(formulas):
+    """``formulas(..., s)`` with s, its last argument, given as a Python
+    number (evaluated as a float) or as an array of s (evaluated as a float
+    array under `float_semantics`)."""
+    quiet = float_semantics(formulas)
+
+    @functools.wraps(formulas)
+    def evaluate(*args):
+        *head, s = args
+        if isinstance(s, (int, float)):
+            return formulas(*head, float(s))
+        return quiet(*head, np.asarray(s, dtype=float))
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -71,71 +87,86 @@ class CurvatureBundle:
         return tensor_norm(self.codazzi_residual, self.g)
 
 
-@dataclass(frozen=True)
-class DWTable:
+class DWTable(NamedTuple):
     """Pointwise curvature data of g = ds^2 + p^2 dt^2 + h^2 gt."""
 
-    s: float
-    a: float
-    b: float
-    pddp: float      # p''/p
-    hddh: float      # h''/h
-    k_h2: float      # k / h^2
-    lam1: float
-    lam2: float
-    lam3: float
-    scalar: float
-    lam1p: float
-    lam2p: float
-    lam3p: float
-    scalarp: float
+    s: Values
+    a: Values
+    b: Values
+    pddp: Values      # p''/p
+    hddh: Values      # h''/h
+    k_h2: Values      # k / h^2
+    lam1: Values
+    lam2: Values
+    lam3: Values
+    scalar: Values
+    lam1p: Values
+    lam2p: Values
+    lam3p: Values
+    scalarp: Values
 
     @property
-    def constraint_residual(self) -> float:
+    def constraint_residual(self) -> Values:
         return abs(self.pddp - self.hddh)
 
-    def eigenvalues(self) -> tuple[float, float, float, float]:
+    def eigenvalues(self) -> tuple[Values, Values, Values, Values]:
         return (self.lam1, self.lam2, self.lam3, self.lam3)
 
-    def sectionals(self) -> dict[tuple[int, int], float]:
+    def sectionals(self) -> dict[tuple[int, int], Values]:
         """Nonzero R_ijji by (0-based) plane index."""
         return {(0, 1): -self.pddp, (0, 2): -self.hddh, (0, 3): -self.hddh,
                 (1, 2): -self.a * self.b, (1, 3): -self.a * self.b,
                 (2, 3): -self.b ** 2 + self.k_h2}
 
 
-@dataclass(frozen=True)
-class W3Table:
+class W3Table(NamedTuple):
     """Pointwise curvature data of g = ds^2 + h^2 gt over a 3-d fiber."""
 
-    s: float
-    b: float
-    hddh: float
-    k_h2: float
-    lam1: float
-    lamf: float
-    scalar: float
-    lam1p: float
-    lamfp: float
-    scalarp: float
+    s: Values
+    b: Values
+    hddh: Values
+    k_h2: Values
+    lam1: Values
+    lamf: Values
+    scalar: Values
+    lam1p: Values
+    lamfp: Values
+    scalarp: Values
 
-    def eigenvalues(self) -> tuple[float, float, float, float]:
+    def eigenvalues(self) -> tuple[Values, Values, Values, Values]:
         return (self.lam1, self.lamf, self.lamf, self.lamf)
 
-    def sectionals(self) -> dict[tuple[int, int], float]:
+    def sectionals(self) -> dict[tuple[int, int], Values]:
         fib = -self.b ** 2 + self.k_h2
         return {(0, 1): -self.hddh, (0, 2): -self.hddh, (0, 3): -self.hddh,
                 (1, 2): fib, (1, 3): fib, (2, 3): fib}
 
 
-def _positive(profile: Profile, s: float, name: str) -> float:
+def _positive(profile: Profile, s: Values, name: str) -> Values:
     v = profile.value(s)
-    if v <= 0.0:
-        raise DomainError(f"{name}(s) = {v!r} is not positive at s={s!r}")
+    bad = first_failure(v > 0.0, s)
+    if bad is not None:
+        raise DomainError(f"{name}(s) = {profile.value(bad)!r} is not positive "
+                          f"at s={bad!r}")
     return v
 
 
-def dw_table(p: Profile, h: Profile, k: float, s: float) -> DWTable:
+def _finite(s: Values, *values: Values) -> tuple[Values, ...]:
+    """``values``, broadcast to the shape of s, after naming the first s
+    where one of them is not finite."""
+    if isinstance(s, float):
+        ok = all(map(math.isfinite, values))
+    else:
+        values = tuple(np.broadcast_to(v, s.shape) for v in values)  # constant profiles
+        ok = np.isfinite(values).all(axis=0)
+    bad = first_failure(ok, s)
+    if bad is not None:
+        raise DomainError(f"closed-form curvature is not finite at s={bad!r}")
+    return values
+
+
+@_over_samples
+def dw_table(p: Profile, h: Profile, k: float, s) -> DWTable:
     """Unconstrained curvature table of the doubly-warped ansatz at s."""
     pv, hv = _positive(p, s, "p"), _positive(h, s, "h")
     a, b = p.d1(s) / pv, h.d1(s) / hv
@@ -147,17 +178,18 @@ def dw_table(p: Profile, h: Profile, k: float, s: float) -> DWTable:
     scalar = lam1 + lam2 + 2.0 * lam3
     # s-derivatives (third profile derivatives enter only here)
     ap, bp = pddp - a * a, hddh - b * b
-    pddp_p = p.d3_or_fd(s) / pv - pddp * a
-    hddh_p = h.d3_or_fd(s) / hv - hddh * b
+    pddp_p = p.d3(s) / pv - pddp * a
+    hddh_p = h.d3(s) / hv - hddh * b
     ab_p = ap * b + a * bp
     lam1p = -pddp_p - 2.0 * hddh_p
     lam2p = -pddp_p - 2.0 * ab_p
     lam3p = -hddh_p - ab_p - 2.0 * b * bp - 2.0 * k_h2 * b
-    return DWTable(s, a, b, pddp, hddh, k_h2, lam1, lam2, lam3, scalar,
-                   lam1p, lam2p, lam3p, lam1p + lam2p + 2.0 * lam3p)
+    return DWTable(s, *_finite(s, a, b, pddp, hddh, k_h2, lam1, lam2, lam3, scalar,
+                               lam1p, lam2p, lam3p, lam1p + lam2p + 2.0 * lam3p))
 
 
-def warp3_table(h: Profile, k: float, s: float) -> W3Table:
+@_over_samples
+def warp3_table(h: Profile, k: float, s) -> W3Table:
     hv = _positive(h, s, "h")
     b = h.d1(s) / hv
     hddh = h.d2(s) / hv
@@ -165,11 +197,11 @@ def warp3_table(h: Profile, k: float, s: float) -> W3Table:
     lam1 = -3.0 * hddh
     lamf = -hddh - 2.0 * b * b + 2.0 * k_h2
     bp = hddh - b * b
-    hddh_p = h.d3_or_fd(s) / hv - hddh * b
+    hddh_p = h.d3(s) / hv - hddh * b
     lam1p = -3.0 * hddh_p
     lamfp = -hddh_p - 4.0 * b * bp - 4.0 * k_h2 * b
-    return W3Table(s, b, hddh, k_h2, lam1, lamf, lam1 + 3.0 * lamf,
-                   lam1p, lamfp, lam1p + 3.0 * lamfp)
+    return W3Table(s, *_finite(s, b, hddh, k_h2, lam1, lamf, lam1 + 3.0 * lamf,
+                               lam1p, lamfp, lam1p + 3.0 * lamfp))
 
 
 def _check_dw_constraint(t: DWTable) -> None:
@@ -177,24 +209,6 @@ def _check_dw_constraint(t: DWTable) -> None:
     if res > DW_CONSTRAINT_TOL * max(1.0, abs(t.pddp), abs(t.hddh)):
         raise PreconditionError("p''/p != h''/h: input is outside the "
                                 "divergence-free-Weyl ansatz", res)
-
-
-def dw_ricci(p: Profile, h: Profile, k: float, s: float):
-    """Frame-diagonal Ricci eigenvalues and scalar curvature at s.
-
-    Requires p''/p = h''/h (to DW_CONSTRAINT_TOL); with that constraint
-    lam1 = -3 h''/h, lam2 = -h''/h - 2(p'/p)(h'/h), and
-    lam3 = lam4 = -h''/h - (p'/p)(h'/h) - (h'/h)^2 + k/h^2.
-    """
-    t = dw_table(p, h, k, s)
-    _check_dw_constraint(t)
-    return t.lam1, t.lam2, t.lam3, t.lam3, t.scalar
-
-
-def warp3_ricci(h: Profile, k: float, s: float):
-    """(lam1, lam_fiber, R) of the 3-fiber warped product at s."""
-    t = warp3_table(h, k, s)
-    return t.lam1, t.lamf, t.scalar
 
 
 def _riemann_from_sectionals(sec: dict[tuple[int, int], float]) -> np.ndarray:
@@ -233,23 +247,21 @@ def _bundle_from_table(christoffel, t: DWTable | W3Table) -> CurvatureBundle:
                            christoffel, riem, ric, t.scalar, weyl, codazzi)
 
 
-def dw_connection(p: Profile, h: Profile, k: float, s: float, r: float) -> DWConnection:
-    pv, hv = _positive(p, s, "p"), _positive(h, s, "h")
-    u, up, _ = fiber_profile_eval(FiberProfile(k), r)
-    return DWConnection(p.d1(s) / pv, h.d1(s) / hv, up / (hv * u))
-
-
 def _dw_bundle_unchecked(p: Profile, h: Profile, k: float, point) -> CurvatureBundle:
     s, _, r, _ = (float(x) for x in point)
     t = dw_table(p, h, k, s)
-    conn = dw_connection(p, h, k, s, r)
+    u, up, _ = fiber_profile_eval(FiberProfile(k), r)
+    # In this gauge every other rotation coefficient of the adapted frame
+    # (frame rotation along E_1, fiber rotation along E_2, and the E_3
+    # counterpart of beta_4) vanishes identically, so zeta_2 = a,
+    # zeta_3 = zeta_4 = b and beta_4 = u'(r) / (h u(r)) determine it.
+    beta4 = up / (h.value(s) * u)
     gam = np.zeros((DIM, DIM, DIM))
-    a, b, b4 = conn.zeta2, conn.zeta3, conn.beta4
-    for i, z in ((1, a), (2, b), (3, b)):
+    for i, z in ((1, t.a), (2, t.b), (3, t.b)):
         gam[i, i, 0] = z      # <grad_{E_i} E_1, E_i> = zeta_i
         gam[0, i, i] = -z     # grad_{E_i} E_i = -zeta_i E_1 (+ beta_4 E_3 for i=4)
-    gam[2, 3, 3] = b4
-    gam[3, 3, 2] = -b4
+    gam[2, 3, 3] = beta4
+    gam[3, 3, 2] = -beta4
     return _bundle_from_table(gam, t)
 
 
@@ -291,14 +303,16 @@ def warp3_full_bundle(h: Profile, k: float, point) -> CurvatureBundle:
 # family-level dispatch (unconstrained: evaluates the true curvature of the
 # stored profiles, including deliberately broken instances)
 
-def family_table(m: MetricFamily, s: float):
+@_over_samples
+def family_table(m: MetricFamily, s) -> DWTable | W3Table:
+    """The curvature table of ``m`` at s, a float or an array of s."""
     m.require(s)
     if m.kind == KIND_WARPED3:
         return warp3_table(m.h, m.k, s)
     return dw_table(m.p, m.h, m.k, s)
 
 
-def family_eigenvalues(m: MetricFamily, s: float):
+def family_eigenvalues(m: MetricFamily, s):
     """(lam1, lam2, lam3, lam4, R) in the adapted frame at s."""
     t = family_table(m, s)
     return (*t.eigenvalues(), t.scalar)
@@ -311,10 +325,17 @@ def family_bundle(m: MetricFamily, point) -> CurvatureBundle:
     return _dw_bundle_unchecked(m.p, m.h, m.k, point)
 
 
-def family_weyl_sq(m: MetricFamily, s: float) -> float:
-    """|W|^2 at s (fiber-point independent)."""
+@_over_samples
+def family_weyl_sq(m: MetricFamily, s) -> Values:
+    """|W|^2 at s (fiber-point independent).
+
+    The curvature operator is diagonal on the frame planes (E_i, E_j) and
+    Ricci is diagonal in the adapted frame, so W is too: on the plane of
+    sectional curvature K_ij it is W_ijji = K_ij - (lam_i + lam_j)/2 + R/6,
+    and each plane contributes four equal squares (W_ijji = W_jiij =
+    -W_ijij = -W_jiji).
+    """
     t = family_table(m, s)
-    riem = _riemann_from_sectionals(t.sectionals())
-    ric = ricci_from_riemann(riem)
-    w = weyl_from_riemann(riem, ric, t.scalar, np.eye(DIM))
-    return tensor_norm(w)
+    eig, r6 = t.eigenvalues(), t.scalar / 6.0
+    weyl = [sec - 0.5 * (eig[i] + eig[j]) + r6 for (i, j), sec in t.sectionals().items()]
+    return _finite(t.s, 4.0 * sum(w * w for w in weyl))[0]

@@ -10,8 +10,11 @@ variable s:
 * ``warped3``: ``g = ds^2 + h(s)^2 gt`` with ``gt`` a 3-d metric of constant
   curvature k in polar-type coordinates ``(r, theta, phi)``.
 
-Profiles carry exact derivatives; no numerical differentiation happens in
-this module.
+Profiles carry exact derivatives up to third order; no numerical
+differentiation happens in this module or in the closed forms built on it.
+Every profile callable takes either a Python float, evaluated with `math`
+exactly as a scalar formula would be, or an array of s, evaluated
+elementwise with numpy.
 """
 
 from __future__ import annotations
@@ -27,42 +30,50 @@ from .errors import DomainError, UnsupportedFamilyError
 BOUNDARY_MARGIN = 1e-6
 
 
+def first_failure(ok, s):
+    """None when ``ok`` holds at every s, else the first s (a float) where it
+    fails; ``ok`` and ``s`` are both scalars or broadcast together."""
+    if isinstance(ok, bool):
+        return None if ok else s
+    if ok.all():
+        return None
+    return float(np.broadcast_to(s, ok.shape).flat[np.argmin(ok)])
+
+
 # ---------------------------------------------------------------------------
 # profiles
 
+Fn = Callable[[float], float]
+
+
 @dataclass(frozen=True)
 class Profile:
-    """A scalar profile of s with derivatives up to third order.
+    """A profile of s with its first three derivatives, each a callable of a
+    float or an array of s."""
 
-    ``d3`` may be ``None`` for user-supplied profiles; operations that need a
-    third derivative (closed-form dR/ds) then fall back to a Richardson
-    difference of ``d2``.
-    """
-
-    value: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
-    d3: Callable[[float], float] | None = None
+    value: Fn
+    d1: Fn
+    d2: Fn
+    d3: Fn
     label: str = ""
 
-    def d3_or_fd(self, s: float) -> float:
-        if self.d3 is not None:
-            return self.d3(s)
-        step = 1e-4 * max(1.0, abs(s))
-        d2 = self.d2
-        coarse = (d2(s + step) - d2(s - step)) / (2.0 * step)
-        fine = (d2(s + 0.5 * step) - d2(s - 0.5 * step)) / step
-        return (4.0 * fine - coarse) / 3.0  # Richardson, O(step^4)
+
+def _elementwise(scalar: Fn, array: Fn) -> Fn:
+    return lambda s: scalar(s) if isinstance(s, (int, float)) else array(s)
+
+
+def _const(c: float) -> Fn:
+    return lambda s: c if isinstance(s, (int, float)) else np.full(np.shape(s), c)
 
 
 def constant_profile(c: float) -> Profile:
-    return Profile(lambda s: c, lambda s: 0.0, lambda s: 0.0, lambda s: 0.0, f"{c:g}")
+    return Profile(_const(c), _const(0.0), _const(0.0), _const(0.0), f"{c:g}")
 
 
 def power_profile(coef: float, expo: float) -> Profile:
     """c * s**e with exact derivatives."""
 
-    def d(order: int) -> Callable[[float], float]:
+    def d(order: int) -> Fn:
         fac = coef
         e = expo
         for _ in range(order):
@@ -74,13 +85,15 @@ def power_profile(coef: float, expo: float) -> Profile:
 
 
 def sin_profile() -> Profile:
-    return Profile(math.sin, math.cos, lambda s: -math.sin(s), lambda s: -math.cos(s), "sin(s)")
+    return Profile(_elementwise(math.sin, np.sin), _elementwise(math.cos, np.cos),
+                   _elementwise(lambda s: -math.sin(s), lambda s: -np.sin(s)),
+                   _elementwise(lambda s: -math.cos(s), lambda s: -np.cos(s)), "sin(s)")
 
 
 def log_profile(coef: float) -> Profile:
     """c * ln(s)."""
     return Profile(
-        lambda s: coef * math.log(s),
+        _elementwise(lambda s: coef * math.log(s), lambda s: coef * np.log(s)),
         lambda s: coef / s,
         lambda s: -coef / s**2,
         lambda s: 2.0 * coef / s**3,
@@ -93,8 +106,8 @@ def quadratic_potential(lam: float) -> Profile:
     return Profile(
         lambda s: 0.5 * lam * s**2,
         lambda s: lam * s,
-        lambda s: lam,
-        lambda s: 0.0,
+        _const(lam),
+        _const(0.0),
         f"{lam:g}*s^2/2",
     )
 
@@ -183,14 +196,17 @@ class MetricFamily:
             return ("s", "r", "theta", "phi")
         return ("s", "t", "r", "theta")
 
-    def contains(self, s: float) -> bool:
+    def contains(self, s):
+        """Whether s (a float, or elementwise for an array) is in the domain."""
         # infinite endpoints absorb the margin (inf - m == inf)
         lo, hi = self.domain
-        return lo + BOUNDARY_MARGIN <= s <= hi - BOUNDARY_MARGIN
+        return (s >= lo + BOUNDARY_MARGIN) & (s <= hi - BOUNDARY_MARGIN)
 
-    def require(self, s: float) -> None:
-        if not self.contains(s):
-            raise DomainError(f"s={s!r} outside family domain {self.domain}")
+    def require(self, s) -> None:
+        """Raise DomainError naming the first s outside the domain."""
+        bad = first_failure(self.contains(s), s)
+        if bad is not None:
+            raise DomainError(f"s={bad!r} outside family domain {self.domain}")
 
 
 def doubly_warped_family(p: Profile, h: Profile, k: float,
@@ -319,7 +335,7 @@ class SolitonData:
 
     f: Profile
     lam: float
-    zeta: tuple[Callable[[float], float], Callable[[float], float], Callable[[float], float]]
+    zeta: tuple[Fn, Fn, Fn]
 
     def zeta_values(self, s: float) -> tuple[float, float, float]:
         return tuple(z(s) for z in self.zeta)

@@ -127,80 +127,52 @@ def _assert_positive_definite(g: np.ndarray) -> None:
             raise ValueError("metric is not positive definite on the grid") from exc
 
 
-def fd_partial(field: np.ndarray, spacings, axis: int, order: int, node) -> float:
-    """4th-order central difference of a grid scalar field at a node.
-
-    Exact on polynomials of degree <= 4 (order 1) and <= 5 (order 2), up to
-    rounding.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    n = field.shape[axis]
-    if not MARGIN_CURVATURE <= node[axis] <= n - 1 - MARGIN_CURVATURE:
-        raise GridBoundaryError(f"node {tuple(node)} too close to the boundary")
-    idx = list(node)
-    vals = np.empty(5)
-    for j, off in enumerate(_OFFSETS):
-        idx[axis] = node[axis] + off
-        vals[j] = field[tuple(idx)]
-    # both stencils annihilate constants; subtracting the center value makes
-    # that cancellation exact in floating point as well
-    vals -= vals[2]
-    h = spacings[axis]
-    if order == 1:
-        return float(vals @ _D1_W / h)
-    return float(vals @ _D2_W / (h * h))
-
-
 # ---------------------------------------------------------------------------
 # batched derivative machinery
 
-def _gather(g: np.ndarray, nodes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """g values at nodes + offsets; nodes (N, 4), offsets (N, 4) or (4,)."""
-    pos = nodes + offsets
-    return g[pos[:, 0], pos[:, 1], pos[:, 2], pos[:, 3]]
-
-
 def _metric_derivs(grid: MetricGrid, nodes: np.ndarray):
     """(g, dg, d2g) at a batch of nodes: dg[n,l,a,b] = d_l g_ab and
-    d2g[n,l,m,a,b] = d_l d_m g_ab."""
-    g = grid.g
+    d2g[n,l,m,a,b] = d_l d_m g_ab.
+
+    Every stencil value comes from one ``np.take`` on the distinct slice of
+    g (length 1 along stride-0 axes), flattened: the nodes' flat indices
+    plus each stencil shift's flat offset, which is 0 along stride-0 axes.
+    """
     h = grid.spacings
-    N = nodes.shape[0]
-    g0 = _gather(g, nodes, np.zeros(DIM, dtype=int))
-    dg = np.zeros((N, DIM, DIM, DIM))
-    d2g = np.zeros((N, DIM, DIM, DIM, DIM))
     # center-value subtraction makes the annihilation of constants exact, so
     # derivatives along broadcast (stride-0) axes alone are exactly 0: skipped
     skip = grid.broadcast_axes
-    for l in range(DIM):
-        if skip[l]:
-            continue
-        e = np.zeros(DIM, dtype=int)
-        stack = []
-        for off in _OFFSETS:
-            e[l] = off
-            stack.append(_gather(g, nodes, e) - g0)
-        stack = np.stack(stack)  # (5, N, 4, 4)
+    distinct = grid.g[tuple(slice(0, 1) if b else slice(None) for b in skip)]
+    stride = np.array([0 if skip[l] else math.prod(distinct.shape[l + 1:DIM])
+                       for l in range(DIM)])
+    axes = [l for l in range(DIM) if not skip[l]]
+    pairs = [(l, m) for l in range(DIM) for m in range(l + 1, DIM)
+             if not (skip[l] and skip[m])]
+    taps = [(i, j) for i in range(len(_OFFSETS)) for j in range(len(_OFFSETS))
+            if _D1_W[i] != 0.0 and _D1_W[j] != 0.0]
+    # shifts in the order they are used: the node, the 5 points along each
+    # of `axes`, then the mixed taps of each pair
+    shifts = ([0] + [o * stride[l] for l in axes for o in _OFFSETS]
+              + [_OFFSETS[i] * stride[l] + _OFFSETS[j] * stride[m]
+                 for l, m in pairs for i, j in taps])
+    vals = distinct.reshape(-1, DIM, DIM).take(
+        nodes @ stride + np.array(shifts)[:, None], axis=0)
+    N, n_line = nodes.shape[0], 1 + len(axes) * len(_OFFSETS)
+    g0 = vals[0]
+    lines = (vals[1:n_line] - g0).reshape(len(axes), len(_OFFSETS), N, DIM, DIM)
+    mixed = vals[n_line:].reshape(len(pairs), len(taps), N, DIM, DIM)
+    dg = np.zeros((N, DIM, DIM, DIM))
+    d2g = np.zeros((N, DIM, DIM, DIM, DIM))
+    for l, stack in zip(axes, lines):
         dg[:, l] = np.tensordot(_D1_W, stack, axes=(0, 0)) / h[l]
         d2g[:, l, l] = np.tensordot(_D2_W, stack, axes=(0, 0)) / h[l] ** 2
-    for l in range(DIM):
-        for m in range(l + 1, DIM):
-            if skip[l] and skip[m]:
-                continue
-            acc = np.zeros((N, DIM, DIM))
-            for i, oi in enumerate(_OFFSETS):
-                if _D1_W[i] == 0.0:
-                    continue
-                for j, oj in enumerate(_OFFSETS):
-                    if _D1_W[j] == 0.0:
-                        continue
-                    e = np.zeros(DIM, dtype=int)
-                    e[l], e[m] = oi, oj
-                    acc += (_D1_W[i] * _D1_W[j]) * (_gather(g, nodes, e) - g0)
-            acc /= h[l] * h[m]
-            d2g[:, l, m] = acc
-            d2g[:, m, l] = acc
+    for (l, m), pair_vals in zip(pairs, mixed):
+        acc = np.zeros((N, DIM, DIM))
+        for (i, j), v in zip(taps, pair_vals):
+            acc += (_D1_W[i] * _D1_W[j]) * (v - g0)
+        acc /= h[l] * h[m]
+        d2g[:, l, m] = acc
+        d2g[:, m, l] = acc
     return g0, dg, d2g
 
 
@@ -415,28 +387,6 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
 
 # ---------------------------------------------------------------------------
 # serialization (intended for desk-scale grids)
-
-def bundle_to_json(bundle: CurvatureBundle) -> dict:
-    return {
-        "frame": {"kind": bundle.frame.kind, "labels": list(bundle.frame.labels)},
-        "g": bundle.g.tolist(),
-        "christoffel": bundle.christoffel.tolist(),
-        "riem": bundle.riem.tolist(),
-        "ric": bundle.ric.tolist(),
-        "scalar": bundle.scalar,
-        "weyl": bundle.weyl.tolist(),
-        "codazzi_residual": bundle.codazzi_residual.tolist(),
-    }
-
-
-def bundles_to_json(grid: MetricGrid, nodes) -> dict[str, dict]:
-    """fd_curvature output at several nodes, keyed by node index."""
-    out = {}
-    for node in np.atleast_2d(np.asarray(nodes, dtype=int)):
-        key = ",".join(str(int(i)) for i in node)
-        out[key] = bundle_to_json(fd_curvature(grid, node))
-    return out
-
 
 def grid_to_json(grid: MetricGrid) -> dict:
     packed = np.stack([grid.g[..., i, j] for i, j in _TRIU], axis=-1)

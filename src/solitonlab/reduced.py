@@ -38,6 +38,7 @@ from typing import NamedTuple
 from .errors import DomainError
 
 BLOWUP_LIMIT = 1e8
+MAX_STEPS = 10**6
 H_FLOOR = 1e-8
 BRANCH_TOL = 1e-8
 
@@ -143,13 +144,17 @@ def integrate(st0: ReducedState, s_end: float, step: float) -> Trajectory:
 
     Stops early (flagging the partial trajectory) if the state blows up or h
     crosses its positivity floor: singular-steady-type solutions genuinely
-    degenerate at s = 0 and the partial data is the useful output.
+    degenerate at s = 0 and the partial data is the useful output.  A run
+    of more than MAX_STEPS steps raises DomainError before the first step.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     span = s_end - st0.s
     if span == 0.0:
         return Trajectory((st0,))
+    if not abs(span) / step <= MAX_STEPS:
+        raise DomainError(f"integrating from s={st0.s!r} to {s_end!r} at step {step!r} "
+                          f"takes more than {MAX_STEPS} steps")
     n = max(1, round(abs(span) / step))
     ds = span / n
     states = [st0]

@@ -8,6 +8,7 @@ equation error is isolated from differentiation error:
 * the conservation identities  R + |grad f|^2 - 2 lambda f = const  and
   dR/2 = lambda_1 f' satisfied by every gradient soliton.
 
+Each check evaluates the closed forms once, over its whole sample array.
 `oracle_deviation` cross-checks the closed forms against the independent
 finite-difference engine of :mod:`solitonlab.fdgrid`.
 """
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import codazzi_components, family_eigenvalues, family_table
+from .curvature import (codazzi_components, family_eigenvalues, family_table,
+                        float_semantics)
 from .families import MetricFamily, SolitonData
 from .fdgrid import MetricGrid, fd_ricci_block
 from .frames import sym_eigvals
@@ -43,25 +45,20 @@ class ResidualReport:
 
 def _report(samples, abs_values, scales, per_equation) -> ResidualReport:
     worst = int(np.argmax(abs_values))
-    rels = [v / max(sc, CURVATURE_SCALE_FLOOR) for v, sc in zip(abs_values, scales)]
-    return ResidualReport(float(abs_values[worst]), float(max(rels)),
+    rels = abs_values / np.maximum(scales, CURVATURE_SCALE_FLOOR)
+    return ResidualReport(float(abs_values[worst]), float(rels.max()),
                           float(samples[worst]), per_equation)
 
 
+@float_semantics
 def _componentwise(m: MetricFamily, samples, keys, components) -> ResidualReport:
     """Report of the residual components ``components(table, s)``, named by
     ``keys``, over the samples, each relative to |R| at its sample."""
-    samples = [float(s) for s in samples]
-    per_eq = dict.fromkeys(keys, 0.0)
-    abs_vals, scales = [], []
-    for s in samples:
-        t = family_table(m, s)
-        comps = components(t, s)
-        for key, c in zip(keys, comps):
-            per_eq[key] = max(per_eq[key], abs(c))
-        abs_vals.append(max(abs(c) for c in comps))
-        scales.append(abs(t.scalar))
-    return _report(samples, abs_vals, scales, per_eq)
+    s = np.asarray(samples, dtype=float)
+    t = family_table(m, s)
+    comps = np.abs(np.array(components(t, s)))  # (len(keys), len(s))
+    per_eq = dict(zip(keys, comps.max(axis=1).tolist()))
+    return _report(s, comps.max(axis=0), np.abs(t.scalar), per_eq)
 
 
 def soliton_residual(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport:
@@ -92,6 +89,7 @@ def codazzi_residual_closed(m: MetricFamily, samples) -> ResidualReport:
                           lambda t, s: codazzi_components(t))
 
 
+@float_semantics
 def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport:
     """Conservation identities over an s-sample set.
 
@@ -100,23 +98,19 @@ def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport
     mean itself is reported as ``conserved_mean`` (it is exactly zero for
     the singular steady normalization).
     """
-    samples = [float(s) for s in samples]
-    if len(samples) < 3:
+    s = np.asarray(samples, dtype=float)
+    if len(s) < 3:
         raise ValueError("hamilton_check needs at least 3 samples")
-    conserved, slope_res, scales = [], [], []
-    for s in samples:
-        t = family_table(m, s)
-        fp = sol.f.d1(s)
-        conserved.append(t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s))
-        slope_res.append(abs(0.5 * t.scalarp - t.lam1 * fp))
-        scales.append(abs(t.scalar))
+    t = family_table(m, s)
+    fp = sol.f.d1(s)
+    conserved = t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s)
+    slope_res = np.abs(0.5 * t.scalarp - t.lam1 * fp)
     mean = float(np.mean(conserved))
-    dev = [abs(c - mean) for c in conserved]
-    per_eq = {"conserved_deviation": float(max(dev)),
+    dev = np.abs(conserved - mean)
+    per_eq = {"conserved_deviation": float(dev.max()),
               "conserved_mean": mean,
-              "scalar_slope": float(max(slope_res))}
-    abs_vals = [max(d, r) for d, r in zip(dev, slope_res)]
-    return _report(samples, np.asarray(abs_vals), scales, per_eq)
+              "scalar_slope": float(slope_res.max())}
+    return _report(s, np.maximum(dev, slope_res), np.abs(t.scalar), per_eq)
 
 
 def oracle_deviation(m: MetricFamily, grid: MetricGrid, nodes) -> np.ndarray:
@@ -126,8 +120,7 @@ def oracle_deviation(m: MetricFamily, grid: MetricGrid, nodes) -> np.ndarray:
     nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
     blk = fd_ricci_block(grid, nodes)
     s_index, where = np.unique(nodes[:, 0], return_inverse=True)
-    cf = np.array([family_eigenvalues(m, float(grid.axes[0][i]))
-                   for i in s_index])[where]
+    cf = np.array(family_eigenvalues(m, grid.axes[0][s_index])).T[where]
     expected = np.sort(cf[:, :4], axis=1)[:, ::-1]
     eig_dev = np.abs(sym_eigvals(blk["ric"], blk["g"]) - expected).max(axis=1)
     dev = np.maximum(eig_dev, np.abs(blk["scalar"] - cf[:, 4]))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 from solitonlab.classify import LABEL_UNKNOWN, classify
 from solitonlab.cli import main as cli_main
-from solitonlab.curvature import (dw_ricci, family_eigenvalues, family_weyl_sq)
+from solitonlab.curvature import family_eigenvalues, family_weyl_sq
 from solitonlab.families import (broken_family, canonical_soliton_for,
                                  cylinder_family, gaussian_family,
                                  product_family, singular_steady_family,
@@ -48,7 +48,7 @@ def test_criterion_1_singular_steady_curvature_table():
     t0 = time.perf_counter()
     worst = 0.0
     for s in (0.5, 1.0, 2.0):
-        got = np.array(dw_ricci(fam.p, fam.h, fam.k, s))
+        got = np.array(family_eigenvalues(fam, s))
         expected = np.array([2 / 3, -2 / 9, -4 / 9, -4 / 9, -4 / 9]) / s**2
         worst = max(worst, float(np.max(np.abs(got - expected) / np.abs(expected))))
     elapsed = time.perf_counter() - t0

@@ -3,7 +3,9 @@ import pytest
 
 from solitonlab.classify import (ClassifySample, LABEL_EINSTEIN, LABEL_PRODUCT,
                                  LABEL_STEADY, LABEL_UNKNOWN, LABEL_WARPED,
-                                 classify, eigen_signature, sample_family)
+                                 classify, eigen_signature, sample_family,
+                                 signature_labels)
+from solitonlab.curvature import family_eigenvalues, family_weyl_sq
 from solitonlab.families import (canonical_soliton_for, cylinder_family,
                                  flat_family, gaussian_family, product_family,
                                  singular_steady_family, sphere_family)
@@ -67,6 +69,49 @@ def test_eigen_signature_scale_equivariant():
 def test_eigen_signature_rejects_bad_tol():
     with pytest.raises(ValueError):
         eigen_signature((1.0, 2.0, 3.0, 4.0), 0.0)
+
+
+def sequential_groups(values, tol):
+    """Reference grouping of one row: sort descending, then merge each value
+    into the previous group while the gap stays within the threshold."""
+    vals = np.asarray(values, dtype=float)
+    thr = tol * max(1.0, float(np.max(np.abs(vals))))
+    order = np.argsort(-vals, kind="stable")
+    groups = [[int(order[0])]]
+    for prev, cur in zip(order[:-1], order[1:]):
+        if vals[prev] - vals[cur] <= thr:
+            groups[-1].append(int(cur))
+        else:
+            groups.append([int(cur)])
+    return tuple(tuple(sorted(i + 1 for i in grp)) for grp in groups)
+
+
+def test_signature_labels_match_a_sequential_grouping():
+    rng = np.random.default_rng(3)
+    # few distinct levels, and gaps below, near and above the threshold
+    vals = (rng.choice([-1.0, 0.0, 0.5, 2.0], size=(500, 4))
+            + rng.choice([0.0, 5e-9, 1e-8, 3e-8], size=(500, 4))
+            * rng.choice([1.0, 1e3], size=(500, 1)))
+    vals[rng.random(vals.shape) < 0.02] = np.nan
+    labels = signature_labels(vals, TOL)
+    assert labels.shape == (500, 4)
+    for row, lab in zip(vals, labels):
+        want = sequential_groups(row, TOL)
+        assert eigen_signature(row, TOL).groups == want
+        assert tuple(tuple(int(i) + 1 for i in np.flatnonzero(lab == g))
+                     for g in range(lab.max() + 1)) == want
+
+
+def test_sample_family_rows_match_float_evaluation():
+    for fam, _ in FAMILY_LABELS:
+        sol = canonical_soliton_for(fam)
+        for row in sample_family(fam, sol, S_VALUES):
+            assert isinstance(row, ClassifySample)
+            *eigs, scalar = family_eigenvalues(fam, row.s)
+            got = (*row.eigenvalues, row.scalar, row.fprime, row.weyl_sq)
+            want = (*eigs, scalar, sol.f.d1(row.s), family_weyl_sq(fam, row.s))
+            assert all(type(v) is float for v in got)
+            assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("fam,label", FAMILY_LABELS, ids=lambda x: str(x)[:18])

@@ -104,6 +104,9 @@ def test_usage_errors_exit_2(argv, capsys):
     ["classify", "--family", "singular-steady", "--samples", "4"],
     ["oracle", "--family", "singular-steady", "--nodes", "9"],
     ["verify", "--family", "product", "--lam", "0"],
+    ["classify", "--family", "product", "--lam", "1e308"],
+    ["integrate", "--family", "singular-steady", "--to", "1e6"],
+    ["integrate", "--family", "singular-steady", "--step", "1e-300"],
 ])
 def test_domain_errors_exit_2_with_one_line(argv, capsys):
     assert_exit_2_with_one_line(argv, capsys)

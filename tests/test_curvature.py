@@ -1,16 +1,21 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from solitonlab.curvature import (dw_connection, dw_full_bundle, dw_ricci,
-                                  dw_table, family_bundle, family_eigenvalues,
-                                  family_weyl_sq, warp3_full_bundle,
-                                  warp3_ricci)
-from solitonlab.errors import PreconditionError
-from solitonlab.families import (broken_family, constant_profile,
-                                 cylinder_family, gaussian_family,
+from solitonlab.curvature import (DWTable, dw_full_bundle, dw_table,
+                                  family_bundle, family_eigenvalues,
+                                  family_table, family_weyl_sq,
+                                  warp3_full_bundle, warp3_table)
+from solitonlab.errors import DomainError, PreconditionError
+from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES,
+                                 broken_family, canonical_family,
+                                 constant_profile, cylinder_family,
+                                 doubly_warped_family, gaussian_family,
                                  power_profile, product_family, sin_profile,
                                  singular_steady_family, sphere_family)
 from solitonlab.frames import (ricci_from_riemann, riemann_symmetry_residuals,
@@ -18,6 +23,18 @@ from solitonlab.frames import (ricci_from_riemann, riemann_symmetry_residuals,
 
 STEADY = singular_steady_family()
 ONE = constant_profile(1.0)
+
+
+def dw_ricci(p, h, k, s):
+    """(lam1, lam2, lam3, lam4, R) of the doubly-warped table at s."""
+    t = dw_table(p, h, k, s)
+    return (*t.eigenvalues(), t.scalar)
+
+
+def warp3_ricci(h, k, s):
+    """(lam1, lam_fiber, R) of the 3-fiber warped table at s."""
+    t = warp3_table(h, k, s)
+    return t.lam1, t.lamf, t.scalar
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
@@ -40,7 +57,7 @@ def test_dw_ricci_flat():
 def test_dw_ricci_rejects_broken_profiles():
     fam = broken_family()
     with pytest.raises(PreconditionError) as exc:
-        dw_ricci(fam.p, fam.h, fam.k, 1.0)
+        dw_full_bundle(fam.p, fam.h, fam.k, (1.0, 0.0, 0.9, 0.3))
     # p''/p = 0, h''/h = -1/4 at s = 1
     assert_allclose(exc.value.residual, 0.25, rtol=1e-12)
 
@@ -91,9 +108,10 @@ def test_dw_bundle_contraction_matches_dw_ricci(p, h, k):
 
 
 def test_dw_connection_values():
-    conn = dw_connection(STEADY.p, STEADY.h, 0.0, 1.0, 2.0)
-    assert_allclose((conn.zeta2, conn.zeta3), (1.0 / 3.0, 2.0 / 3.0), rtol=1e-15)
-    assert_allclose(conn.beta4, 1.0 / 2.0, rtol=1e-15)  # u = r, h(1) = 1
+    gam = dw_full_bundle(STEADY.p, STEADY.h, 0.0, (1.0, 0.0, 2.0, 0.0)).christoffel
+    zeta2, zeta3, beta4 = gam[1, 1, 0], gam[2, 2, 0], gam[2, 3, 3]
+    assert_allclose((zeta2, zeta3), (1.0 / 3.0, 2.0 / 3.0), rtol=1e-15)
+    assert_allclose(beta4, 1.0 / 2.0, rtol=1e-15)  # u = r, h(1) = 1
 
 
 def test_warp3_ricci_reference_values():
@@ -159,3 +177,91 @@ def test_family_bundle_codazzi_vanishes_on_canonical(fam):
     point = (1.0, 0.8, 1.2, 0.4)
     b = family_bundle(fam, point)
     assert np.max(np.abs(b.codazzi_residual)) <= 5e-14
+
+
+# ---------------------------------------------------------------------------
+# tables over arrays of s
+
+FAR = 1e6  # stands in for an infinite end of a family domain
+
+
+def domain_samples(fam):
+    lo, hi = fam.domain
+    lo, hi = max(lo + BOUNDARY_MARGIN, -FAR), min(hi - BOUNDARY_MARGIN, FAR)
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=16)
+
+
+def largest_term(t):
+    """max(1, b^2, |ab|, |k/h^2|, |h''/h|, |p''/p|) of a float table."""
+    terms = [1.0, t.b * t.b, abs(t.k_h2), abs(t.hddh)]
+    if isinstance(t, DWTable):
+        terms += [abs(t.a * t.b), abs(t.pddp)]
+    return max(terms)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_FAMILIES))
+def test_array_tables_match_float_tables(name):
+    fam = canonical_family(name)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(domain_samples(fam))
+    def check(s):
+        got = np.array(family_eigenvalues(fam, np.array(s)))
+        assert got.shape == (5, len(s))
+        for j, sj in enumerate(s):
+            t = family_table(fam, sj)
+            want = np.array([*t.eigenvalues(), t.scalar])
+            assert np.all(np.abs(got[:, j] - want) <= 1e-14 * largest_term(t))
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_FAMILIES))
+def test_sample_set_with_one_point_outside_the_domain_names_it(name):
+    fam = canonical_family(name)
+    lo, hi = fam.domain
+    outside = [x for x in (lo + BOUNDARY_MARGIN / 2, hi - BOUNDARY_MARGIN / 2)
+               if math.isfinite(x)] or [math.nan]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(domain_samples(fam), st.integers(0, 16), st.sampled_from(outside))
+    def check(s, at, bad):
+        s.insert(at % (len(s) + 1), bad)
+        with pytest.raises(DomainError, match=re.escape(f"s={bad!r} outside")):
+            family_table(fam, np.array(s))
+
+    check()
+
+
+def test_tables_name_the_first_bad_s_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        fam = doubly_warped_family(sin_profile(), ONE, 0.0, domain=(BOUNDARY_MARGIN, 10.0))
+        with pytest.raises(DomainError, match=r"p\(s\) = .* is not positive at s=4\.0"):
+            family_table(fam, [1.0, 4.0, 5.0])
+        huge = product_family(1e308)  # k / h^2 = 1e308, so R overflows
+        for s in (0.5, [0.5, 1.0], np.array([[0.5, 1.0]])):
+            with pytest.raises(DomainError, match="not finite at s=0.5"):
+                family_eigenvalues(huge, s)
+        with pytest.raises(DomainError, match="not finite at s=1.0"):
+            family_weyl_sq(product_family(1e200), [1.0])  # |W|^2 ~ 1e400
+
+
+def test_tables_keep_the_shape_of_s():
+    for name in CANONICAL_FAMILIES:
+        fam = canonical_family(name)
+        s = np.linspace(0.5, 2.0, 6).reshape(2, 3)
+        for value in (*family_eigenvalues(fam, s), family_weyl_sq(fam, s)):
+            assert value.shape == (2, 3)
+        assert isinstance(family_eigenvalues(fam, 1.0)[4], float)
+        assert isinstance(family_weyl_sq(fam, 1.0), float)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_FAMILIES))
+def test_weyl_sq_matches_the_bundle_tensor_norm(name):
+    fam = canonical_family(name)
+    for s in (0.6, 1.0, 1.7):
+        bundle = family_bundle(fam, (s, 0.8, 1.2, 0.4))
+        want = bundle.weyl_norm_sq()
+        assert abs(family_weyl_sq(fam, s) - want) <= 1e-13 * max(1.0, want)
+        assert abs(family_weyl_sq(fam, [s])[0] - want) <= 1e-13 * max(1.0, want)

@@ -61,13 +61,6 @@ def test_power_profile_derivatives():
     assert_allclose(p.d3(s), -0.75 * s**-1.5)
 
 
-def test_profile_third_derivative_fallback():
-    from solitonlab.families import Profile
-    p = Profile(lambda s: math.exp(s), math.exp, math.exp)
-    assert p.d3 is None
-    assert_allclose(p.d3_or_fd(1.0), math.e, rtol=1e-9)
-
-
 def test_metric_singular_steady_at_s1():
     fam = singular_steady_family()
     g = family_metric_at(fam, (1.0, 0.3, 0.7, 0.1))

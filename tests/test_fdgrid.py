@@ -10,8 +10,8 @@ from solitonlab.curvature import family_eigenvalues, family_weyl_sq
 from solitonlab.errors import GridBoundaryError
 from solitonlab.families import (broken_family, cylinder_family,
                                  product_family, singular_steady_family)
-from solitonlab.fdgrid import (MetricGrid, fd_codazzi_block, fd_curvature,
-                               fd_partial, fd_ricci_block, grid_from_family,
+from solitonlab.fdgrid import (MetricGrid, _metric_derivs, fd_codazzi_block,
+                               fd_curvature, fd_ricci_block, grid_from_family,
                                grid_from_json, grid_to_json)
 from solitonlab.frames import sym_eigen, tensor_norm
 from solitonlab.verify import codazzi_residual_closed, oracle_deviation
@@ -41,37 +41,40 @@ def narrow_grid(fam, n_s, s_range=(0.5, 2.0), r0=1.0):
 
 
 # ---------------------------------------------------------------------------
-# fd_partial
+# metric derivatives, on the diagonal metric g = field * I of a scalar field
+
+def field_derivs(field, spacings, node):
+    """(dg, d2g) of `_metric_derivs` at one node of g = field * I."""
+    axes = tuple(np.arange(n) * h for n, h in zip(field.shape, spacings))
+    grid = MetricGrid(axes, field[..., None, None] * np.eye(4))
+    _, dg, d2g = _metric_derivs(grid, np.array([node]))
+    return dg[0], d2g[0]
+
 
 def test_fd_partial_polynomial_exact():
     ax = np.linspace(0.5, 1.5, 9)
     field = np.broadcast_to((ax**3)[:, None, None, None], (9, 5, 5, 5)).copy()
     spacings = (ax[1] - ax[0], 1.0, 1.0, 1.0)
-    node = (4, 2, 2, 2)
-    assert abs(fd_partial(field, spacings, 0, 1, node) - 3.0 * ax[4] ** 2) <= 1e-12
-    assert abs(fd_partial(field, spacings, 0, 2, node) - 6.0 * ax[4]) <= 1e-11
+    dg, d2g = field_derivs(field, spacings, (4, 2, 2, 2))
+    for i in range(4):
+        assert abs(dg[0, i, i] - 3.0 * ax[4] ** 2) <= 1e-12
+        assert abs(d2g[0, 0, i, i] - 6.0 * ax[4]) <= 1e-11
 
 
 def test_fd_partial_sin_accuracy():
     ax = 1.0 + 1e-2 * (np.arange(9) - 4)
     field = np.broadcast_to(np.sin(ax)[:, None, None, None], (9, 5, 5, 5)).copy()
     spacings = (1e-2, 1.0, 1.0, 1.0)
-    got = fd_partial(field, spacings, 0, 2, (4, 2, 2, 2))
-    assert abs(got + math.sin(1.0)) <= 1e-8
+    _, d2g = field_derivs(field, spacings, (4, 2, 2, 2))
+    for i in range(4):
+        assert abs(d2g[0, 0, i, i] + math.sin(1.0)) <= 1e-8
 
 
 def test_fd_partial_constant_is_zero():
     field = np.full((9, 5, 5, 5), 3.7)
-    assert fd_partial(field, (0.1,) * 4, 0, 1, (4, 2, 2, 2)) == 0.0
-    assert fd_partial(field, (0.1,) * 4, 2, 2, (4, 2, 2, 2)) == 0.0
-
-
-def test_fd_partial_boundary_and_order_errors():
-    field = np.zeros((9, 5, 5, 5))
-    with pytest.raises(GridBoundaryError):
-        fd_partial(field, (0.1,) * 4, 0, 1, (1, 2, 2, 2))
-    with pytest.raises(ValueError):
-        fd_partial(field, (0.1,) * 4, 0, 3, (4, 2, 2, 2))
+    dg, d2g = field_derivs(field, (0.1,) * 4, (4, 2, 2, 2))
+    assert np.all(dg == 0.0)
+    assert np.all(d2g == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +343,6 @@ def test_fd_convergence_halving_factor():
         nodes = np.array([(i, 4, 4, 4) for i in range(lo, n_s - 4, step)])
         devs.append(oracle_deviation(fam, grid, nodes).max())
     assert devs[0] / devs[1] >= 12.0
-
-
-def test_bundles_to_json_keys_by_node():
-    from solitonlab.fdgrid import bundles_to_json
-    grid = flat_grid()
-    recs = bundles_to_json(grid, [(4, 4, 4, 4)])
-    assert list(recs) == ["4,4,4,4"]
-    assert recs["4,4,4,4"]["scalar"] == 0.0
-    assert recs["4,4,4,4"]["frame"]["kind"] == "coordinate"
 
 
 def test_grid_json_roundtrip():

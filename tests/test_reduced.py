@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from solitonlab.errors import DomainError
-from solitonlab.reduced import (ReducedState, branch_label, distinct_fprime,
+from solitonlab.reduced import (MAX_STEPS, ReducedState, branch_label,
+                                distinct_fprime,
                                 distinct_frame_relations, dw_rhs,
                                 exclusion_residual, fprime_numerator, integrate,
                                 product_state, reduced_identity_residuals,
@@ -80,6 +81,13 @@ def test_integrate_convergence_order():
         traj = integrate(singular_steady_state(1.0), 2.0, step)
         errs.append(abs(traj.final.a - target))
     assert errs[0] / errs[1] >= 200.0
+
+
+@pytest.mark.parametrize("s_end, step", [(2.0, 1e-7), (1e6, 1e-3), (2.0, 1e-300),
+                                         (1e308, 1e-300)])
+def test_integrate_refuses_more_than_max_steps(s_end, step):
+    with pytest.raises(DomainError, match=f"more than {MAX_STEPS} steps"):
+        integrate(singular_steady_state(1.0), s_end, step)
 
 
 def test_integrate_flags_blowup():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from solitonlab.curvature import family_eigenvalues
+from solitonlab.curvature import codazzi_components, family_eigenvalues, family_table
 from solitonlab.families import (Profile, broken_family, canonical_soliton_for,
-                                 cylinder_family, flat_family, gaussian_family,
+                                 constant_profile, cylinder_family, flat_family, gaussian_family,
                                  product_family, singular_steady_family,
                                  soliton_data, sphere_family)
 from solitonlab.fdgrid import fd_ricci_block, grid_from_family
@@ -105,14 +105,49 @@ def test_soliton_implies_hamilton():
             assert hamilton_check(fam, sol, SAMPLES).max_abs <= 1e-9
 
 
+def per_sample_residuals(fam, sol, samples):
+    """Reference for the residual checks: the Hessian, Codazzi and
+    conservation terms of each sample from its own float table."""
+    rows = []
+    for s in map(float, samples):
+        t = family_table(fam, s)
+        eigs, fp = t.eigenvalues(), sol.f.d1(s)
+        hess = [sol.f.d2(s) + eigs[0] - sol.lam] + [
+            z * fp + e - sol.lam for z, e in zip(sol.zeta_values(s), eigs[1:])]
+        conserved = t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s)
+        rows.append((hess, codazzi_components(t), conserved,
+                     abs(0.5 * t.scalarp - t.lam1 * fp)))
+    return rows
+
+
+@pytest.mark.parametrize("fam", CANONICAL + [broken_family()], ids=lambda f: f.name)
+def test_residual_checks_match_per_sample_loop(fam):
+    sol = (canonical_soliton_for(fam) if fam.name != "broken_product"
+           else soliton_data(fam, constant_profile(0.0), 0.0))
+    rows = per_sample_residuals(fam, sol, SAMPLES)
+    hess, cod, conserved, slope = (np.array(col) for col in zip(*rows))
+    mean = conserved.mean()
+    want = {"hess": np.abs(hess).max(axis=0), "cod": np.abs(cod).max(axis=0),
+            "ham": [np.abs(conserved - mean).max(), mean, slope.max()]}
+    got = {"hess": list(soliton_residual(fam, sol, SAMPLES).per_equation.values()),
+           "cod": list(codazzi_residual_closed(fam, SAMPLES).per_equation.values()),
+           "ham": list(hamilton_check(fam, sol, SAMPLES).per_equation.values())}
+    for key in want:
+        assert_allclose(got[key], want[key], rtol=1e-13, atol=1e-13)
+    worst = codazzi_residual_closed(fam, SAMPLES).worst_point
+    if fam.name == "broken_product":
+        assert worst == SAMPLES[np.argmax(np.abs(cod).max(axis=1))]
+
+
 def per_node_oracle_deviation(fam, grid, nodes):
     """Reference for `oracle_deviation`: one closed-form table and one
-    `sym_eigen` solve per node."""
+    `sym_eigen` solve per node.  The table is evaluated on a one-element
+    array, as `oracle_deviation` evaluates its s values (numpy's pow, log and
+    sin may differ by an ulp from the float path's libm)."""
     blk = fd_ricci_block(grid, nodes)
     devs = []
     for j, node in enumerate(nodes):
-        s = float(grid.axes[0][node[0]])
-        cf = np.array(family_eigenvalues(fam, s))
+        cf = np.array(family_eigenvalues(fam, grid.axes[0][node[:1]]))[:, 0]
         eigs = np.array([w for w, _ in sym_eigen(blk["ric"][j], blk["g"][j])])
         scale = max(1.0, abs(cf[4]), float(np.max(np.abs(cf[:4]))))
         devs.append(max(float(np.max(np.abs(eigs - np.sort(cf[:4])[::-1]))),

@@ -11,9 +11,9 @@ locally conformally flat warped product).
 """
 
 from .classify import EigenSignature, TypeVerdict, classify, eigen_signature
-from .curvature import (CurvatureBundle, dw_full_bundle, dw_table, family_bundle,
-                        family_eigenvalues, family_table, family_weyl_sq,
-                        warp3_full_bundle, warp3_table)
+from .curvature import (CurvatureBundle, CurvatureTable, dw_full_bundle, dw_table,
+                        family_bundle, family_eigenvalues, family_table,
+                        family_weyl_sq, warp3_full_bundle, warp3_table)
 from .errors import (DomainError, GridBoundaryError, PreconditionError,
                      UnsupportedFamilyError)
 from .families import (FiberProfile, MetricFamily, Profile, SolitonData,
@@ -23,7 +23,7 @@ from .families import (FiberProfile, MetricFamily, Profile, SolitonData,
                        fiber_profile_eval, flat_family, gaussian_family,
                        log_profile, power_profile, product_family,
                        quadratic_potential, sin_profile, singular_steady_family,
-                       sphere_family, soliton_data, warped3_family)
+                       sphere_family, warped3_family)
 from .fdgrid import (MetricGrid, fd_curvature, grid_from_family, grid_from_json,
                      grid_to_json)
 from .frames import (Frame4, as_sym2, ricci_from_riemann,

@@ -27,7 +27,7 @@ from .classify import ClassifySample, LABEL_UNKNOWN, classify, sample_family
 from .errors import UnsupportedFamilyError
 from .families import (CANONICAL_FAMILIES, MetricFamily, canonical_family,
                        canonical_soliton_for)
-from .fdgrid import grid_from_family
+from .fdgrid import MARGIN_CODAZZI, grid_from_family
 from .reduced import (branch_label, integrate, product_state,
                       singular_steady_state, trajectory_to_csv)
 from .report import canonical_csv, canonical_json
@@ -151,10 +151,10 @@ def _cmd_oracle(args) -> tuple[dict, bool, None]:
     fam.require(lo)  # the grid spans [lo, hi]
     fam.require(hi)
     h = (hi - lo) / (n_s - 1)
-    grid = grid_from_family(fam, (lo, hi), n_s, r_range=(1.0 - 4 * h, 1.0 + 4 * h),
-                            n_r=9)
+    grid = grid_from_family(fam, (lo, hi), n_s, n_r=9,
+                            r_range=(1.0 - MARGIN_CODAZZI * h, 1.0 + MARGIN_CODAZZI * h))
     mid = [n // 2 for n in grid.shape]
-    nodes = np.array([(i, *mid[1:]) for i in range(4, n_s - 4)])
+    nodes = np.array([(i, *mid[1:]) for i in range(MARGIN_CODAZZI, n_s - MARGIN_CODAZZI)])
     devs = oracle_deviation(fam, grid, nodes)
     worst = float(devs.max())
     worst_s = float(grid.axes[0][nodes[int(np.argmax(devs))][0]])
@@ -307,6 +307,9 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (UsageError, ValueError) as exc:  # ValueError covers DomainError
         print(f"solitonlab: error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a finite input too large for float arithmetic
+        print(f"solitonlab: error: floating-point overflow: {exc}", file=sys.stderr)
         return 2
 
 

@@ -14,6 +14,13 @@ divergence-free-Weyl structure forces p''/p = h''/h; ``dw_full_bundle``
 enforces that as a precondition, while the tables evaluate the unconstrained
 formulas (needed to diagnose violating inputs).
 
+Both ansaetze fill one `CurvatureTable`: the frame coefficients
+zeta_i = <grad_{E_i} E_1, E_i> ((a, b, b), or (b, b, b) for warped3), the
+six sectional curvatures in `PLANES` order, the eigenvalues lam_1..lam_4
+with their s-derivatives, and R, R'.  Everything downstream (the Codazzi
+components, |W|^2, the bundles, the soliton residual) reads these fields
+and has no per-ansatz branch.
+
 The tables, ``family_eigenvalues`` and ``family_weyl_sq`` take one s or an
 array of s.  A Python float gives floats, computed as the scalar formulas
 compute them; an array gives arrays of its shape from one call.  Each call
@@ -87,59 +94,27 @@ class CurvatureBundle:
         return tensor_norm(self.codazzi_residual, self.g)
 
 
-class DWTable(NamedTuple):
-    """Pointwise curvature data of g = ds^2 + p^2 dt^2 + h^2 gt."""
+# the six frame planes (E_i, E_j), i < j, 0-based, in the order of
+# ``CurvatureTable.sectional``
+PLANES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+class CurvatureTable(NamedTuple):
+    """Pointwise curvature data of either block ansatz at s.
+
+    ``zeta`` holds zeta_i = <grad_{E_i} E_1, E_i> for i = 2, 3, 4,
+    ``sectional`` the sectional curvatures K_ij = R_ijji in `PLANES` order,
+    ``lam`` and ``lamp`` the Ricci eigenvalues lam_1..lam_4 of the adapted
+    frame and their s-derivatives, ``scalar`` and ``scalarp`` R and R'.
+    """
 
     s: Values
-    a: Values
-    b: Values
-    pddp: Values      # p''/p
-    hddh: Values      # h''/h
-    k_h2: Values      # k / h^2
-    lam1: Values
-    lam2: Values
-    lam3: Values
+    zeta: tuple[Values, Values, Values]
+    sectional: tuple[Values, Values, Values, Values, Values, Values]
+    lam: tuple[Values, Values, Values, Values]
+    lamp: tuple[Values, Values, Values, Values]
     scalar: Values
-    lam1p: Values
-    lam2p: Values
-    lam3p: Values
     scalarp: Values
-
-    @property
-    def constraint_residual(self) -> Values:
-        return abs(self.pddp - self.hddh)
-
-    def eigenvalues(self) -> tuple[Values, Values, Values, Values]:
-        return (self.lam1, self.lam2, self.lam3, self.lam3)
-
-    def sectionals(self) -> dict[tuple[int, int], Values]:
-        """Nonzero R_ijji by (0-based) plane index."""
-        return {(0, 1): -self.pddp, (0, 2): -self.hddh, (0, 3): -self.hddh,
-                (1, 2): -self.a * self.b, (1, 3): -self.a * self.b,
-                (2, 3): -self.b ** 2 + self.k_h2}
-
-
-class W3Table(NamedTuple):
-    """Pointwise curvature data of g = ds^2 + h^2 gt over a 3-d fiber."""
-
-    s: Values
-    b: Values
-    hddh: Values
-    k_h2: Values
-    lam1: Values
-    lamf: Values
-    scalar: Values
-    lam1p: Values
-    lamfp: Values
-    scalarp: Values
-
-    def eigenvalues(self) -> tuple[Values, Values, Values, Values]:
-        return (self.lam1, self.lamf, self.lamf, self.lamf)
-
-    def sectionals(self) -> dict[tuple[int, int], Values]:
-        fib = -self.b ** 2 + self.k_h2
-        return {(0, 1): -self.hddh, (0, 2): -self.hddh, (0, 3): -self.hddh,
-                (1, 2): fib, (1, 3): fib, (2, 3): fib}
 
 
 def _positive(profile: Profile, s: Values, name: str) -> Values:
@@ -166,7 +141,7 @@ def _finite(s: Values, *values: Values) -> tuple[Values, ...]:
 
 
 @_over_samples
-def dw_table(p: Profile, h: Profile, k: float, s) -> DWTable:
+def dw_table(p: Profile, h: Profile, k: float, s) -> CurvatureTable:
     """Unconstrained curvature table of the doubly-warped ansatz at s."""
     pv, hv = _positive(p, s, "p"), _positive(h, s, "h")
     a, b = p.d1(s) / pv, h.d1(s) / hv
@@ -175,7 +150,6 @@ def dw_table(p: Profile, h: Profile, k: float, s) -> DWTable:
     lam1 = -pddp - 2.0 * hddh
     lam2 = -pddp - 2.0 * a * b
     lam3 = -hddh - a * b - b * b + k_h2
-    scalar = lam1 + lam2 + 2.0 * lam3
     # s-derivatives (third profile derivatives enter only here)
     ap, bp = pddp - a * a, hddh - b * b
     pddp_p = p.d3(s) / pv - pddp * a
@@ -184,12 +158,17 @@ def dw_table(p: Profile, h: Profile, k: float, s) -> DWTable:
     lam1p = -pddp_p - 2.0 * hddh_p
     lam2p = -pddp_p - 2.0 * ab_p
     lam3p = -hddh_p - ab_p - 2.0 * b * bp - 2.0 * k_h2 * b
-    return DWTable(s, *_finite(s, a, b, pddp, hddh, k_h2, lam1, lam2, lam3, scalar,
-                               lam1p, lam2p, lam3p, lam1p + lam2p + 2.0 * lam3p))
+    # each distinct entry is checked once, then laid out in the table's order
+    a, b, k12, k13, k23, k34, lam1, lam2, lam3, lam1p, lam2p, lam3p, r, rp = _finite(
+        s, a, b, -pddp, -hddh, -a * b, -b ** 2 + k_h2, lam1, lam2, lam3, lam1p, lam2p,
+        lam3p, lam1 + lam2 + 2.0 * lam3, lam1p + lam2p + 2.0 * lam3p)
+    return CurvatureTable(s, (a, b, b), (k12, k13, k13, k23, k23, k34), (lam1, lam2, lam3, lam3),
+                          (lam1p, lam2p, lam3p, lam3p), r, rp)
 
 
 @_over_samples
-def warp3_table(h: Profile, k: float, s) -> W3Table:
+def warp3_table(h: Profile, k: float, s) -> CurvatureTable:
+    """Curvature table of the 3-fiber warped product at s."""
     hv = _positive(h, s, "h")
     b = h.d1(s) / hv
     hddh = h.d2(s) / hv
@@ -200,43 +179,43 @@ def warp3_table(h: Profile, k: float, s) -> W3Table:
     hddh_p = h.d3(s) / hv - hddh * b
     lam1p = -3.0 * hddh_p
     lamfp = -hddh_p - 4.0 * b * bp - 4.0 * k_h2 * b
-    return W3Table(s, *_finite(s, b, hddh, k_h2, lam1, lamf, lam1 + 3.0 * lamf,
-                               lam1p, lamfp, lam1p + 3.0 * lamfp))
+    b, k1, kf, lam1, lamf, lam1p, lamfp, r, rp = _finite(
+        s, b, -hddh, -b ** 2 + k_h2, lam1, lamf, lam1p, lamfp, lam1 + 3.0 * lamf,
+        lam1p + 3.0 * lamfp)
+    return CurvatureTable(s, (b, b, b), (k1, k1, k1, kf, kf, kf), (lam1, lamf, lamf, lamf),
+                          (lam1p, lamfp, lamfp, lamfp), r, rp)
 
 
-def _check_dw_constraint(t: DWTable) -> None:
-    res = t.constraint_residual
-    if res > DW_CONSTRAINT_TOL * max(1.0, abs(t.pddp), abs(t.hddh)):
+def _check_dw_constraint(t: CurvatureTable) -> None:
+    k12, k13 = t.sectional[:2]  # -p''/p and -h''/h
+    res = abs(k12 - k13)
+    if res > DW_CONSTRAINT_TOL * max(1.0, abs(k12), abs(k13)):
         raise PreconditionError("p''/p != h''/h: input is outside the "
                                 "divergence-free-Weyl ansatz", res)
 
 
-def _riemann_from_sectionals(sec: dict[tuple[int, int], float]) -> np.ndarray:
+def codazzi_components(t: CurvatureTable) -> tuple[Values, Values, Values]:
+    """(D_2, D_3, D_4) of the closed-form Codazzi residual of Ric - (R/6) g,
+    D_i = lam_i' + zeta_i (lam_i - lam_1) - R'/6.
+    These are the only components that can be nonzero on the ansaetze."""
+    return tuple(t.lamp[i] + t.zeta[i - 1] * (t.lam[i] - t.lam[0]) - t.scalarp / 6.0
+                 for i in (1, 2, 3))
+
+
+def _bundle_from_table(t: CurvatureTable, rotations) -> CurvatureBundle:
+    """The bundle of a float table.  The connection is zeta_i plus the fiber
+    ``rotations`` (k, i, j, <grad_{E_i} E_j, E_k>); metric compatibility
+    gives each entry its partner <grad_{E_i} E_k, E_j> = -value."""
+    gam = np.zeros((DIM, DIM, DIM))
+    # zeta_i = <grad_{E_i} E_1, E_i>: grad_{E_i} E_i = -zeta_i E_1 + fiber terms
+    for k, i, j, v in [(i, i, 0, z) for i, z in enumerate(t.zeta, start=1)] + rotations:
+        gam[k, i, j] = v
+        gam[j, i, k] = -v
+    g = np.eye(DIM)
     riem = np.zeros((DIM, DIM, DIM, DIM))
-    for (i, j), kv in sec.items():
+    for (i, j), kv in zip(PLANES, t.sectional):
         riem[i, j, j, i] = riem[j, i, i, j] = kv
         riem[i, j, i, j] = riem[j, i, j, i] = -kv
-    return riem
-
-
-def codazzi_components(t: DWTable | W3Table) -> tuple[float, float, float]:
-    """(D_2, D_3, D_4) of the closed-form Codazzi residual of Ric - (R/6) g,
-    D_i = lam_i' + zeta_i (lam_i - lam_1) - R'/6, with zeta_i = (a, b, b)
-    on the doubly-warped ansatz and (b, b, b) on the 3-fiber warped one.
-    These are the only components that can be nonzero on the ansaetze."""
-    if isinstance(t, W3Table):
-        zetas, primes, eigs = (t.b,) * 3, (t.lamfp,) * 3, (t.lamf,) * 3
-    else:
-        zetas = (t.a, t.b, t.b)
-        primes = (t.lam2p, t.lam3p, t.lam3p)
-        eigs = (t.lam2, t.lam3, t.lam3)
-    return tuple(ep + z * (e - t.lam1) - t.scalarp / 6.0
-                 for ep, z, e in zip(primes, zetas, eigs))
-
-
-def _bundle_from_table(christoffel, t: DWTable | W3Table) -> CurvatureBundle:
-    g = np.eye(DIM)
-    riem = _riemann_from_sectionals(t.sectionals())
     ric = ricci_from_riemann(riem)
     weyl = weyl_from_riemann(riem, ric, t.scalar, g)
     codazzi = np.zeros((DIM, DIM, DIM))  # C_1ii = -C_i1i = D_i, zero otherwise
@@ -244,7 +223,7 @@ def _bundle_from_table(christoffel, t: DWTable | W3Table) -> CurvatureBundle:
         codazzi[0, i, i] = d
         codazzi[i, 0, i] = -d
     return CurvatureBundle(Frame4("orthonormal", ("E1", "E2", "E3", "E4")), g,
-                           christoffel, riem, ric, t.scalar, weyl, codazzi)
+                           gam, riem, ric, t.scalar, weyl, codazzi)
 
 
 def _dw_bundle_unchecked(p: Profile, h: Profile, k: float, point) -> CurvatureBundle:
@@ -256,13 +235,7 @@ def _dw_bundle_unchecked(p: Profile, h: Profile, k: float, point) -> CurvatureBu
     # counterpart of beta_4) vanishes identically, so zeta_2 = a,
     # zeta_3 = zeta_4 = b and beta_4 = u'(r) / (h u(r)) determine it.
     beta4 = up / (h.value(s) * u)
-    gam = np.zeros((DIM, DIM, DIM))
-    for i, z in ((1, t.a), (2, t.b), (3, t.b)):
-        gam[i, i, 0] = z      # <grad_{E_i} E_1, E_i> = zeta_i
-        gam[0, i, i] = -z     # grad_{E_i} E_i = -zeta_i E_1 (+ beta_4 E_3 for i=4)
-    gam[2, 3, 3] = beta4
-    gam[3, 3, 2] = -beta4
-    return _bundle_from_table(gam, t)
+    return _bundle_from_table(t, [(2, 3, 3, beta4)])
 
 
 def dw_full_bundle(p: Profile, h: Profile, k: float, point) -> CurvatureBundle:
@@ -283,20 +256,9 @@ def warp3_full_bundle(h: Profile, k: float, point) -> CurvatureBundle:
     t = warp3_table(h, k, s)
     hv = h.value(s)
     u, up, _ = fiber_profile_eval(FiberProfile(k), r)
-    g_r = up / (hv * u)
+    g_r = up / (hv * u)     # <grad_{E_3} E_2, E_3> = <grad_{E_4} E_2, E_4>, E_2 radial
     g_t = math.cos(theta) / (math.sin(theta) * hv * u)
-    b = t.b
-    gam = np.zeros((DIM, DIM, DIM))
-    for i in (1, 2, 3):
-        gam[i, i, 0] = b
-        gam[0, i, i] = -b
-    gam[2, 2, 1] = g_r      # <grad_{E_3} E_2, E_3>  (E_2 radial in the fiber)
-    gam[1, 2, 2] = -g_r
-    gam[3, 3, 1] = g_r
-    gam[1, 3, 3] = -g_r
-    gam[3, 3, 2] = g_t
-    gam[2, 3, 3] = -g_t
-    return _bundle_from_table(gam, t)
+    return _bundle_from_table(t, [(2, 2, 1, g_r), (3, 3, 1, g_r), (3, 3, 2, g_t)])
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +266,7 @@ def warp3_full_bundle(h: Profile, k: float, point) -> CurvatureBundle:
 # stored profiles, including deliberately broken instances)
 
 @_over_samples
-def family_table(m: MetricFamily, s) -> DWTable | W3Table:
+def family_table(m: MetricFamily, s) -> CurvatureTable:
     """The curvature table of ``m`` at s, a float or an array of s."""
     m.require(s)
     if m.kind == KIND_WARPED3:
@@ -315,7 +277,7 @@ def family_table(m: MetricFamily, s) -> DWTable | W3Table:
 def family_eigenvalues(m: MetricFamily, s):
     """(lam1, lam2, lam3, lam4, R) in the adapted frame at s."""
     t = family_table(m, s)
-    return (*t.eigenvalues(), t.scalar)
+    return (*t.lam, t.scalar)
 
 
 def family_bundle(m: MetricFamily, point) -> CurvatureBundle:
@@ -336,6 +298,6 @@ def family_weyl_sq(m: MetricFamily, s) -> Values:
     -W_ijij = -W_jiji).
     """
     t = family_table(m, s)
-    eig, r6 = t.eigenvalues(), t.scalar / 6.0
-    weyl = [sec - 0.5 * (eig[i] + eig[j]) + r6 for (i, j), sec in t.sectionals().items()]
+    lam, r6 = t.lam, t.scalar / 6.0
+    weyl = [kv - 0.5 * (lam[i] + lam[j]) + r6 for (i, j), kv in zip(PLANES, t.sectional)]
     return _finite(t.s, 4.0 * sum(w * w for w in weyl))[0]

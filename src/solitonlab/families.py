@@ -15,6 +15,11 @@ differentiation happens in this module or in the closed forms built on it.
 Every profile callable takes either a Python float, evaluated with `math`
 exactly as a scalar formula would be, or an array of s, evaluated
 elementwise with numpy.
+
+A soliton on a family is ``SolitonData(f, lam)``: the potential profile and
+the soliton constant.  Everything else the soliton equation needs (the
+frame coefficients zeta_i, the Ricci eigenvalues) is read from the family's
+curvature table in :mod:`solitonlab.curvature`.
 """
 
 from __future__ import annotations
@@ -329,29 +334,10 @@ def family_metric_at(m: MetricFamily, point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolitonData:
-    """Potential profile f(s), soliton constant, and the frame coefficients
-    zeta_i = <grad_{E_i} E_1, E_i> of the ansatz (zeta_2 = p'/p,
-    zeta_3 = zeta_4 = h'/h; all equal to h'/h for warped3)."""
+    """Potential profile f(s) and soliton constant lambda."""
 
     f: Profile
     lam: float
-    zeta: tuple[Fn, Fn, Fn]
-
-    def zeta_values(self, s: float) -> tuple[float, float, float]:
-        return tuple(z(s) for z in self.zeta)
-
-
-def _family_zetas(m: MetricFamily):
-    hz = lambda s: m.h.d1(s) / m.h.value(s)
-    if m.kind == KIND_WARPED3:
-        return (hz, hz, hz)
-    pz = lambda s: m.p.d1(s) / m.p.value(s)
-    return (pz, hz, hz)
-
-
-def soliton_data(m: MetricFamily, f: Profile, lam: float) -> SolitonData:
-    """Bundle an arbitrary potential with the family's frame coefficients."""
-    return SolitonData(f, lam, _family_zetas(m))
 
 
 def canonical_soliton_for(m: MetricFamily) -> SolitonData:
@@ -361,11 +347,11 @@ def canonical_soliton_for(m: MetricFamily) -> SolitonData:
     UnsupportedFamilyError for families without a canonical potential.
     """
     if m.name == "singular_steady":
-        return soliton_data(m, log_profile(2.0 / 3.0), 0.0)
+        return SolitonData(log_profile(2.0 / 3.0), 0.0)
     if m.name in _PARAMETRIC:
-        return soliton_data(m, quadratic_potential(m.lam), m.lam)
+        return SolitonData(quadratic_potential(m.lam), m.lam)
     if m.name in ("sphere", "flat"):
-        return soliton_data(m, constant_profile(0.0), m.lam)
+        return SolitonData(constant_profile(0.0), m.lam)
     raise UnsupportedFamilyError(
         f"no canonical soliton for family {m.name or m.kind!r}")
 

@@ -57,13 +57,10 @@ class MetricGrid:
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     g: np.ndarray  # shape (n1, n2, n3, n4, 4, 4)
-    margin: int = MARGIN_CODAZZI
 
     def __post_init__(self):
         if len(self.axes) != DIM:
             raise ValueError("need 4 coordinate axes")
-        if self.margin < MARGIN_CURVATURE:
-            raise ValueError("margin must be at least 2")
         for ax in self.axes:
             d = np.diff(ax)
             if len(d) == 0 or np.any(d <= 0):
@@ -91,17 +88,9 @@ class MetricGrid:
     def spacings(self) -> np.ndarray:
         return np.array([ax[1] - ax[0] for ax in self.axes])
 
-    def point(self, node) -> tuple[float, float, float, float]:
-        return tuple(float(self.axes[i][node[i]]) for i in range(DIM))
-
-    def interior(self, node, margin: int | None = None) -> bool:
-        margin = self.margin if margin is None else margin
-        return all(margin <= node[i] <= self.shape[i] - 1 - margin for i in range(DIM))
-
-    def require_interior(self, nodes, margin: int | None = None) -> None:
+    def require_interior(self, nodes, margin: int) -> None:
         """Raise GridBoundaryError naming the first of ``nodes`` (one node or
         an (N, 4) batch) that lies within ``margin`` of the boundary."""
-        margin = self.margin if margin is None else margin
         nodes = np.atleast_2d(nodes)
         outside = np.any((nodes < margin)
                          | (nodes > np.array(self.shape) - 1 - margin), axis=1)
@@ -110,8 +99,7 @@ class MetricGrid:
             raise GridBoundaryError(
                 f"node {node} too close to the boundary of {self.shape}")
 
-    def interior_nodes(self, margin: int | None = None) -> np.ndarray:
-        margin = self.margin if margin is None else margin
+    def interior_nodes(self, margin: int = MARGIN_CODAZZI) -> np.ndarray:
         ranges = [np.arange(margin, n - margin) for n in self.shape]
         mesh = np.meshgrid(*ranges, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
@@ -322,10 +310,6 @@ def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # grid construction from families
 
-def _axis(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
 def _profile_values(profile, axis: np.ndarray) -> np.ndarray:
     return np.array([profile.value(float(s)) for s in axis])
 
@@ -354,8 +338,8 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
     dr = (rhi - rlo) / (n_r - 1)
     if rlo < 10.0 * dr:
         raise DomainError("fiber radial range must stay 10 spacings away from u = 0")
-    s_ax = _axis(lo, hi, n_s)
-    r_ax = _axis(rlo, rhi, n_r)
+    s_ax = np.linspace(lo, hi, n_s)
+    r_ax = np.linspace(rlo, rhi, n_r)
     cross = lambda center: center + ds * (np.arange(cross_nodes) - (cross_nodes - 1) / 2)
     h_vals = _profile_values(m.h, s_ax)
     u_vals = np.array([fiber_profile_eval(m.fiber, float(r))[0] for r in r_ax])
@@ -391,7 +375,6 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
 def grid_to_json(grid: MetricGrid) -> dict:
     packed = np.stack([grid.g[..., i, j] for i, j in _TRIU], axis=-1)
     return {"axes": [ax.tolist() for ax in grid.axes],
-            "margin": grid.margin,
             "g": packed.reshape(-1, len(_TRIU)).tolist()}
 
 
@@ -403,4 +386,4 @@ def grid_from_json(d: dict) -> MetricGrid:
     for idx, (i, j) in enumerate(_TRIU):
         g[..., i, j] = packed[..., idx]
         g[..., j, i] = packed[..., idx]
-    return MetricGrid(axes, g, margin=int(d.get("margin", MARGIN_CODAZZI)))
+    return MetricGrid(axes, g)

@@ -69,10 +69,9 @@ def soliton_residual(m: MetricFamily, sol: SolitonData, samples) -> ResidualRepo
     diagonal and the report carries one entry per frame direction.
     """
     def hessian_entries(t, s):
-        eigs = t.eigenvalues()
         fp = sol.f.d1(s)
-        return [sol.f.d2(s) + eigs[0] - sol.lam] + [
-            z * fp + e - sol.lam for z, e in zip(sol.zeta_values(s), eigs[1:])]
+        return [sol.f.d2(s) + t.lam[0] - sol.lam] + [
+            z * fp + e - sol.lam for z, e in zip(t.zeta, t.lam[1:])]
 
     return _componentwise(m, samples, [f"hess_{i}{i}" for i in (1, 2, 3, 4)],
                           hessian_entries)
@@ -104,7 +103,7 @@ def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport
     t = family_table(m, s)
     fp = sol.f.d1(s)
     conserved = t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s)
-    slope_res = np.abs(0.5 * t.scalarp - t.lam1 * fp)
+    slope_res = np.abs(0.5 * t.scalarp - t.lam[0] * fp)
     mean = float(np.mean(conserved))
     dev = np.abs(conserved - mean)
     per_eq = {"conserved_deviation": float(dev.max()),

@@ -11,10 +11,10 @@ import numpy as np
 from solitonlab.classify import LABEL_UNKNOWN, classify
 from solitonlab.cli import main as cli_main
 from solitonlab.curvature import family_eigenvalues, family_weyl_sq
-from solitonlab.families import (broken_family, canonical_soliton_for,
-                                 cylinder_family, gaussian_family,
-                                 product_family, singular_steady_family,
-                                 soliton_data, sphere_family)
+from solitonlab.families import (SolitonData, broken_family,
+                                 canonical_soliton_for, cylinder_family,
+                                 gaussian_family, product_family,
+                                 singular_steady_family, sphere_family)
 from solitonlab.fdgrid import (fd_codazzi_block, fd_curvature, fd_ricci_block,
                                grid_from_family)
 from solitonlab.frames import tensor_norm
@@ -109,8 +109,7 @@ def test_criterion_3_soliton_residuals():
     fam = singular_steady_family()
     sol = canonical_soliton_for(fam)
     for dlam in (1.0, -0.5, 0.25):
-        rep = soliton_residual(fam, soliton_data(fam, sol.f, sol.lam + dlam),
-                               SAMPLES64)
+        rep = soliton_residual(fam, SolitonData(sol.f, sol.lam + dlam), SAMPLES64)
         ok = ok and abs(rep.max_abs - abs(dlam)) <= 1e-12
     report("3 soliton residual", ok, "; ".join(details))
 

@@ -28,19 +28,16 @@ def canonical_samples(fam):
 
 
 def perturbed(samples, eps, rng, rademacher):
-    def noise():
-        return eps * rng.choice([-1.0, 1.0]) if rademacher else rng.uniform(-eps, eps)
-
-    out = []
-    for sm in samples:
-        out.append(ClassifySample(
-            sm.s,
-            tuple(e + noise() for e in sm.eigenvalues),
-            sm.fprime + noise(),
-            sm.scalar + noise(),
-            sm.weyl_sq + noise(),
-        ))
-    return out
+    """The samples with noise of size eps on their seven values (four
+    eigenvalues, f', R, |W|^2).  The noise is one (len(samples), 7) draw;
+    numpy fills it in row-major order, so it equals one draw per value taken
+    sample by sample in that order."""
+    shape = (len(samples), 7)
+    noise = (eps * rng.choice([-1.0, 1.0], size=shape) if rademacher
+             else rng.uniform(-eps, eps, size=shape))
+    return [ClassifySample(sm.s, tuple(e + n for e, n in zip(sm.eigenvalues, row)),
+                           sm.fprime + row[4], sm.scalar + row[5], sm.weyl_sq + row[6])
+            for sm, row in zip(samples, noise.tolist())]
 
 
 def test_eigen_signature_singular_steady():

@@ -107,6 +107,8 @@ def test_usage_errors_exit_2(argv, capsys):
     ["classify", "--family", "product", "--lam", "1e308"],
     ["integrate", "--family", "singular-steady", "--to", "1e6"],
     ["integrate", "--family", "singular-steady", "--step", "1e-300"],
+    ["oracle", "--family", "product", "--lam=-1e308"],
+    ["integrate", "--family", "product", "--lam", "1e200"],
 ])
 def test_domain_errors_exit_2_with_one_line(argv, capsys):
     assert_exit_2_with_one_line(argv, capsys)
@@ -233,11 +235,13 @@ def test_canonical_csv_flatten():
 
 # Exit-code contract: boundary values of every option give exit 0, 1 or 2,
 # never an escaping exception.  Values stay small so that no run builds a
-# large grid or takes many RK4 steps.
+# large grid or takes many RK4 steps; only --lam also draws two huge values,
+# whose products overflow float arithmetic.
 NUMBERS = st.sampled_from(["0", "-0", "-1", "1", "2.5", "nan", "inf", "-inf", "x"])
 RANGES = st.one_of(st.tuples(NUMBERS, NUMBERS).map(":".join),
                    st.sampled_from(["1", "1:2:3", ":"]))
-COMMON = {"--lam": NUMBERS, "--tol": NUMBERS}
+COMMON = {"--lam": st.one_of(NUMBERS, st.sampled_from(["1e200", "-1e308"])),
+          "--tol": NUMBERS}
 OPTIONS = {
     "verify": {"--s": RANGES, "--samples": st.sampled_from(["-1", "0", "2", "3", "8"])},
     "classify": {"--s": RANGES, "--samples": st.sampled_from(["-1", "0", "4", "8"])},

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from solitonlab.curvature import (DWTable, dw_full_bundle, dw_table,
-                                  family_bundle, family_eigenvalues,
-                                  family_table, family_weyl_sq,
-                                  warp3_full_bundle, warp3_table)
+from solitonlab.curvature import (dw_full_bundle, dw_table, family_bundle,
+                                  family_eigenvalues, family_table,
+                                  family_weyl_sq, warp3_full_bundle,
+                                  warp3_table)
 from solitonlab.errors import DomainError, PreconditionError
 from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES,
-                                 broken_family, canonical_family,
+                                 KIND_WARPED3, broken_family, canonical_family,
                                  constant_profile, cylinder_family,
                                  doubly_warped_family, gaussian_family,
                                  power_profile, product_family, sin_profile,
@@ -28,13 +28,13 @@ ONE = constant_profile(1.0)
 def dw_ricci(p, h, k, s):
     """(lam1, lam2, lam3, lam4, R) of the doubly-warped table at s."""
     t = dw_table(p, h, k, s)
-    return (*t.eigenvalues(), t.scalar)
+    return (*t.lam, t.scalar)
 
 
 def warp3_ricci(h, k, s):
     """(lam1, lam_fiber, R) of the 3-fiber warped table at s."""
     t = warp3_table(h, k, s)
-    return t.lam1, t.lamf, t.scalar
+    return t.lam[0], t.lam[1], t.scalar
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
@@ -64,7 +64,7 @@ def test_dw_ricci_rejects_broken_profiles():
 
 def test_dw_table_scalar_is_eigenvalue_sum():
     t = dw_table(power_profile(1.0, 0.4), power_profile(2.0, 0.4), -1.0, 1.3)
-    assert_allclose(t.scalar, t.lam1 + t.lam2 + 2 * t.lam3, rtol=1e-14)
+    assert_allclose(t.scalar, t.lam[0] + t.lam[1] + 2 * t.lam[2], rtol=1e-14)
 
 
 def test_dw_full_bundle_singular_steady():
@@ -191,12 +191,13 @@ def domain_samples(fam):
     return st.lists(st.floats(lo, hi), min_size=1, max_size=16)
 
 
-def largest_term(t):
-    """max(1, b^2, |ab|, |k/h^2|, |h''/h|, |p''/p|) of a float table."""
-    terms = [1.0, t.b * t.b, abs(t.k_h2), abs(t.hddh)]
-    if isinstance(t, DWTable):
-        terms += [abs(t.a * t.b), abs(t.pddp)]
-    return max(terms)
+def largest_term(fam, t):
+    """max(1, b^2, |ab|, |k/h^2|, |h''/h|, |p''/p|) of a float table, with
+    a = zeta_2 and b = zeta_3 (a = b on warped3, where p''/p stands for
+    h''/h) and k/h^2 from the family's profile."""
+    a, b = t.zeta[:2]
+    return max(1.0, b * b, abs(fam.k / fam.h.value(t.s) ** 2), abs(t.sectional[1]),
+               abs(a * b), abs(t.sectional[0]))
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_FAMILIES))
@@ -210,8 +211,8 @@ def test_array_tables_match_float_tables(name):
         assert got.shape == (5, len(s))
         for j, sj in enumerate(s):
             t = family_table(fam, sj)
-            want = np.array([*t.eigenvalues(), t.scalar])
-            assert np.all(np.abs(got[:, j] - want) <= 1e-14 * largest_term(t))
+            want = np.array([*t.lam, t.scalar])
+            assert np.all(np.abs(got[:, j] - want) <= 1e-14 * largest_term(fam, t))
 
     check()
 
@@ -265,3 +266,23 @@ def test_weyl_sq_matches_the_bundle_tensor_norm(name):
         want = bundle.weyl_norm_sq()
         assert abs(family_weyl_sq(fam, s) - want) <= 1e-13 * max(1.0, want)
         assert abs(family_weyl_sq(fam, [s])[0] - want) <= 1e-13 * max(1.0, want)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_FAMILIES))
+def test_table_zeta_and_derivatives_are_self_consistent(name):
+    """zeta is p'/p, h'/h from the profiles bit for bit, and lam', R' match a
+    4th-order central difference of lam and R (error ~ 3e-10 at h = 1e-3)."""
+    fam = canonical_family(name)
+    s = np.linspace(0.5, 2.0, 31)
+    t = family_table(fam, s)
+    hz = fam.h.d1(s) / fam.h.value(s)
+    want = (hz,) * 3 if fam.kind == KIND_WARPED3 else (fam.p.d1(s) / fam.p.value(s), hz, hz)
+    for got, z in zip(t.zeta, want, strict=True):
+        assert np.array_equal(got, z)
+    h = 1e-3
+    m2, m1, p1, p2 = (family_table(fam, s + k * h) for k in (-2, -1, 1, 2))
+    pairs = [(t.lamp[i], [x.lam[i] for x in (m2, m1, p1, p2)]) for i in range(4)]
+    pairs.append((t.scalarp, [x.scalar for x in (m2, m1, p1, p2)]))
+    for deriv, (v_m2, v_m1, v_p1, v_p2) in pairs:
+        fd = (v_m2 - 8.0 * v_m1 + 8.0 * v_p1 - v_p2) / (12.0 * h)
+        assert np.all(np.abs(deriv - fd) <= 1e-8 * np.maximum(1.0, np.abs(deriv)))

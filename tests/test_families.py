@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from solitonlab.curvature import family_eigenvalues
+from solitonlab.curvature import family_eigenvalues, family_table
 from solitonlab.errors import DomainError, UnsupportedFamilyError
-from solitonlab.families import (FiberProfile, broken_family,
-                                 canonical_soliton_for, constant_profile,
-                                 cylinder_family, doubly_warped_family,
-                                 family_from_json, family_metric_at,
-                                 family_to_json, fiber_profile_eval,
-                                 flat_family, gaussian_family, power_profile,
+from solitonlab.families import (FiberProfile, Profile, SolitonData,
+                                 broken_family, canonical_soliton_for,
+                                 constant_profile, cylinder_family,
+                                 doubly_warped_family, family_from_json,
+                                 family_metric_at, family_to_json,
+                                 fiber_profile_eval, flat_family,
+                                 gaussian_family, power_profile,
                                  product_family, singular_steady_family,
-                                 soliton_data, sphere_family)
+                                 sphere_family)
 
 ALL_CANONICAL = [singular_steady_family(), product_family(-1.0),
                  gaussian_family(1.0), cylinder_family(2.0), sphere_family(),
@@ -123,7 +124,7 @@ def test_singular_steady_zeta_identity():
     fam = singular_steady_family()
     sol = canonical_soliton_for(fam)
     for s in np.linspace(0.5, 2.0, 16):
-        z2, z3, z4 = sol.zeta_values(s)
+        z2, z3, z4 = family_table(fam, s).zeta
         assert_allclose([z2, z3, z4], [1 / (3 * s), 2 / (3 * s), 2 / (3 * s)], rtol=1e-14)
         _, l2, l3, l4, _ = family_eigenvalues(fam, s)
         fp = sol.f.d1(s)
@@ -142,8 +143,8 @@ def test_canonical_soliton_unsupported():
 def test_soliton_data_shift_changes_value_not_derivatives():
     fam = product_family(-1.0)
     sol = canonical_soliton_for(fam)
-    shifted = soliton_data(fam, type(sol.f)(
-        lambda s: sol.f.value(s) + 10.0, sol.f.d1, sol.f.d2, sol.f.d3), sol.lam)
+    shifted = SolitonData(Profile(lambda s: sol.f.value(s) + 10.0,
+                                  sol.f.d1, sol.f.d2, sol.f.d3), sol.lam)
     assert shifted.f.d1(1.3) == sol.f.d1(1.3)
 
 

@@ -103,13 +103,6 @@ def test_grid_rejects_bad_broadcast_metric():
             MetricGrid((ax, ax, ax, ax), np.broadcast_to(bad, (9, 9, 9, 9, 4, 4)))
 
 
-def test_grid_point_and_interior_helpers():
-    grid = flat_grid()
-    assert grid.point((4, 4, 4, 4)) == (0.4, 0.4, 0.4, 0.4)
-    assert grid.interior((4, 4, 4, 4))
-    assert not grid.interior((2, 4, 4, 4))
-
-
 # ---------------------------------------------------------------------------
 # curvature of grids
 
@@ -352,4 +345,3 @@ def test_grid_json_roundtrip():
     for a, b in zip(grid.axes, back.axes):
         assert_allclose(a, b, rtol=0, atol=1e-15)
     assert_allclose(grid.g, back.g, rtol=0, atol=1e-15)
-    assert back.margin == grid.margin

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from solitonlab.curvature import codazzi_components, family_eigenvalues, family_table
-from solitonlab.families import (Profile, broken_family, canonical_soliton_for,
-                                 constant_profile, cylinder_family, flat_family, gaussian_family,
+from solitonlab.families import (KIND_WARPED3, Profile, SolitonData, broken_family,
+                                 canonical_soliton_for, constant_profile,
+                                 cylinder_family, flat_family, gaussian_family,
                                  product_family, singular_steady_family,
-                                 soliton_data, sphere_family)
+                                 sphere_family)
 from solitonlab.fdgrid import fd_ricci_block, grid_from_family
 from solitonlab.frames import sym_eigen
 from solitonlab.verify import (codazzi_residual_closed, hamilton_check,
@@ -29,7 +30,7 @@ def test_soliton_residual_canonical(fam):
 def test_soliton_residual_wrong_lambda_is_the_shift():
     fam = singular_steady_family()
     sol = canonical_soliton_for(fam)
-    rep = soliton_residual(fam, soliton_data(fam, sol.f, 1.0), SAMPLES)
+    rep = soliton_residual(fam, SolitonData(sol.f, 1.0), SAMPLES)
     assert_allclose(rep.max_abs, 1.0, rtol=1e-12)
 
 
@@ -41,7 +42,7 @@ def test_soliton_residual_shift_invariant():
     for shift in rng.uniform(-100.0, 100.0, size=100):
         f2 = Profile(lambda s, c=shift: sol.f.value(s) + c,
                      sol.f.d1, sol.f.d2, sol.f.d3)
-        got = soliton_residual(fam, soliton_data(fam, f2, sol.lam), SAMPLES).max_abs
+        got = soliton_residual(fam, SolitonData(f2, sol.lam), SAMPLES).max_abs
         assert abs(got - base) <= 1e-14
 
 
@@ -105,25 +106,33 @@ def test_soliton_implies_hamilton():
             assert hamilton_check(fam, sol, SAMPLES).max_abs <= 1e-9
 
 
+def profile_zetas(fam, s):
+    """(zeta_2, zeta_3, zeta_4) from the family's profiles: p'/p, h'/h, h'/h,
+    or h'/h three times on the 3-fiber warped product."""
+    hz = fam.h.d1(s) / fam.h.value(s)
+    return (hz,) * 3 if fam.kind == KIND_WARPED3 else (fam.p.d1(s) / fam.p.value(s), hz, hz)
+
+
 def per_sample_residuals(fam, sol, samples):
     """Reference for the residual checks: the Hessian, Codazzi and
-    conservation terms of each sample from its own float table."""
+    conservation terms of each sample from its own float table, with zeta
+    taken from the profiles rather than the table."""
     rows = []
     for s in map(float, samples):
         t = family_table(fam, s)
-        eigs, fp = t.eigenvalues(), sol.f.d1(s)
+        eigs, fp = t.lam, sol.f.d1(s)
         hess = [sol.f.d2(s) + eigs[0] - sol.lam] + [
-            z * fp + e - sol.lam for z, e in zip(sol.zeta_values(s), eigs[1:])]
+            z * fp + e - sol.lam for z, e in zip(profile_zetas(fam, s), eigs[1:])]
         conserved = t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s)
         rows.append((hess, codazzi_components(t), conserved,
-                     abs(0.5 * t.scalarp - t.lam1 * fp)))
+                     abs(0.5 * t.scalarp - eigs[0] * fp)))
     return rows
 
 
 @pytest.mark.parametrize("fam", CANONICAL + [broken_family()], ids=lambda f: f.name)
 def test_residual_checks_match_per_sample_loop(fam):
     sol = (canonical_soliton_for(fam) if fam.name != "broken_product"
-           else soliton_data(fam, constant_profile(0.0), 0.0))
+           else SolitonData(constant_profile(0.0), 0.0))
     rows = per_sample_residuals(fam, sol, SAMPLES)
     hess, cod, conserved, slope = (np.array(col) for col in zip(*rows))
     mean = conserved.mean()

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curvature import family_eigenvalues, family_weyl_sq
+from .curvature import _finite, family_eigenvalues, family_weyl_sq, float_semantics
 from .families import MetricFamily, SolitonData
 
 DEFAULT_TOL_CLOSED = 1e-8
@@ -89,11 +89,14 @@ class ClassifySample:
     weyl_sq: float
 
 
+@float_semantics
 def sample_family(m: MetricFamily, sol: SolitonData, s_values) -> list[ClassifySample]:
-    """Closed-form classification samples of a family along s."""
+    """Closed-form classification samples of a family along s; an f' that
+    overflows is a DomainError naming its s."""
     s = np.asarray(s_values, dtype=float)
     *eigs, scalar = family_eigenvalues(m, s)
-    rows = zip(s.tolist(), np.stack(eigs, axis=1).tolist(), sol.f.d1(s).tolist(),
+    (fprime,) = _finite(s, sol.f.d1(s), what="potential slope f'")
+    rows = zip(s.tolist(), np.stack(eigs, axis=1).tolist(), fprime.tolist(),
                scalar.tolist(), family_weyl_sq(m, s).tolist())
     return [ClassifySample(si, tuple(e), fp, r, w2) for si, e, fp, r, w2 in rows]
 

@@ -295,12 +295,14 @@ def _args_from_job(parser: argparse.ArgumentParser, path: str):
     return parser.parse_args(argv)
 
 
+_PARSER = build_parser()  # one per process: parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command == "job":
-            args = _args_from_job(parser, args.jobfile)
+            args = _args_from_job(_PARSER, args.jobfile)
         if args.command != "report" and not getattr(args, "samples_file", None) \
                 and args.family is None:
             raise UsageError("--family is required")

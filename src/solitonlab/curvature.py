@@ -126,7 +126,8 @@ def _positive(profile: Profile, s: Values, name: str) -> Values:
     return v
 
 
-def _finite(s: Values, *values: Values) -> tuple[Values, ...]:
+def _finite(s: Values, *values: Values, what: str = "closed-form curvature"
+            ) -> tuple[Values, ...]:
     """``values``, broadcast to the shape of s, after naming the first s
     where one of them is not finite."""
     if isinstance(s, float):
@@ -136,7 +137,7 @@ def _finite(s: Values, *values: Values) -> tuple[Values, ...]:
         ok = np.isfinite(values).all(axis=0)
     bad = first_failure(ok, s)
     if bad is not None:
-        raise DomainError(f"closed-form curvature is not finite at s={bad!r}")
+        raise DomainError(f"{what} is not finite at s={bad!r}")
     return values
 
 

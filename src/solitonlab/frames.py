@@ -153,20 +153,17 @@ def weyl_from_riemann(riem, ric, scalar: float, g) -> np.ndarray:
 
 
 def tensor_norm(t, g=None) -> float:
-    """Squared g-norm of a tensor with all indices raised by g^{-1}."""
+    """Squared g-norm of a tensor with all indices raised by g^{-1}: with
+    g = L L^T, the sum of squares of t with L^{-1} applied to every index."""
     t = np.asarray(t, dtype=float)
-    if g is None:
-        g = np.eye(DIM)
-    else:
-        g = np.asarray(g, dtype=float)
-        g = as_sym2(g, tol=1e-12 * max(1.0, float(np.max(np.abs(g)))))
-    _cholesky_spd(g)  # positive-definiteness gate
-    ginv = np.linalg.inv(g)
-    up = t
-    for axis in range(t.ndim):
-        up = np.tensordot(up, ginv, axes=([axis], [0]))
-        up = np.moveaxis(up, -1, axis)
-    return float(np.tensordot(up, t, axes=t.ndim))
+    if any(n != DIM for n in t.shape):
+        raise ValueError(f"expected a tensor with every axis of length 4, got {t.shape}")
+    g = np.eye(DIM) if g is None else np.asarray(g, dtype=float)
+    g = as_sym2(g, tol=1e-12 * max(1.0, float(np.max(np.abs(g)))))
+    Linv = np.linalg.inv(_cholesky_spd(g))
+    for _ in range(t.ndim):  # whiten the leading index, then rotate it to the back
+        t = (Linv @ t.reshape(DIM, -1)).T
+    return float(np.sum(np.square(t.ravel())))  # t's index order: g = I adds as t * t
 
 
 def ricci_from_riemann(riem, g=None) -> np.ndarray:

@@ -121,22 +121,22 @@ class Trajectory:
         return self.states[-1]
 
     def identity_residual_rows(self) -> list[dict[str, float]]:
-        return [reduced_identity_residuals(st, dw_rhs(st).ap) for st in self.states]
+        return [reduced_identity_residuals(st, _rhs(st.a, st.b, st.fp, st.h, st.lam)[0])
+                for st in self.states]
 
 
 def _rk4_step(y: tuple, ds: float, lam: float) -> tuple:
     """One classical RK4 step of the state y = (a, b, fp, h)."""
+    a, b, fp, h = y
     half = 0.5 * ds
-
-    def shift(step, k):
-        return tuple(v + step * kv for v, kv in zip(y, k))
-
-    k1 = _rhs(*y, lam)
-    k2 = _rhs(*shift(half, k1), lam)
-    k3 = _rhs(*shift(half, k2), lam)
-    k4 = _rhs(*shift(ds, k3), lam)
-    return shift(ds, [(k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) / 6.0
-                      for i in range(4)])
+    a1, b1, f1, h1 = _rhs(a, b, fp, h, lam)
+    a2, b2, f2, h2 = _rhs(a + half * a1, b + half * b1, fp + half * f1, h + half * h1, lam)
+    a3, b3, f3, h3 = _rhs(a + half * a2, b + half * b2, fp + half * f2, h + half * h2, lam)
+    a4, b4, f4, h4 = _rhs(a + ds * a3, b + ds * b3, fp + ds * f3, h + ds * h3, lam)
+    return (a + ds * ((a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0),
+            b + ds * ((b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0),
+            fp + ds * ((f1 + 2.0 * f2 + 2.0 * f3 + f4) / 6.0),
+            h + ds * ((h1 + 2.0 * h2 + 2.0 * h3 + h4) / 6.0))
 
 
 def integrate(st0: ReducedState, s_end: float, step: float) -> Trajectory:

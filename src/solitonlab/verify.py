@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import (codazzi_components, family_eigenvalues, family_table,
-                        float_semantics)
+from .curvature import (_finite, codazzi_components, family_eigenvalues,
+                        family_table, float_semantics)
 from .families import MetricFamily, SolitonData
 from .fdgrid import MetricGrid, fd_ricci_block
 from .frames import sym_eigvals
@@ -51,12 +51,13 @@ def _report(samples, abs_values, scales, per_equation) -> ResidualReport:
 
 
 @float_semantics
-def _componentwise(m: MetricFamily, samples, keys, components) -> ResidualReport:
+def _componentwise(m: MetricFamily, samples, check, keys, components) -> ResidualReport:
     """Report of the residual components ``components(table, s)``, named by
-    ``keys``, over the samples, each relative to |R| at its sample."""
+    ``keys``, over the samples, each relative to |R| at its sample; a
+    component that overflows is a DomainError of the ``check``."""
     s = np.asarray(samples, dtype=float)
     t = family_table(m, s)
-    comps = np.abs(np.array(components(t, s)))  # (len(keys), len(s))
+    comps = np.abs(np.array(_finite(s, *components(t, s), what=f"{check} residual")))
     per_eq = dict(zip(keys, comps.max(axis=1).tolist()))
     return _report(s, comps.max(axis=0), np.abs(t.scalar), per_eq)
 
@@ -73,7 +74,7 @@ def soliton_residual(m: MetricFamily, sol: SolitonData, samples) -> ResidualRepo
         return [sol.f.d2(s) + t.lam[0] - sol.lam] + [
             z * fp + e - sol.lam for z, e in zip(t.zeta, t.lam[1:])]
 
-    return _componentwise(m, samples, [f"hess_{i}{i}" for i in (1, 2, 3, 4)],
+    return _componentwise(m, samples, "soliton", [f"hess_{i}{i}" for i in (1, 2, 3, 4)],
                           hessian_entries)
 
 
@@ -84,7 +85,7 @@ def codazzi_residual_closed(m: MetricFamily, samples) -> ResidualReport:
     are D_i = lam_i' + zeta_i (lam_i - lam_1) - R'/6 for the three
     level-surface directions; the report carries each of them.
     """
-    return _componentwise(m, samples, [f"direction_{i}" for i in (2, 3, 4)],
+    return _componentwise(m, samples, "Codazzi", [f"direction_{i}" for i in (2, 3, 4)],
                           lambda t, s: codazzi_components(t))
 
 
@@ -102,8 +103,9 @@ def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport
         raise ValueError("hamilton_check needs at least 3 samples")
     t = family_table(m, s)
     fp = sol.f.d1(s)
-    conserved = t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s)
-    slope_res = np.abs(0.5 * t.scalarp - t.lam[0] * fp)
+    conserved, slope_res = _finite(
+        s, t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s),
+        np.abs(0.5 * t.scalarp - t.lam[0] * fp), what="conservation identity")
     mean = float(np.mean(conserved))
     dev = np.abs(conserved - mean)
     per_eq = {"conserved_deviation": float(dev.max()),

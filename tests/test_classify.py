@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from solitonlab.classify import (ClassifySample, LABEL_EINSTEIN, LABEL_PRODUCT,
                                  classify, eigen_signature, sample_family,
                                  signature_labels)
 from solitonlab.curvature import family_eigenvalues, family_weyl_sq
+from solitonlab.errors import DomainError
 from solitonlab.families import (canonical_soliton_for, cylinder_family,
                                  flat_family, gaussian_family, product_family,
                                  singular_steady_family, sphere_family)
@@ -109,6 +112,14 @@ def test_sample_family_rows_match_float_evaluation():
             want = (*eigs, scalar, sol.f.d1(row.s), family_weyl_sq(fam, row.s))
             assert all(type(v) is float for v in got)
             assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_sample_family_rejects_an_overflowing_potential_slope():
+    fam = gaussian_family(1e308)  # f' = lam s overflows from s = 1.8095 on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"potential slope f' is not finite at s=1\.8095"):
+            sample_family(fam, canonical_soliton_for(fam), S_VALUES)
 
 
 @pytest.mark.parametrize("fam,label", FAMILY_LABELS, ids=lambda x: str(x)[:18])

@@ -4,6 +4,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solitonlab import cli
 from solitonlab.cli import _build_family, main
 from solitonlab.families import family_from_json, family_to_json
 from solitonlab.report import canonical_csv, canonical_json, flatten
@@ -109,6 +110,9 @@ def test_usage_errors_exit_2(argv, capsys):
     ["integrate", "--family", "singular-steady", "--step", "1e-300"],
     ["oracle", "--family", "product", "--lam=-1e308"],
     ["integrate", "--family", "product", "--lam", "1e200"],
+    ["verify", "--family", "gaussian", "--lam", "1e308"],
+    ["verify", "--family", "product", "--lam", "1e200"],
+    ["classify", "--family", "gaussian", "--lam", "1e308"],
 ])
 def test_domain_errors_exit_2_with_one_line(argv, capsys):
     assert_exit_2_with_one_line(argv, capsys)
@@ -205,6 +209,26 @@ def test_reports_are_byte_identical(argv, tmp_path):
         main(argv + ["--out", str(path)])
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_parser_reuse_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)  # main reuses the one it has
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main(["verify", "--family", "product", "--out", str(first)]) == 0
+    assert main(["verify", "--family", "product", "--samples", "8", "--tol", "1e-3",
+                 "--out", str(tmp_path / "other.json")]) == 0
+    assert main(["verify", "--family", "nosuch"]) == 2
+    with pytest.raises(SystemExit):  # argparse's own usage error
+        main(["verify", "--no-such-option"])
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "classify", "family": "gaussian",
+                               "samples": 16, "out": str(tmp_path / "job.out")}))
+    assert main(["job", str(job)]) == 0
+    assert main(["verify", "--family", "product", "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_report_roundtrip_command(tmp_path, capsys):

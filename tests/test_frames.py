@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from solitonlab.curvature import family_eigenvalues
@@ -188,6 +190,57 @@ def test_tensor_norm_is_frame_invariant():
     t2 = J.T @ t @ J
     g2 = J.T @ g @ J
     assert_allclose(tensor_norm(t2, g2), tensor_norm(t, g), rtol=1e-10)
+
+
+def raised_index_norm(t, g):
+    """The g-norm by raising every index with g^{-1}, one tensordot per
+    index, then contracting with t: an independent route to tensor_norm."""
+    ginv = np.linalg.inv(g)
+    up = t
+    for axis in range(t.ndim):
+        up = np.tensordot(up, ginv, axes=([axis], [0]))
+        up = np.moveaxis(up, -1, axis)
+    return float(np.tensordot(up, t, axes=t.ndim))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_tensor_norm_matches_raised_index_contraction(rank):
+    rng = np.random.default_rng(100 + rank)
+    for _ in range(50):
+        g = random_spd(rng)
+        t = rng.normal(size=(4,) * rank)
+        assert_allclose(tensor_norm(t, g), raised_index_norm(t, g), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+def test_tensor_norm_without_metric_is_the_sum_of_squares(rank):
+    rng = np.random.default_rng(rank)
+    for _ in range(100):  # spread magnitudes, so the summation order shows
+        t = rng.normal(size=(4,) * rank) * 10.0 ** rng.uniform(-5, 5, size=(4,) * rank)
+        assert tensor_norm(t) == np.sum(t * t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda rank: hnp.arrays(
+           float, (4,) * rank, elements=st.floats(-1e3, 1e3))),
+       st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_tensor_norm_is_never_negative(t, eigs, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    g = q @ np.diag(eigs) @ q.T
+    assert tensor_norm(t, 0.5 * (g + g.T)) >= 0.0
+
+
+def test_tensor_norm_rejects_bad_metrics():
+    t = np.ones((4, 4, 4))
+    g = np.eye(4)
+    g[0, 1] = 0.5
+    with pytest.raises(ValueError, match="not symmetric"):
+        tensor_norm(t, g)
+    with pytest.raises(DomainError):  # indefinite
+        tensor_norm(t, np.diag([1.0, 1.0, -1.0, 1.0]))
+    with pytest.raises(ValueError):  # an axis that is not four long
+        tensor_norm(np.ones((4, 2)), np.eye(4))
 
 
 def test_riemann_symmetry_residuals_flag_violations():

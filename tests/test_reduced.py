@@ -280,16 +280,26 @@ def reference_rk4_states(st0, s_end, step):
     return states
 
 
-@pytest.mark.parametrize("st0, s_end, step", [
+REFERENCE_RUNS = [
     (singular_steady_state(1.0), 2.0, 1e-3),
     (singular_steady_state(1.0), 0.3, 7e-3),
     (product_state(1.0, -1.0), 1.5, 1e-2),
     (ReducedState(1.0, 0.4, -0.3, 0.2, 1.3, 0.7, -0.5), 1.2, 1e-2),
-])
+]
+
+
+@pytest.mark.parametrize("st0, s_end, step", REFERENCE_RUNS)
 def test_integrate_matches_reference_rk4_bit_for_bit(st0, s_end, step):
     traj = integrate(st0, s_end, step)
     assert not traj.truncated
     assert list(traj.states) == reference_rk4_states(st0, s_end, step)
+
+
+@pytest.mark.parametrize("st0, s_end, step", REFERENCE_RUNS)
+def test_identity_rows_match_the_rows_through_dw_rhs(st0, s_end, step):
+    traj = integrate(st0, s_end, step)
+    expected = [reduced_identity_residuals(st, dw_rhs(st).ap) for st in traj.states]
+    assert traj.identity_residual_rows() == expected
 
 
 def test_integrate_rejects_a_vanishing_h_in_a_stage():

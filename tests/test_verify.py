@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from solitonlab.curvature import codazzi_components, family_eigenvalues, family_table
+from solitonlab.errors import DomainError
 from solitonlab.families import (KIND_WARPED3, Profile, SolitonData, broken_family,
                                  canonical_soliton_for, constant_profile,
                                  cylinder_family, flat_family, gaussian_family,
@@ -95,6 +98,19 @@ def test_hamilton_needs_three_samples():
     fam = flat_family()
     with pytest.raises(ValueError):
         hamilton_check(fam, canonical_soliton_for(fam), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("check, fam, message", [
+    # f' = lam s overflows from s = 1.8095 on, so zeta_2 f' does
+    (soliton_residual, gaussian_family(1e308), r"soliton residual is not finite at s=1\.8095"),
+    # f, f' are finite, but (f')^2 and 2 lam f overflow at every s
+    (hamilton_check, product_family(1e200), r"conservation identity is not finite at s=0\.5$"),
+], ids=["soliton", "hamilton"])
+def test_overflowing_potential_terms_are_domain_errors(check, fam, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            check(fam, canonical_soliton_for(fam), SAMPLES)
 
 
 def test_soliton_implies_hamilton():

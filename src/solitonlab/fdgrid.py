@@ -6,12 +6,14 @@ grid, and produces Christoffel symbols, Riemann/Ricci/scalar/Weyl curvature
 and the Codazzi residual of Ric - (R/6) g by 4th-order central differences.
 
 Stencils are fixed at 5 points.  First and second metric derivatives are
-taken at the node itself.  For the covariant derivative of Ricci, Ricci and
+taken at the node itself.  Ricci and R come straight from the connection and
+its chain-rule derivative; only `fd_curvature` builds the rank-4 Riemann
+tensor, at its one node.  For the covariant derivative of Ricci, Ricci and
 R are evaluated once on the distinct stencil neighbourhood of a batch of
 nodes, and the first-derivative stencil is applied to that field, so the
 Codazzi residual needs a margin of 4 nodes while plain curvature needs 2.
-Curvature is evaluated in blocks of 256 nodes, which bounds the memory of
-its rank-5 temporaries on any batch size.
+Ricci is evaluated in blocks of 256 nodes, which bounds the memory of its
+temporaries on any batch size.
 
 Grids can carry a different node count per axis.  Accuracy is set by the
 spacing, not the count, so axes the metric does not vary along (Killing
@@ -20,8 +22,10 @@ directions of the families) only need the minimal 2*margin+1 nodes.
 The metric array may be a read-only broadcast view with stride 0 along such
 axes, as `grid_from_family` returns it: g is then stored once per node of
 the non-Killing sub-grid, and callers must copy it before writing to it.
-Validation runs on that distinct slice, and the Codazzi stencil skips the
-stride-0 axes, along which the Ricci differences are exactly zero.
+Validation runs on that distinct slice.  Every derivative along a stride-0
+axis, pure or mixed, is exactly zero by the form of the stencils, so the
+metric stencils and the Codazzi stencil skip those axes, and a dense copy of
+the grid gives the same bits.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ _D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFSETS = np.array([-2, -1, 0, 1, 2])
 
-# nodes per `_curvature_batch` call; its (N, 4, 4, 4, 4) temporaries are
-# 2 kB per node, and larger blocks raised peak memory without a speed gain
+# nodes per block of `_ricci_blocks`; its largest temporaries are the
+# (N, 4, 4, 4, 4) second derivatives and their stencil taps.  On the family
+# grids 512 nodes were 1-10 % faster per node than 256 at 1.4-1.6x the peak
+# memory, and 128 was 14-27 % slower.
 _BLOCK = 256
 
 _TRIU = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
@@ -127,88 +133,118 @@ def _metric_derivs(grid: MetricGrid, nodes: np.ndarray):
     plus each stencil shift's flat offset, which is 0 along stride-0 axes.
     """
     h = grid.spacings
-    # center-value subtraction makes the annihilation of constants exact, so
-    # derivatives along broadcast (stride-0) axes alone are exactly 0: skipped
+    # derivatives along a broadcast (stride-0) axis are exactly 0, pure and
+    # mixed alike (see the stencils below): they are skipped
     skip = grid.broadcast_axes
     distinct = grid.g[tuple(slice(0, 1) if b else slice(None) for b in skip)]
     stride = np.array([0 if skip[l] else math.prod(distinct.shape[l + 1:DIM])
                        for l in range(DIM)])
     axes = [l for l in range(DIM) if not skip[l]]
-    pairs = [(l, m) for l in range(DIM) for m in range(l + 1, DIM)
-             if not (skip[l] and skip[m])]
-    taps = [(i, j) for i in range(len(_OFFSETS)) for j in range(len(_OFFSETS))
-            if _D1_W[i] != 0.0 and _D1_W[j] != 0.0]
+    pairs = [(a, b) for a in range(len(axes)) for b in range(a + 1, len(axes))]
+    nz = np.flatnonzero(_D1_W)
     # shifts in the order they are used: the node, the 5 points along each
-    # of `axes`, then the mixed taps of each pair
+    # of `axes`, then the nz x nz mixed taps of each pair
     shifts = ([0] + [o * stride[l] for l in axes for o in _OFFSETS]
-              + [_OFFSETS[i] * stride[l] + _OFFSETS[j] * stride[m]
-                 for l, m in pairs for i, j in taps])
+              + [_OFFSETS[i] * stride[axes[a]] + _OFFSETS[j] * stride[axes[b]]
+                 for a, b in pairs for i in nz for j in nz])
     vals = distinct.reshape(-1, DIM, DIM).take(
         nodes @ stride + np.array(shifts)[:, None], axis=0)
     N, n_line = nodes.shape[0], 1 + len(axes) * len(_OFFSETS)
     g0 = vals[0]
-    lines = (vals[1:n_line] - g0).reshape(len(axes), len(_OFFSETS), N, DIM, DIM)
-    mixed = vals[n_line:].reshape(len(pairs), len(taps), N, DIM, DIM)
+    lines = vals[1:n_line].reshape(len(axes), len(_OFFSETS), N, DIM, DIM) - g0
     dg = np.zeros((N, DIM, DIM, DIM))
     d2g = np.zeros((N, DIM, DIM, DIM, DIM))
     for l, stack in zip(axes, lines):
         dg[:, l] = np.tensordot(_D1_W, stack, axes=(0, 0)) / h[l]
         d2g[:, l, l] = np.tensordot(_D2_W, stack, axes=(0, 0)) / h[l] ** 2
-    for (l, m), pair_vals in zip(pairs, mixed):
-        acc = np.zeros((N, DIM, DIM))
-        for (i, j), v in zip(taps, pair_vals):
-            acc += (_D1_W[i] * _D1_W[j]) * (v - g0)
-        acc /= h[l] * h[m]
-        d2g[:, l, m] = acc
-        d2g[:, m, l] = acc
+    # mixed: the first-derivative stencil along m, then along l, each as
+    # w_1 (g_1 - g_-1) + w_2 (g_2 - g_-2) (the weights are odd).  Every
+    # difference is exactly 0 where g is constant along that axis, and every
+    # l-offset runs the same operations, so the result is exactly 0 when g
+    # is constant along l or along m.
+    taps = vals[n_line:].reshape(len(pairs), len(nz), len(nz), N, DIM, DIM)
+    inner = _odd_stencil(taps, axis=2)
+    for (a, b), acc in zip(pairs, _odd_stencil(inner, axis=1)):
+        l, m = axes[a], axes[b]
+        d2g[:, l, m] = d2g[:, m, l] = acc / (h[l] * h[m])
     return g0, dg, d2g
 
 
-def _curvature_batch(grid: MetricGrid, nodes: np.ndarray):
-    """(g0, gam, riem, ric, scalar) at a batch of interior nodes.
+def _odd_stencil(vals: np.ndarray, axis: int) -> np.ndarray:
+    """The 4th-order first-derivative stencil (unscaled) along ``axis`` of
+    ``vals``, which holds the 4 off-center taps -2, -1, 1, 2."""
+    v = np.moveaxis(vals, axis, 0)
+    return _D1_W[3] * (v[2] - v[1]) + _D1_W[4] * (v[3] - v[0])
 
-    The connection, its derivative and R^c_ijk are built with the upper
-    index last (``*_t``), so the contractions with g and g^-1 are batched
-    matmuls over the trailing two axes.
-    """
-    g0, dg, d2g = _metric_derivs(grid, nodes)
-    N = nodes.shape[0]
-    ginv = np.linalg.inv(g0)
-    ginv_t = np.ascontiguousarray(np.swapaxes(ginv, 1, 2))
-    # bracket[n,a,b,d] = d_a g_db + d_b g_da - d_d g_ab   (dg[n,l,i,j] = d_l g_ij)
+
+def _connection(g0: np.ndarray, dg: np.ndarray):
+    """(ginv_t, bracket, gam_t) from the 1-jet at a batch of nodes: the
+    transposed inverse metric, bracket[n,ab,d] = d_a g_db + d_b g_da - d_d g_ab
+    and gam_t[n,a,b,c] = Gamma^c_ab, upper index last."""
+    N = g0.shape[0]
+    ginv_t = np.ascontiguousarray(np.swapaxes(np.linalg.inv(g0), 1, 2))
     bracket = (np.einsum("nadb->nabd", dg) + np.einsum("nbda->nabd", dg)
                - np.einsum("ndab->nabd", dg)).reshape(N, DIM * DIM, DIM)
-    # gam_t[n,a,b,c] = Gamma^c_ab
     gam_t = (0.5 * (bracket @ ginv_t)).reshape(N, DIM, DIM, DIM)
+    return ginv_t, bracket, gam_t
+
+
+def _ricci(dg, d2g, ginv_t, bracket, gam_t):
+    """(ric, scalar) straight from the connection:
+    Ric_jk = d_i Gamma^i_jk - d_j Gamma^i_ik
+             + Gamma^i_ip Gamma^p_jk - Gamma^i_jp Gamma^p_ik,   R = g^jk Ric_jk.
+
+    d Gamma comes by the chain rule from the 2-jet, and the trace is
+    Gamma^i_ik = 1/2 g^ab d_k g_ab, so no rank-5 tensor is built: every
+    contraction is a batched matmul of at most (N, 16, 16).
+    """
+    N = dg.shape[0]
+    sq = DIM * DIM
+    row = ginv_t.reshape(N, 1, sq)                  # g^ab as a row over ab
+    col = np.swapaxes(row, 1, 2)
+    hess = d2g.reshape(N, sq, sq)                   # [n, lm, ab] = d_l d_m g_ab
+    # 2 d_i Gamma^i_jk = (d_i g^id) bracket_jkd
+    #                  + g^id (d_j d_i g_dk + d_k d_i g_dj - d_i d_d g_jk)
+    div_ginv = -(row @ dg.reshape(N, sq, DIM)) @ ginv_t          # d_i g^id
+    cross = (row[:, None] @ d2g.reshape(N, DIM, sq, DIM)).reshape(N, DIM, DIM)
+    div_gam = ((bracket @ np.swapaxes(div_ginv, 1, 2)).reshape(N, DIM, DIM)
+               + cross + np.swapaxes(cross, 1, 2) - (row @ hess).reshape(N, DIM, DIM))
+    # 2 d_j Gamma^i_ik = g^ab d_j d_k g_ab - tr(g^-1 d_j g g^-1 d_k g)
+    gdg = ginv_t[:, None] @ dg                                   # [n,j] = g^-1 d_j g
+    grad_trace = ((hess @ col).reshape(N, DIM, DIM)
+                  - gdg.reshape(N, DIM, sq) @ gdg.transpose(0, 3, 2, 1).reshape(N, sq, DIM))
+    # Gamma^i_ip Gamma^p_jk - Gamma^i_jp Gamma^p_ik, the second as
+    # [j, pi] @ [pi, k]
+    quad = ((gam_t.reshape(N, sq, DIM) @ (0.5 * (dg.reshape(N, DIM, sq) @ col)))
+            .reshape(N, DIM, DIM)
+            - gam_t.reshape(N, DIM, sq) @ gam_t.transpose(0, 3, 1, 2).reshape(N, sq, DIM))
+    ric = 0.5 * (div_gam - grad_trace) + quad
+    return ric, (row @ ric.reshape(N, sq, 1)).reshape(N)
+
+
+def _riemann(g0, dg, d2g, ginv_t, bracket, gam_t):
+    """riem[n,i,j,k,l] = g_lm R^m_ijk at a batch of nodes, from the 2-jet and
+    the connection.  R^c_ijk is built with the upper index last, so the
+    contractions with g and g^-1 are batched matmuls over the trailing axes.
+    """
+    N = g0.shape[0]
     # d_l of the bracket and of g^{-1}, for d_l Gamma^c_ab
     dbracket = (np.einsum("nladb->nlabd", d2g) + np.einsum("nlbda->nlabd", d2g)
                 - np.einsum("nldab->nlabd", d2g)).reshape(N, DIM, DIM * DIM, DIM)
-    del d2g
     dginv_t = -(ginv_t[:, None] @ np.swapaxes(dg, 2, 3) @ ginv_t[:, None])
     # dgam_t[n,l,a,b,c] = d_l Gamma^c_ab
     dgam_t = 0.5 * (dbracket @ ginv_t[:, None] + bracket[:, None] @ dginv_t)
-    del dbracket
     # rup_t[n,i,j,k,c] = R^c_ijk = d_i Gamma^c_jk - d_j Gamma^c_ik
     #                            + Gamma^m_jk Gamma^c_im - Gamma^m_ik Gamma^c_jm
-    # The Gamma Gamma sum over m is an ordered multiply-add, not a matmul:
-    # BLAS fuses the multiply-adds and moves Ricci by an ulp, which the 1/h
-    # Codazzi stencil amplifies to ~1e-13.
     quad = gam_t[:, None, :, :, 0, None] * gam_t[:, :, None, None, 0, :]
     for m in range(1, DIM):
         quad += gam_t[:, None, :, :, m, None] * gam_t[:, :, None, None, m, :]
-    # in place, and with the rank-5 inputs freed early, to cap peak memory
     dgam_t = dgam_t.reshape((N,) + (DIM,) * 4)
     rup_t = dgam_t - dgam_t.transpose(0, 2, 1, 3, 4)
-    del dgam_t
     rup_t += quad
     rup_t -= quad.transpose(0, 2, 1, 3, 4)
     rup_t = rup_t.reshape(N, DIM ** 3, DIM)
-    # riem[n,i,j,k,l] = g_lm R^m_ijk, kept l-major (N, l, ijk) in memory: the
-    # einsum below sums in memory order, so this layout fixes Ricci's rounding
-    riem = (g0 @ np.swapaxes(rup_t, 1, 2)).reshape((N,) + (DIM,) * 4).transpose(0, 2, 3, 4, 1)
-    ric = np.einsum("nab,njabl->njl", ginv, riem)
-    scalar = np.einsum("njl,njl->n", ginv, ric)
-    return g0, gam_t.transpose(0, 3, 1, 2), riem, ric, scalar
+    return (g0 @ np.swapaxes(rup_t, 1, 2)).reshape((N,) + (DIM,) * 4).transpose(0, 2, 3, 4, 1)
 
 
 def _weyl_batch(riem, ric, scalar, g0):
@@ -221,20 +257,21 @@ def _weyl_batch(riem, ric, scalar, g0):
     return riem + 0.5 * kulkarni - (scalar[:, None, None, None, None] / 6.0) * metric_part
 
 
-def _curvature_blocks(grid: MetricGrid, nodes: np.ndarray, christoffel_at=()):
+def _ricci_blocks(grid: MetricGrid, nodes: np.ndarray, christoffel_at=()):
     """(g0, gam, ric, scalar) at interior nodes, with gam only at
-    ``nodes[christoffel_at]``.  `_curvature_batch` runs on `_BLOCK` nodes at
-    a time, writing into preallocated outputs, which caps its
-    (N, 4, 4, 4, 4) temporaries."""
+    ``nodes[christoffel_at]``.  It runs on `_BLOCK` nodes at a time, writing
+    into preallocated outputs, which caps its temporaries."""
     n = nodes.shape[0]
     want = np.asarray(christoffel_at, dtype=int)
     g0, ric, scalar = np.empty((n, DIM, DIM)), np.empty((n, DIM, DIM)), np.empty(n)
     gam = np.empty((len(want), DIM, DIM, DIM))
     for lo in range(0, n, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        g0[blk], gam_blk, _, ric[blk], scalar[blk] = _curvature_batch(grid, nodes[blk])
+        g0[blk], dg, d2g = _metric_derivs(grid, nodes[blk])
+        ginv_t, bracket, gam_t = _connection(g0[blk], dg)
+        ric[blk], scalar[blk] = _ricci(dg, d2g, ginv_t, bracket, gam_t)
         here = (want >= lo) & (want < lo + _BLOCK)
-        gam[here] = gam_blk[want[here] - lo]
+        gam[here] = gam_t[want[here] - lo].transpose(0, 3, 1, 2)
     return g0, gam, ric, scalar
 
 
@@ -261,7 +298,7 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
     distinct, where = np.unique(flat, return_inverse=True)
     where = where.reshape(len(shifts), N)
     center, stencils = where[0], where[1:].reshape(len(axes), len(_OFFSETS), N)
-    g0, gam, ric, scalar = _curvature_blocks(
+    g0, gam, ric, scalar = _ricci_blocks(
         grid, np.stack(np.unravel_index(distinct, grid.shape), axis=1), center)
     g0, ric_c, scal_c = g0[center], ric[center], scalar[center]
     dric = np.zeros((N, DIM, DIM, DIM))
@@ -281,7 +318,7 @@ def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
     """Batched Ricci/scalar (with the node metrics) at interior nodes."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
     grid.require_interior(nodes, MARGIN_CURVATURE)
-    g0, _, ric, scalar = _curvature_blocks(grid, nodes)
+    g0, _, ric, scalar = _ricci_blocks(grid, nodes)
     return {"g": g0, "ric": ric, "scalar": scalar}
 
 
@@ -293,8 +330,12 @@ def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
     node = tuple(int(i) for i in node)
     grid.require_interior(node, MARGIN_CODAZZI)
     nodes = np.array([node])
-    g0, gam, riem, ric, scalar = _curvature_batch(grid, nodes)
+    g0, dg, d2g = _metric_derivs(grid, nodes)
+    conn = _connection(g0, dg)
+    ric, scalar = _ricci(dg, d2g, *conn)
+    riem = _riemann(g0, dg, d2g, *conn)
     weyl = _weyl_batch(riem, ric, scalar, g0)
+    gam = conn[2].transpose(0, 3, 1, 2)
     codazzi = _codazzi_batch(grid, nodes)
     labels = tuple(f"x{i+1}" for i in range(DIM))
     return CurvatureBundle(Frame4("coordinate", labels), g0[0], gam[0], riem[0],

@@ -8,12 +8,12 @@ from numpy.testing import assert_allclose
 
 from solitonlab.curvature import family_eigenvalues, family_weyl_sq
 from solitonlab.errors import GridBoundaryError
-from solitonlab.families import (broken_family, cylinder_family,
+from solitonlab.families import (broken_family, cylinder_family, gaussian_family,
                                  product_family, singular_steady_family)
 from solitonlab.fdgrid import (MetricGrid, _metric_derivs, fd_codazzi_block,
                                fd_curvature, fd_ricci_block, grid_from_family,
                                grid_from_json, grid_to_json)
-from solitonlab.frames import sym_eigen, tensor_norm
+from solitonlab.frames import ricci_from_riemann, sym_eigen, tensor_norm
 from solitonlab.verify import codazzi_residual_closed, oracle_deviation
 
 
@@ -164,6 +164,27 @@ def test_compact_grid_matches_dense_copy_bit_for_bit(fam, killing):
     assert a.scalar == b.scalar
 
 
+@pytest.mark.parametrize("fam, killing", [
+    (singular_steady_family(), (False, True, False, True)),
+    (gaussian_family(), (False, False, False, True)),
+], ids=["doubly_warped", "warped3"])
+def test_derivatives_along_killing_axes_are_exactly_zero(fam, killing):
+    # the compact grid skips them; its dense copy computes them, as exact 0s
+    grid = narrow_grid(fam, 33)
+    dense = MetricGrid(grid.axes, np.ascontiguousarray(grid.g))
+    assert grid.broadcast_axes == killing
+    for g in (grid, dense):
+        _, dg, d2g = _metric_derivs(g, line_nodes(grid))
+        for l in range(4):
+            assert np.all(dg[:, l] == 0.0) or not killing[l]
+            for m in range(4):
+                if killing[l] or killing[m]:
+                    assert np.all(d2g[:, l, m] == 0.0)
+        # the metric itself has a mixed derivative off the Killing axes
+        free = [l for l in range(4) if not killing[l]]
+        assert any(np.any(d2g[:, l, m] != 0.0) for l in free for m in free if l != m)
+
+
 # ---------------------------------------------------------------------------
 # Codazzi from one Ricci field, evaluated in bounded node blocks
 
@@ -231,6 +252,21 @@ def test_codazzi_block_matches_shifted_ricci_reference(case):
     want = codazzi_reference(grid, nodes)
     assert np.max(np.abs(got - want)) <= 1e-13
     assert np.max(np.abs(want)) > 1e-9   # the residual is not trivially 0
+
+
+@pytest.mark.parametrize("case", ["dense_random", "warped3", "product_over_block"])
+def test_ricci_from_the_connection_matches_the_riemann_route(case):
+    grid, nodes = codazzi_case(case)
+    nodes = nodes[::max(1, len(nodes) // 40)]
+    blk = fd_ricci_block(grid, nodes)
+    for j, node in enumerate(nodes):
+        b = fd_curvature(grid, node)
+        ric = blk["ric"][j]
+        scale = max(1.0, np.max(np.abs(ric)))
+        want = ricci_from_riemann(b.riem, b.g)
+        assert np.max(np.abs(ric - want)) <= 1e-13 * scale
+        assert abs(blk["scalar"][j] - np.sum(np.linalg.inv(b.g) * want)) <= 1e-13 * scale
+        assert np.max(np.abs(ric - ric.T)) <= 1e-14 * scale
 
 
 def test_ricci_block_across_block_boundaries_matches_per_node():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from solitonlab import reduced
 from solitonlab.errors import DomainError
 from solitonlab.reduced import (MAX_STEPS, ReducedState, branch_label,
                                 distinct_fprime,
@@ -257,26 +258,31 @@ def test_trajectory_csv_export():
     assert len(text.splitlines()) == len(traj.states) + 1
 
 
+def reference_rk4_step(st, ds):
+    """The four stage states of one RK4 step from `st`, and its result, on
+    `ReducedState` objects through `dw_rhs`."""
+    def shift(k, c):
+        return dataclasses.replace(st, a=st.a + c * ds * k[0], b=st.b + c * ds * k[1],
+                                   fp=st.fp + c * ds * k[2], h=st.h + c * ds * k[3])
+
+    stages, ks = [st], []
+    for c in (0.5, 0.5, 1.0):
+        ks.append(dw_rhs(stages[-1]))
+        stages.append(shift(ks[-1], c))
+    ks.append(dw_rhs(stages[-1]))
+    mix = [(ks[0][j] + 2.0 * ks[1][j] + 2.0 * ks[2][j] + ks[3][j]) / 6.0 for j in range(4)]
+    return stages, shift(mix, 1.0)
+
+
 def reference_rk4_states(st0, s_end, step):
-    """The RK4 of `integrate`, stage by stage on `ReducedState` objects
-    through `dw_rhs`, for the states of an untruncated run."""
+    """The RK4 of `integrate`, step by step through `reference_rk4_step`,
+    for the states of an untruncated run."""
     n = max(1, round(abs(s_end - st0.s) / step))
     ds = (s_end - st0.s) / n
-
-    def shift(y, k, c):
-        return dataclasses.replace(y, a=y.a + c * ds * k[0], b=y.b + c * ds * k[1],
-                                   fp=y.fp + c * ds * k[2], h=y.h + c * ds * k[3])
-
     states = [st0]
     for i in range(n):
-        st = states[-1]
-        k1 = dw_rhs(st)
-        k2 = dw_rhs(shift(st, k1, 0.5))
-        k3 = dw_rhs(shift(st, k2, 0.5))
-        k4 = dw_rhs(shift(st, k3, 1.0))
-        mix = [(k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0 for j in range(4)]
-        states.append(dataclasses.replace(shift(st, mix, 1.0),
-                                          s=st0.s + (i + 1) * ds))
+        _, nxt = reference_rk4_step(states[-1], ds)
+        states.append(dataclasses.replace(nxt, s=st0.s + (i + 1) * ds))
     return states
 
 
@@ -293,6 +299,25 @@ def test_integrate_matches_reference_rk4_bit_for_bit(st0, s_end, step):
     traj = integrate(st0, s_end, step)
     assert not traj.truncated
     assert list(traj.states) == reference_rk4_states(st0, s_end, step)
+
+
+def test_rk4_step_matches_the_reference_stage_by_stage(monkeypatch):
+    # steps as large as the state, so a last-bit change in any stage or in
+    # the final mix survives the addition to the state
+    rng = np.random.default_rng(12)
+    calls = []
+    rhs = reduced._rhs
+    monkeypatch.setattr(reduced, "_rhs", lambda *args: calls.append(args) or rhs(*args))
+    for _ in range(200):
+        a, b, fp, lam = rng.uniform(-1.0, 1.0, 4).tolist()
+        h = float(rng.uniform(0.5, 2.0))
+        ds = float(rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0]))
+        calls.clear()
+        got = reduced._rk4_step((a, b, fp, h), ds, lam)
+        seen = list(calls)
+        stages, want = reference_rk4_step(ReducedState(0.0, a, b, fp, h, lam, 0.0), ds)
+        assert seen == [(st.a, st.b, st.fp, st.h, lam) for st in stages]
+        assert got == (want.a, want.b, want.fp, want.h)
 
 
 @pytest.mark.parametrize("st0, s_end, step", REFERENCE_RUNS)

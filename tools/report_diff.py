@@ -14,13 +14,17 @@ the two runs are compared on exit code, stdout, stderr and the bytes of the
   ``bench/workloads.py``), and the edge jobs of `EDGE_JOBS`;
 * the demos, each tree running its own copy.
 
-Each job that differs is listed with the fields that differ, and the exit
-code is 1 if any job differs, 0 if none does, 2 if REV cannot be extracted.
+Each job that differs is listed with the fields that differ.  Where both
+``--out`` reports are JSON, the listing adds the largest absolute difference
+over the float fields and the path of each other field that changed.  The
+exit code is 1 if any job differs, 0 if none does, 2 if REV cannot be
+extracted.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -75,6 +79,31 @@ def run(tree: Path, argv: list[str], workdir: Path) -> dict:
             "--out bytes": out.read_bytes() if out.exists() else None}
 
 
+def json_changes(old, new, path="$") -> tuple[float, list[str]]:
+    """(largest |difference| over the float fields, paths of the other
+    fields that changed) between two parsed JSON values."""
+    if isinstance(old, float) or isinstance(new, float):
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+            return abs(old - new), []
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        pieces = [json_changes(old[key], new[key], f"{path}.{key}") for key in old]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pieces = [json_changes(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        return 0.0, [] if old == new else [path]
+    return max((d for d, _ in pieces), default=0.0), [p for _, paths in pieces for p in paths]
+
+
+def report_detail(old: bytes | None, new: bytes | None) -> str:
+    """The numeric detail of two ``--out`` reports, or "" unless both are JSON."""
+    try:
+        largest, paths = json_changes(json.loads(old), json.loads(new))
+    except (TypeError, ValueError):
+        return ""
+    return (f"\n         largest float difference {largest:.3g}"
+            + "".join(f"\n         changed {path}" for path in paths))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the git revision to compare with")
@@ -97,8 +126,10 @@ def main(argv=None) -> int:
             fields = [key for key in old if old[key] != new[key]]
             if fields:
                 differing += 1
+                detail = (report_detail(old["--out bytes"], new["--out bytes"])
+                          if "--out bytes" in fields else "")
                 print(f"DIFFERS  {name}: {', '.join(fields)} "
-                      f"(exit {old['exit code']} -> {new['exit code']})")
+                      f"(exit {old['exit code']} -> {new['exit code']}){detail}")
     print(f"{differing} of {len(pairs)} jobs differ from {args.rev}")
     return 1 if differing else 0
 

@@ -11,14 +11,14 @@ spectrum demonstrates the exclusion note.
 import numpy as np
 
 from solitonlab import (canonical_soliton_for, classify, cylinder_family,
-                        eigen_signature, gaussian_family, product_family,
-                        singular_steady_family, sphere_family)
-from solitonlab.classify import ClassifySample, sample_family
+                        gaussian_family, product_family, singular_steady_family,
+                        sphere_family)
+from solitonlab.classify import ClassifySample, sample_family, signature_labels
 
 S = np.linspace(0.5, 2.0, 64)
 
 print("eigen-signature of the singular steady spectrum at s = 1:",
-      eigen_signature((2 / 3, -2 / 9, -4 / 9, -4 / 9), 1e-8).groups)
+      signature_labels([(2 / 3, -2 / 9, -4 / 9, -4 / 9)], 1e-8)[0])
 print()
 
 for fam in (sphere_family(), product_family(-1.0), singular_steady_family(),

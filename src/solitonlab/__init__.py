@@ -10,24 +10,20 @@ local soliton types (Einstein / plane x surface product / singular steady /
 locally conformally flat warped product).
 """
 
-from .classify import EigenSignature, TypeVerdict, classify, eigen_signature
-from .curvature import (CurvatureBundle, CurvatureTable, dw_full_bundle, dw_table,
-                        family_bundle, family_eigenvalues, family_table,
-                        family_weyl_sq, warp3_full_bundle, warp3_table)
-from .errors import (DomainError, GridBoundaryError, PreconditionError,
-                     UnsupportedFamilyError)
+from .classify import TypeVerdict, classify
+from .curvature import (CurvatureBundle, CurvatureTable, dw_table, family_bundle,
+                        family_eigenvalues, family_table, family_weyl_sq,
+                        warp3_table)
+from .errors import DomainError, GridBoundaryError, UnsupportedFamilyError
 from .families import (FiberProfile, MetricFamily, Profile, SolitonData,
                        broken_family, canonical_family, canonical_soliton_for,
                        constant_profile, cylinder_family, doubly_warped_family,
-                       family_from_json, family_metric_at, family_to_json,
-                       fiber_profile_eval, flat_family, gaussian_family,
-                       log_profile, power_profile, product_family,
-                       quadratic_potential, sin_profile, singular_steady_family,
-                       sphere_family, warped3_family)
-from .fdgrid import (MetricGrid, fd_curvature, grid_from_family, grid_from_json,
-                     grid_to_json)
-from .frames import (Frame4, as_sym2, ricci_from_riemann,
-                     riemann_symmetry_residuals, sym_eigen, sym_eigvals,
+                       family_metric, fiber_profile_eval, flat_family,
+                       gaussian_family, log_profile, power_profile,
+                       product_family, quadratic_potential, sin_profile,
+                       singular_steady_family, sphere_family, warped3_family)
+from .fdgrid import MetricGrid, fd_curvature, grid_from_family
+from .frames import (Frame4, as_sym2, ricci_from_riemann, sym_eigen, sym_eigvals,
                      tensor_norm, weyl_from_riemann)
 from .reduced import (DwDerivatives, ReducedState, Trajectory, branch_label,
                       distinct_fprime, distinct_frame_relations, dw_rhs,

@@ -29,19 +29,6 @@ LABEL_WARPED = "WarpedLCF_iv"
 LABEL_UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class EigenSignature:
-    """Partition of the four eigenvalue slots by coincidence at tolerance."""
-
-    groups: tuple[tuple[int, ...], ...]
-    tol: float
-    values: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {"groups": [list(g) for g in self.groups], "tol": self.tol,
-                "values": list(self.values)}
-
-
 def signature_labels(values, tol: float) -> np.ndarray:
     """Single-linkage grouping of the rows of an (N, 4) eigenvalue array at
     threshold tol * max(1, max |value|) per row.
@@ -65,19 +52,6 @@ def signature_labels(values, tol: float) -> np.ndarray:
     labels = np.empty_like(groups)
     np.put_along_axis(labels, order, groups, axis=1)
     return labels
-
-
-def eigen_signature(values: Sequence[float], tol: float) -> EigenSignature:
-    """The `signature_labels` grouping of four eigenvalues, reported as
-    (1-based) index sets of the input order, largest values first."""
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (4,):
-        raise ValueError("need exactly 4 eigenvalues")
-    labels = signature_labels(vals[None], tol)[0]
-    groups = tuple(tuple(int(i) + 1 for i in np.flatnonzero(labels == g))
-                   for g in range(labels.max() + 1))
-    reps = tuple(float(np.mean([vals[i - 1] for i in grp])) for grp in groups)
-    return EigenSignature(groups, tol, reps)
 
 
 @dataclass(frozen=True)
@@ -106,45 +80,31 @@ class TypeVerdict:
     label: str
     evidence: dict[str, float] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
-    sub_label: str | None = None
 
     def as_dict(self) -> dict:
-        out = {"label": self.label, "evidence": dict(self.evidence),
-               "notes": list(self.notes)}
-        if self.sub_label is not None:
-            out["sub_label"] = self.sub_label
-        return out
+        return {"label": self.label, "evidence": dict(self.evidence),
+                "notes": list(self.notes)}
 
 
-def classify(samples: Sequence[ClassifySample], tol: float = DEFAULT_TOL_CLOSED,
-             h_data=None, flag_signature_changes: bool = False) -> TypeVerdict:
-    """Match sampled soliton data against the four local types.
-
-    ``h_data``, when given, is a matched sequence of (h, h', h'') used only
-    to sub-label the warped type as "gaussian" (h'' = 0, h' != 0) or
-    "cylinder" (h' = 0).  ``flag_signature_changes`` adds a note when the
-    per-sample signatures are not all identical.
-    """
+def classify(samples: Sequence[ClassifySample], tol: float = DEFAULT_TOL_CLOSED
+             ) -> TypeVerdict:
+    """Match sampled soliton data against the four local types."""
     if len(samples) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {len(samples)}")
     labels = signature_labels([sm.eigenvalues for sm in samples], tol)
     evidence: dict[str, float] = {}
-    notes: list[str] = []
-    if flag_signature_changes and np.any(labels != labels[0]):
-        notes.append("per-sample eigenvalue signatures are not constant")
 
     scale = max(1.0, max(abs(sm.scalar) for sm in samples),
                 max(max(abs(e) for e in sm.eigenvalues) for sm in samples))
     max_fp = max(abs(sm.fprime) for sm in samples)
     evidence["max_abs_fprime"] = max_fp
     if max_fp <= tol:
-        return TypeVerdict(LABEL_EINSTEIN, evidence, tuple(notes))
+        return TypeVerdict(LABEL_EINSTEIN, evidence)
 
     max_w2 = max(abs(sm.weyl_sq) for sm in samples)
     evidence["max_weyl_sq"] = max_w2
     if max_w2 <= tol * scale:
-        sub = _warped_sub_label(h_data, tol) if h_data is not None else None
-        return TypeVerdict(LABEL_WARPED, evidence, tuple(notes), sub)
+        return TypeVerdict(LABEL_WARPED, evidence)
 
     # lambda_3 and lambda_4 coincide while lambda_2 stays apart
     pair = (labels[:, 2] == labels[:, 3]) & (labels[:, 1] != labels[:, 2])
@@ -161,27 +121,18 @@ def classify(samples: Sequence[ClassifySample], tol: float = DEFAULT_TOL_CLOSED,
             fit = abs(mean_r - 2.0 * lam_hat)
             evidence["scalar_minus_twice_fiber"] = fit
             if fit <= tol * (1.0 + abs(mean_r)):
-                return TypeVerdict(LABEL_PRODUCT, evidence, tuple(notes))
+                return TypeVerdict(LABEL_PRODUCT, evidence)
         rs2 = np.array([sm.scalar * sm.s**2 for sm in samples])
         steady_dev = float(np.max(np.abs(rs2 + 4.0 / 9.0)))
         evidence["scalar_s2_plus_4_9_dev"] = steady_dev
         if steady_dev <= tol:
-            return TypeVerdict(LABEL_STEADY, evidence, tuple(notes))
+            return TypeVerdict(LABEL_STEADY, evidence)
 
     level = labels[:, 1:]
     if np.all((level[:, 0] != level[:, 1]) & (level[:, 1] != level[:, 2])
               & (level[:, 0] != level[:, 2])):
-        notes.append("pairwise-distinct level-surface eigenvalues with a "
-                     "nonzero potential slope cannot occur on a true soliton")
-    return TypeVerdict(LABEL_UNKNOWN, evidence, tuple(notes))
+        return TypeVerdict(LABEL_UNKNOWN, evidence, (
+            "pairwise-distinct level-surface eigenvalues with a "
+            "nonzero potential slope cannot occur on a true soliton",))
+    return TypeVerdict(LABEL_UNKNOWN, evidence)
 
-
-def _warped_sub_label(h_data, tol: float) -> str | None:
-    h_data = list(h_data)
-    max_h1 = max(abs(row[1]) for row in h_data)
-    max_h2 = max(abs(row[2]) for row in h_data)
-    if max_h1 <= tol:
-        return "cylinder"
-    if max_h2 <= tol:
-        return "gaussian"
-    return None

@@ -25,8 +25,8 @@ import numpy as np
 
 from .classify import ClassifySample, LABEL_UNKNOWN, classify, sample_family
 from .errors import UnsupportedFamilyError
-from .families import (CANONICAL_FAMILIES, MetricFamily, canonical_family,
-                       canonical_soliton_for)
+from .families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily,
+                       canonical_family, canonical_soliton_for)
 from .fdgrid import MARGIN_CODAZZI, grid_from_family
 from .reduced import (branch_label, integrate, product_state,
                       singular_steady_state, trajectory_to_csv)
@@ -78,8 +78,8 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def _samples(fam: MetricFamily, s_range, count: int) -> np.ndarray:
     lo, hi = s_range
-    lo = max(lo, fam.domain[0] + 1e-6)
-    hi = min(hi, fam.domain[1] - 1e-6)
+    lo = max(lo, fam.domain[0] + BOUNDARY_MARGIN)
+    hi = min(hi, fam.domain[1] - BOUNDARY_MARGIN)
     if not lo < hi:
         raise UsageError(f"sample range {s_range} misses the family domain")
     if count < 3:
@@ -148,8 +148,6 @@ def _cmd_oracle(args) -> tuple[dict, bool, None]:
     if n_s < 9:
         raise UsageError("oracle needs --nodes >= 9: 4 margin nodes on each "
                          "side of the checked s nodes")
-    fam.require(lo)  # the grid spans [lo, hi]
-    fam.require(hi)
     h = (hi - lo) / (n_s - 1)
     grid = grid_from_family(fam, (lo, hi), n_s, n_r=9,
                             r_range=(1.0 - MARGIN_CODAZZI * h, 1.0 + MARGIN_CODAZZI * h))

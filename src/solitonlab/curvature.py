@@ -10,9 +10,9 @@ the doubly-warped ansatz are
 
 and for the 3-fiber warped product R_1ii1 = -h''/h, R_ijji = -b^2 + k/h^2.
 Ricci eigenvalues and scalar curvature follow by contraction.  The
-divergence-free-Weyl structure forces p''/p = h''/h; ``dw_full_bundle``
-enforces that as a precondition, while the tables evaluate the unconstrained
-formulas (needed to diagnose violating inputs).
+divergence-free-Weyl structure forces p''/p = h''/h; the tables and the
+bundles evaluate the unconstrained formulas, which diagnose inputs that
+violate it.
 
 Both ansaetze fill one `CurvatureTable`: the frame coefficients
 zeta_i = <grad_{E_i} E_1, E_i> ((a, b, b), or (b, b, b) for warped3), the
@@ -37,13 +37,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
-from .families import (KIND_WARPED3, FiberProfile, MetricFamily, Profile,
-                       fiber_profile_eval, first_failure)
+from .errors import DomainError
+from .families import (KIND_WARPED3, MetricFamily, Profile, fiber_profile_eval,
+                       first_failure)
 from .frames import (DIM, Frame4, ricci_from_riemann, tensor_norm,
                      weyl_from_riemann)
-
-DW_CONSTRAINT_TOL = 1e-9
 
 Values = float | np.ndarray  # a float at a float s, an array of its shape at an array
 
@@ -187,79 +185,12 @@ def warp3_table(h: Profile, k: float, s) -> CurvatureTable:
                           (lam1p, lamfp, lamfp, lamfp), r, rp)
 
 
-def _check_dw_constraint(t: CurvatureTable) -> None:
-    k12, k13 = t.sectional[:2]  # -p''/p and -h''/h
-    res = abs(k12 - k13)
-    if res > DW_CONSTRAINT_TOL * max(1.0, abs(k12), abs(k13)):
-        raise PreconditionError("p''/p != h''/h: input is outside the "
-                                "divergence-free-Weyl ansatz", res)
-
-
 def codazzi_components(t: CurvatureTable) -> tuple[Values, Values, Values]:
     """(D_2, D_3, D_4) of the closed-form Codazzi residual of Ric - (R/6) g,
     D_i = lam_i' + zeta_i (lam_i - lam_1) - R'/6.
     These are the only components that can be nonzero on the ansaetze."""
     return tuple(t.lamp[i] + t.zeta[i - 1] * (t.lam[i] - t.lam[0]) - t.scalarp / 6.0
                  for i in (1, 2, 3))
-
-
-def _bundle_from_table(t: CurvatureTable, rotations) -> CurvatureBundle:
-    """The bundle of a float table.  The connection is zeta_i plus the fiber
-    ``rotations`` (k, i, j, <grad_{E_i} E_j, E_k>); metric compatibility
-    gives each entry its partner <grad_{E_i} E_k, E_j> = -value."""
-    gam = np.zeros((DIM, DIM, DIM))
-    # zeta_i = <grad_{E_i} E_1, E_i>: grad_{E_i} E_i = -zeta_i E_1 + fiber terms
-    for k, i, j, v in [(i, i, 0, z) for i, z in enumerate(t.zeta, start=1)] + rotations:
-        gam[k, i, j] = v
-        gam[j, i, k] = -v
-    g = np.eye(DIM)
-    riem = np.zeros((DIM, DIM, DIM, DIM))
-    for (i, j), kv in zip(PLANES, t.sectional):
-        riem[i, j, j, i] = riem[j, i, i, j] = kv
-        riem[i, j, i, j] = riem[j, i, j, i] = -kv
-    ric = ricci_from_riemann(riem)
-    weyl = weyl_from_riemann(riem, ric, t.scalar, g)
-    codazzi = np.zeros((DIM, DIM, DIM))  # C_1ii = -C_i1i = D_i, zero otherwise
-    for i, d in enumerate(codazzi_components(t), start=1):
-        codazzi[0, i, i] = d
-        codazzi[i, 0, i] = -d
-    return CurvatureBundle(Frame4("orthonormal", ("E1", "E2", "E3", "E4")), g,
-                           gam, riem, ric, t.scalar, weyl, codazzi)
-
-
-def _dw_bundle_unchecked(p: Profile, h: Profile, k: float, point) -> CurvatureBundle:
-    s, _, r, _ = (float(x) for x in point)
-    t = dw_table(p, h, k, s)
-    u, up, _ = fiber_profile_eval(FiberProfile(k), r)
-    # In this gauge every other rotation coefficient of the adapted frame
-    # (frame rotation along E_1, fiber rotation along E_2, and the E_3
-    # counterpart of beta_4) vanishes identically, so zeta_2 = a,
-    # zeta_3 = zeta_4 = b and beta_4 = u'(r) / (h u(r)) determine it.
-    beta4 = up / (h.value(s) * u)
-    return _bundle_from_table(t, [(2, 3, 3, beta4)])
-
-
-def dw_full_bundle(p: Profile, h: Profile, k: float, point) -> CurvatureBundle:
-    """Full curvature bundle of the doubly-warped ansatz at (s, t, r, theta).
-
-    Orthonormal adapted frame; requires the p''/p = h''/h constraint.  The
-    connection is zeta_2, zeta_3 = zeta_4 and beta_4 = u'(r)/(h u(r)), with
-    grad_{E_4} E_4 = -zeta_4 E_1 + beta_4 E_3 and grad_{E_4} E_3 = -beta_4 E_4.
-    """
-    _check_dw_constraint(dw_table(p, h, k, float(point[0])))
-    return _dw_bundle_unchecked(p, h, k, point)
-
-
-def warp3_full_bundle(h: Profile, k: float, point) -> CurvatureBundle:
-    """Full curvature bundle of the 3-fiber warped product at
-    (s, r, theta, phi), in the orthonormal adapted frame."""
-    s, r, theta, _ = (float(x) for x in point)
-    t = warp3_table(h, k, s)
-    hv = h.value(s)
-    u, up, _ = fiber_profile_eval(FiberProfile(k), r)
-    g_r = up / (hv * u)     # <grad_{E_3} E_2, E_3> = <grad_{E_4} E_2, E_4>, E_2 radial
-    g_t = math.cos(theta) / (math.sin(theta) * hv * u)
-    return _bundle_from_table(t, [(2, 2, 1, g_r), (3, 3, 1, g_r), (3, 3, 2, g_t)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +213,49 @@ def family_eigenvalues(m: MetricFamily, s):
 
 
 def family_bundle(m: MetricFamily, point) -> CurvatureBundle:
-    m.require(float(point[0]))
+    """Full curvature bundle of ``m`` at a point (s, t, r, theta) of a
+    doubly-warped chart or (s, r, theta, phi) of warped3, in the orthonormal
+    adapted frame.
+
+    The connection is zeta_i plus the fiber rotations
+    (k, i, j, <grad_{E_i} E_j, E_k>), each with its metric-compatible partner
+    <grad_{E_i} E_k, E_j> = -value; in this gauge every other rotation
+    coefficient vanishes identically.  Doubly-warped: beta_4 =
+    <grad_{E_4} E_4, E_3> = u'(r)/(h u(r)).  Warped3, with E_2 radial:
+    <grad_{E_3} E_2, E_3> = <grad_{E_4} E_2, E_4> = u'/(h u) and
+    <grad_{E_4} E_3, E_4> = cot(theta)/(h u).
+    """
+    point = tuple(float(x) for x in point)
+    s = point[0]
+    t = family_table(m, s)
+    hv = m.h.value(s)
     if m.kind == KIND_WARPED3:
-        return warp3_full_bundle(m.h, m.k, point)
-    return _dw_bundle_unchecked(m.p, m.h, m.k, point)
+        _, r, theta, _ = point
+        u, up, _ = fiber_profile_eval(m.fiber, r)
+        g_r = up / (hv * u)
+        g_t = math.cos(theta) / (math.sin(theta) * hv * u)
+        rotations = [(2, 2, 1, g_r), (3, 3, 1, g_r), (3, 3, 2, g_t)]
+    else:
+        u, up, _ = fiber_profile_eval(m.fiber, point[2])
+        rotations = [(2, 3, 3, up / (hv * u))]
+    gam = np.zeros((DIM, DIM, DIM))
+    # zeta_i = <grad_{E_i} E_1, E_i>: grad_{E_i} E_i = -zeta_i E_1 + fiber terms
+    for k, i, j, v in [(i, i, 0, z) for i, z in enumerate(t.zeta, start=1)] + rotations:
+        gam[k, i, j] = v
+        gam[j, i, k] = -v
+    g = np.eye(DIM)
+    riem = np.zeros((DIM, DIM, DIM, DIM))
+    for (i, j), kv in zip(PLANES, t.sectional):
+        riem[i, j, j, i] = riem[j, i, i, j] = kv
+        riem[i, j, i, j] = riem[j, i, j, i] = -kv
+    ric = ricci_from_riemann(riem)
+    weyl = weyl_from_riemann(riem, ric, t.scalar, g)
+    codazzi = np.zeros((DIM, DIM, DIM))  # C_1ii = -C_i1i = D_i, zero otherwise
+    for i, d in enumerate(codazzi_components(t), start=1):
+        codazzi[0, i, i] = d
+        codazzi[i, 0, i] = -d
+    return CurvatureBundle(Frame4("orthonormal", ("E1", "E2", "E3", "E4")), g,
+                           gam, riem, ric, t.scalar, weyl, codazzi)
 
 
 @_over_samples

@@ -5,17 +5,6 @@ class DomainError(ValueError):
     """An evaluation point lies outside the validity domain of an operation."""
 
 
-class PreconditionError(ValueError):
-    """A structural precondition on the input data is violated.
-
-    Carries the offending residual so callers can report diagnostics.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = float(residual)
-
-
 class UnsupportedFamilyError(ValueError):
     """The requested operation is only defined for canonical metric families."""
 

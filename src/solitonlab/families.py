@@ -301,32 +301,53 @@ def canonical_family(name: str, lam: float | None = None) -> MetricFamily:
     return build() if lam is None or name not in _PARAMETRIC else build(lam)
 
 
-def family_metric_at(m: MetricFamily, point) -> np.ndarray:
-    """Coordinate components of the family metric at ``point``.
+def _positive_values(profile: Profile, s: np.ndarray, name: str) -> np.ndarray:
+    """The profile at each s, evaluated one Python float at a time; a
+    DomainError names the first s where it is not positive (or is complex,
+    as a fractional power of a negative s is)."""
+    v = np.array([profile.value(x) for x in s.tolist()])
+    bad = first_failure(np.isreal(v) & (v > 0.0), s)
+    if bad is not None:
+        raise DomainError(f"{name}(s) = {profile.value(bad)!r} is not positive "
+                          f"at s={bad!r}")
+    return v
+
+
+def family_metric(m: MetricFamily, s, r, theta=None) -> np.ndarray:
+    """Coordinate components of the family metric on the product of the 1-d
+    axes s, r and, for warped3 only, theta.
 
     Doubly-warped kinds use coordinates (s, t, r, theta) and give
-    ``diag(1, p^2, h^2, h^2 u(r)^2)``; warped3 uses (s, r, theta, phi) and
-    gives ``diag(1, h^2, h^2 u^2, h^2 u^2 sin^2 theta)``.
+    ``diag(1, p^2, h^2, h^2 u(r)^2)`` with shape (len(s), len(r), 4, 4);
+    warped3 uses (s, r, theta, phi) and gives
+    ``diag(1, h^2, h^2 u^2, h^2 u^2 sin^2 theta)`` with shape
+    (len(s), len(r), len(theta), 4, 4).  The metric does not depend on the
+    other coordinates.  Every s must lie in the family domain, p and h must
+    be positive there, r in the fiber domain and theta in the polar chart;
+    a DomainError names the first value that is not.
     """
-    point = tuple(float(x) for x in point)
-    s = point[0]
+    if (theta is None) != (m.kind != KIND_WARPED3):
+        raise ValueError("theta is an axis of warped3 families only")
+    s, r = np.asarray(s, dtype=float), np.asarray(r, dtype=float)
     m.require(s)
-    h = m.h.value(s)
-    if h <= 0.0:
-        raise DomainError(f"h(s) = {h!r} is not positive at s={s!r}")
+    h = _positive_values(m.h, s, "h")
+    u = np.array([fiber_profile_eval(m.fiber, x)[0] for x in r.tolist()])
     if m.kind == KIND_WARPED3:
-        _, r, theta, _ = point
-        u, _, _ = fiber_profile_eval(m.fiber, r)
-        st = math.sin(theta)
-        if not BOUNDARY_MARGIN <= theta <= math.pi - BOUNDARY_MARGIN:
-            raise DomainError(f"theta={theta!r} outside polar chart (0, pi)")
-        return np.diag([1.0, h * h, (h * u) ** 2, (h * u * st) ** 2])
-    p = m.p.value(s)
-    if p <= 0.0:
-        raise DomainError(f"p(s) = {p!r} is not positive at s={s!r}")
-    _, _, r, _ = point
-    u, _, _ = fiber_profile_eval(m.fiber, r)
-    return np.diag([1.0, p * p, h * h, (h * u) ** 2])
+        theta = np.asarray(theta, dtype=float)
+        in_chart = (theta >= BOUNDARY_MARGIN) & (theta <= math.pi - BOUNDARY_MARGIN)
+        bad = first_failure(in_chart, theta)
+        if bad is not None:
+            raise DomainError(f"theta={bad!r} outside polar chart (0, pi)")
+        H, U, ST = h[:, None, None], u[None, :, None], np.sin(theta)
+        diag = (H**2, (H * U) ** 2, (H * U * ST) ** 2)
+    else:
+        P, H, U = _positive_values(m.p, s, "p")[:, None], h[:, None], u[None, :]
+        diag = (P**2, H**2, (H * U) ** 2)
+    g = np.zeros(diag[-1].shape + (4, 4))
+    g[..., 0, 0] = 1.0
+    for i, v in enumerate(diag, start=1):
+        g[..., i, i] = v
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +375,3 @@ def canonical_soliton_for(m: MetricFamily) -> SolitonData:
         return SolitonData(constant_profile(0.0), m.lam)
     raise UnsupportedFamilyError(
         f"no canonical soliton for family {m.name or m.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def family_to_json(m: MetricFamily) -> dict:
-    if not m.name:
-        raise UnsupportedFamilyError("only named canonical families serialize to JSON")
-    lo, hi = m.domain
-    out = {"kind": m.kind, "name": m.name, "k": m.k,
-           "domain": [lo if math.isfinite(lo) else None, hi if math.isfinite(hi) else None]}
-    if m.lam is not None:
-        out["lambda"] = m.lam
-    return out
-
-
-def family_from_json(d: dict) -> MetricFamily:
-    name = d.get("name") or d.get("kind")
-    if name == KIND_PRODUCT:
-        name = "product"
-    return canonical_family(name, d.get("lambda"))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridBoundaryError
-from .families import KIND_WARPED3, MetricFamily, fiber_profile_eval
+from .families import KIND_WARPED3, MetricFamily, family_metric
 from .frames import DIM, Frame4
 from .curvature import CurvatureBundle
 
@@ -53,9 +53,6 @@ _OFFSETS = np.array([-2, -1, 0, 1, 2])
 # grids 512 nodes were 1-10 % faster per node than 256 at 1.4-1.6x the peak
 # memory, and 128 was 14-27 % slower.
 _BLOCK = 256
-
-_TRIU = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
-
 
 @dataclass(frozen=True)
 class MetricGrid:
@@ -351,10 +348,6 @@ def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # grid construction from families
 
-def _profile_values(profile, axis: np.ndarray) -> np.ndarray:
-    return np.array([profile.value(float(s)) for s in axis])
-
-
 def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
                      r_range=None, n_r: int | None = None,
                      cross_nodes: int = 2 * MARGIN_CODAZZI + 1) -> MetricGrid:
@@ -363,7 +356,8 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
     The s and fiber-radial axes get full resolution; axes the metric does
     not vary along (t, phi; theta for 2-d fibers) get ``cross_nodes`` nodes
     at the s-spacing.  For warped3 the theta axis also uses the s-spacing,
-    centered at theta = pi/2.
+    centered at theta = pi/2.  The metric comes from `family_metric`, so
+    every s node must lie in the family domain.
 
     The metric is stored once per node of the non-Killing axes (s, r and,
     for warped3, theta): ``grid.g`` is a read-only ``np.broadcast_to`` view
@@ -382,49 +376,12 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
     s_ax = np.linspace(lo, hi, n_s)
     r_ax = np.linspace(rlo, rhi, n_r)
     cross = lambda center: center + ds * (np.arange(cross_nodes) - (cross_nodes - 1) / 2)
-    h_vals = _profile_values(m.h, s_ax)
-    u_vals = np.array([fiber_profile_eval(m.fiber, float(r))[0] for r in r_ax])
     if m.kind == KIND_WARPED3:
         th_ax = cross(math.pi / 2.0)
         axes = (s_ax, r_ax, th_ax, cross(0.0))
-        g = np.zeros((n_s, n_r, cross_nodes, 1, DIM, DIM))
-        H = h_vals[:, None, None, None]
-        U = u_vals[None, :, None, None]
-        ST = np.sin(th_ax)[None, None, :, None]
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = H**2
-        g[..., 2, 2] = (H * U) ** 2
-        g[..., 3, 3] = (H * U * ST) ** 2
+        g = family_metric(m, s_ax, r_ax, th_ax)[:, :, :, None]
     else:
-        p_vals = _profile_values(m.p, s_ax)
         axes = (s_ax, cross(0.0), r_ax, cross(0.0))
-        g = np.zeros((n_s, 1, n_r, 1, DIM, DIM))
-        P = p_vals[:, None, None, None]
-        H = h_vals[:, None, None, None]
-        U = u_vals[None, None, :, None]
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = P**2
-        g[..., 2, 2] = H**2
-        g[..., 3, 3] = (H * U) ** 2
+        g = family_metric(m, s_ax, r_ax)[:, None, :, None]
     shape = tuple(len(ax) for ax in axes) + (DIM, DIM)
     return MetricGrid(axes, np.broadcast_to(g, shape))
-
-
-# ---------------------------------------------------------------------------
-# serialization (intended for desk-scale grids)
-
-def grid_to_json(grid: MetricGrid) -> dict:
-    packed = np.stack([grid.g[..., i, j] for i, j in _TRIU], axis=-1)
-    return {"axes": [ax.tolist() for ax in grid.axes],
-            "g": packed.reshape(-1, len(_TRIU)).tolist()}
-
-
-def grid_from_json(d: dict) -> MetricGrid:
-    axes = tuple(np.asarray(ax, dtype=float) for ax in d["axes"])
-    shape = tuple(len(ax) for ax in axes)
-    packed = np.asarray(d["g"], dtype=float).reshape(shape + (len(_TRIU),))
-    g = np.zeros(shape + (DIM, DIM))
-    for idx, (i, j) in enumerate(_TRIU):
-        g[..., i, j] = packed[..., idx]
-        g[..., j, i] = packed[..., idx]
-    return MetricGrid(axes, g)

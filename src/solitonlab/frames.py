@@ -53,25 +53,6 @@ def as_sym2(m, tol: float = 0.0) -> np.ndarray:
     return 0.5 * (a + a.T) if tol > 0 else a
 
 
-def riemann_symmetry_residuals(riem: np.ndarray) -> dict[str, float]:
-    """Max violation of each algebraic curvature symmetry.
-
-    Keys: ``antisym_first`` (i <-> j), ``antisym_last`` (k <-> l),
-    ``pair`` ((ij) <-> (kl)) and ``bianchi`` (first Bianchi cyclic sum).
-    """
-    r = np.asarray(riem, dtype=float)
-    return {
-        "antisym_first": float(np.max(np.abs(r + np.swapaxes(r, 0, 1)))),
-        "antisym_last": float(np.max(np.abs(r + np.swapaxes(r, 2, 3)))),
-        "pair": float(np.max(np.abs(r - np.transpose(r, (2, 3, 0, 1))))),
-        "bianchi": float(
-            np.max(
-                np.abs(r + np.transpose(r, (1, 2, 0, 3)) + np.transpose(r, (2, 0, 1, 3)))
-            )
-        ),
-    }
-
-
 def _cholesky_spd(g: np.ndarray) -> np.ndarray:
     try:
         L = np.linalg.cholesky(g)

@@ -1,0 +1,50 @@
+"""Every exported name is reached by the product, or says why it is kept.
+
+A name counts as reached when it is mentioned in the package source (other
+than `__init__.py` and its own ``def`` or ``class`` line), in a demo, in the
+benchmark or in the acceptance suite.  A name that only unit tests reach is
+deleted with those tests, unless `KEEP` gives the reason to keep it.
+"""
+
+import inspect
+import re
+from pathlib import Path
+
+import solitonlab
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "solitonlab"
+
+KEEP = {
+    "family_bundle": "closed-form reference that family_weyl_sq and the FD "
+                     "checks are tested against",
+    "doubly_warped_family": "builds the non-canonical negative controls",
+    "dw_rhs": "the paper's reduced system of the doubly-warped soliton",
+    "warp3_rhs": "the paper's reduced system of the warped product",
+}
+
+
+def exported_names():
+    return sorted(name for name, obj in vars(solitonlab).items()
+                  if not name.startswith("_") and not inspect.ismodule(obj))
+
+
+def reaching_text():
+    """The text in which a mention counts."""
+    files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    return "\n".join(f.read_text() for f in files)
+
+
+def is_reached(name, text):
+    own_definition = rf"(?m)^\s*(?:def|class)\s+{name}\b.*$"
+    return re.search(rf"\b{name}\b", re.sub(own_definition, "", text)) is not None
+
+
+def test_every_exported_name_is_reached_or_kept():
+    text = reaching_text()
+    unreached = {name for name in exported_names() if not is_reached(name, text)}
+    assert sorted(unreached - set(KEEP)) == []
+    # a kept name that the product reaches or no longer exports leaves KEEP
+    assert sorted(set(KEEP) - unreached) == []

@@ -5,8 +5,7 @@ import pytest
 
 from solitonlab.classify import (ClassifySample, LABEL_EINSTEIN, LABEL_PRODUCT,
                                  LABEL_STEADY, LABEL_UNKNOWN, LABEL_WARPED,
-                                 classify, eigen_signature, sample_family,
-                                 signature_labels)
+                                 classify, sample_family, signature_labels)
 from solitonlab.curvature import family_eigenvalues, family_weyl_sq
 from solitonlab.errors import DomainError
 from solitonlab.families import (canonical_soliton_for, cylinder_family,
@@ -43,34 +42,6 @@ def perturbed(samples, eps, rng, rademacher):
             for sm, row in zip(samples, noise.tolist())]
 
 
-def test_eigen_signature_singular_steady():
-    sig = eigen_signature((2 / 3, -2 / 9, -4 / 9, -4 / 9), 1e-8)
-    assert sig.groups == ((1,), (2,), (3, 4))
-
-
-def test_eigen_signature_product():
-    sig = eigen_signature((0.0, 0.0, -1.0, -1.0), 1e-8)
-    assert sig.groups == ((1, 2), (3, 4))
-
-
-def test_eigen_signature_all_equal():
-    sig = eigen_signature((3.0, 3.0, 3.0, 3.0), 1e-8)
-    assert sig.groups == ((1, 2, 3, 4),)
-    assert sig.values == (3.0,)
-
-
-def test_eigen_signature_scale_equivariant():
-    base = (2 / 3, -2 / 9, -4 / 9, -4 / 9)
-    ref = eigen_signature(base, 1e-8).groups
-    for c in (1e-3, 1e-1, 1.0, 1e2, 1e3):
-        assert eigen_signature(tuple(c * v for v in base), 1e-8).groups == ref
-
-
-def test_eigen_signature_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        eigen_signature((1.0, 2.0, 3.0, 4.0), 0.0)
-
-
 def sequential_groups(values, tol):
     """Reference grouping of one row: sort descending, then merge each value
     into the previous group while the gap stays within the threshold."""
@@ -86,6 +57,39 @@ def sequential_groups(values, tol):
     return tuple(tuple(sorted(i + 1 for i in grp)) for grp in groups)
 
 
+def signature_groups(values, tol):
+    """The groups of one row of eigenvalues as tuples of 1-based slots,
+    largest values first, read off signature_labels."""
+    lab = signature_labels([values], tol)[0]
+    return tuple(tuple(int(i) + 1 for i in np.flatnonzero(lab == g))
+                 for g in range(lab.max() + 1))
+
+
+def test_eigen_signature_singular_steady():
+    assert signature_groups((2 / 3, -2 / 9, -4 / 9, -4 / 9), 1e-8) == ((1,), (2,), (3, 4))
+
+
+def test_eigen_signature_product():
+    assert signature_groups((0.0, 0.0, -1.0, -1.0), 1e-8) == ((1, 2), (3, 4))
+
+
+def test_eigen_signature_all_equal():
+    assert signature_groups((3.0, 3.0, 3.0, 3.0), 1e-8) == ((1, 2, 3, 4),)
+    assert signature_labels([(3.0, 3.0, 3.0, 3.0)], 1e-8).tolist() == [[0, 0, 0, 0]]
+
+
+def test_eigen_signature_scale_equivariant():
+    base = (2 / 3, -2 / 9, -4 / 9, -4 / 9)
+    ref = signature_groups(base, 1e-8)
+    for c in (1e-3, 1e-1, 1.0, 1e2, 1e3):
+        assert signature_groups(tuple(c * v for v in base), 1e-8) == ref
+
+
+def test_eigen_signature_rejects_bad_tol():
+    with pytest.raises(ValueError):
+        signature_labels([(1.0, 2.0, 3.0, 4.0)], 0.0)
+
+
 def test_signature_labels_match_a_sequential_grouping():
     rng = np.random.default_rng(3)
     # few distinct levels, and gaps below, near and above the threshold
@@ -96,10 +100,8 @@ def test_signature_labels_match_a_sequential_grouping():
     labels = signature_labels(vals, TOL)
     assert labels.shape == (500, 4)
     for row, lab in zip(vals, labels):
-        want = sequential_groups(row, TOL)
-        assert eigen_signature(row, TOL).groups == want
         assert tuple(tuple(int(i) + 1 for i in np.flatnonzero(lab == g))
-                     for g in range(lab.max() + 1)) == want
+                     for g in range(lab.max() + 1)) == sequential_groups(row, TOL)
 
 
 def test_sample_family_rows_match_float_evaluation():
@@ -126,18 +128,6 @@ def test_sample_family_rejects_an_overflowing_potential_slope():
 def test_classify_canonical(fam, label):
     verdict = classify(canonical_samples(fam), TOL)
     assert verdict.label == label
-
-
-def test_classify_warped_sub_labels():
-    fam = gaussian_family(1.0)
-    h_data = [(s, 1.0, 0.0) for s in S_VALUES]
-    verdict = classify(canonical_samples(fam), TOL, h_data=h_data)
-    assert verdict.label == LABEL_WARPED and verdict.sub_label == "gaussian"
-
-    fam = cylinder_family(2.0)
-    h_data = [(1.0, 0.0, 0.0) for _ in S_VALUES]
-    verdict = classify(canonical_samples(fam), TOL, h_data=h_data)
-    assert verdict.label == LABEL_WARPED and verdict.sub_label == "cylinder"
 
 
 @pytest.mark.parametrize("fam,label", FAMILY_LABELS[:1] + FAMILY_LABELS[2:],
@@ -174,11 +164,3 @@ def test_classify_needs_eight_samples():
     with pytest.raises(ValueError):
         classify(samples, TOL)
 
-
-def test_classify_signature_change_flag():
-    base = canonical_samples(singular_steady_family())
-    # corrupt one sample so its signature merges differently
-    weird = ClassifySample(base[0].s, (1.0, 1.0, 1.0, 1.0), base[0].fprime,
-                           base[0].scalar, base[0].weyl_sq)
-    verdict = classify([weird] + base[1:], TOL, flag_signature_changes=True)
-    assert any("signatures" in n for n in verdict.notes)

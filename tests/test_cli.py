@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from solitonlab import cli
 from solitonlab.cli import _build_family, main
-from solitonlab.families import family_from_json, family_to_json
+from solitonlab.families import canonical_family
 from solitonlab.report import canonical_csv, canonical_json, flatten
 
 CLI_FAMILIES = ["singular-steady", "product", "gaussian", "cylinder", "sphere",
@@ -152,13 +152,14 @@ def test_oracle_grid_errors_exit_2_with_one_line(argv, capsys):
 @pytest.mark.parametrize("lam", [None, 0.75])
 @pytest.mark.parametrize("cli_name", CLI_FAMILIES)
 def test_cli_and_json_family_names_build_the_same_family(cli_name, lam):
-    spec = {"name": cli_name.replace("-", "_")}
-    if lam is not None:
-        spec["lambda"] = lam
-    from_cli, from_json = _build_family(cli_name, lam), family_from_json(spec)
-    assert family_to_json(from_cli) == family_to_json(from_json)
-    assert from_cli.h.label == from_json.h.label
-    assert (from_cli.p and from_cli.p.label) == (from_json.p and from_json.p.label)
+    # a CLI name and the registry's underscore name build the same family
+    from_cli = _build_family(cli_name, lam)
+    from_registry = canonical_family(cli_name.replace("-", "_"), lam)
+
+    def fields(m):
+        return m.kind, m.name, m.k, m.lam, m.domain, m.h.label, m.p and m.p.label
+
+    assert fields(from_cli) == fields(from_registry)
     default = {"product": -1.0, "gaussian": 1.0, "cylinder": 2.0}
     if cli_name in default:
         assert from_cli.lam == (default[cli_name] if lam is None else lam)

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from solitonlab.curvature import (dw_full_bundle, dw_table, family_bundle,
-                                  family_eigenvalues, family_table,
-                                  family_weyl_sq, warp3_full_bundle,
-                                  warp3_table)
-from solitonlab.errors import DomainError, PreconditionError
+from solitonlab.curvature import (dw_table, family_bundle, family_eigenvalues,
+                                  family_table, family_weyl_sq, warp3_table)
+from solitonlab.errors import DomainError
 from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES,
                                  KIND_WARPED3, broken_family, canonical_family,
                                  constant_profile, cylinder_family,
                                  doubly_warped_family, gaussian_family,
                                  power_profile, product_family, sin_profile,
-                                 singular_steady_family, sphere_family)
-from solitonlab.frames import (ricci_from_riemann, riemann_symmetry_residuals,
-                               tensor_norm)
+                                 singular_steady_family, sphere_family,
+                                 warped3_family)
+from solitonlab.frames import ricci_from_riemann, tensor_norm
+
+from helpers import riemann_symmetry_residuals
 
 STEADY = singular_steady_family()
 ONE = constant_profile(1.0)
@@ -54,21 +54,13 @@ def test_dw_ricci_flat():
     assert_allclose(dw_ricci(ONE, ONE, 0.0, 3.0), np.zeros(5), atol=1e-15)
 
 
-def test_dw_ricci_rejects_broken_profiles():
-    fam = broken_family()
-    with pytest.raises(PreconditionError) as exc:
-        dw_full_bundle(fam.p, fam.h, fam.k, (1.0, 0.0, 0.9, 0.3))
-    # p''/p = 0, h''/h = -1/4 at s = 1
-    assert_allclose(exc.value.residual, 0.25, rtol=1e-12)
-
-
 def test_dw_table_scalar_is_eigenvalue_sum():
     t = dw_table(power_profile(1.0, 0.4), power_profile(2.0, 0.4), -1.0, 1.3)
     assert_allclose(t.scalar, t.lam[0] + t.lam[1] + 2 * t.lam[2], rtol=1e-14)
 
 
 def test_dw_full_bundle_singular_steady():
-    b = dw_full_bundle(STEADY.p, STEADY.h, 0.0, (1.0, 0.0, 0.8, 0.1))
+    b = family_bundle(doubly_warped_family(STEADY.p, STEADY.h, 0.0), (1.0, 0.0, 0.8, 0.1))
     # R_1221 = -zeta_2' - zeta_2^2 = 2/9 at s = 1
     assert_allclose(b.riem[0, 1, 1, 0], 2.0 / 9.0, rtol=1e-13)
     assert_allclose(b.riem[0, 1, 1, 0], b.riem[0, 2, 2, 0], rtol=1e-13)
@@ -85,7 +77,7 @@ def test_dw_full_bundle_singular_steady():
 
 
 def test_dw_full_bundle_flat_is_zero():
-    b = dw_full_bundle(ONE, ONE, 0.0, (2.0, 0.0, 1.0, 0.0))
+    b = family_bundle(doubly_warped_family(ONE, ONE, 0.0), (2.0, 0.0, 1.0, 0.0))
     assert np.max(np.abs(b.riem)) == 0.0
     assert np.max(np.abs(b.ric)) == 0.0
     assert b.scalar == 0.0
@@ -101,14 +93,15 @@ def test_dw_full_bundle_flat_is_zero():
 ])
 def test_dw_bundle_contraction_matches_dw_ricci(p, h, k):
     s = 1.4
-    b = dw_full_bundle(p, h, k, (s, 0.0, 0.9, 0.3))
+    b = family_bundle(doubly_warped_family(p, h, k), (s, 0.0, 0.9, 0.3))
     eigs = dw_ricci(p, h, k, s)
     assert_allclose(np.diag(b.ric), eigs[:4], rtol=1e-12, atol=1e-15)
     assert_allclose(b.scalar, eigs[4], rtol=1e-12, atol=1e-15)
 
 
 def test_dw_connection_values():
-    gam = dw_full_bundle(STEADY.p, STEADY.h, 0.0, (1.0, 0.0, 2.0, 0.0)).christoffel
+    gam = family_bundle(doubly_warped_family(STEADY.p, STEADY.h, 0.0),
+                        (1.0, 0.0, 2.0, 0.0)).christoffel
     zeta2, zeta3, beta4 = gam[1, 1, 0], gam[2, 2, 0], gam[2, 3, 3]
     assert_allclose((zeta2, zeta3), (1.0 / 3.0, 2.0 / 3.0), rtol=1e-15)
     assert_allclose(beta4, 1.0 / 2.0, rtol=1e-15)  # u = r, h(1) = 1
@@ -134,7 +127,7 @@ def test_sphere_family_is_einstein():
     (sin_profile(), 1.0), (power_profile(2.0, 0.7), -0.5),
 ])
 def test_warp3_is_conformally_flat(h, k):
-    b = warp3_full_bundle(h, k, (1.1, 0.8, 1.2, 0.4))
+    b = family_bundle(warped3_family(h, k), (1.1, 0.8, 1.2, 0.4))
     assert tensor_norm(b.weyl) <= 1e-10
     for v in riemann_symmetry_residuals(b.riem).values():
         assert v <= 1e-13
@@ -144,7 +137,7 @@ def test_warp3_bundle_connection_flat_chart():
     # gaussian family at h = s is flat R^4 in spherical coordinates, where
     # the frame connection coefficients are classical
     s, r, th = 2.0, 0.7, 1.1
-    b = warp3_full_bundle(power_profile(1.0, 1.0), 1.0, (s, r, th, 0.3))
+    b = family_bundle(warped3_family(power_profile(1.0, 1.0), 1.0), (s, r, th, 0.3))
     gam = b.christoffel
     assert_allclose(gam[1, 1, 0], 1.0 / s, rtol=1e-14)            # zeta
     assert_allclose(gam[1, 2, 2], -math.cos(r) / (s * math.sin(r)), rtol=1e-13)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ from numpy.testing import assert_allclose
 
 from solitonlab.curvature import family_eigenvalues, family_table
 from solitonlab.errors import DomainError, UnsupportedFamilyError
-from solitonlab.families import (FiberProfile, Profile, SolitonData,
+from solitonlab.families import (KIND_WARPED3, FiberProfile, Profile, SolitonData,
                                  broken_family, canonical_soliton_for,
                                  constant_profile, cylinder_family,
-                                 doubly_warped_family, family_from_json,
-                                 family_metric_at, family_to_json,
+                                 doubly_warped_family, family_metric,
                                  fiber_profile_eval, flat_family,
                                  gaussian_family, power_profile,
-                                 product_family, singular_steady_family,
-                                 sphere_family)
+                                 product_family, sin_profile,
+                                 singular_steady_family, sphere_family,
+                                 warped3_family)
 
 ALL_CANONICAL = [singular_steady_family(), product_family(-1.0),
                  gaussian_family(1.0), cylinder_family(2.0), sphere_family(),
@@ -64,27 +65,27 @@ def test_power_profile_derivatives():
 
 def test_metric_singular_steady_at_s1():
     fam = singular_steady_family()
-    g = family_metric_at(fam, (1.0, 0.3, 0.7, 0.1))
+    g = family_metric(fam, [1.0], [0.7])[0, 0]
     assert_allclose(g, np.diag([1.0, 1.0, 1.0, 0.49]), atol=1e-15)
 
 
 def test_metric_product():
     fam = product_family(-1.0)
     s, r = 1.3, 0.8
-    g = family_metric_at(fam, (s, 0.0, r, 0.2))
+    g = family_metric(fam, [s], [r])[0, 0]
     assert_allclose(g, np.diag([1.0, s * s, 1.0, math.sinh(r) ** 2]), rtol=1e-15)
 
 
 def test_metric_flat_doubly_warped_blocks():
     fam = doubly_warped_family(constant_profile(1.0), constant_profile(1.0), 0.0)
-    g = family_metric_at(fam, (5.0, 1.0, 2.0, 0.4))
+    g = family_metric(fam, [5.0], [2.0])[0, 0]
     assert_allclose(g, np.diag([1.0, 1.0, 1.0, 4.0]), atol=1e-15)
 
 
 def test_metric_warped3_chart():
     fam = gaussian_family()
     s, r, th = 1.5, 0.6, 1.1
-    g = family_metric_at(fam, (s, r, th, 0.0))
+    g = family_metric(fam, [s], [r], [th])[0, 0, 0]
     u = math.sin(r)
     expected = np.diag([1.0, s * s, (s * u) ** 2, (s * u * math.sin(th)) ** 2])
     assert_allclose(g, expected, rtol=1e-15)
@@ -94,16 +95,49 @@ def test_metric_warped3_chart():
 def test_metric_positive_definite_on_interior_samples(fam):
     lo = max(fam.domain[0], 0.5)
     hi = min(fam.domain[1], 2.0)
-    for s in np.linspace(lo, hi, 7):
-        g = family_metric_at(fam, (s, 0.7, 0.9, 1.2))
-        assert np.all(np.linalg.eigvalsh(g) > 0)
+    s = np.linspace(lo, hi, 7)
+    if fam.kind == KIND_WARPED3:
+        g = family_metric(fam, s, [0.7], [0.9])
+    else:
+        g = family_metric(fam, s, [0.9])
+    assert np.all(np.linalg.eigvalsh(g.reshape(-1, 4, 4)) > 0)
+
+
+def test_metric_on_axes_matches_each_point():
+    # every node of the product of the axes holds the metric of its point
+    for fam, axes in ((product_family(-1.0), ([0.6, 1.3, 2.2], [0.4, 0.8])),
+                      (gaussian_family(), ([0.6, 1.3, 2.2], [0.4, 0.8], [1.0, 1.5, 2.0]))):
+        g = family_metric(fam, *axes)
+        assert g.shape == tuple(map(len, axes)) + (4, 4)
+        for idx in np.ndindex(g.shape[:-2]):
+            point = [[ax[i]] for ax, i in zip(axes, idx)]
+            assert np.array_equal(g[idx], family_metric(fam, *point).reshape(4, 4))
 
 
 def test_metric_domain_errors():
-    with pytest.raises(DomainError):
-        family_metric_at(singular_steady_family(), (0.0, 0.0, 1.0, 0.0))
-    with pytest.raises(DomainError):
-        family_metric_at(product_family(-1.0), (1.0, 0.0, 0.0, 0.0))  # u(0) = 0
+    with pytest.raises(DomainError, match=r"s=0\.0 outside"):
+        family_metric(singular_steady_family(), [1.0, 0.0, -1.0], [1.0])
+    with pytest.raises(DomainError, match=r"r=0\.0 outside"):
+        family_metric(product_family(-1.0), [1.0], [0.0])  # u(0) = 0
+    # h = sin s is negative past pi, inside this family's domain
+    with pytest.raises(DomainError, match=r"h\(s\) = .* is not positive at s=4\.0"):
+        family_metric(warped3_family(sin_profile(), 1.0), [3.0, 4.0], [1.0], [1.5])
+    with pytest.raises(DomainError, match=r"p\(s\) = .* is not positive at s=4\.0"):
+        family_metric(doubly_warped_family(sin_profile(), constant_profile(1.0), 0.0),
+                      [3.0, 4.0], [1.0])
+    # a fractional power of a negative s is complex, not positive
+    cube_root = doubly_warped_family(power_profile(1.0, 1.0 / 3.0), constant_profile(1.0),
+                                     0.0, domain=(-math.inf, math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"p\(s\) = .*j\) is not positive at s=-1\.0"):
+            family_metric(cube_root, [1.0, -1.0], [1.0])
+    with pytest.raises(DomainError, match=r"theta=3\.2 outside"):
+        family_metric(gaussian_family(), [1.0], [1.0], [1.5, 3.2])
+    with pytest.raises(ValueError, match="theta"):
+        family_metric(gaussian_family(), [1.0], [1.0])
+    with pytest.raises(ValueError, match="theta"):
+        family_metric(product_family(-1.0), [1.0], [1.0], [1.5])
 
 
 def test_canonical_soliton_values():
@@ -147,11 +181,3 @@ def test_soliton_data_shift_changes_value_not_derivatives():
                                   sol.f.d1, sol.f.d2, sol.f.d3), sol.lam)
     assert shifted.f.d1(1.3) == sol.f.d1(1.3)
 
-
-@pytest.mark.parametrize("fam", ALL_CANONICAL + [broken_family()], ids=lambda f: f.name)
-def test_family_json_roundtrip(fam):
-    back = family_from_json(family_to_json(fam))
-    assert back.kind == fam.kind
-    assert back.name == fam.name
-    assert back.k == fam.k
-    assert back.lam == fam.lam

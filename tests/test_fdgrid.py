@@ -1,18 +1,19 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from solitonlab.curvature import family_eigenvalues, family_weyl_sq
-from solitonlab.errors import GridBoundaryError
+from solitonlab.errors import DomainError, GridBoundaryError
 from solitonlab.families import (broken_family, cylinder_family, gaussian_family,
-                                 product_family, singular_steady_family)
+                                 product_family, singular_steady_family,
+                                 sphere_family)
 from solitonlab.fdgrid import (MetricGrid, _metric_derivs, fd_codazzi_block,
-                               fd_curvature, fd_ricci_block, grid_from_family,
-                               grid_from_json, grid_to_json)
+                               fd_curvature, fd_ricci_block, grid_from_family)
 from solitonlab.frames import ricci_from_riemann, sym_eigen, tensor_norm
 from solitonlab.verify import codazzi_residual_closed, oracle_deviation
 
@@ -374,10 +375,12 @@ def test_fd_convergence_halving_factor():
     assert devs[0] / devs[1] >= 12.0
 
 
-def test_grid_json_roundtrip():
-    grid = narrow_grid(singular_steady_family(), 9, s_range=(0.9, 1.1))
-    assert grid.broadcast_axes == (False, True, False, True)
-    back = grid_from_json(grid_to_json(grid))
-    for a, b in zip(grid.axes, back.axes):
-        assert_allclose(a, b, rtol=0, atol=1e-15)
-    assert_allclose(grid.g, back.g, rtol=0, atol=1e-15)
+@pytest.mark.parametrize("fam, s_range, first_bad", [
+    (sphere_family(), (3.0, 3.3), "3.15"),           # across the pole s = pi
+    (singular_steady_family(), (-1.0, 1.0), "-1.0"),  # s^(1/3) of a negative s
+], ids=["sphere", "singular_steady"])
+def test_grid_from_family_rejects_s_outside_the_family_domain(fam, s_range, first_bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^s={re.escape(first_bad)} outside family"):
+            grid_from_family(fam, s_range, 33)

@@ -7,9 +7,10 @@ from numpy.testing import assert_allclose
 from solitonlab.curvature import family_eigenvalues
 from solitonlab.errors import DomainError
 from solitonlab.families import singular_steady_family
-from solitonlab.frames import (Frame4, as_sym2, riemann_symmetry_residuals,
-                               sym_eigen, sym_eigvals, tensor_norm,
-                               weyl_from_riemann)
+from solitonlab.frames import (Frame4, as_sym2, sym_eigen, sym_eigvals,
+                               tensor_norm, weyl_from_riemann)
+
+from helpers import riemann_symmetry_residuals
 
 
 def charpoly_roots(a):

@@ -9,9 +9,9 @@ arc-length variable s.
 
 import numpy as np
 
-from solitonlab import (canonical_soliton_for, cylinder_family,
-                        family_eigenvalues, family_weyl_sq, gaussian_family,
-                        product_family, singular_steady_family, sphere_family)
+from solitonlab import (cylinder_family, family_eigenvalues, family_weyl_sq,
+                        gaussian_family, product_family, singular_steady_family,
+                        sphere_family)
 
 families = [
     ("round 4-sphere (Einstein, lam = 3)", sphere_family()),
@@ -22,7 +22,7 @@ families = [
 ]
 
 for title, fam in families:
-    sol = canonical_soliton_for(fam)
+    sol = fam.soliton
     print(f"\n{title}   [lambda = {sol.lam:g}]")
     print(f"{'s':>5} {'lam1':>12} {'lam2':>12} {'lam3':>12} {'lam4':>12} "
           f"{'R':>12} {'|W|^2':>12}")

@@ -10,9 +10,8 @@ spectrum demonstrates the exclusion note.
 
 import numpy as np
 
-from solitonlab import (canonical_soliton_for, classify, cylinder_family,
-                        gaussian_family, product_family, singular_steady_family,
-                        sphere_family)
+from solitonlab import (classify, cylinder_family, gaussian_family, product_family,
+                        singular_steady_family, sphere_family)
 from solitonlab.classify import ClassifySample, sample_family, signature_labels
 
 S = np.linspace(0.5, 2.0, 64)
@@ -23,13 +22,14 @@ print()
 
 for fam in (sphere_family(), product_family(-1.0), singular_steady_family(),
             gaussian_family(1.0), cylinder_family(2.0)):
-    samples = sample_family(fam, canonical_soliton_for(fam), S)
+    samples = sample_family(fam, fam.soliton, S)
     verdict = classify(samples, tol=1e-8)
     print(f"{fam.name:16s} -> {verdict.label:20s} "
           f"evidence: { {k: f'{v:.1e}' for k, v in verdict.evidence.items()} }")
 
 print("\nnoise sweep on the product family:")
-base = sample_family(product_family(-1.0), canonical_soliton_for(product_family(-1.0)), S)
+product = product_family(-1.0)
+base = sample_family(product, product.soliton, S)
 rng = np.random.default_rng(0)
 for eps in (1e-10, 1e-9, 1e-7, 1e-5):
     noisy = [ClassifySample(sm.s,

@@ -15,16 +15,15 @@ from .curvature import (CurvatureBundle, CurvatureTable, dw_table, family_bundle
                         family_eigenvalues, family_table, family_weyl_sq,
                         warp3_table)
 from .errors import DomainError, GridBoundaryError, UnsupportedFamilyError
-from .families import (FiberProfile, MetricFamily, Profile, SolitonData,
-                       broken_family, canonical_family, canonical_soliton_for,
-                       constant_profile, cylinder_family, doubly_warped_family,
+from .families import (MetricFamily, Profile, SolitonData, broken_family,
+                       canonical_family, constant_profile, cylinder_family,
                        family_metric, fiber_profile_eval, flat_family,
                        gaussian_family, log_profile, power_profile,
                        product_family, quadratic_potential, sin_profile,
-                       singular_steady_family, sphere_family, warped3_family)
+                       singular_steady_family, sphere_family)
 from .fdgrid import MetricGrid, fd_curvature, grid_from_family
-from .frames import (Frame4, as_sym2, ricci_from_riemann, sym_eigen, sym_eigvals,
-                     tensor_norm, weyl_from_riemann)
+from .frames import (as_sym2, ricci_from_riemann, sym_eigen, sym_eigvals, tensor_norm,
+                     weyl_from_riemann)
 from .reduced import (DwDerivatives, ReducedState, Trajectory, branch_label,
                       distinct_fprime, distinct_frame_relations, dw_rhs,
                       exclusion_residual, integrate, product_state,

@@ -24,9 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import ClassifySample, LABEL_UNKNOWN, classify, sample_family
-from .errors import UnsupportedFamilyError
-from .families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily,
-                       canonical_family, canonical_soliton_for)
+from .families import BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily, canonical_family
 from .fdgrid import MARGIN_CODAZZI, grid_from_family
 from .reduced import (branch_label, integrate, product_state,
                       singular_steady_state, trajectory_to_csv)
@@ -94,14 +92,12 @@ def _cmd_verify(args) -> tuple[dict, bool, None]:
     fam = _build_family(args.family, args.lam)
     samples = _samples(fam, args.s, args.samples)
     reports = {"codazzi": codazzi_residual_closed(fam, samples)}
-    try:
-        sol = canonical_soliton_for(fam)
-    except UnsupportedFamilyError:
+    if fam.soliton is None:
         skipped = {"skipped": "family has no canonical potential"}
         checks = {"soliton": skipped, "hamilton": skipped}
     else:
-        reports["soliton"] = soliton_residual(fam, sol, samples)
-        reports["hamilton"] = hamilton_check(fam, sol, samples)
+        reports["soliton"] = soliton_residual(fam, fam.soliton, samples)
+        reports["hamilton"] = hamilton_check(fam, fam.soliton, samples)
         checks = {}
     checks.update((name, rep.as_dict()) for name, rep in reports.items())
     passed = all(rep.max_abs <= args.tol for rep in reports.values())
@@ -120,7 +116,8 @@ def _cmd_integrate(args) -> tuple[dict, bool, str | None]:
         raise UsageError("integrate supports the families with reduced data: "
                          "['product', 'singular-steady']")
     fam, s0 = _build_family(args.family, args.lam), getattr(args, "from")
-    st0 = product_state(s0, fam.lam) if fam.name == "product" else singular_steady_state(s0)
+    st0 = (product_state(s0, fam.soliton.lam) if fam.name == "product"
+           else singular_steady_state(s0))
     traj = integrate(st0, args.to, args.step)
     worst = max(max(map(abs, res.values())) for res in traj.identity_residual_rows())
     end = traj.final
@@ -182,12 +179,10 @@ def _cmd_classify(args) -> tuple[dict, bool, None]:
         job_src = {"samples_file": args.samples_file}
     else:
         fam = _build_family(args.family, args.lam)
-        try:
-            sol = canonical_soliton_for(fam)
-        except UnsupportedFamilyError as exc:
+        if fam.soliton is None:
             raise UsageError(f"family {args.family!r} has no canonical potential; "
-                             "supply --samples-file") from exc
-        samples = sample_family(fam, sol, _samples(fam, args.s, args.samples))
+                             "supply --samples-file")
+        samples = sample_family(fam, fam.soliton, _samples(fam, args.s, args.samples))
         job_src = {"family": args.family, "s_range": list(args.s),
                    "samples": args.samples}
     verdict = classify(samples, args.tol)

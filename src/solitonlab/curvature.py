@@ -38,10 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .families import (KIND_WARPED3, MetricFamily, Profile, fiber_profile_eval,
-                       first_failure)
-from .frames import (DIM, Frame4, ricci_from_riemann, tensor_norm,
-                     weyl_from_riemann)
+from .families import (MetricFamily, Profile, fiber_profile_eval, first_failure,
+                       require_positive)
+from .frames import DIM, ricci_from_riemann, tensor_norm, weyl_from_riemann
 
 Values = float | np.ndarray  # a float at a float s, an array of its shape at an array
 
@@ -70,13 +69,14 @@ def _over_samples(formulas):
 @dataclass(frozen=True)
 class CurvatureBundle:
     """Christoffel symbols, curvature tensors and the Codazzi residual of
-    ``Ric - (R/6) g`` at one point, in the declared frame.
+    ``Ric - (R/6) g`` at one point: in the orthonormal adapted frame when
+    built from the closed forms, in the coordinate frame when built by
+    `fdgrid.fd_curvature`.
 
     ``christoffel[k, i, j]`` is ``<grad_{E_i} E_j, E_k>`` in an orthonormal
     frame and the coordinate symbol ``Gamma^k_ij`` in a coordinate frame.
     """
 
-    frame: Frame4
     g: np.ndarray
     christoffel: np.ndarray
     riem: np.ndarray
@@ -115,15 +115,6 @@ class CurvatureTable(NamedTuple):
     scalarp: Values
 
 
-def _positive(profile: Profile, s: Values, name: str) -> Values:
-    v = profile.value(s)
-    bad = first_failure(v > 0.0, s)
-    if bad is not None:
-        raise DomainError(f"{name}(s) = {profile.value(bad)!r} is not positive "
-                          f"at s={bad!r}")
-    return v
-
-
 def _finite(s: Values, *values: Values, what: str = "closed-form curvature"
             ) -> tuple[Values, ...]:
     """``values``, broadcast to the shape of s, after naming the first s
@@ -142,7 +133,8 @@ def _finite(s: Values, *values: Values, what: str = "closed-form curvature"
 @_over_samples
 def dw_table(p: Profile, h: Profile, k: float, s) -> CurvatureTable:
     """Unconstrained curvature table of the doubly-warped ansatz at s."""
-    pv, hv = _positive(p, s, "p"), _positive(h, s, "h")
+    pv = require_positive(p.value(s), s, p, "p")
+    hv = require_positive(h.value(s), s, h, "h")
     a, b = p.d1(s) / pv, h.d1(s) / hv
     pddp, hddh = p.d2(s) / pv, h.d2(s) / hv
     k_h2 = k / hv**2
@@ -168,7 +160,7 @@ def dw_table(p: Profile, h: Profile, k: float, s) -> CurvatureTable:
 @_over_samples
 def warp3_table(h: Profile, k: float, s) -> CurvatureTable:
     """Curvature table of the 3-fiber warped product at s."""
-    hv = _positive(h, s, "h")
+    hv = require_positive(h.value(s), s, h, "h")
     b = h.d1(s) / hv
     hddh = h.d2(s) / hv
     k_h2 = k / hv**2
@@ -201,7 +193,7 @@ def codazzi_components(t: CurvatureTable) -> tuple[Values, Values, Values]:
 def family_table(m: MetricFamily, s) -> CurvatureTable:
     """The curvature table of ``m`` at s, a float or an array of s."""
     m.require(s)
-    if m.kind == KIND_WARPED3:
+    if m.p is None:
         return warp3_table(m.h, m.k, s)
     return dw_table(m.p, m.h, m.k, s)
 
@@ -229,14 +221,14 @@ def family_bundle(m: MetricFamily, point) -> CurvatureBundle:
     s = point[0]
     t = family_table(m, s)
     hv = m.h.value(s)
-    if m.kind == KIND_WARPED3:
+    if m.p is None:
         _, r, theta, _ = point
-        u, up, _ = fiber_profile_eval(m.fiber, r)
+        u, up, _ = fiber_profile_eval(m.k, r)
         g_r = up / (hv * u)
         g_t = math.cos(theta) / (math.sin(theta) * hv * u)
         rotations = [(2, 2, 1, g_r), (3, 3, 1, g_r), (3, 3, 2, g_t)]
     else:
-        u, up, _ = fiber_profile_eval(m.fiber, point[2])
+        u, up, _ = fiber_profile_eval(m.k, point[2])
         rotations = [(2, 3, 3, up / (hv * u))]
     gam = np.zeros((DIM, DIM, DIM))
     # zeta_i = <grad_{E_i} E_1, E_i>: grad_{E_i} E_i = -zeta_i E_1 + fiber terms
@@ -254,8 +246,7 @@ def family_bundle(m: MetricFamily, point) -> CurvatureBundle:
     for i, d in enumerate(codazzi_components(t), start=1):
         codazzi[0, i, i] = d
         codazzi[i, 0, i] = -d
-    return CurvatureBundle(Frame4("orthonormal", ("E1", "E2", "E3", "E4")), g,
-                           gam, riem, ric, t.scalar, weyl, codazzi)
+    return CurvatureBundle(g, gam, riem, ric, t.scalar, weyl, codazzi)
 
 
 @_over_samples

@@ -1,14 +1,15 @@
-"""Structured 4-metric families and their potential functions.
+"""Structured 4-metric families, each with its canonical potential.
 
 Every metric here is a block ansatz over an interval of the arc-length
 variable s:
 
-* ``doubly_warped`` (and its named specializations ``product_R2xN`` and
-  ``singular_steady``): ``g = ds^2 + p(s)^2 dt^2 + h(s)^2 gt`` with ``gt`` a
-  2-d metric of constant curvature k, realized in polar-type coordinates
-  ``(r, theta)`` as ``dr^2 + u(r)^2 dtheta^2``.
-* ``warped3``: ``g = ds^2 + h(s)^2 gt`` with ``gt`` a 3-d metric of constant
-  curvature k in polar-type coordinates ``(r, theta, phi)``.
+* doubly warped, when the family has a p profile:
+  ``g = ds^2 + p(s)^2 dt^2 + h(s)^2 gt`` with ``gt`` a 2-d metric of
+  constant curvature k, realized in polar-type coordinates ``(r, theta)``
+  as ``dr^2 + u(r)^2 dtheta^2``;
+* warped over a 3-d fiber, when ``p`` is None: ``g = ds^2 + h(s)^2 gt`` with
+  ``gt`` a 3-d metric of constant curvature k in polar-type coordinates
+  ``(r, theta, phi)``.
 
 Profiles carry exact derivatives up to third order; no numerical
 differentiation happens in this module or in the closed forms built on it.
@@ -16,10 +17,12 @@ Every profile callable takes either a Python float, evaluated with `math`
 exactly as a scalar formula would be, or an array of s, evaluated
 elementwise with numpy.
 
-A soliton on a family is ``SolitonData(f, lam)``: the potential profile and
-the soliton constant.  Everything else the soliton equation needs (the
-frame coefficients zeta_i, the Ricci eigenvalues) is read from the family's
-curvature table in :mod:`solitonlab.curvature`.
+A family is one `MetricFamily` record: the metric profiles and, on the
+canonical families, ``soliton = SolitonData(f, lam)``, the potential profile
+and the soliton constant that make it a gradient Ricci soliton.  Everything
+else the soliton equation needs (the frame coefficients zeta_i, the Ricci
+eigenvalues) is read from the family's curvature table in
+:mod:`solitonlab.curvature`.
 """
 
 from __future__ import annotations
@@ -120,30 +123,19 @@ def quadratic_potential(lam: float) -> Profile:
 # ---------------------------------------------------------------------------
 # constant-curvature fiber profile u(r)
 
-@dataclass(frozen=True)
-class FiberProfile:
-    """Radial profile of a constant-curvature fiber in polar-type coordinates.
+def fiber_profile_eval(k: float, r: float) -> tuple[float, float, float]:
+    """(u, u', u'') at r of the radial profile of a fiber of constant
+    curvature k in polar-type coordinates, on the sine / linear / sinh
+    branch by sign of k.
 
     u solves u'' = -k u with u(0) = 0, u'(0) = 1, so the fiber metric
     ``dr^2 + u(r)^2 dtheta^2`` (and its 3-d analogue) has constant curvature
-    k and no cone singularity at r = 0.
+    k and no cone singularity at r = 0; r must lie in (0, pi/sqrt(k)) for
+    k > 0 and in (0, inf) otherwise.
     """
-
-    k: float
-
-    @property
-    def r_max(self) -> float:
-        return math.pi / math.sqrt(self.k) if self.k > 0 else math.inf
-
-    def contains(self, r: float) -> bool:
-        return BOUNDARY_MARGIN <= r <= self.r_max - BOUNDARY_MARGIN
-
-
-def fiber_profile_eval(fp: FiberProfile, r: float) -> tuple[float, float, float]:
-    """(u, u', u'') at r, on the sine / linear / sinh branch by sign of k."""
-    if not fp.contains(r):
-        raise DomainError(f"r={r!r} outside fiber domain (0, {fp.r_max!r})")
-    k = fp.k
+    r_max = math.pi / math.sqrt(k) if k > 0 else math.inf
+    if not BOUNDARY_MARGIN <= r <= r_max - BOUNDARY_MARGIN:
+        raise DomainError(f"r={r!r} outside fiber domain (0, {r_max!r})")
     if k > 0:
         rk = math.sqrt(k)
         u = math.sin(rk * r) / rk
@@ -158,125 +150,98 @@ def fiber_profile_eval(fp: FiberProfile, r: float) -> tuple[float, float, float]
 # ---------------------------------------------------------------------------
 # metric families
 
-KIND_PRODUCT = "product_R2xN"
-KIND_SINGULAR_STEADY = "singular_steady"
-KIND_DOUBLY_WARPED = "doubly_warped"
-KIND_WARPED3 = "warped3"
+@dataclass(frozen=True)
+class SolitonData:
+    """Potential profile f(s) and soliton constant lambda."""
 
-_DW_KINDS = (KIND_PRODUCT, KIND_SINGULAR_STEADY, KIND_DOUBLY_WARPED)
+    f: Profile
+    lam: float
 
 
 @dataclass(frozen=True)
 class MetricFamily:
-    """A parametric structured 4-metric.
+    """A parametric structured 4-metric with its canonical potential.
 
-    ``p`` is ``None`` exactly for ``warped3`` (3-d fiber, no t-circle).
-    ``name`` tags canonical instances ("product", "singular_steady",
-    "gaussian", "cylinder", "sphere", "flat", "broken_product"); it is empty
-    for user-assembled profiles.
+    ``p`` is ``None`` exactly for the warped product over a 3-d fiber (no
+    t-circle).  ``soliton`` is the canonical (f, lam) making the family a
+    gradient Ricci soliton, with additive constants in f normalized to zero,
+    or ``None`` for a family without one.  ``name`` tags canonical instances
+    ("product", "singular_steady", "gaussian", "cylinder", "sphere", "flat",
+    "broken_product"); it is empty for user-assembled profiles.
     """
 
-    kind: str
     h: Profile
     k: float
     p: Profile | None = None
-    lam: float | None = None
+    soliton: SolitonData | None = None
     domain: tuple[float, float] = (BOUNDARY_MARGIN, math.inf)
     name: str = ""
 
-    def __post_init__(self):
-        if self.kind not in _DW_KINDS + (KIND_WARPED3,):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind in _DW_KINDS and self.p is None:
-            raise ValueError(f"{self.kind} needs a p profile")
-        if self.kind == KIND_WARPED3 and self.p is not None:
-            raise ValueError("warped3 has no p profile")
-
-    @property
-    def fiber(self) -> FiberProfile:
-        return FiberProfile(self.k)
-
-    def coordinates(self) -> tuple[str, str, str, str]:
-        if self.kind == KIND_WARPED3:
-            return ("s", "r", "theta", "phi")
-        return ("s", "t", "r", "theta")
-
-    def contains(self, s):
-        """Whether s (a float, or elementwise for an array) is in the domain."""
+    def require(self, s) -> None:
+        """Raise DomainError naming the first s (a float, or elementwise for
+        an array) outside the domain."""
         # infinite endpoints absorb the margin (inf - m == inf)
         lo, hi = self.domain
-        return (s >= lo + BOUNDARY_MARGIN) & (s <= hi - BOUNDARY_MARGIN)
-
-    def require(self, s) -> None:
-        """Raise DomainError naming the first s outside the domain."""
-        bad = first_failure(self.contains(s), s)
+        bad = first_failure((s >= lo + BOUNDARY_MARGIN) & (s <= hi - BOUNDARY_MARGIN), s)
         if bad is not None:
             raise DomainError(f"s={bad!r} outside family domain {self.domain}")
 
 
-def doubly_warped_family(p: Profile, h: Profile, k: float,
-                         domain=(BOUNDARY_MARGIN, math.inf), name="") -> MetricFamily:
-    return MetricFamily(KIND_DOUBLY_WARPED, h, k, p=p, domain=domain, name=name)
-
-
-def warped3_family(h: Profile, k: float, domain=(BOUNDARY_MARGIN, math.inf),
-                   lam: float | None = None, name="") -> MetricFamily:
-    return MetricFamily(KIND_WARPED3, h, k, lam=lam, domain=domain, name=name)
-
-
 def product_family(lam: float = -1.0) -> MetricFamily:
-    """R^2 x N: g = ds^2 + s^2 dt^2 + gt, fiber of constant curvature lam != 0."""
+    """R^2 x N: g = ds^2 + s^2 dt^2 + gt, fiber of constant curvature lam != 0,
+    with f = lam s^2 / 2."""
     if lam == 0.0:
         raise ValueError("the product family needs lam != 0")
-    return MetricFamily(KIND_PRODUCT, constant_profile(1.0), lam,
-                        p=power_profile(1.0, 1.0), lam=lam,
-                        domain=(BOUNDARY_MARGIN, math.inf), name="product")
+    return MetricFamily(constant_profile(1.0), lam, p=power_profile(1.0, 1.0),
+                        soliton=SolitonData(quadratic_potential(lam), lam), name="product")
 
 
 def singular_steady_family() -> MetricFamily:
-    """g = ds^2 + s^(2/3) dt^2 + s^(4/3) gt with flat 2-d fiber, on s > 0."""
-    return MetricFamily(KIND_SINGULAR_STEADY, power_profile(1.0, 2.0 / 3.0), 0.0,
-                        p=power_profile(1.0, 1.0 / 3.0), lam=0.0,
-                        domain=(BOUNDARY_MARGIN, math.inf), name="singular_steady")
+    """g = ds^2 + s^(2/3) dt^2 + s^(4/3) gt with flat 2-d fiber, on s > 0, with
+    lam = 0 and f = (2/3) ln s."""
+    return MetricFamily(power_profile(1.0, 2.0 / 3.0), 0.0, p=power_profile(1.0, 1.0 / 3.0),
+                        soliton=SolitonData(log_profile(2.0 / 3.0), 0.0),
+                        name="singular_steady")
 
 
 def gaussian_family(lam: float = 1.0) -> MetricFamily:
-    """Flat warped product g = ds^2 + s^2 g_{S^3}; polar chart of R^4."""
-    return warped3_family(power_profile(1.0, 1.0), 1.0,
-                          domain=(BOUNDARY_MARGIN, math.inf), lam=lam, name="gaussian")
+    """Flat warped product g = ds^2 + s^2 g_{S^3} (polar R^4), f = lam s^2 / 2."""
+    return MetricFamily(power_profile(1.0, 1.0), 1.0,
+                        soliton=SolitonData(quadratic_potential(lam), lam), name="gaussian")
 
 
 def cylinder_family(lam: float = 2.0) -> MetricFamily:
-    """R x M^3: g = ds^2 + gt with gt of constant curvature lam/2 != 0."""
+    """R x M^3: g = ds^2 + gt with gt of constant curvature lam/2 != 0, with
+    f = lam s^2 / 2."""
     if lam == 0.0:
         raise ValueError("the cylinder family needs lam != 0")
-    return warped3_family(constant_profile(1.0), 0.5 * lam,
-                          domain=(-math.inf, math.inf), lam=lam, name="cylinder")
+    return MetricFamily(constant_profile(1.0), 0.5 * lam,
+                        soliton=SolitonData(quadratic_potential(lam), lam),
+                        domain=(-math.inf, math.inf), name="cylinder")
 
 
 def sphere_family() -> MetricFamily:
-    """The unit round 4-sphere in polar form, an Einstein instance (Ric = 3g)."""
-    return warped3_family(sin_profile(), 1.0,
-                          domain=(BOUNDARY_MARGIN, math.pi - BOUNDARY_MARGIN),
-                          lam=3.0, name="sphere")
+    """The unit round 4-sphere in polar form, an Einstein instance: Ric = 3g, f = 0."""
+    return MetricFamily(sin_profile(), 1.0, soliton=SolitonData(constant_profile(0.0), 3.0),
+                        domain=(BOUNDARY_MARGIN, math.pi - BOUNDARY_MARGIN), name="sphere")
 
 
 def flat_family() -> MetricFamily:
-    """Flat product chart: p = h = 1, k = 0 (Einstein with lam = 0)."""
-    return MetricFamily(KIND_DOUBLY_WARPED, constant_profile(1.0), 0.0,
-                        p=constant_profile(1.0), lam=0.0,
+    """Flat product chart: p = h = 1, k = 0 (Einstein with lam = 0, f = 0)."""
+    return MetricFamily(constant_profile(1.0), 0.0, p=constant_profile(1.0),
+                        soliton=SolitonData(constant_profile(0.0), 0.0),
                         domain=(-math.inf, math.inf), name="flat")
 
 
 def broken_family() -> MetricFamily:
-    """g = ds^2 + s^2 dt^2 + s * gt (k = 1): a deliberate negative control.
+    """g = ds^2 + s^2 dt^2 + s * gt (k = 1): a deliberate negative control,
+    with no potential.
 
     This metric does not satisfy the divergence-free-Weyl structure
     (p''/p != h''/h), so the Codazzi residual checks must reject it.
     """
-    return MetricFamily(KIND_DOUBLY_WARPED, power_profile(1.0, 0.5), 1.0,
-                        p=power_profile(1.0, 1.0),
-                        domain=(BOUNDARY_MARGIN, math.inf), name="broken_product")
+    return MetricFamily(power_profile(1.0, 0.5), 1.0, p=power_profile(1.0, 1.0),
+                        name="broken_product")
 
 
 CANONICAL_FAMILIES = {
@@ -301,38 +266,50 @@ def canonical_family(name: str, lam: float | None = None) -> MetricFamily:
     return build() if lam is None or name not in _PARAMETRIC else build(lam)
 
 
-def _positive_values(profile: Profile, s: np.ndarray, name: str) -> np.ndarray:
-    """The profile at each s, evaluated one Python float at a time; a
-    DomainError names the first s where it is not positive (or is complex,
-    as a fractional power of a negative s is)."""
-    v = np.array([profile.value(x) for x in s.tolist()])
-    bad = first_failure(np.isreal(v) & (v > 0.0), s)
+def require_positive(v, s, profile: Profile, name: str):
+    """``v``, the values of ``profile`` at s (a float, or an array of s),
+    after a DomainError naming the first s where one is not real and
+    positive; a fractional power of a negative s is complex at a float."""
+    if not isinstance(v, np.ndarray):
+        ok = not isinstance(v, complex) and v > 0.0
+    elif np.iscomplexobj(v):
+        ok = np.isreal(v) & (v.real > 0.0)
+    else:
+        ok = v > 0.0
+    bad = first_failure(ok, s)
     if bad is not None:
         raise DomainError(f"{name}(s) = {profile.value(bad)!r} is not positive "
                           f"at s={bad!r}")
     return v
 
 
+def _positive_values(profile: Profile, s: np.ndarray, name: str) -> np.ndarray:
+    """The profile at each s, evaluated one Python float at a time, after
+    `require_positive`."""
+    return require_positive(np.array([profile.value(x) for x in s.tolist()]), s,
+                            profile, name)
+
+
 def family_metric(m: MetricFamily, s, r, theta=None) -> np.ndarray:
     """Coordinate components of the family metric on the product of the 1-d
     axes s, r and, for warped3 only, theta.
 
-    Doubly-warped kinds use coordinates (s, t, r, theta) and give
+    Doubly-warped families use coordinates (s, t, r, theta) and give
     ``diag(1, p^2, h^2, h^2 u(r)^2)`` with shape (len(s), len(r), 4, 4);
-    warped3 uses (s, r, theta, phi) and gives
+    warped3 (``p is None``) uses (s, r, theta, phi) and gives
     ``diag(1, h^2, h^2 u^2, h^2 u^2 sin^2 theta)`` with shape
     (len(s), len(r), len(theta), 4, 4).  The metric does not depend on the
     other coordinates.  Every s must lie in the family domain, p and h must
     be positive there, r in the fiber domain and theta in the polar chart;
     a DomainError names the first value that is not.
     """
-    if (theta is None) != (m.kind != KIND_WARPED3):
+    if (theta is None) == (m.p is None):
         raise ValueError("theta is an axis of warped3 families only")
     s, r = np.asarray(s, dtype=float), np.asarray(r, dtype=float)
     m.require(s)
     h = _positive_values(m.h, s, "h")
-    u = np.array([fiber_profile_eval(m.fiber, x)[0] for x in r.tolist()])
-    if m.kind == KIND_WARPED3:
+    u = np.array([fiber_profile_eval(m.k, x)[0] for x in r.tolist()])
+    if m.p is None:
         theta = np.asarray(theta, dtype=float)
         in_chart = (theta >= BOUNDARY_MARGIN) & (theta <= math.pi - BOUNDARY_MARGIN)
         bad = first_failure(in_chart, theta)
@@ -348,30 +325,3 @@ def family_metric(m: MetricFamily, s, r, theta=None) -> np.ndarray:
     for i, v in enumerate(diag, start=1):
         g[..., i, i] = v
     return g
-
-
-# ---------------------------------------------------------------------------
-# canonical soliton data
-
-@dataclass(frozen=True)
-class SolitonData:
-    """Potential profile f(s) and soliton constant lambda."""
-
-    f: Profile
-    lam: float
-
-
-def canonical_soliton_for(m: MetricFamily) -> SolitonData:
-    """The canonical (f, lam) making the family a gradient Ricci soliton.
-
-    Additive constants in f are normalized to zero.  Raises
-    UnsupportedFamilyError for families without a canonical potential.
-    """
-    if m.name == "singular_steady":
-        return SolitonData(log_profile(2.0 / 3.0), 0.0)
-    if m.name in _PARAMETRIC:
-        return SolitonData(quadratic_potential(m.lam), m.lam)
-    if m.name in ("sphere", "flat"):
-        return SolitonData(constant_profile(0.0), m.lam)
-    raise UnsupportedFamilyError(
-        f"no canonical soliton for family {m.name or m.kind!r}")

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridBoundaryError
-from .families import KIND_WARPED3, MetricFamily, family_metric
-from .frames import DIM, Frame4
+from .families import MetricFamily, family_metric
+from .frames import DIM
 from .curvature import CurvatureBundle
 
 MARGIN_CURVATURE = 2
@@ -334,9 +334,8 @@ def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
     weyl = _weyl_batch(riem, ric, scalar, g0)
     gam = conn[2].transpose(0, 3, 1, 2)
     codazzi = _codazzi_batch(grid, nodes)
-    labels = tuple(f"x{i+1}" for i in range(DIM))
-    return CurvatureBundle(Frame4("coordinate", labels), g0[0], gam[0], riem[0],
-                           ric[0], float(scalar[0]), weyl[0], codazzi[0])
+    return CurvatureBundle(g0[0], gam[0], riem[0], ric[0], float(scalar[0]), weyl[0],
+                           codazzi[0])
 
 
 def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
@@ -349,15 +348,15 @@ def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
 # grid construction from families
 
 def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
-                     r_range=None, n_r: int | None = None,
-                     cross_nodes: int = 2 * MARGIN_CODAZZI + 1) -> MetricGrid:
+                     r_range=None, n_r: int | None = None) -> MetricGrid:
     """Sample a family chart onto a MetricGrid.
 
     The s and fiber-radial axes get full resolution; axes the metric does
-    not vary along (t, phi; theta for 2-d fibers) get ``cross_nodes`` nodes
-    at the s-spacing.  For warped3 the theta axis also uses the s-spacing,
-    centered at theta = pi/2.  The metric comes from `family_metric`, so
-    every s node must lie in the family domain.
+    not vary along (t, phi; theta for 2-d fibers) get the 2 * MARGIN_CODAZZI
+    + 1 nodes of one Codazzi stencil, at the s-spacing.  For warped3 the
+    theta axis also uses the s-spacing, centered at theta = pi/2.  The
+    metric comes from `family_metric`, so every s node must lie in the
+    family domain.
 
     The metric is stored once per node of the non-Killing axes (s, r and,
     for warped3, theta): ``grid.g`` is a read-only ``np.broadcast_to`` view
@@ -375,8 +374,9 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
         raise DomainError("fiber radial range must stay 10 spacings away from u = 0")
     s_ax = np.linspace(lo, hi, n_s)
     r_ax = np.linspace(rlo, rhi, n_r)
-    cross = lambda center: center + ds * (np.arange(cross_nodes) - (cross_nodes - 1) / 2)
-    if m.kind == KIND_WARPED3:
+    offsets = ds * (np.arange(2 * MARGIN_CODAZZI + 1) - MARGIN_CODAZZI)
+    cross = lambda center: center + offsets
+    if m.p is None:
         th_ax = cross(math.pi / 2.0)
         axes = (s_ax, r_ax, th_ax, cross(0.0))
         g = family_metric(m, s_ax, r_ax, th_ax)[:, :, :, None]

@@ -14,27 +14,11 @@ constant-curvature 4-space and reproduces the warped-product tables used in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
 
 DIM = 4
-
-
-@dataclass(frozen=True)
-class Frame4:
-    """A declared frame: four distinct labels, orthonormal or coordinate."""
-
-    kind: str
-    labels: tuple[str, str, str, str]
-
-    def __post_init__(self):
-        if self.kind not in ("orthonormal", "coordinate"):
-            raise ValueError(f"unknown frame kind {self.kind!r}")
-        if len(self.labels) != DIM or len(set(self.labels)) != DIM:
-            raise ValueError("a frame needs exactly 4 distinct labels")
 
 
 def as_sym2(m, tol: float = 0.0) -> np.ndarray:

@@ -11,8 +11,7 @@ import numpy as np
 from solitonlab.classify import LABEL_UNKNOWN, classify
 from solitonlab.cli import main as cli_main
 from solitonlab.curvature import family_eigenvalues, family_weyl_sq
-from solitonlab.families import (SolitonData, broken_family,
-                                 canonical_soliton_for, cylinder_family,
+from solitonlab.families import (SolitonData, broken_family, cylinder_family,
                                  gaussian_family, product_family,
                                  singular_steady_family, sphere_family)
 from solitonlab.fdgrid import (fd_codazzi_block, fd_curvature, fd_ricci_block,
@@ -101,13 +100,13 @@ def test_criterion_3_soliton_residuals():
     ok = True
     details = []
     for name, fam in FAMILIES.items():
-        sol = canonical_soliton_for(fam)
+        sol = fam.soliton
         rep = soliton_residual(fam, sol, SAMPLES64)
         ok = ok and rep.max_abs <= 1e-10
         details.append(f"{name} {rep.max_abs:.1e}")
     # negative control: shifting lambda shifts the residual by exactly |dlam|
     fam = singular_steady_family()
-    sol = canonical_soliton_for(fam)
+    sol = fam.soliton
     for dlam in (1.0, -0.5, 0.25):
         rep = soliton_residual(fam, SolitonData(sol.f, sol.lam + dlam), SAMPLES64)
         ok = ok and abs(rep.max_abs - abs(dlam)) <= 1e-12
@@ -157,12 +156,12 @@ def test_criterion_5_conservation_identities():
     ok = True
     details = []
     for name, fam in FAMILIES.items():
-        rep = hamilton_check(fam, canonical_soliton_for(fam), SAMPLES64)
+        rep = hamilton_check(fam, fam.soliton, SAMPLES64)
         ok = ok and rep.per_equation["conserved_deviation"] <= 1e-10
         ok = ok and rep.per_equation["scalar_slope"] <= 1e-10
         details.append(f"{name} {rep.max_abs:.1e}")
     fam = singular_steady_family()
-    sol = canonical_soliton_for(fam)
+    sol = fam.soliton
     worst = max(abs(family_eigenvalues(fam, s)[4] + sol.f.d1(s) ** 2
                     - 2.0 * sol.lam * sol.f.value(s)) for s in SAMPLES64)
     ok = ok and worst <= 1e-12

@@ -18,7 +18,6 @@ PACKAGE = ROOT / "src" / "solitonlab"
 KEEP = {
     "family_bundle": "closed-form reference that family_weyl_sq and the FD "
                      "checks are tested against",
-    "doubly_warped_family": "builds the non-canonical negative controls",
     "dw_rhs": "the paper's reduced system of the doubly-warped soliton",
     "warp3_rhs": "the paper's reduced system of the warped product",
 }

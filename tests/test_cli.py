@@ -157,12 +157,13 @@ def test_cli_and_json_family_names_build_the_same_family(cli_name, lam):
     from_registry = canonical_family(cli_name.replace("-", "_"), lam)
 
     def fields(m):
-        return m.kind, m.name, m.k, m.lam, m.domain, m.h.label, m.p and m.p.label
+        sol = m.soliton and (m.soliton.lam, m.soliton.f.label)
+        return m.p is None, m.name, m.k, sol, m.domain, m.h.label, m.p and m.p.label
 
     assert fields(from_cli) == fields(from_registry)
     default = {"product": -1.0, "gaussian": 1.0, "cylinder": 2.0}
     if cli_name in default:
-        assert from_cli.lam == (default[cli_name] if lam is None else lam)
+        assert from_cli.soliton.lam == (default[cli_name] if lam is None else lam)
 
 
 SAMPLE_ROW = {"s": 1.0, "eigenvalues": [1.0, 1.0, 1.0, 1.0], "fprime": 0.0,

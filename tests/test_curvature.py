@@ -10,13 +10,11 @@ from numpy.testing import assert_allclose
 from solitonlab.curvature import (dw_table, family_bundle, family_eigenvalues,
                                   family_table, family_weyl_sq, warp3_table)
 from solitonlab.errors import DomainError
-from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES,
-                                 KIND_WARPED3, broken_family, canonical_family,
-                                 constant_profile, cylinder_family,
-                                 doubly_warped_family, gaussian_family,
-                                 power_profile, product_family, sin_profile,
-                                 singular_steady_family, sphere_family,
-                                 warped3_family)
+from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily,
+                                 broken_family, canonical_family, constant_profile,
+                                 cylinder_family, gaussian_family, power_profile,
+                                 product_family, sin_profile, singular_steady_family,
+                                 sphere_family)
 from solitonlab.frames import ricci_from_riemann, tensor_norm
 
 from helpers import riemann_symmetry_residuals
@@ -60,7 +58,7 @@ def test_dw_table_scalar_is_eigenvalue_sum():
 
 
 def test_dw_full_bundle_singular_steady():
-    b = family_bundle(doubly_warped_family(STEADY.p, STEADY.h, 0.0), (1.0, 0.0, 0.8, 0.1))
+    b = family_bundle(MetricFamily(STEADY.h, 0.0, p=STEADY.p), (1.0, 0.0, 0.8, 0.1))
     # R_1221 = -zeta_2' - zeta_2^2 = 2/9 at s = 1
     assert_allclose(b.riem[0, 1, 1, 0], 2.0 / 9.0, rtol=1e-13)
     assert_allclose(b.riem[0, 1, 1, 0], b.riem[0, 2, 2, 0], rtol=1e-13)
@@ -77,7 +75,7 @@ def test_dw_full_bundle_singular_steady():
 
 
 def test_dw_full_bundle_flat_is_zero():
-    b = family_bundle(doubly_warped_family(ONE, ONE, 0.0), (2.0, 0.0, 1.0, 0.0))
+    b = family_bundle(MetricFamily(ONE, 0.0, p=ONE), (2.0, 0.0, 1.0, 0.0))
     assert np.max(np.abs(b.riem)) == 0.0
     assert np.max(np.abs(b.ric)) == 0.0
     assert b.scalar == 0.0
@@ -93,14 +91,14 @@ def test_dw_full_bundle_flat_is_zero():
 ])
 def test_dw_bundle_contraction_matches_dw_ricci(p, h, k):
     s = 1.4
-    b = family_bundle(doubly_warped_family(p, h, k), (s, 0.0, 0.9, 0.3))
+    b = family_bundle(MetricFamily(h, k, p=p), (s, 0.0, 0.9, 0.3))
     eigs = dw_ricci(p, h, k, s)
     assert_allclose(np.diag(b.ric), eigs[:4], rtol=1e-12, atol=1e-15)
     assert_allclose(b.scalar, eigs[4], rtol=1e-12, atol=1e-15)
 
 
 def test_dw_connection_values():
-    gam = family_bundle(doubly_warped_family(STEADY.p, STEADY.h, 0.0),
+    gam = family_bundle(MetricFamily(STEADY.h, 0.0, p=STEADY.p),
                         (1.0, 0.0, 2.0, 0.0)).christoffel
     zeta2, zeta3, beta4 = gam[1, 1, 0], gam[2, 2, 0], gam[2, 3, 3]
     assert_allclose((zeta2, zeta3), (1.0 / 3.0, 2.0 / 3.0), rtol=1e-15)
@@ -127,7 +125,7 @@ def test_sphere_family_is_einstein():
     (sin_profile(), 1.0), (power_profile(2.0, 0.7), -0.5),
 ])
 def test_warp3_is_conformally_flat(h, k):
-    b = family_bundle(warped3_family(h, k), (1.1, 0.8, 1.2, 0.4))
+    b = family_bundle(MetricFamily(h, k), (1.1, 0.8, 1.2, 0.4))
     assert tensor_norm(b.weyl) <= 1e-10
     for v in riemann_symmetry_residuals(b.riem).values():
         assert v <= 1e-13
@@ -137,7 +135,7 @@ def test_warp3_bundle_connection_flat_chart():
     # gaussian family at h = s is flat R^4 in spherical coordinates, where
     # the frame connection coefficients are classical
     s, r, th = 2.0, 0.7, 1.1
-    b = family_bundle(warped3_family(power_profile(1.0, 1.0), 1.0), (s, r, th, 0.3))
+    b = family_bundle(MetricFamily(power_profile(1.0, 1.0), 1.0), (s, r, th, 0.3))
     gam = b.christoffel
     assert_allclose(gam[1, 1, 0], 1.0 / s, rtol=1e-14)            # zeta
     assert_allclose(gam[1, 2, 2], -math.cos(r) / (s * math.sin(r)), rtol=1e-13)
@@ -230,7 +228,7 @@ def test_sample_set_with_one_point_outside_the_domain_names_it(name):
 def test_tables_name_the_first_bad_s_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-        fam = doubly_warped_family(sin_profile(), ONE, 0.0, domain=(BOUNDARY_MARGIN, 10.0))
+        fam = MetricFamily(ONE, 0.0, p=sin_profile(), domain=(BOUNDARY_MARGIN, 10.0))
         with pytest.raises(DomainError, match=r"p\(s\) = .* is not positive at s=4\.0"):
             family_table(fam, [1.0, 4.0, 5.0])
         huge = product_family(1e308)  # k / h^2 = 1e308, so R overflows
@@ -239,6 +237,25 @@ def test_tables_name_the_first_bad_s_without_warnings():
                 family_eigenvalues(huge, s)
         with pytest.raises(DomainError, match="not finite at s=1.0"):
             family_weyl_sq(product_family(1e200), [1.0])  # |W|^2 ~ 1e400
+
+
+# p = s^(1/3) (or h on warped3) is complex at s = -1, inside these domains
+CUBE_ROOT = power_profile(1.0, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("fam, name", [
+    (MetricFamily(ONE, 0.0, p=CUBE_ROOT, domain=(-math.inf, math.inf)), "p"),
+    (MetricFamily(CUBE_ROOT, 1.0, domain=(-math.inf, math.inf)), "h"),
+], ids=["doubly_warped", "warped3"])
+def test_complex_profile_value_is_a_domain_error_at_a_float_and_in_an_array(fam, name):
+    message = re.escape(f"{name}(s) = {CUBE_ROOT.value(-1.0)!r} is not positive at s=-1.0")
+    calls = (lambda: family_table(fam, -1.0), lambda: family_table(fam, [1.0, -1.0]),
+             lambda: family_weyl_sq(fam, -1.0), lambda: family_bundle(fam, (-1.0, 0.0, 1.0, 0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 def test_tables_keep_the_shape_of_s():
@@ -269,7 +286,7 @@ def test_table_zeta_and_derivatives_are_self_consistent(name):
     s = np.linspace(0.5, 2.0, 31)
     t = family_table(fam, s)
     hz = fam.h.d1(s) / fam.h.value(s)
-    want = (hz,) * 3 if fam.kind == KIND_WARPED3 else (fam.p.d1(s) / fam.p.value(s), hz, hz)
+    want = (hz,) * 3 if fam.p is None else (fam.p.d1(s) / fam.p.value(s), hz, hz)
     for got, z in zip(t.zeta, want, strict=True):
         assert np.array_equal(got, z)
     h = 1e-3

@@ -7,15 +7,11 @@ from numpy.testing import assert_allclose
 
 from solitonlab.curvature import family_eigenvalues, family_table
 from solitonlab.errors import DomainError, UnsupportedFamilyError
-from solitonlab.families import (KIND_WARPED3, FiberProfile, Profile, SolitonData,
-                                 broken_family, canonical_soliton_for,
-                                 constant_profile, cylinder_family,
-                                 doubly_warped_family, family_metric,
-                                 fiber_profile_eval, flat_family,
-                                 gaussian_family, power_profile,
-                                 product_family, sin_profile,
-                                 singular_steady_family, sphere_family,
-                                 warped3_family)
+from solitonlab.families import (MetricFamily, Profile, SolitonData, broken_family,
+                                 canonical_family, constant_profile, cylinder_family,
+                                 family_metric, fiber_profile_eval, flat_family,
+                                 gaussian_family, power_profile, product_family,
+                                 sin_profile, singular_steady_family, sphere_family)
 
 ALL_CANONICAL = [singular_steady_family(), product_family(-1.0),
                  gaussian_family(1.0), cylinder_family(2.0), sphere_family(),
@@ -28,30 +24,30 @@ ALL_CANONICAL = [singular_steady_family(), product_family(-1.0),
     (-1.0, 1.0, (math.sinh(1.0), math.cosh(1.0), math.sinh(1.0))),
 ])
 def test_fiber_profile_reference_values(k, r, expected):
-    assert_allclose(fiber_profile_eval(FiberProfile(k), r), expected, atol=1e-15)
+    assert_allclose(fiber_profile_eval(k, r), expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("k", [-1.0, -0.3, 0.0, 0.5, 1.0])
 def test_fiber_profile_solves_its_ode(k):
     # algebraic residual plus an independent Richardson-difference check
-    fp = FiberProfile(k)
     rng = np.random.default_rng(42)
-    hi = min(fp.r_max - 1e-3, 3.0)
+    r_max = math.pi / math.sqrt(k) if k > 0 else math.inf
+    hi = min(r_max - 1e-3, 3.0)
     for r in rng.uniform(0.05, hi, size=100):
-        u, u1, u2 = fiber_profile_eval(fp, r)
+        u, u1, u2 = fiber_profile_eval(k, r)
         assert abs(u2 + k * u) <= 1e-13 * max(1.0, abs(u))
         d = 1e-4
-        um, _, _ = fiber_profile_eval(fp, r - d)
-        up, _, _ = fiber_profile_eval(fp, r + d)
+        um, _, _ = fiber_profile_eval(k, r - d)
+        up, _, _ = fiber_profile_eval(k, r + d)
         assert abs((up - um) / (2 * d) - u1) <= 1e-7
         assert abs((up - 2 * u + um) / d**2 - u2) <= 1e-6
 
 
 def test_fiber_profile_domain_errors():
     with pytest.raises(DomainError):
-        fiber_profile_eval(FiberProfile(0.0), 0.0)
+        fiber_profile_eval(0.0, 0.0)
     with pytest.raises(DomainError):
-        fiber_profile_eval(FiberProfile(4.0), math.pi / 2.0 + 0.1)  # r_max = pi/2
+        fiber_profile_eval(4.0, math.pi / 2.0 + 0.1)  # r_max = pi/2
 
 
 def test_power_profile_derivatives():
@@ -77,7 +73,7 @@ def test_metric_product():
 
 
 def test_metric_flat_doubly_warped_blocks():
-    fam = doubly_warped_family(constant_profile(1.0), constant_profile(1.0), 0.0)
+    fam = MetricFamily(constant_profile(1.0), 0.0, p=constant_profile(1.0))
     g = family_metric(fam, [5.0], [2.0])[0, 0]
     assert_allclose(g, np.diag([1.0, 1.0, 1.0, 4.0]), atol=1e-15)
 
@@ -96,7 +92,7 @@ def test_metric_positive_definite_on_interior_samples(fam):
     lo = max(fam.domain[0], 0.5)
     hi = min(fam.domain[1], 2.0)
     s = np.linspace(lo, hi, 7)
-    if fam.kind == KIND_WARPED3:
+    if fam.p is None:
         g = family_metric(fam, s, [0.7], [0.9])
     else:
         g = family_metric(fam, s, [0.9])
@@ -121,13 +117,13 @@ def test_metric_domain_errors():
         family_metric(product_family(-1.0), [1.0], [0.0])  # u(0) = 0
     # h = sin s is negative past pi, inside this family's domain
     with pytest.raises(DomainError, match=r"h\(s\) = .* is not positive at s=4\.0"):
-        family_metric(warped3_family(sin_profile(), 1.0), [3.0, 4.0], [1.0], [1.5])
+        family_metric(MetricFamily(sin_profile(), 1.0), [3.0, 4.0], [1.0], [1.5])
     with pytest.raises(DomainError, match=r"p\(s\) = .* is not positive at s=4\.0"):
-        family_metric(doubly_warped_family(sin_profile(), constant_profile(1.0), 0.0),
+        family_metric(MetricFamily(constant_profile(1.0), 0.0, p=sin_profile()),
                       [3.0, 4.0], [1.0])
     # a fractional power of a negative s is complex, not positive
-    cube_root = doubly_warped_family(power_profile(1.0, 1.0 / 3.0), constant_profile(1.0),
-                                     0.0, domain=(-math.inf, math.inf))
+    cube_root = MetricFamily(constant_profile(1.0), 0.0, p=power_profile(1.0, 1.0 / 3.0),
+                             domain=(-math.inf, math.inf))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"p\(s\) = .*j\) is not positive at s=-1\.0"):
@@ -141,14 +137,14 @@ def test_metric_domain_errors():
 
 
 def test_canonical_soliton_values():
-    steady = canonical_soliton_for(singular_steady_family())
+    steady = singular_steady_family().soliton
     assert steady.lam == 0.0
     assert_allclose(steady.f.d1(2.0), 1.0 / 3.0, rtol=1e-15)
 
-    prod = canonical_soliton_for(product_family(-1.0))
+    prod = product_family(-1.0).soliton
     assert_allclose(prod.f.d1(2.0), -2.0, rtol=1e-15)
 
-    cyl = canonical_soliton_for(cylinder_family(2.0))
+    cyl = cylinder_family(2.0).soliton
     for s in (0.2, 1.0, 5.0):
         assert_allclose(cyl.f.d2(s), 2.0, rtol=1e-15)
 
@@ -156,7 +152,7 @@ def test_canonical_soliton_values():
 def test_singular_steady_zeta_identity():
     """zeta_2 = 1/(3s), zeta_3 = zeta_4 = 2/(3s), and zeta_i f' = lam - lam_i."""
     fam = singular_steady_family()
-    sol = canonical_soliton_for(fam)
+    sol = fam.soliton
     for s in np.linspace(0.5, 2.0, 16):
         z2, z3, z4 = family_table(fam, s).zeta
         assert_allclose([z2, z3, z4], [1 / (3 * s), 2 / (3 * s), 2 / (3 * s)], rtol=1e-14)
@@ -167,16 +163,19 @@ def test_singular_steady_zeta_identity():
 
 
 def test_canonical_soliton_unsupported():
-    with pytest.raises(UnsupportedFamilyError):
-        canonical_soliton_for(broken_family())
-    custom = doubly_warped_family(power_profile(1.0, 0.25), constant_profile(2.0), 1.0)
-    with pytest.raises(UnsupportedFamilyError):
-        canonical_soliton_for(custom)
+    assert broken_family().soliton is None
+    custom = MetricFamily(constant_profile(2.0), 1.0, p=power_profile(1.0, 0.25))
+    assert custom.soliton is None
+
+
+def test_unknown_family_name_is_unsupported():
+    with pytest.raises(UnsupportedFamilyError, match="unknown family name 'nosuch'"):
+        canonical_family("nosuch")
 
 
 def test_soliton_data_shift_changes_value_not_derivatives():
     fam = product_family(-1.0)
-    sol = canonical_soliton_for(fam)
+    sol = fam.soliton
     shifted = SolitonData(Profile(lambda s: sol.f.value(s) + 10.0,
                                   sol.f.d1, sol.f.d2, sol.f.d3), sol.lam)
     assert shifted.f.d1(1.3) == sol.f.d1(1.3)

@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 from solitonlab.curvature import family_eigenvalues
 from solitonlab.errors import DomainError
 from solitonlab.families import singular_steady_family
-from solitonlab.frames import (Frame4, as_sym2, sym_eigen, sym_eigvals,
-                               tensor_norm, weyl_from_riemann)
+from solitonlab.frames import as_sym2, sym_eigen, sym_eigvals, tensor_norm, weyl_from_riemann
 
 from helpers import riemann_symmetry_residuals
 
@@ -29,14 +28,6 @@ def charpoly_roots(a):
 def random_spd(rng, scale=1.0):
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     return q @ np.diag(rng.uniform(0.2, scale + 1.0, size=4)) @ q.T
-
-
-def test_frame4_validation():
-    Frame4("coordinate", ("s", "t", "x3", "x4"))
-    with pytest.raises(ValueError):
-        Frame4("coordinate", ("s", "s", "x3", "x4"))
-    with pytest.raises(ValueError):
-        Frame4("weird", ("s", "t", "x3", "x4"))
 
 
 def test_as_sym2_rejects_asymmetric():

@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 
 from solitonlab.curvature import codazzi_components, family_eigenvalues, family_table
 from solitonlab.errors import DomainError
-from solitonlab.families import (KIND_WARPED3, Profile, SolitonData, broken_family,
-                                 canonical_soliton_for, constant_profile,
+from solitonlab.families import (Profile, SolitonData, broken_family, constant_profile,
                                  cylinder_family, flat_family, gaussian_family,
                                  product_family, singular_steady_family,
                                  sphere_family)
@@ -24,7 +23,7 @@ CANONICAL = [singular_steady_family(), product_family(-1.0), gaussian_family(1.0
 
 @pytest.mark.parametrize("fam", CANONICAL, ids=lambda f: f.name)
 def test_soliton_residual_canonical(fam):
-    sol = canonical_soliton_for(fam)
+    sol = fam.soliton
     rep = soliton_residual(fam, sol, SAMPLES)
     assert rep.max_abs <= 1e-12
     assert set(rep.per_equation) == {"hess_11", "hess_22", "hess_33", "hess_44"}
@@ -32,14 +31,14 @@ def test_soliton_residual_canonical(fam):
 
 def test_soliton_residual_wrong_lambda_is_the_shift():
     fam = singular_steady_family()
-    sol = canonical_soliton_for(fam)
+    sol = fam.soliton
     rep = soliton_residual(fam, SolitonData(sol.f, 1.0), SAMPLES)
     assert_allclose(rep.max_abs, 1.0, rtol=1e-12)
 
 
 def test_soliton_residual_shift_invariant():
     fam = product_family(-1.0)
-    sol = canonical_soliton_for(fam)
+    sol = fam.soliton
     base = soliton_residual(fam, sol, SAMPLES).max_abs
     rng = np.random.default_rng(1)
     for shift in rng.uniform(-100.0, 100.0, size=100):
@@ -75,7 +74,7 @@ def test_codazzi_closed_broken_family():
 
 @pytest.mark.parametrize("fam", CANONICAL, ids=lambda f: f.name)
 def test_hamilton_check_canonical(fam):
-    sol = canonical_soliton_for(fam)
+    sol = fam.soliton
     rep = hamilton_check(fam, sol, SAMPLES)
     assert rep.per_equation["conserved_deviation"] <= 1e-10
     assert rep.per_equation["scalar_slope"] <= 1e-10
@@ -84,20 +83,20 @@ def test_hamilton_check_canonical(fam):
 
 def test_hamilton_singular_steady_conserved_is_zero():
     fam = singular_steady_family()
-    rep = hamilton_check(fam, canonical_soliton_for(fam), SAMPLES)
+    rep = hamilton_check(fam, fam.soliton, SAMPLES)
     assert abs(rep.per_equation["conserved_mean"]) <= 1e-12
 
 
 def test_hamilton_product_conserved_is_2lambda():
     fam = product_family(-1.0)
-    rep = hamilton_check(fam, canonical_soliton_for(fam), SAMPLES)
+    rep = hamilton_check(fam, fam.soliton, SAMPLES)
     assert_allclose(rep.per_equation["conserved_mean"], -2.0, rtol=1e-12)
 
 
 def test_hamilton_needs_three_samples():
     fam = flat_family()
     with pytest.raises(ValueError):
-        hamilton_check(fam, canonical_soliton_for(fam), [1.0, 2.0])
+        hamilton_check(fam, fam.soliton, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("check, fam, message", [
@@ -110,14 +109,14 @@ def test_overflowing_potential_terms_are_domain_errors(check, fam, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
-            check(fam, canonical_soliton_for(fam), SAMPLES)
+            check(fam, fam.soliton, SAMPLES)
 
 
 def test_soliton_implies_hamilton():
     """Consistency: every family passing the soliton check at 1e-10 also
     passes the conservation identities at 1e-9."""
     for fam in CANONICAL:
-        sol = canonical_soliton_for(fam)
+        sol = fam.soliton
         if soliton_residual(fam, sol, SAMPLES).max_abs <= 1e-10:
             assert hamilton_check(fam, sol, SAMPLES).max_abs <= 1e-9
 
@@ -126,7 +125,7 @@ def profile_zetas(fam, s):
     """(zeta_2, zeta_3, zeta_4) from the family's profiles: p'/p, h'/h, h'/h,
     or h'/h three times on the 3-fiber warped product."""
     hz = fam.h.d1(s) / fam.h.value(s)
-    return (hz,) * 3 if fam.kind == KIND_WARPED3 else (fam.p.d1(s) / fam.p.value(s), hz, hz)
+    return (hz,) * 3 if fam.p is None else (fam.p.d1(s) / fam.p.value(s), hz, hz)
 
 
 def per_sample_residuals(fam, sol, samples):
@@ -147,8 +146,7 @@ def per_sample_residuals(fam, sol, samples):
 
 @pytest.mark.parametrize("fam", CANONICAL + [broken_family()], ids=lambda f: f.name)
 def test_residual_checks_match_per_sample_loop(fam):
-    sol = (canonical_soliton_for(fam) if fam.name != "broken_product"
-           else SolitonData(constant_profile(0.0), 0.0))
+    sol = fam.soliton or SolitonData(constant_profile(0.0), 0.0)  # broken: no potential
     rows = per_sample_residuals(fam, sol, SAMPLES)
     hess, cod, conserved, slope = (np.array(col) for col in zip(*rows))
     mean = conserved.mean()

@@ -11,9 +11,8 @@ locally conformally flat warped product).
 """
 
 from .classify import TypeVerdict, classify
-from .curvature import (CurvatureBundle, CurvatureTable, dw_table, family_bundle,
-                        family_eigenvalues, family_table, family_weyl_sq,
-                        warp3_table)
+from .curvature import (CurvatureTable, family_eigenvalues, family_table,
+                        family_weyl_sq)
 from .errors import DomainError, GridBoundaryError, UnsupportedFamilyError
 from .families import (MetricFamily, Profile, SolitonData, broken_family,
                        canonical_family, constant_profile, cylinder_family,
@@ -21,9 +20,8 @@ from .families import (MetricFamily, Profile, SolitonData, broken_family,
                        gaussian_family, log_profile, power_profile,
                        product_family, quadratic_potential, sin_profile,
                        singular_steady_family, sphere_family)
-from .fdgrid import MetricGrid, fd_curvature, grid_from_family
-from .frames import (as_sym2, ricci_from_riemann, sym_eigen, sym_eigvals, tensor_norm,
-                     weyl_from_riemann)
+from .fdgrid import CurvatureBundle, MetricGrid, fd_curvature, grid_from_family
+from .frames import sym_eigen, sym_eigvals, tensor_norm
 from .reduced import (DwDerivatives, ReducedState, Trajectory, branch_label,
                       distinct_fprime, distinct_frame_relations, dw_rhs,
                       exclusion_residual, integrate, product_state,

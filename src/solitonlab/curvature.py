@@ -2,24 +2,23 @@
 
 All outputs live in the orthonormal adapted frame E_1 = d/ds,
 E_2 = p^{-1} d/dt, E_3, E_4 = fiber frame / h (for warped3: E_2..E_4 span
-the fiber).  With a = p'/p and b = h'/h the nonzero sectional curvatures of
-the doubly-warped ansatz are
+the fiber).  With a = p'/p and b = h'/h the nonzero sectional curvatures
+R_ijji of the frame planes (E_i, E_j) of the doubly-warped ansatz are
 
     R_1221 = -p''/p,   R_1331 = R_1441 = -h''/h,
     R_2332 = R_2442 = -a b,   R_3443 = -b^2 + k/h^2,
 
 and for the 3-fiber warped product R_1ii1 = -h''/h, R_ijji = -b^2 + k/h^2.
 Ricci eigenvalues and scalar curvature follow by contraction.  The
-divergence-free-Weyl structure forces p''/p = h''/h; the tables and the
-bundles evaluate the unconstrained formulas, which diagnose inputs that
-violate it.
+divergence-free-Weyl structure forces p''/p = h''/h; the tables evaluate
+the unconstrained formulas, which diagnose inputs that violate it.
 
 Both ansaetze fill one `CurvatureTable`: the frame coefficients
 zeta_i = <grad_{E_i} E_1, E_i> ((a, b, b), or (b, b, b) for warped3), the
 six sectional curvatures in `PLANES` order, the eigenvalues lam_1..lam_4
 with their s-derivatives, and R, R'.  Everything downstream (the Codazzi
-components, |W|^2, the bundles, the soliton residual) reads these fields
-and has no per-ansatz branch.
+components, |W|^2, the soliton residual) reads these fields and has no
+per-ansatz branch.
 
 The tables, ``family_eigenvalues`` and ``family_weyl_sq`` take one s or an
 array of s.  A Python float gives floats, computed as the scalar formulas
@@ -32,15 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .families import (MetricFamily, Profile, fiber_profile_eval, first_failure,
-                       require_positive)
-from .frames import DIM, ricci_from_riemann, tensor_norm, weyl_from_riemann
+from .families import MetricFamily, Profile, first_failure, require_positive
 
 Values = float | np.ndarray  # a float at a float s, an array of its shape at an array
 
@@ -64,32 +60,6 @@ def _over_samples(formulas):
         return quiet(*head, np.asarray(s, dtype=float))
 
     return evaluate
-
-
-@dataclass(frozen=True)
-class CurvatureBundle:
-    """Christoffel symbols, curvature tensors and the Codazzi residual of
-    ``Ric - (R/6) g`` at one point: in the orthonormal adapted frame when
-    built from the closed forms, in the coordinate frame when built by
-    `fdgrid.fd_curvature`.
-
-    ``christoffel[k, i, j]`` is ``<grad_{E_i} E_j, E_k>`` in an orthonormal
-    frame and the coordinate symbol ``Gamma^k_ij`` in a coordinate frame.
-    """
-
-    g: np.ndarray
-    christoffel: np.ndarray
-    riem: np.ndarray
-    ric: np.ndarray
-    scalar: float
-    weyl: np.ndarray
-    codazzi_residual: np.ndarray
-
-    def weyl_norm_sq(self) -> float:
-        return tensor_norm(self.weyl, self.g)
-
-    def codazzi_norm_sq(self) -> float:
-        return tensor_norm(self.codazzi_residual, self.g)
 
 
 # the six frame planes (E_i, E_j), i < j, 0-based, in the order of
@@ -202,51 +172,6 @@ def family_eigenvalues(m: MetricFamily, s):
     """(lam1, lam2, lam3, lam4, R) in the adapted frame at s."""
     t = family_table(m, s)
     return (*t.lam, t.scalar)
-
-
-def family_bundle(m: MetricFamily, point) -> CurvatureBundle:
-    """Full curvature bundle of ``m`` at a point (s, t, r, theta) of a
-    doubly-warped chart or (s, r, theta, phi) of warped3, in the orthonormal
-    adapted frame.
-
-    The connection is zeta_i plus the fiber rotations
-    (k, i, j, <grad_{E_i} E_j, E_k>), each with its metric-compatible partner
-    <grad_{E_i} E_k, E_j> = -value; in this gauge every other rotation
-    coefficient vanishes identically.  Doubly-warped: beta_4 =
-    <grad_{E_4} E_4, E_3> = u'(r)/(h u(r)).  Warped3, with E_2 radial:
-    <grad_{E_3} E_2, E_3> = <grad_{E_4} E_2, E_4> = u'/(h u) and
-    <grad_{E_4} E_3, E_4> = cot(theta)/(h u).
-    """
-    point = tuple(float(x) for x in point)
-    s = point[0]
-    t = family_table(m, s)
-    hv = m.h.value(s)
-    if m.p is None:
-        _, r, theta, _ = point
-        u, up, _ = fiber_profile_eval(m.k, r)
-        g_r = up / (hv * u)
-        g_t = math.cos(theta) / (math.sin(theta) * hv * u)
-        rotations = [(2, 2, 1, g_r), (3, 3, 1, g_r), (3, 3, 2, g_t)]
-    else:
-        u, up, _ = fiber_profile_eval(m.k, point[2])
-        rotations = [(2, 3, 3, up / (hv * u))]
-    gam = np.zeros((DIM, DIM, DIM))
-    # zeta_i = <grad_{E_i} E_1, E_i>: grad_{E_i} E_i = -zeta_i E_1 + fiber terms
-    for k, i, j, v in [(i, i, 0, z) for i, z in enumerate(t.zeta, start=1)] + rotations:
-        gam[k, i, j] = v
-        gam[j, i, k] = -v
-    g = np.eye(DIM)
-    riem = np.zeros((DIM, DIM, DIM, DIM))
-    for (i, j), kv in zip(PLANES, t.sectional):
-        riem[i, j, j, i] = riem[j, i, i, j] = kv
-        riem[i, j, i, j] = riem[j, i, j, i] = -kv
-    ric = ricci_from_riemann(riem)
-    weyl = weyl_from_riemann(riem, ric, t.scalar, g)
-    codazzi = np.zeros((DIM, DIM, DIM))  # C_1ii = -C_i1i = D_i, zero otherwise
-    for i, d in enumerate(codazzi_components(t), start=1):
-        codazzi[0, i, i] = d
-        codazzi[i, 0, i] = -d
-    return CurvatureBundle(g, gam, riem, ric, t.scalar, weyl, codazzi)
 
 
 @_over_samples

@@ -37,8 +37,7 @@ import numpy as np
 
 from .errors import DomainError, GridBoundaryError
 from .families import MetricFamily, family_metric
-from .frames import DIM
-from .curvature import CurvatureBundle
+from .frames import DIM, tensor_norm
 
 MARGIN_CURVATURE = 2
 MARGIN_CODAZZI = 4
@@ -53,6 +52,33 @@ _OFFSETS = np.array([-2, -1, 0, 1, 2])
 # grids 512 nodes were 1-10 % faster per node than 256 at 1.4-1.6x the peak
 # memory, and 128 was 14-27 % slower.
 _BLOCK = 256
+
+
+@dataclass(frozen=True)
+class CurvatureBundle:
+    """Christoffel symbols, curvature tensors and the Codazzi residual of
+    ``Ric - (R/6) g`` at one point.  `fd_curvature` builds it in the
+    coordinate frame; the closed-form reference of the tests builds it in
+    the orthonormal adapted frame.
+
+    ``christoffel[k, i, j]`` is the coordinate symbol ``Gamma^k_ij`` in a
+    coordinate frame and ``<grad_{E_i} E_j, E_k>`` in an orthonormal frame.
+    """
+
+    g: np.ndarray
+    christoffel: np.ndarray
+    riem: np.ndarray
+    ric: np.ndarray
+    scalar: float
+    weyl: np.ndarray
+    codazzi_residual: np.ndarray
+
+    def weyl_norm_sq(self) -> float:
+        return tensor_norm(self.weyl, self.g)
+
+    def codazzi_norm_sq(self) -> float:
+        return tensor_norm(self.codazzi_residual, self.g)
+
 
 @dataclass(frozen=True)
 class MetricGrid:
@@ -91,16 +117,18 @@ class MetricGrid:
     def spacings(self) -> np.ndarray:
         return np.array([ax[1] - ax[0] for ax in self.axes])
 
-    def require_interior(self, nodes, margin: int) -> None:
-        """Raise GridBoundaryError naming the first of ``nodes`` (one node or
-        an (N, 4) batch) that lies within ``margin`` of the boundary."""
-        nodes = np.atleast_2d(nodes)
+    def require_interior(self, nodes, margin: int) -> np.ndarray:
+        """``nodes`` (one node or an (N, 4) batch) as an (N, 4) int array,
+        after raising GridBoundaryError naming the first of them that lies
+        within ``margin`` of the boundary."""
+        nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
         outside = np.any((nodes < margin)
                          | (nodes > np.array(self.shape) - 1 - margin), axis=1)
         if np.any(outside):
             node = tuple(int(i) for i in nodes[np.argmax(outside)])
             raise GridBoundaryError(
                 f"node {node} too close to the boundary of {self.shape}")
+        return nodes
 
     def interior_nodes(self, margin: int = MARGIN_CODAZZI) -> np.ndarray:
         ranges = [np.arange(margin, n - margin) for n in self.shape]
@@ -305,16 +333,14 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
         dscal[:, l] = np.tensordot(_D1_W, scalar[stencil] - scal_c, axes=(0, 0)) / h[l]
     cov = (dric - np.einsum("nmki,nmj->nkij", gam, ric_c)
            - np.einsum("nmkj,nim->nkij", gam, ric_c))
-    c = (cov - cov.transpose(0, 2, 1, 3)
-         + np.einsum("ni,nkj->nkij", dscal, g0) / 6.0
-         - np.einsum("nk,nij->nkij", dscal, g0) / 6.0)
-    return c
+    return (cov - cov.transpose(0, 2, 1, 3)
+            + np.einsum("ni,nkj->nkij", dscal, g0) / 6.0
+            - np.einsum("nk,nij->nkij", dscal, g0) / 6.0)
 
 
 def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
     """Batched Ricci/scalar (with the node metrics) at interior nodes."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
-    grid.require_interior(nodes, MARGIN_CURVATURE)
+    nodes = grid.require_interior(nodes, MARGIN_CURVATURE)
     g0, _, ric, scalar = _ricci_blocks(grid, nodes)
     return {"g": g0, "ric": ric, "scalar": scalar}
 
@@ -324,9 +350,7 @@ def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
 
     Needs the full Codazzi margin (4 nodes) on every axis.
     """
-    node = tuple(int(i) for i in node)
-    grid.require_interior(node, MARGIN_CODAZZI)
-    nodes = np.array([node])
+    nodes = grid.require_interior(tuple(int(i) for i in node), MARGIN_CODAZZI)
     g0, dg, d2g = _metric_derivs(grid, nodes)
     conn = _connection(g0, dg)
     ric, scalar = _ricci(dg, d2g, *conn)
@@ -339,8 +363,7 @@ def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
 
 
 def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
-    grid.require_interior(nodes, MARGIN_CODAZZI)
+    nodes = grid.require_interior(nodes, MARGIN_CODAZZI)
     return _codazzi_batch(grid, nodes)
 
 

@@ -1,4 +1,5 @@
-"""Every exported name is reached by the product, or says why it is kept.
+"""Every exported name is reached by the product, or says why it is kept,
+and the closed forms and the FD oracle import nothing from each other.
 
 A name counts as reached when it is mentioned in the package source (other
 than `__init__.py` and its own ``def`` or ``class`` line), in a demo, in the
@@ -6,6 +7,7 @@ benchmark or in the acceptance suite.  A name that only unit tests reach is
 deleted with those tests, unless `KEEP` gives the reason to keep it.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -16,8 +18,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "solitonlab"
 
 KEEP = {
-    "family_bundle": "closed-form reference that family_weyl_sq and the FD "
-                     "checks are tested against",
     "dw_rhs": "the paper's reduced system of the doubly-warped soliton",
     "warp3_rhs": "the paper's reduced system of the warped product",
 }
@@ -47,3 +47,31 @@ def test_every_exported_name_is_reached_or_kept():
     assert sorted(unreached - set(KEEP)) == []
     # a kept name that the product reaches or no longer exports leaves KEEP
     assert sorted(set(KEEP) - unreached) == []
+
+
+# the package modules each module may import: the closed forms and the FD
+# oracle share only the metric and the errors, and meet in `verify`
+ALLOWED_IMPORTS = {
+    "fdgrid": {"errors", "families", "frames"},
+    "curvature": {"errors", "families"},
+}
+
+
+def package_imports(module):
+    """The solitonlab modules that ``module`` imports, by name."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("solitonlab." * node.level + (node.module or "")).rstrip(".")
+            names = [f"{base}.{a.name}" for a in node.names]  # a module, or a name in one
+        else:
+            continue
+        found |= {n.split(".")[1] for n in names if n.startswith("solitonlab.")}
+    return found
+
+
+def test_closed_forms_and_fd_oracle_import_only_the_shared_modules():
+    for module, allowed in ALLOWED_IMPORTS.items():
+        assert package_imports(module) <= allowed, module

@@ -25,10 +25,9 @@ FAMILY_LABELS = [
 
 
 def case_id(x):
-    """Parametrize id of a FAMILY_LABELS entry: the label, and a fixed text
-    for the family, kept verbatim so that the test names stay stable (the
-    label and pytest's 0/1 suffix tell the cases apart)."""
-    return x if isinstance(x, str) else "MetricFamily(kind="
+    """Parametrize id of a FAMILY_LABELS entry: the family's name, then its
+    label."""
+    return x if isinstance(x, str) else x.name
 
 
 def canonical_samples(fam):

@@ -168,18 +168,31 @@ def test_cli_and_json_family_names_build_the_same_family(cli_name, lam):
 
 SAMPLE_ROW = {"s": 1.0, "eigenvalues": [1.0, 1.0, 1.0, 1.0], "fprime": 0.0,
               "scalar": 4.0, "weyl_sq": 0.0}
+# lambda_2 != lambda_3 = lambda_4 with constant R != 2 lambda_3: a pair
+# signature that is not a product, so the classifier reads s in R s^2
+PAIR_ROW = {"s": 1.0, "eigenvalues": [1.0, 0.8, 0.5, 0.5], "fprime": 1.0,
+            "scalar": 2.8, "weyl_sq": 1.0}
+BAD_FIELDS = [("fprime", None, SAMPLE_ROW), ("scalar", "x", SAMPLE_ROW),
+              ("weyl_sq", None, SAMPLE_ROW), ("fprime", [1], SAMPLE_ROW),
+              ("s", None, PAIR_ROW), ("s", True, SAMPLE_ROW),
+              ("scalar", float("nan"), SAMPLE_ROW), ("eigenvalues", [1.0, 1.0, 1.0], SAMPLE_ROW),
+              ("eigenvalues", [1.0, 1.0, 1.0, None], SAMPLE_ROW)]
 
 
-@pytest.mark.parametrize("argv, content", [
+@pytest.mark.parametrize("argv, content, names", [
     (["classify", "--samples-file"], [{k: v for k, v in SAMPLE_ROW.items()
-                                       if k != "eigenvalues"}] * 8),
-    (["classify", "--samples-file"], [SAMPLE_ROW] * 7 + [[1.0, 2.0]]),
-    (["classify", "--samples-file"], None),
-    (["report", "--in"], None),
-    (["report", "--in"], [1, 2, 3]),
-], ids=["row-missing-key", "row-not-object", "missing-samples-file",
-        "missing-report", "report-not-object"])
-def test_bad_input_files_exit_2_with_one_line(argv, content, tmp_path, capsys):
+                                       if k != "eigenvalues"}] * 8, None),
+    (["classify", "--samples-file"], [SAMPLE_ROW] * 7 + [[1.0, 2.0]], None),
+    (["classify", "--samples-file"], None, None),
+    (["report", "--in"], None, None),
+    (["report", "--in"], [1, 2, 3], None),
+] + [(["classify", "--samples-file"], [dict(row, **{key: value})] * 8, f"row 0: {key}")
+     for key, value, row in BAD_FIELDS],
+    ids=["row-missing-key", "row-not-object", "missing-samples-file",
+         "missing-report", "report-not-object", "fprime-null", "scalar-string",
+         "weyl_sq-null", "fprime-list", "s-null-pair", "s-bool", "scalar-nan",
+         "three-eigenvalues", "eigenvalue-null"])
+def test_bad_input_files_exit_2_with_one_line(argv, content, names, tmp_path, capsys):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(json.dumps(content))
@@ -189,6 +202,7 @@ def test_bad_input_files_exit_2_with_one_line(argv, content, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("solitonlab: error: ")
     assert "Traceback" not in captured.err
+    assert names is None or names in lines[0]  # the row and the key
 
 
 def test_bad_job_file_exits_2(tmp_path, capsys):

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from solitonlab.curvature import (dw_table, family_bundle, family_eigenvalues,
-                                  family_table, family_weyl_sq, warp3_table)
+from solitonlab.curvature import (dw_table, family_eigenvalues, family_table,
+                                  family_weyl_sq, warp3_table)
 from solitonlab.errors import DomainError
 from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily,
                                  broken_family, canonical_family, constant_profile,
                                  cylinder_family, gaussian_family, power_profile,
                                  product_family, sin_profile, singular_steady_family,
                                  sphere_family)
-from solitonlab.frames import ricci_from_riemann, tensor_norm
+from solitonlab.frames import tensor_norm
 
-from helpers import riemann_symmetry_residuals
+from helpers import family_bundle, ricci_from_riemann, riemann_symmetry_residuals
 
 STEADY = singular_steady_family()
 ONE = constant_profile(1.0)

@@ -14,8 +14,10 @@ from solitonlab.families import (broken_family, cylinder_family, gaussian_family
                                  sphere_family)
 from solitonlab.fdgrid import (MetricGrid, _metric_derivs, fd_codazzi_block,
                                fd_curvature, fd_ricci_block, grid_from_family)
-from solitonlab.frames import ricci_from_riemann, sym_eigen, tensor_norm
+from solitonlab.frames import sym_eigen, tensor_norm
 from solitonlab.verify import codazzi_residual_closed, oracle_deviation
+
+from helpers import ricci_from_riemann
 
 
 def flat_grid(n=9, spacing=0.1):

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from solitonlab.curvature import family_eigenvalues
 from solitonlab.errors import DomainError
 from solitonlab.families import singular_steady_family
-from solitonlab.frames import as_sym2, sym_eigen, sym_eigvals, tensor_norm, weyl_from_riemann
+from solitonlab.frames import _sym2, sym_eigen, sym_eigvals, tensor_norm
 
-from helpers import riemann_symmetry_residuals
+from helpers import riemann_symmetry_residuals, weyl_from_riemann
 
 
 def charpoly_roots(a):
@@ -34,7 +34,7 @@ def test_as_sym2_rejects_asymmetric():
     m = np.eye(4)
     m[0, 1] = 1e-3
     with pytest.raises(ValueError):
-        as_sym2(m)
+        _sym2(m)
 
 
 def test_sym_eigen_diagonal():

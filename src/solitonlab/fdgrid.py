@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, GridBoundaryError
 from .families import MetricFamily, family_metric
-from .frames import DIM, tensor_norm
+from .frames import DIM, _cholesky, tensor_norm
 
 MARGIN_CURVATURE = 2
 MARGIN_CODAZZI = 4
@@ -100,9 +100,10 @@ class MetricGrid:
         if self.g.shape != shape:
             raise ValueError(f"metric array shape {self.g.shape} != {shape}")
         distinct = self.g[tuple(0 if b else slice(None) for b in self.broadcast_axes)]
-        if np.max(np.abs(distinct - np.swapaxes(distinct, -1, -2))) > 1e-12:
-            raise ValueError("metric components must be symmetric")
-        _assert_positive_definite(distinct)
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the Cholesky test
+            if np.max(np.abs(distinct - np.swapaxes(distinct, -1, -2))) > 1e-12:
+                raise ValueError("metric components must be symmetric")
+            _assert_positive_definite(distinct)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -137,12 +138,14 @@ class MetricGrid:
 
 
 def _assert_positive_definite(g: np.ndarray) -> None:
+    """A ValueError unless every metric of g has a finite Cholesky factor,
+    the test of `frames`.  Call it under the error state `_cholesky` needs."""
     flat = g.reshape(-1, DIM, DIM)
     step = 262144
     for lo in range(0, flat.shape[0], step):
         try:
-            np.linalg.cholesky(flat[lo:lo + step])
-        except np.linalg.LinAlgError as exc:
+            _cholesky(flat[lo:lo + step])
+        except DomainError as exc:
             raise ValueError("metric is not positive definite on the grid") from exc
 
 

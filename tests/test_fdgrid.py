@@ -106,6 +106,21 @@ def test_grid_rejects_bad_broadcast_metric():
             MetricGrid((ax, ax, ax, ax), np.broadcast_to(bad, (9, 9, 9, 9, 4, 4)))
 
 
+@pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((2, 2), np.inf),
+                                          ((0, 1), np.nan), ((1, 3), np.inf)],
+                         ids=["diag-nan", "diag-inf", "off-nan", "off-inf"])
+def test_grid_rejects_non_finite_metric(entry, value):
+    ax = np.arange(9) * 0.1
+    for stored in ((9, 9, 9, 9), (9, 1, 1, 1)):  # dense, and broadcast from one s-line
+        bad = np.tile(np.eye(4), stored + (1, 1))
+        node = bad[tuple(n // 2 for n in stored)]
+        node[entry] = node[entry[::-1]] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not positive definite on the grid"):
+                MetricGrid((ax, ax, ax, ax), np.broadcast_to(bad, (9, 9, 9, 9, 4, 4)))
+
+
 # ---------------------------------------------------------------------------
 # curvature of grids
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from solitonlab.curvature import family_eigenvalues
 from solitonlab.errors import DomainError
 from solitonlab.families import singular_steady_family
+from solitonlab.fdgrid import fd_ricci_block, grid_from_family
 from solitonlab.frames import _sym2, sym_eigen, sym_eigvals, tensor_norm
 
 from helpers import riemann_symmetry_residuals, weyl_from_riemann
@@ -119,18 +122,100 @@ def test_sym_eigvals_matches_sym_eigen_bit_for_bit(seed):
     assert np.array_equal(sym_eigvals(t, g), np.array(ref))
 
 
+def bad_pair(t_entry=None, g_diag=None):
+    """(t, g) = (I, I), with t[0, 0] or the diagonal of g replaced."""
+    t, g = np.eye(4), np.eye(4)
+    if t_entry is not None:
+        t[0, 0] = t_entry
+    if g_diag is not None:
+        g = np.diag(g_diag)
+    return t, g
+
+
+# inputs both eigen paths reject, and the error type; the g cases that are
+# not finite or not positive definite are rejected by tensor_norm too
+ASYMMETRIC_T = np.eye(4)
+ASYMMETRIC_T[0, 1] = 1e-3
+REJECTED = {
+    "t-asymmetric": ((ASYMMETRIC_T, np.eye(4)), ValueError),
+    "t-nan": (bad_pair(t_entry=np.nan), DomainError),
+    "t-inf": (bad_pair(t_entry=np.inf), DomainError),
+    "t-1e308": (bad_pair(t_entry=1e308), DomainError),
+    "g-nan": (bad_pair(g_diag=[1.0, np.nan, 1.0, 1.0]), DomainError),
+    "g-inf": (bad_pair(g_diag=[1.0, 1.0, np.inf, 1.0]), DomainError),
+    "g-singular": (bad_pair(g_diag=[1.0, 1.0, 1.0, 0.0]), DomainError),
+    "g-indefinite": (bad_pair(g_diag=[1.0, 1.0, 1.0, -1.0]), DomainError),
+    "g-subnormal": (bad_pair(g_diag=[1e-320, 1.0, 1.0, 1.0]), DomainError),
+}
+NORM_REJECTS = ("g-nan", "g-inf", "g-singular", "g-indefinite")
+
+
+def raised(f, *args):
+    """The exception that f(*args) raises, or None."""
+    try:
+        f(*args)
+    except Exception as exc:
+        return exc
+    return None
+
+
 def test_sym_eigvals_rejects_what_sym_eigen_rejects():
-    t = np.stack([np.eye(4)] * 5)
-    g = t.copy()
-    bad_t, bad_g = t.copy(), g.copy()
-    bad_t[3, 0, 1] = 1e-3
-    bad_g[3] = np.diag([1.0, 1.0, 1.0, -1.0])
-    for stack_t, stack_g in ((bad_t, g), (t, bad_g)):
-        with pytest.raises(ValueError) as single:
-            sym_eigen(stack_t[3], stack_g[3])
-        with pytest.raises(ValueError) as batched:
-            sym_eigvals(stack_t, stack_g)
-        assert type(batched.value) is type(single.value)
+    for case, ((bad_t, bad_g), error) in REJECTED.items():
+        stack_t, stack_g = np.stack([np.eye(4)] * 5), np.stack([np.eye(4)] * 5)
+        stack_t[3], stack_g[3] = bad_t, bad_g
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a failure raises, with no NaN warnings
+            single = raised(sym_eigen, bad_t, bad_g)
+            batched = raised(sym_eigvals, stack_t, stack_g)
+            norm = raised(tensor_norm, np.ones((4, 4, 4)), bad_g)
+        assert isinstance(single, error), (case, single)
+        assert type(batched) is type(single), (case, batched)
+        if case in NORM_REJECTS:
+            assert isinstance(norm, DomainError), (case, norm)
+
+
+def linalg_reference(t, g):
+    """(L^{-1}, w, Y) of the eigen-reduction on numpy.linalg's public API,
+    one (4, 4) pair or (N, 4, 4) stacks: what `frames` computes on the
+    gufuncs under it, bit for bit."""
+    t, g = 0.5 * (t + t.swapaxes(-1, -2)), 0.5 * (g + g.swapaxes(-1, -2))
+    Linv = np.linalg.inv(np.linalg.cholesky(g))
+    B = Linv @ t @ Linv.swapaxes(-1, -2)
+    w, Y = np.linalg.eigh(0.5 * (B + B.swapaxes(-1, -2)))
+    return Linv, w, Y
+
+
+def assert_matches_linalg_reference(t, g):
+    """sym_eigen's pairs and sym_eigvals on the stacks t and g, and
+    tensor_norm at ranks 1-4 with each g, equal the reference's bits."""
+    Linv, w, Y = linalg_reference(t, g)
+    assert np.array_equal(sym_eigvals(t, g), w[:, ::-1])
+    rng = np.random.default_rng(len(t))
+    for i in range(len(t)):
+        pairs = sym_eigen(t[i], g[i])
+        assert np.array_equal([p[0] for p in pairs], w[i, ::-1])
+        assert np.array_equal([p[1] for p in pairs], (Linv[i].T @ Y[i])[:, ::-1].T)
+        for rank in range(1, 5):
+            x = rng.normal(size=(4,) * rank)
+            want = x
+            for _ in range(rank):
+                want = (Linv[i] @ want.reshape(4, -1)).T
+            assert tensor_norm(x, g[i]) == float(np.sum(np.square(want.ravel())))
+
+
+def test_gufunc_layer_matches_numpy_linalg_bit_for_bit():
+    rng = np.random.default_rng(900)
+    g = np.array([random_spd(rng, scale=3.0) for _ in range(200)])
+    t = np.array([random_spd(rng, scale=2.0) - 1.5 * np.eye(4) for _ in range(200)])
+    assert np.any(t - t.swapaxes(1, 2)) and np.any(g - g.swapaxes(1, 2))
+    assert_matches_linalg_reference(t, g)
+    eye = np.broadcast_to(np.eye(4), (5, 4, 4))  # without a metric: g = I
+    assert_matches_linalg_reference(t[:5], eye)
+    for i in range(5):
+        assert np.array_equal([p[0] for p in sym_eigen(t[i])], linalg_reference(t[i], eye[i])[1][::-1])
+    grid = grid_from_family(singular_steady_family(), (0.5, 2.0), 33)
+    blk = fd_ricci_block(grid, grid.interior_nodes()[::7])
+    assert_matches_linalg_reference(blk["ric"], blk["g"])
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, GridBoundaryError
 from .families import MetricFamily, family_metric
-from .frames import DIM, _cholesky, tensor_norm
+from .frames import DIM, _cholesky, _sym2, tensor_norm
 
 MARGIN_CURVATURE = 2
 MARGIN_CODAZZI = 4
@@ -82,7 +82,14 @@ class CurvatureBundle:
 
 @dataclass(frozen=True)
 class MetricGrid:
-    """Uniform 4-d coordinate grid carrying metric components per node."""
+    """Uniform 4-d coordinate grid carrying metric components per node.
+
+    Every distinct metric of the grid (one per node of the non-stride-0
+    axes) must pass the one validity rule of `frames`: symmetric within
+    1e-12 max(1, max |entry|), and a finite Cholesky factor.  The check
+    runs in chunks of bounded size (`_assert_positive_definite`), so it
+    needs a few MB beyond the grid itself, on any grid.
+    """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     g: np.ndarray  # shape (n1, n2, n3, n4, 4, 4)
@@ -99,11 +106,8 @@ class MetricGrid:
         shape = tuple(len(ax) for ax in self.axes) + (DIM, DIM)
         if self.g.shape != shape:
             raise ValueError(f"metric array shape {self.g.shape} != {shape}")
-        distinct = self.g[tuple(0 if b else slice(None) for b in self.broadcast_axes)]
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the Cholesky test
-            if np.max(np.abs(distinct - np.swapaxes(distinct, -1, -2))) > 1e-12:
-                raise ValueError("metric components must be symmetric")
-            _assert_positive_definite(distinct)
+        _assert_positive_definite(
+            self.g[tuple(slice(0, 1) if b else slice(None) for b in self.broadcast_axes)])
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -138,15 +142,25 @@ class MetricGrid:
 
 
 def _assert_positive_definite(g: np.ndarray) -> None:
-    """A ValueError unless every metric of g has a finite Cholesky factor,
-    the test of `frames`.  Call it under the error state `_cholesky` needs."""
-    flat = g.reshape(-1, DIM, DIM)
-    step = 262144
-    for lo in range(0, flat.shape[0], step):
+    """A ValueError unless every metric of g, shaped (n1, n2, n3, n4, 4, 4),
+    passes the validity rule of `frames`: `_sym2`'s symmetry test, then a
+    finite Cholesky factor (`_cholesky`).
+
+    It runs on slices of g's leading axis holding at most ``step`` matrices
+    (2 MB), or one leading row where a row holds more.  Each slice is
+    reshaped on its own, so no full-size copy or temporary is made.
+    """
+    step = 16384
+    rows = max(1, step // math.prod(g.shape[1:-2]))
+    for lo in range(0, g.shape[0], rows):
+        chunk = g[lo:lo + rows].reshape(-1, DIM, DIM)
         try:
-            _cholesky(flat[lo:lo + step])
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the Cholesky test
+                _cholesky(_sym2(chunk, chunk.shape))
         except DomainError as exc:
             raise ValueError("metric is not positive definite on the grid") from exc
+        except ValueError as exc:  # `_sym2` numbers the matrix within the chunk
+            raise ValueError("metric components must be symmetric") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,30 @@ def test_grid_rejects_non_finite_metric(entry, value):
                 MetricGrid((ax, ax, ax, ax), np.broadcast_to(bad, (9, 9, 9, 9, 4, 4)))
 
 
+def test_grid_symmetry_rule_is_relative_to_the_metric_scale():
+    # the rule of `frames`: 1e-12 max(1, max |g|), here about 4e-7
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    g = 1e5 * q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ q.T
+    assert np.max(np.abs(g - g.T)) > 1e-12  # rounding, above the old absolute bound
+    ax = np.arange(9) * 0.1
+    MetricGrid((ax, ax, ax, ax), np.broadcast_to(g, (9, 9, 9, 9, 4, 4)))
+    asym = g.copy()
+    asym[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="must be symmetric"):
+        MetricGrid((ax, ax, ax, ax), np.broadcast_to(asym, (9, 9, 9, 9, 4, 4)))
+
+
+def test_grid_validation_needs_little_memory_beyond_the_grid():
+    tracemalloc.start()
+    try:
+        grid = grid_from_family(gaussian_family(), (0.5, 2.0), 129, n_r=129)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.g.base.nbytes == 129 * 129 * 9 * 16 * 8  # stored once per (s, r, theta)
+    assert peak <= 1.25 * grid.g.base.nbytes
+
+
 # ---------------------------------------------------------------------------
 # curvature of grids
 

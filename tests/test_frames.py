@@ -132,22 +132,28 @@ def bad_pair(t_entry=None, g_diag=None):
     return t, g
 
 
-# inputs both eigen paths reject, and the error type; the g cases that are
-# not finite or not positive definite are rejected by tensor_norm too
+# inputs both eigen paths reject, and the error type; tensor_norm rejects
+# the NORM_REJECTS rows with a DomainError too: its t rows as the tensor,
+# its g rows as the metric of a rank-3 tensor
 ASYMMETRIC_T = np.eye(4)
 ASYMMETRIC_T[0, 1] = 1e-3
+# asymmetric within the tolerance, and t[0, 1] + t[1, 0] overflows
+NEAR_MAX_T = 1e308 * np.eye(4)
+NEAR_MAX_T[0, 1], NEAR_MAX_T[1, 0] = 1e308, 1e308 * (1.0 - 1e-15)
 REJECTED = {
     "t-asymmetric": ((ASYMMETRIC_T, np.eye(4)), ValueError),
     "t-nan": (bad_pair(t_entry=np.nan), DomainError),
     "t-inf": (bad_pair(t_entry=np.inf), DomainError),
     "t-1e308": (bad_pair(t_entry=1e308), DomainError),
+    "t-near-max-asymmetric": ((NEAR_MAX_T, np.eye(4)), DomainError),
     "g-nan": (bad_pair(g_diag=[1.0, np.nan, 1.0, 1.0]), DomainError),
     "g-inf": (bad_pair(g_diag=[1.0, 1.0, np.inf, 1.0]), DomainError),
     "g-singular": (bad_pair(g_diag=[1.0, 1.0, 1.0, 0.0]), DomainError),
     "g-indefinite": (bad_pair(g_diag=[1.0, 1.0, 1.0, -1.0]), DomainError),
     "g-subnormal": (bad_pair(g_diag=[1e-320, 1.0, 1.0, 1.0]), DomainError),
 }
-NORM_REJECTS = ("g-nan", "g-inf", "g-singular", "g-indefinite")
+NORM_REJECTS = ("t-nan", "t-inf", "t-1e308", "t-near-max-asymmetric",
+                "g-nan", "g-inf", "g-singular", "g-indefinite", "g-subnormal")
 
 
 def raised(f, *args):
@@ -167,11 +173,15 @@ def test_sym_eigvals_rejects_what_sym_eigen_rejects():
             warnings.simplefilter("error")  # a failure raises, with no NaN warnings
             single = raised(sym_eigen, bad_t, bad_g)
             batched = raised(sym_eigvals, stack_t, stack_g)
-            norm = raised(tensor_norm, np.ones((4, 4, 4)), bad_g)
+            norm = raised(tensor_norm, bad_t if case.startswith("t-") else np.ones((4, 4, 4)),
+                          bad_g)
+            as_metric = raised(tensor_norm, np.ones((4, 4, 4)), bad_t)
         assert isinstance(single, error), (case, single)
         assert type(batched) is type(single), (case, batched)
         if case in NORM_REJECTS:
             assert isinstance(norm, DomainError), (case, norm)
+        if case in ("t-nan", "t-inf", "t-near-max-asymmetric"):  # not a metric either
+            assert isinstance(as_metric, DomainError), (case, as_metric)
 
 
 def linalg_reference(t, g):

@@ -49,25 +49,14 @@ float_semantics = np.errstate(all="ignore")
 def _over_samples(formulas):
     """``formulas(..., s)`` with s, its last argument, given as a Python
     number (evaluated as a float) or as an array of s (evaluated as a float
-    array under `float_semantics`).
-
-    Float results are memoized: the last 16 distinct argument lists, keyed
-    with the sign of s as well, so that -0.0 and 0.0 stay apart.  Callers
-    that step through samples node by node repeat the same s many times in
-    a row.  Failures are not stored, so a DomainError repeats on every call.
-    """
+    array under `float_semantics`)."""
     quiet = float_semantics(formulas)
-
-    @functools.lru_cache(maxsize=16)
-    def at_float(*args):  # (*head, s, copysign(1, s))
-        return formulas(*args[:-1])
 
     @functools.wraps(formulas)
     def evaluate(*args):
         *head, s = args
         if isinstance(s, (int, float)):
-            s = float(s)
-            return at_float(*head, s, math.copysign(1.0, s))
+            return formulas(*head, float(s))
         return quiet(*head, np.asarray(s, dtype=float))
 
     return evaluate

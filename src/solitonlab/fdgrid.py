@@ -87,8 +87,8 @@ class MetricGrid:
     Every distinct metric of the grid (one per node of the non-stride-0
     axes) must pass the one validity rule of `frames`: symmetric within
     1e-12 max(1, max |entry|), and a finite Cholesky factor.  The check
-    runs in chunks of bounded size (`_assert_positive_definite`), so it
-    needs a few MB beyond the grid itself, on any grid.
+    runs in blocks of at most 16,384 metrics (`_assert_positive_definite`),
+    so it needs a few MB beyond the grid itself, on any grid.
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -146,14 +146,19 @@ def _assert_positive_definite(g: np.ndarray) -> None:
     passes the validity rule of `frames`: `_sym2`'s symmetry test, then a
     finite Cholesky factor (`_cholesky`).
 
-    It runs on slices of g's leading axis holding at most ``step`` matrices
-    (2 MB), or one leading row where a row holds more.  Each slice is
-    reshaped on its own, so no full-size copy or temporary is made.
+    It runs on blocks of at most ``step`` matrices (2 MB), whatever g's
+    shape and strides: rows of the first axis whose trailing grid axes hold
+    at most ``step`` matrices, one block per index of the axes before it.
+    Each block is reshaped on its own, so no full-size copy or temporary is
+    made.
     """
     step = 16384
-    rows = max(1, step // math.prod(g.shape[1:-2]))
-    for lo in range(0, g.shape[0], rows):
-        chunk = g[lo:lo + rows].reshape(-1, DIM, DIM)
+    lead = next(a for a in range(DIM) if math.prod(g.shape[a + 1:DIM]) <= step)
+    rows = step // math.prod(g.shape[lead + 1:DIM])
+    blocks = ((*outer, slice(lo, lo + rows)) for outer in np.ndindex(g.shape[:lead])
+              for lo in range(0, g.shape[lead], rows))
+    for block in blocks:
+        chunk = g[block].reshape(-1, DIM, DIM)
         try:
             with np.errstate(invalid="ignore"):  # NaN and inf fail the Cholesky test
                 _cholesky(_sym2(chunk, chunk.shape))

@@ -54,13 +54,12 @@ def _sym2(m, shape=(DIM, DIM)) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.shape != shape:
         raise ValueError(f"expected an array of shape {shape}, got {a.shape}")
-    if a.ndim == 2 and a.tobytes() == a.T.tobytes():  # one matrix, bit-for-bit symmetric
-        return a
     flat = a.reshape(-1, DIM * DIM)
+    upper, lower = flat.take(_UPPER, axis=1), flat.take(_LOWER, axis=1)
+    if not np.count_nonzero(upper != lower):  # unlike a difference, never warns
+        return a
     with np.errstate(all="ignore"):  # inf - inf, and sums past the float range
-        diff = flat.take(_UPPER, axis=1) - flat.take(_LOWER, axis=1)
-        if not np.count_nonzero(diff):
-            return a
+        diff = upper - lower
         over = np.abs(diff) > 1e-12 * np.maximum(1.0, np.abs(flat).max(axis=1, keepdims=True))
         if over.any():
             i = np.flatnonzero(over.any(axis=1))[0]

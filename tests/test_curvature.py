@@ -296,38 +296,3 @@ def test_table_zeta_and_derivatives_are_self_consistent(name):
     for deriv, (v_m2, v_m1, v_p1, v_p2) in pairs:
         fd = (v_m2 - 8.0 * v_m1 + 8.0 * v_p1 - v_p2) / (12.0 * h)
         assert np.all(np.abs(deriv - fd) <= 1e-8 * np.maximum(1.0, np.abs(deriv)))
-
-
-def table_bits(t):
-    """Every float of a CurvatureTable, s included, as its hex string, so a
-    sign of zero or a last bit that differs shows."""
-    return [float(x).hex() for x in (t.s, *t.zeta, *t.sectional, *t.lam, *t.lamp,
-                                     t.scalar, t.scalarp)]
-
-
-def unmemoized_table(fam, s):
-    """family_table's formulas at a float s, called past every memo."""
-    fam.require(s)
-    if fam.p is None:
-        return warp3_table.__wrapped__(fam.h, fam.k, s)
-    return dw_table.__wrapped__(fam.p, fam.h, fam.k, s)
-
-
-def test_float_memo_gives_the_formulas_bits():
-    fams = [canonical_family(name) for name in sorted(CANONICAL_FAMILIES)]
-    # repeated and interleaved: 35 distinct keys, more than the memo holds
-    calls = [(fam, s) for s in (0.6, 1, 1.0, 0.6, 1.7, 2, 1.3) for fam in fams] * 2
-    for fam, s in calls:
-        assert table_bits(family_table(fam, s)) == table_bits(unmemoized_table(fam, float(s)))
-        assert family_weyl_sq(fam, s).hex() == family_weyl_sq.__wrapped__(fam, float(s)).hex()
-    for name in ("flat", "cylinder"):  # families whose domain holds s = 0
-        fam = canonical_family(name)
-        for s in (0.0, -0.0, 0.0, 0, -0.0, -0.0):
-            t = family_table(fam, s)
-            assert type(t.s) is float and math.copysign(1.0, t.s) == math.copysign(1.0, s)
-            assert table_bits(t) == table_bits(unmemoized_table(fam, float(s)))
-    for _ in range(3):  # a failure is raised again, not remembered
-        with pytest.raises(DomainError, match="outside family domain"):
-            family_table(canonical_family("sphere"), -1.0)
-        with pytest.raises(DomainError, match="outside family domain"):
-            family_weyl_sq(fams[0], -1.0)

@@ -145,6 +145,24 @@ def test_grid_validation_needs_little_memory_beyond_the_grid():
     assert peak <= 1.25 * grid.g.base.nbytes
 
 
+def test_grid_validation_memory_is_bounded_when_one_row_is_large():
+    # the leading axis is stride 0, and one row of the next holds 139,425 metrics
+    base = np.empty((65, 65, 33, 4, 4))
+    base[...] = np.diag([1.0, 2.0, 3.0, 4.0])
+    g = np.broadcast_to(base[None], (9,) + base.shape)
+    axes = tuple(np.arange(n) * 0.1 for n in g.shape[:4])
+    tracemalloc.start()
+    try:
+        MetricGrid(axes, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20  # blocks of 16,384 metrics; the grid holds 17 MiB
+    base[-1, -1, -1] = np.diag([1.0, 1.0, 1.0, -1.0])  # in the last block
+    with pytest.raises(ValueError, match="not positive definite"):
+        MetricGrid(axes, g)
+
+
 # ---------------------------------------------------------------------------
 # curvature of grids
 

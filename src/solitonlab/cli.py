@@ -26,8 +26,8 @@ import numpy as np
 from .classify import ClassifySample, LABEL_UNKNOWN, classify, sample_family
 from .families import BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily, canonical_family
 from .fdgrid import MARGIN_CODAZZI, grid_from_family
-from .reduced import (branch_label, integrate, product_state,
-                      singular_steady_state, trajectory_to_csv)
+from .reduced import (_identity_table, branch_label, integrate, product_state,
+                      singular_steady_state)
 from .report import canonical_csv, canonical_json
 from .verify import (codazzi_residual_closed, hamilton_check, oracle_deviation,
                      soliton_residual)
@@ -119,7 +119,8 @@ def _cmd_integrate(args) -> tuple[dict, bool, str | None]:
     st0 = (product_state(s0, fam.soliton.lam) if fam.name == "product"
            else singular_steady_state(s0))
     traj = integrate(st0, args.to, args.step)
-    worst = max(max(map(abs, res.values())) for res in traj.identity_residual_rows())
+    identities = _identity_table(traj.states)
+    worst = identities.worst()
     end = traj.final
     passed = (worst <= args.tol) and not traj.truncated
     report = {
@@ -134,7 +135,7 @@ def _cmd_integrate(args) -> tuple[dict, bool, str | None]:
         "max_identity_residual": worst,
         "pass": passed,
     }
-    csv_text = trajectory_to_csv(traj) if args.format == "csv" else None
+    csv_text = identities.to_csv() if args.format == "csv" else None
     return report, passed, csv_text
 
 

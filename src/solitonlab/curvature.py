@@ -92,7 +92,8 @@ def _finite(s: Values, *values: Values, what: str = "closed-form curvature"
     if isinstance(s, float):
         ok = all(map(math.isfinite, values))
     else:
-        values = tuple(np.broadcast_to(v, s.shape) for v in values)  # constant profiles
+        values = tuple(v if isinstance(v, np.ndarray) and v.shape == s.shape
+                       else np.broadcast_to(v, s.shape) for v in values)  # constant profiles
         ok = np.isfinite(values).all(axis=0)
     bad = first_failure(ok, s)
     if bad is not None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, GridBoundaryError
 from .families import MetricFamily, family_metric
-from .frames import DIM, _cholesky, _sym2, tensor_norm
+from .frames import DIM, _cholesky, _positive_diagonal, _sym2, tensor_norm
 
 MARGIN_CURVATURE = 2
 MARGIN_CODAZZI = 4
@@ -150,7 +150,9 @@ def _assert_positive_definite(g: np.ndarray) -> None:
     shape and strides: rows of the first axis whose trailing grid axes hold
     at most ``step`` matrices, one block per index of the axes before it.
     Each block is reshaped on its own, so no full-size copy or temporary is
-    made.
+    made.  A block of diagonal metrics with finite positive entries, as the
+    warped-product grids hold, passes without LAPACK (`_positive_diagonal`);
+    every other block takes the route above.
     """
     step = 16384
     lead = next(a for a in range(DIM) if math.prod(g.shape[a + 1:DIM]) <= step)
@@ -158,7 +160,9 @@ def _assert_positive_definite(g: np.ndarray) -> None:
     blocks = ((*outer, slice(lo, lo + rows)) for outer in np.ndindex(g.shape[:lead])
               for lo in range(0, g.shape[lead], rows))
     for block in blocks:
-        chunk = g[block].reshape(-1, DIM, DIM)
+        chunk = np.asarray(g[block], dtype=float).reshape(-1, DIM, DIM)
+        if _positive_diagonal(chunk):
+            continue
         try:
             with np.errstate(invalid="ignore"):  # NaN and inf fail the Cholesky test
                 _cholesky(_sym2(chunk, chunk.shape))

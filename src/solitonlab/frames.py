@@ -83,6 +83,18 @@ def _cholesky(g: np.ndarray) -> np.ndarray:
     return L
 
 
+def _positive_diagonal(m: np.ndarray) -> bool:
+    """Whether every matrix of the (N, 4, 4) float stack m is diagonal, with
+    every diagonal entry finite and > 0.  Such a stack passes `_sym2` as it
+    is, and LAPACK's Cholesky pivots of it are its diagonal entries, so
+    `_cholesky` accepts it: this says so without calling LAPACK.  A False
+    decides nothing."""
+    flat = m.reshape(-1, DIM * DIM)
+    diag = flat[:, ::DIM + 1]
+    # with every pivot nonzero, the count of nonzeros shows any off-diagonal one
+    return bool(((diag > 0.0) & (diag < np.inf)).all()) and np.count_nonzero(flat) == diag.size
+
+
 def _whitener(g: np.ndarray) -> np.ndarray:
     """L^{-1} for g = L L^T, (4, 4) or (N, 4, 4), under the error state
     that `_cholesky` needs."""

@@ -13,7 +13,12 @@ with the third soliton component
     fp b = b' + 2 b^2 + a b - k/h^2 + lambda
 
 left over as a conserved diagnostic.  Along solutions a family of derived
-identities holds; :func:`reduced_identity_residuals` evaluates them.
+identities holds; :func:`reduced_identity_residuals` evaluates them at one
+state.  Along a trajectory they are evaluated once for all states, with
+numpy, from the same formulas: every power still goes through Python's
+float pow, state by state, because numpy's ``power`` rounds some squares
+and cubes differently, so each residual has the bits of the one-state
+evaluation.
 
 The module also carries the algebra of the pairwise-distinct eigenvalue
 case: with eigenframe coefficients (a, b, c) and commutator coefficients
@@ -35,6 +40,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError
 
 BLOWUP_LIMIT = 1e8
@@ -43,6 +50,7 @@ H_FLOOR = 1e-8
 BRANCH_TOL = 1e-8
 
 BRANCH_FACTORS = ("b", "lambda+3ab", "lambda-2a^2+ab")
+IDENTITIES = ("linear", "second_order", "quadratic", "cubic_slope", "branch_cubic")
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,7 @@ class Trajectory:
         return self.states[-1]
 
     def identity_residual_rows(self) -> list[dict[str, float]]:
-        return [reduced_identity_residuals(st, _rhs(st.a, st.b, st.fp, st.h, st.lam)[0])
-                for st in self.states]
+        return _identity_table(self.states).rows()
 
 
 def _rk4_step(y: tuple, ds: float, lam: float) -> tuple:
@@ -172,6 +179,17 @@ def integrate(st0: ReducedState, s_end: float, step: float) -> Trajectory:
     return Trajectory(tuple(states))
 
 
+def _identities(a, b, fp, lam, kh2, ap, a3):
+    """The residuals of `IDENTITIES`, in that order, at one state (floats)
+    or at many (arrays of one shape); a3 is a**3 by Python's pow."""
+    bp = ap + a * a - b * b
+    return ((a - b) * fp - b * (a - b) - kh2,
+            2.0 * (bp + b * b) + b * b - kh2 + lam,
+            (a - b) * (2.0 * a * b - b * b + lam) - (a + b) * kh2,
+            (a + b) * ap + a3 + 2.0 * a * b * b + lam * b,
+            b * (lam + 3.0 * a * b) * (lam - 2.0 * a * a + a * b))
+
+
 def reduced_identity_residuals(st: ReducedState, ap: float) -> dict[str, float]:
     """Residuals of the derived constraints at one state.
 
@@ -184,29 +202,87 @@ def reduced_identity_residuals(st: ReducedState, ap: float) -> dict[str, float]:
     * ``branch_cubic``: b (lambda+3ab) (lambda-2a^2+ab), reported when k != 0
     * ``inapplicable``: 1.0 flag when a = b makes the family degenerate
     """
-    a, b, lam, kh2 = st.a, st.b, st.lam, st.k_h2()
+    a, b, kh2 = st.a, st.b, st.k_h2()
     if a == b:
         return {"inapplicable": 1.0}
-    bp = ap + a * a - b * b
-    out = {
-        "linear": (a - b) * st.fp - b * (a - b) - kh2,
-        "second_order": 2.0 * (bp + b * b) + b * b - kh2 + lam,
-        "quadratic": (a - b) * (2.0 * a * b - b * b + lam) - (a + b) * kh2,
-        "cubic_slope": (a + b) * ap + a**3 + 2.0 * a * b * b + lam * b,
-    }
-    if st.k != 0.0:
-        out["branch_cubic"] = b * (lam + 3.0 * a * b) * (lam - 2.0 * a * a + a * b)
-    return out
+    keys = IDENTITIES if st.k != 0.0 else IDENTITIES[:4]
+    return dict(zip(keys, _identities(a, b, st.fp, st.lam, kh2, ap, a**3)))
+
+
+class _IdentityTable(NamedTuple):
+    """The identity residuals of a run of states, from one evaluation."""
+
+    states: tuple[ReducedState, ...]
+    values: np.ndarray      # (5, N): row i holds IDENTITIES[i] at every state
+    applicable: np.ndarray  # a != b
+    branch: np.ndarray      # k != 0, so branch_cubic is reported
+
+    def rows(self) -> list[dict[str, float]]:
+        """`reduced_identity_residuals` of each state, with ap from `_rhs`."""
+        keys = (IDENTITIES[:4], IDENTITIES)
+        return [dict(zip(keys[br], vals)) if ok else {"inapplicable": 1.0}
+                for vals, ok, br in zip(self.values.T.tolist(), self.applicable.tolist(),
+                                        self.branch.tolist())]
+
+    def worst(self) -> float:
+        """The largest |residual| of the rows as Python's ``max`` finds it,
+        row by row and then over the rows: a NaN first value wins, and a
+        later NaN is passed over."""
+        res = np.abs(self.values)
+        res[4, ~self.branch] = np.nan  # not reported: passed over
+        peak = np.where(np.isnan(res[0]), np.nan, np.fmax.reduce(res))
+        peak[~self.applicable] = 1.0
+        return float(peak[0] if np.isnan(peak[0]) else np.fmax.reduce(peak))
+
+    def export_rows(self) -> list[dict[str, float]]:
+        return [{"s": st.s, "a": st.a, "b": st.b, "fp": st.fp, "h": st.h,
+                 **{f"res_{k}": v for k, v in res.items()}}
+                for st, res in zip(self.states, self.rows())]
+
+    def to_csv(self, fmt: str = "%.17g") -> str:
+        rows = self.export_rows()
+        fields = list(rows[0].keys()) if rows else list(_CSV_COLUMNS)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: fmt % v for k, v in row.items()})
+        return buf.getvalue()
+
+
+def _identity_table(states) -> _IdentityTable:
+    """The identities of every state at once: the powers, ap (from `_rhs`)
+    and k/h^2 state by state in Python, the formulas over arrays."""
+    a, b, fp, h, lam = ([st.a for st in states], [st.b for st in states],
+                        [st.fp for st in states], [st.h for st in states],
+                        [st.lam for st in states])
+    try:
+        ap = [d[0] for d in map(_rhs, a, b, fp, h, lam)]
+        kh2 = list(map(ReducedState.k_h2, states))
+        a3 = [x**3 if x != y else 0.0 for x, y in zip(a, b)]
+    except (ArithmeticError, DomainError):
+        # each pass runs over all states: raise what the first failing state
+        # raises in the state-by-state evaluation
+        for st in states:
+            reduced_identity_residuals(st, _rhs(st.a, st.b, st.fp, st.h, st.lam)[0])
+        raise
+    a, b, fp, lam, kh2, ap, a3, k = (np.array(v, dtype=float) for v in (
+        a, b, fp, lam, kh2, ap, a3, [st.k for st in states]))
+    with np.errstate(all="ignore"):  # inf and nan, as float arithmetic gives them
+        values = np.array(_identities(a, b, fp, lam, kh2, ap, a3))
+    return _IdentityTable(tuple(states), values, a != b, k != 0.0)
 
 
 def branch_label(traj: Trajectory, tol: float = BRANCH_TOL) -> tuple[str, ...]:
     """Branch factors of b (lambda+3ab) (lambda-2a^2+ab) that stay below tol
-    in running max along the trajectory; ties are labeled jointly."""
-    peaks = [0.0, 0.0, 0.0]
-    for st in traj.states:
-        vals = (st.b, st.lam + 3.0 * st.a * st.b, st.lam - 2.0 * st.a**2 + st.a * st.b)
-        for i, v in enumerate(vals):
-            peaks[i] = max(peaks[i], abs(v))
+    in running max along the trajectory; ties are labeled jointly.  A NaN
+    factor does not raise the running max."""
+    a = [st.a for st in traj.states]
+    a2, A, B, lam = (np.array(v, dtype=float) for v in (
+        [x**2 for x in a], a, [st.b for st in traj.states], [st.lam for st in traj.states]))
+    with np.errstate(all="ignore"):
+        factors = (B, lam + 3.0 * A * B, lam - 2.0 * a2 + A * B)
+        peaks = [np.fmax.reduce(np.abs(v), initial=0.0) for v in factors]
     return tuple(name for name, peak in zip(BRANCH_FACTORS, peaks) if peak < tol)
 
 
@@ -284,18 +360,8 @@ _CSV_COLUMNS = ("s", "a", "b", "fp", "h")
 
 
 def trajectory_rows(traj: Trajectory) -> list[dict[str, float]]:
-    return [{"s": st.s, "a": st.a, "b": st.b, "fp": st.fp, "h": st.h,
-             **{f"res_{k}": v for k, v in res.items()}}
-            for st, res in zip(traj.states, traj.identity_residual_rows())]
+    return _identity_table(traj.states).export_rows()
 
 
 def trajectory_to_csv(traj: Trajectory, fmt: str = "%.17g") -> str:
-    rows = trajectory_rows(traj)
-    fields = list(rows[0].keys()) if rows else list(_CSV_COLUMNS)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: fmt % v for k, v in row.items()})
-    return buf.getvalue()
-
+    return _identity_table(traj.states).to_csv(fmt)

@@ -14,7 +14,7 @@ from solitonlab.families import (broken_family, cylinder_family, gaussian_family
                                  sphere_family)
 from solitonlab.fdgrid import (MetricGrid, _metric_derivs, fd_codazzi_block,
                                fd_curvature, fd_ricci_block, grid_from_family)
-from solitonlab.frames import sym_eigen, tensor_norm
+from solitonlab.frames import _cholesky, _positive_diagonal, _sym2, sym_eigen, tensor_norm
 from solitonlab.verify import codazzi_residual_closed, oracle_deviation
 
 from helpers import ricci_from_riemann
@@ -161,6 +161,66 @@ def test_grid_validation_memory_is_bounded_when_one_row_is_large():
     base[-1, -1, -1] = np.diag([1.0, 1.0, 1.0, -1.0])  # in the last block
     with pytest.raises(ValueError, match="not positive definite"):
         MetricGrid(axes, g)
+
+
+DIAGONAL_EDGES = (0.0, -0.0, 5e-324, 1e-310, 1e308, np.inf, -np.inf, np.nan, -1.0)
+
+
+def lapack_verdict(m):
+    """None if `_cholesky(_sym2(m))` accepts the (N, 4, 4) stack m, else the
+    grid's message for the exception it raises."""
+    try:
+        with np.errstate(invalid="ignore"):
+            _cholesky(_sym2(m, m.shape))
+    except DomainError:
+        return "metric is not positive definite on the grid"
+    except ValueError:
+        return "metric components must be symmetric"
+    return None
+
+
+def grid_verdict(node_metric, stored):
+    """None if a MetricGrid holding node_metric at one node of an identity
+    grid, stored densely or broadcast from one s-line, is accepted, else
+    its message."""
+    ax = np.arange(9) * 0.1
+    g = np.tile(np.eye(4), stored + (1, 1))
+    g[tuple(n // 2 for n in stored)] = node_metric
+    try:
+        MetricGrid((ax, ax, ax, ax), np.broadcast_to(g, (9, 9, 9, 9, 4, 4)))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("stored", [(9, 9, 9, 9), (9, 1, 1, 1)], ids=["dense", "broadcast"])
+@pytest.mark.parametrize("value", DIAGONAL_EDGES)
+def test_diagonal_grid_validation_decides_as_lapack(value, stored):
+    m = np.diag([1.0, 2.0, value, 4.0])
+    want = lapack_verdict(m[None])
+    assert (want is None) == (value > 0.0 and math.isfinite(value))
+    assert grid_verdict(m, stored) == want
+
+
+def test_positive_diagonal_agrees_with_lapack_on_random_diagonals():
+    rng = np.random.default_rng(24)
+    diags = rng.choice(np.array(DIAGONAL_EDGES + (1.0, 2.5)), size=(4000, 4))
+    stacks = np.zeros((len(diags), 4, 4))
+    stacks[:, range(4), range(4)] = diags
+    for m in stacks:
+        assert _positive_diagonal(m[None]) == (lapack_verdict(m[None]) is None)
+    assert not _positive_diagonal(stacks)  # some diagonal in it is rejected
+
+
+@pytest.mark.parametrize("stored", [(9, 9, 9, 9), (9, 1, 1, 1)], ids=["dense", "broadcast"])
+def test_off_diagonal_metrics_still_take_the_lapack_route(stored):
+    indefinite = np.eye(4)
+    indefinite[0, 1] = indefinite[1, 0] = 2.0  # positive diagonal, a negative pivot
+    assert grid_verdict(indefinite, stored) == "metric is not positive definite on the grid"
+    asym = np.eye(4)
+    asym[0, 1] = 1e-3
+    assert grid_verdict(asym, stored) == "metric components must be symmetric"
+    assert not _positive_diagonal(indefinite[None]) and not _positive_diagonal(asym[None])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from solitonlab import reduced
+from solitonlab import cli, reduced
 from solitonlab.errors import DomainError
 from solitonlab.reduced import (MAX_STEPS, ReducedState, branch_label,
                                 distinct_fprime,
@@ -331,3 +332,156 @@ def test_integrate_rejects_a_vanishing_h_in_a_stage():
     # h' = b h, so the first half stage lands on h = 1 + 0.5 * (-2) * 1 = 0
     with pytest.raises(DomainError):
         integrate(ReducedState(1.0, 0.0, -2.0, 0.0, 1.0, 0.0, 0.0), 2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched identity evaluation against the state-by-state formulas
+
+def reference_identity_row(st):
+    """The identity residuals of one state, scalar formula by formula, with
+    a' through `dw_rhs`."""
+    ap = dw_rhs(st).ap
+    a, b, lam, kh2 = st.a, st.b, st.lam, st.k_h2()
+    if a == b:
+        return {"inapplicable": 1.0}
+    bp = ap + a * a - b * b
+    out = {
+        "linear": (a - b) * st.fp - b * (a - b) - kh2,
+        "second_order": 2.0 * (bp + b * b) + b * b - kh2 + lam,
+        "quadratic": (a - b) * (2.0 * a * b - b * b + lam) - (a + b) * kh2,
+        "cubic_slope": (a + b) * ap + a**3 + 2.0 * a * b * b + lam * b,
+    }
+    if st.k != 0.0:
+        out["branch_cubic"] = b * (lam + 3.0 * a * b) * (lam - 2.0 * a * a + a * b)
+    return out
+
+
+def reference_branch(states, tol=reduced.BRANCH_TOL):
+    peaks = [0.0, 0.0, 0.0]
+    for st in states:
+        vals = (st.b, st.lam + 3.0 * st.a * st.b, st.lam - 2.0 * st.a**2 + st.a * st.b)
+        for i, v in enumerate(vals):
+            peaks[i] = max(peaks[i], abs(v))
+    return tuple(name for name, peak in zip(reduced.BRANCH_FACTORS, peaks) if peak < tol)
+
+
+def bits(rows):
+    """Rows with every float as its hex string: signed zeros differ, NaNs match."""
+    return [{k: v.hex() for k, v in row.items()} for row in rows]
+
+
+def assert_batch_matches_reference(traj):
+    rows = [reference_identity_row(st) for st in traj.states]
+    assert bits(traj.identity_residual_rows()) == bits(rows)
+    worst = max(max(map(abs, row.values())) for row in rows)  # the parent CLI's reduction
+    assert reduced._identity_table(traj.states).worst().hex() == worst.hex()
+    assert branch_label(traj) == reference_branch(traj.states)
+
+
+def seeded_starts(count=40, seed=24):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        a, b, fp, lam = rng.uniform(-1.0, 1.0, 4).tolist()
+        k = float(rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0]))
+        h = float(rng.uniform(0.5, 2.0))
+        out.append((ReducedState(1.0, a, b, fp, h, lam, k), float(rng.uniform(1.2, 2.0)), 1e-2))
+    return out
+
+
+# the three integrate runs of the CLI at its defaults (`--lam` as the
+# benchmark draws it), as (argv, start, end, step)
+CLI_RUNS = [
+    (["--family", "singular-steady"], singular_steady_state(1.0), 2.0, 1e-3),
+    (["--family", "product", "--lam", "-1.046731"], product_state(1.0, -1.046731), 2.0, 1e-3),
+    (["--family", "singular-steady", "--from", "1", "--to", "1e-4"],
+     singular_steady_state(1.0), 1e-4, 1e-3),
+]
+
+
+@pytest.mark.parametrize("st0, s_end, step", REFERENCE_RUNS
+                         + [run[1:] for run in CLI_RUNS] + seeded_starts())
+def test_identity_table_matches_the_state_by_state_formulas_bit_for_bit(st0, s_end, step):
+    traj = integrate(st0, s_end, step)
+    if st0.k != 0.0:
+        assert all("branch_cubic" in row for row in traj.identity_residual_rows())
+    assert_batch_matches_reference(traj)
+
+
+@pytest.mark.parametrize("argv, st0, s_end, step", CLI_RUNS)
+def test_cli_integrate_summary_matches_the_state_by_state_formulas(argv, st0, s_end, step,
+                                                                    tmp_path):
+    out = tmp_path / "report.json"
+    cli.main(["integrate", *argv, "--out", str(out)])
+    report = json.loads(out.read_text())
+    traj = integrate(st0, s_end, step)
+    rows = [reference_identity_row(st) for st in traj.states]
+    worst = max(max(map(abs, row.values())) for row in rows)
+    assert report["max_identity_residual"].hex() == worst.hex()
+    assert tuple(report["branch"]) == reference_branch(traj.states)
+    assert report["steps"] == len(traj.states) - 1
+
+
+NAN_FIRST = ReducedState(0.0, 1.0, 0.5, math.nan, 1.0, 0.0, 1.0)  # linear is NaN
+NAN_LATER = ReducedState(0.0, 1.0, 0.5, 0.2, 1.0, math.nan, 1.0)  # NaN after the first key
+INF_ROW = ReducedState(0.0, 1.0, 0.5, math.inf, 1.0, 0.0, 0.0)
+EQUAL_AB = ReducedState(0.0, 0.4, 0.4, 0.1, 1.0, 0.0, 1.0)
+PLAIN = ReducedState(0.0, 0.3, -0.2, 0.5, 1.2, -1.0, 1.0)
+K_ZERO = ReducedState(0.0, 2.0, 3.0, 3.0, 1.0, 1.0, 0.0)  # |b (lambda+3ab) (..)| = 57, unreported
+
+
+@pytest.mark.parametrize("states", [
+    (PLAIN, EQUAL_AB, INF_ROW),
+    (EQUAL_AB, PLAIN),
+    (NAN_FIRST, PLAIN, INF_ROW),
+    (PLAIN, NAN_FIRST, INF_ROW),
+    (NAN_LATER, PLAIN),
+    (PLAIN, NAN_LATER, EQUAL_AB),
+    (EQUAL_AB,),
+    (PLAIN, K_ZERO),
+], ids=["inf", "inapplicable-first", "nan-first-row", "nan-later-row",
+        "nan-later-key", "nan-later-key-later-row", "inapplicable-only", "k-zero"])
+def test_identity_table_keeps_the_per_state_max_on_inapplicable_and_non_finite_rows(states):
+    assert_batch_matches_reference(reduced.Trajectory(states))
+
+
+def test_identity_table_max_passes_over_a_later_nan_as_pythons_max_does():
+    # np.max would give NaN on the first two
+    assert reduced._identity_table((PLAIN, NAN_FIRST, INF_ROW)).worst() == math.inf
+    assert math.isfinite(reduced._identity_table((PLAIN, NAN_LATER)).worst())
+    assert math.isnan(reduced._identity_table((NAN_FIRST, PLAIN)).worst())
+
+
+def test_identity_table_raises_what_the_first_failing_state_raises():
+    cube = ReducedState(0.0, 1e120, 0.5, 0.0, 1.0, 0.0, 0.0)  # a**3 overflows, a**2 not
+    vanished = ReducedState(0.0, 0.3, 0.5, 0.0, 0.0, 0.0, 0.0)  # h = 0 in `_rhs`
+    tiny_h = ReducedState(0.0, 0.3, 0.5, 0.0, 1e-200, 0.0, 1.0)  # h**2 = 0 in k/h^2
+    for states, error in [((PLAIN, cube, vanished), OverflowError),
+                          ((PLAIN, vanished, cube), DomainError),
+                          ((tiny_h, vanished), ZeroDivisionError)]:
+        for st in states:  # the state-by-state evaluation raises this first
+            try:
+                reference_identity_row(st)
+            except Exception as exc:
+                assert type(exc) is error
+                break
+        with pytest.raises(error):
+            reduced.Trajectory(states).identity_residual_rows()
+    # a**3 is taken where a != b only, as one state at a time takes it
+    big = ReducedState(0.0, 1e120, 1e120, 0.0, 1.0, 0.0, 0.0)
+    assert reduced.Trajectory((big,)).identity_residual_rows() == [{"inapplicable": 1.0}]
+
+
+def test_cli_integrate_csv_evaluates_the_identities_once(tmp_path, monkeypatch):
+    calls = []
+    identities = reduced._identities
+    monkeypatch.setattr(reduced, "_identities",
+                        lambda *args: calls.append(len(np.atleast_1d(args[0])))
+                        or identities(*args))
+    out = tmp_path / "traj.csv"
+    code = cli.main(["integrate", "--family", "product", "--lam", "-1", "--from", "1",
+                     "--to", "1.02", "--step", "1e-3", "--format", "csv", "--out", str(out)])
+    assert code == 0
+    assert calls == [21]  # one evaluation, over all 21 states
+    traj = integrate(product_state(1.0, -1.0), 1.02, 1e-3)
+    assert out.read_text() == trajectory_to_csv(traj)

@@ -8,11 +8,15 @@ REV is extracted with ``git archive`` into a temporary directory, as
     python3 bench/run.py --workload W --seed S+i --seconds T --trace 0
 
 once in each tree, each with its own ``bench/``, and the tree that runs
-first alternates from pair to pair.  ``--workload`` may be given more than
-once; each workload gets its own pairs.  The output file holds every run's
-result line and, per workload and end-to-end metric of ``BENCHMARK.json``,
-each side's median and quartiles, the relative change of the medians and
-the number of pairs the working tree wins.  A run that fails stops the tool
+first alternates from pair to pair.  T is ``run_seconds`` of the working
+tree's ``BENCHMARK.json``, the same on both sides.  N is at least 10.
+``--workload`` may be given more than once; each workload gets its own
+pairs.  The output file holds every run's result line and, per workload
+and end-to-end metric of ``BENCHMARK.json``, each side's median and
+quartiles, the relative change of the medians and the number of pairs the
+working tree wins.  It names the working tree by its HEAD commit and, when
+tracked files differ from HEAD, by the SHA-256 of ``git diff --binary
+HEAD`` (untracked files are not covered).  A run that fails stops the tool
 with exit code 1 and writes nothing; exit code 2 means REV cannot be
 extracted.  Nothing under ``bench/`` is written, only its ``.bench_out/``
 scratch directory in each tree.
@@ -21,6 +25,7 @@ scratch directory in each tree.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -28,12 +33,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+from gitrev import extract
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def git(*args) -> str:
+MIN_PAIRS = 10
+
+
+def git(*args) -> bytes:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
-                          text=True, check=True).stdout.strip()
+                          check=True).stdout
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -78,26 +88,22 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed0", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
-                                  args.rev], capture_output=True)
-        if archive.returncode != 0:
-            print(f"bench_pairs: cannot extract {args.rev!r}: "
-                  f"{archive.stderr.decode().strip()}", file=sys.stderr)
+        if not extract("bench_pairs", args.rev, base):
             return 2
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
-        report = {"rev": args.rev, "rev_commit": git("rev-parse", args.rev),
-                  "tree_head": git("rev-parse", "HEAD"),
-                  "tree_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-                  "seconds": args.seconds, "workloads": {}}
+        diff = git("diff", "--binary", "HEAD")
+        report = {"rev": args.rev, "rev_commit": git("rev-parse", args.rev).decode().strip(),
+                  "tree_head": git("rev-parse", "HEAD").decode().strip(),
+                  "tree_diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None,
+                  "run_seconds": seconds, "workloads": {}}
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
@@ -105,7 +111,7 @@ def main(argv=None) -> int:
                 order = ("rev", "tree") if i % 2 == 0 else ("tree", "rev")
                 try:
                     runs = {side: bench_run(base if side == "rev" else ROOT, workload,
-                                            seed, args.seconds) for side in order}
+                                            seed, seconds) for side in order}
                 except RuntimeError as exc:
                     print(f"bench_pairs: {exc}", file=sys.stderr)
                     return 1

@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 sys.dont_write_bytecode = True  # read the job lists, leave no cache beside them
 from workloads import BOUNDARY_JOBS, CLI_FAMILIES  # noqa: E402
+from gitrev import extract  # noqa: E402
 
 COMMANDS = ("verify", "oracle", "classify", "integrate")
 # overflowing potentials, and integrate runs whose CSV prints every state
@@ -112,13 +113,8 @@ def main(argv=None) -> int:
         base, workdir = Path(tmp) / "rev", Path(tmp) / "work"
         base.mkdir()
         workdir.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
-                                  args.rev], capture_output=True)
-        if archive.returncode != 0:
-            print(f"report_diff: cannot extract {args.rev!r}: "
-                  f"{archive.stderr.decode().strip()}", file=sys.stderr)
+        if not extract("report_diff", args.rev, base):
             return 2
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
         differing = 0
         pairs = list(zip(jobs(base), jobs(ROOT)))
         for (name, old_argv), (_, new_argv) in pairs:

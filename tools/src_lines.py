@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import subprocess
 import sys
 import tempfile
 import tokenize
 from pathlib import Path
+
+from gitrev import extract
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,13 +76,8 @@ def main(argv=None) -> int:
         print("\n".join(table(counts)))
         return 0
     with tempfile.TemporaryDirectory(prefix="src_lines_") as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
-                                  args.rev, "src"], capture_output=True)
-        if archive.returncode != 0:
-            print(f"src_lines: cannot extract {args.rev!r}: "
-                  f"{archive.stderr.decode().strip()}", file=sys.stderr)
+        if not extract("src_lines", args.rev, Path(tmp), "src"):
             return 2
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         base = tree_counts(Path(tmp) / "src")
     print(f"src/ lines, total / code only: {args.rev} -> working tree (difference)")
     print("\n".join(table(counts, base)))

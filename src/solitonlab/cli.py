@@ -26,8 +26,7 @@ import numpy as np
 from .classify import ClassifySample, LABEL_UNKNOWN, classify, sample_family
 from .families import BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily, canonical_family
 from .fdgrid import MARGIN_CODAZZI, grid_from_family
-from .reduced import (_identity_table, branch_label, integrate, product_state,
-                      singular_steady_state)
+from .reduced import branch_label, integrate
 from .report import canonical_csv, canonical_json
 from .verify import (codazzi_residual_closed, hamilton_check, oracle_deviation,
                      soliton_residual)
@@ -38,6 +37,10 @@ class UsageError(Exception):
 
 
 _CLI_FAMILIES = {name.replace("_", "-"): name for name in CANONICAL_FAMILIES}
+# the families whose record has a reduced start; integrate checks this
+# before it builds the family
+_REDUCED_FAMILIES = sorted(cli for cli, name in _CLI_FAMILIES.items()
+                           if canonical_family(name).reduced is not None)
 
 
 def _build_family(name: str, lam) -> MetricFamily:
@@ -112,15 +115,12 @@ def _cmd_verify(args) -> tuple[dict, bool, None]:
 
 
 def _cmd_integrate(args) -> tuple[dict, bool, str | None]:
-    if args.family not in ("product", "singular-steady"):
+    if args.family not in _REDUCED_FAMILIES:
         raise UsageError("integrate supports the families with reduced data: "
-                         "['product', 'singular-steady']")
-    fam, s0 = _build_family(args.family, args.lam), getattr(args, "from")
-    st0 = (product_state(s0, fam.soliton.lam) if fam.name == "product"
-           else singular_steady_state(s0))
-    traj = integrate(st0, args.to, args.step)
-    identities = _identity_table(traj.states)
-    worst = identities.worst()
+                         f"{_REDUCED_FAMILIES}")
+    fam = _build_family(args.family, args.lam)
+    traj = integrate(fam.reduced(getattr(args, "from")), args.to, args.step)
+    worst = traj.identities.worst()
     end = traj.final
     passed = (worst <= args.tol) and not traj.truncated
     report = {
@@ -135,7 +135,7 @@ def _cmd_integrate(args) -> tuple[dict, bool, str | None]:
         "max_identity_residual": worst,
         "pass": passed,
     }
-    csv_text = identities.to_csv() if args.format == "csv" else None
+    csv_text = traj.identities.to_csv() if args.format == "csv" else None
     return report, passed, csv_text
 
 

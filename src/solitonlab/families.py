@@ -19,7 +19,9 @@ elementwise with numpy.
 
 A family is one `MetricFamily` record: the metric profiles and, on the
 canonical families, ``soliton = SolitonData(f, lam)``, the potential profile
-and the soliton constant that make it a gradient Ricci soliton.  Everything
+and the soliton constant that make it a gradient Ricci soliton, and on the
+product and the singular steady metric ``reduced``, their start of the
+reduced system of :mod:`solitonlab.reduced`.  Everything
 else the soliton equation needs (the frame coefficients zeta_i, the Ricci
 eigenvalues) is read from the family's curvature table in
 :mod:`solitonlab.curvature`.
@@ -34,6 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, UnsupportedFamilyError
+from .reduced import ReducedState, product_state, singular_steady_state
 
 BOUNDARY_MARGIN = 1e-6
 
@@ -165,7 +168,9 @@ class MetricFamily:
     ``p`` is ``None`` exactly for the warped product over a 3-d fiber (no
     t-circle).  ``soliton`` is the canonical (f, lam) making the family a
     gradient Ricci soliton, with additive constants in f normalized to zero,
-    or ``None`` for a family without one.  ``name`` tags canonical instances
+    or ``None`` for a family without one.  ``reduced`` maps s0 to the
+    family's `ReducedState` at s0, or is ``None`` for a family outside the
+    doubly-warped reduction.  ``name`` tags canonical instances
     ("product", "singular_steady", "gaussian", "cylinder", "sphere", "flat",
     "broken_product"); it is empty for user-assembled profiles.
     """
@@ -174,6 +179,7 @@ class MetricFamily:
     k: float
     p: Profile | None = None
     soliton: SolitonData | None = None
+    reduced: Callable[[float], ReducedState] | None = None
     domain: tuple[float, float] = (BOUNDARY_MARGIN, math.inf)
     name: str = ""
 
@@ -193,7 +199,8 @@ def product_family(lam: float = -1.0) -> MetricFamily:
     if lam == 0.0:
         raise ValueError("the product family needs lam != 0")
     return MetricFamily(constant_profile(1.0), lam, p=power_profile(1.0, 1.0),
-                        soliton=SolitonData(quadratic_potential(lam), lam), name="product")
+                        soliton=SolitonData(quadratic_potential(lam), lam),
+                        reduced=lambda s0: product_state(s0, lam), name="product")
 
 
 def singular_steady_family() -> MetricFamily:
@@ -201,7 +208,7 @@ def singular_steady_family() -> MetricFamily:
     lam = 0 and f = (2/3) ln s."""
     return MetricFamily(power_profile(1.0, 2.0 / 3.0), 0.0, p=power_profile(1.0, 1.0 / 3.0),
                         soliton=SolitonData(log_profile(2.0 / 3.0), 0.0),
-                        name="singular_steady")
+                        reduced=singular_steady_state, name="singular_steady")
 
 
 def gaussian_family(lam: float = 1.0) -> MetricFamily:

@@ -14,11 +14,11 @@ with the third soliton component
 
 left over as a conserved diagnostic.  Along solutions a family of derived
 identities holds; :func:`reduced_identity_residuals` evaluates them at one
-state.  Along a trajectory they are evaluated once for all states, with
-numpy, from the same formulas: every power still goes through Python's
-float pow, state by state, because numpy's ``power`` rounds some squares
-and cubes differently, so each residual has the bits of the one-state
-evaluation.
+state.  A trajectory evaluates them once for all its states, with numpy,
+from the same formulas (`Trajectory.identities`): every power still goes
+through Python's float pow, state by state, because numpy's ``power``
+rounds some squares and cubes differently, so each residual has the bits
+of the one-state evaluation.
 
 The module also carries the algebra of the pairwise-distinct eigenvalue
 case: with eigenframe coefficients (a, b, c) and commutator coefficients
@@ -38,6 +38,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -128,8 +129,13 @@ class Trajectory:
     def final(self) -> ReducedState:
         return self.states[-1]
 
+    @cached_property
+    def identities(self) -> _IdentityTable:
+        """The identity residuals of every state, evaluated once."""
+        return _identity_table(self.states)
+
     def identity_residual_rows(self) -> list[dict[str, float]]:
-        return _identity_table(self.states).rows()
+        return self.identities.rows()
 
 
 def _rk4_step(y: tuple, ds: float, lam: float) -> tuple:
@@ -179,15 +185,22 @@ def integrate(st0: ReducedState, s_end: float, step: float) -> Trajectory:
     return Trajectory(tuple(states))
 
 
+def _branch_factors(a, b, lam):
+    """The factors of `BRANCH_FACTORS`, in that order, at one state (floats)
+    or at many (arrays of one shape)."""
+    return b, lam + 3.0 * a * b, lam - 2.0 * a * a + a * b
+
+
 def _identities(a, b, fp, lam, kh2, ap, a3):
     """The residuals of `IDENTITIES`, in that order, at one state (floats)
     or at many (arrays of one shape); a3 is a**3 by Python's pow."""
     bp = ap + a * a - b * b
+    b0, b1, b2 = _branch_factors(a, b, lam)
     return ((a - b) * fp - b * (a - b) - kh2,
             2.0 * (bp + b * b) + b * b - kh2 + lam,
             (a - b) * (2.0 * a * b - b * b + lam) - (a + b) * kh2,
             (a + b) * ap + a3 + 2.0 * a * b * b + lam * b,
-            b * (lam + 3.0 * a * b) * (lam - 2.0 * a * a + a * b))
+            b0 * b1 * b2)
 
 
 def reduced_identity_residuals(st: ReducedState, ap: float) -> dict[str, float]:
@@ -234,56 +247,48 @@ class _IdentityTable(NamedTuple):
         peak[~self.applicable] = 1.0
         return float(peak[0] if np.isnan(peak[0]) else np.fmax.reduce(peak))
 
-    def export_rows(self) -> list[dict[str, float]]:
-        return [{"s": st.s, "a": st.a, "b": st.b, "fp": st.fp, "h": st.h,
+    def to_csv(self) -> str:
+        """One CSV row per state, each value as ``%.17g``.  The header is the
+        union of the rows' keys: s, a, b, fp, h, then ``res_<identity>`` in
+        `IDENTITIES` order, then ``res_inapplicable``; a missing cell is empty."""
+        rows = [{"s": st.s, "a": st.a, "b": st.b, "fp": st.fp, "h": st.h,
                  **{f"res_{k}": v for k, v in res.items()}}
                 for st, res in zip(self.states, self.rows())]
-
-    def to_csv(self, fmt: str = "%.17g") -> str:
-        rows = self.export_rows()
-        fields = list(rows[0].keys()) if rows else list(_CSV_COLUMNS)
+        keys = set().union(*rows)
+        fields = [key for key in ("s", "a", "b", "fp", "h",
+                                  *(f"res_{k}" for k in (*IDENTITIES, "inapplicable")))
+                  if key in keys]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: fmt % v for k, v in row.items()})
+            writer.writerow({k: "%.17g" % v for k, v in row.items()})
         return buf.getvalue()
 
 
 def _identity_table(states) -> _IdentityTable:
-    """The identities of every state at once: the powers, ap (from `_rhs`)
-    and k/h^2 state by state in Python, the formulas over arrays."""
-    a, b, fp, h, lam = ([st.a for st in states], [st.b for st in states],
-                        [st.fp for st in states], [st.h for st in states],
-                        [st.lam for st in states])
-    try:
-        ap = [d[0] for d in map(_rhs, a, b, fp, h, lam)]
-        kh2 = list(map(ReducedState.k_h2, states))
-        a3 = [x**3 if x != y else 0.0 for x, y in zip(a, b)]
-    except (ArithmeticError, DomainError):
-        # each pass runs over all states: raise what the first failing state
-        # raises in the state-by-state evaluation
-        for st in states:
-            reduced_identity_residuals(st, _rhs(st.a, st.b, st.fp, st.h, st.lam)[0])
-        raise
-    a, b, fp, lam, kh2, ap, a3, k = (np.array(v, dtype=float) for v in (
-        a, b, fp, lam, kh2, ap, a3, [st.k for st in states]))
+    """The identities of every state at once.  One pass over the states takes
+    a' (from `_rhs`), k/h^2 and the cube a**3 (where a != b) in Python, in
+    the order of the one-state evaluation, so it raises what the first
+    failing state raises there; the formulas then run over arrays."""
+    a, b, fp, lam, k, ap, kh2, a3 = np.array(
+        [(st.a, st.b, st.fp, st.lam, st.k, _rhs(st.a, st.b, st.fp, st.h, st.lam)[0],
+          st.k_h2(), st.a**3 if st.a != st.b else 0.0) for st in states], dtype=float).T
     with np.errstate(all="ignore"):  # inf and nan, as float arithmetic gives them
         values = np.array(_identities(a, b, fp, lam, kh2, ap, a3))
     return _IdentityTable(tuple(states), values, a != b, k != 0.0)
 
 
-def branch_label(traj: Trajectory, tol: float = BRANCH_TOL) -> tuple[str, ...]:
-    """Branch factors of b (lambda+3ab) (lambda-2a^2+ab) that stay below tol
-    in running max along the trajectory; ties are labeled jointly.  A NaN
+def branch_label(traj: Trajectory) -> tuple[str, ...]:
+    """The `BRANCH_FACTORS` whose running max of |factor| along the
+    trajectory stays below BRANCH_TOL; ties are labeled jointly.  A NaN
     factor does not raise the running max."""
-    a = [st.a for st in traj.states]
-    a2, A, B, lam = (np.array(v, dtype=float) for v in (
-        [x**2 for x in a], a, [st.b for st in traj.states], [st.lam for st in traj.states]))
+    states = traj.states
+    a, b, lam = (np.array(v, dtype=float) for v in (
+        [st.a for st in states], [st.b for st in states], [st.lam for st in states]))
     with np.errstate(all="ignore"):
-        factors = (B, lam + 3.0 * A * B, lam - 2.0 * a2 + A * B)
-        peaks = [np.fmax.reduce(np.abs(v), initial=0.0) for v in factors]
-    return tuple(name for name, peak in zip(BRANCH_FACTORS, peaks) if peak < tol)
+        peaks = [np.fmax.reduce(np.abs(v), initial=0.0) for v in _branch_factors(a, b, lam)]
+    return tuple(name for name, peak in zip(BRANCH_FACTORS, peaks) if peak < BRANCH_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +356,3 @@ def exclusion_residual(a: float, b: float, c: float) -> float:
     expr1 = -(ab4 / P) * (0.5 * (a + b - c) - sym_term / (4.0 * P))
     expr2 = -(ab4 / (2.0 * P)) * (a + b - c)
     return expr1 - expr2
-
-
-# ---------------------------------------------------------------------------
-# trajectory export
-
-_CSV_COLUMNS = ("s", "a", "b", "fp", "h")
-
-
-def trajectory_rows(traj: Trajectory) -> list[dict[str, float]]:
-    return _identity_table(traj.states).export_rows()
-
-
-def trajectory_to_csv(traj: Trajectory, fmt: str = "%.17g") -> str:
-    return _identity_table(traj.states).to_csv(fmt)

@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,12 +161,37 @@ def test_cli_and_json_family_names_build_the_same_family(cli_name, lam):
 
     def fields(m):
         sol = m.soliton and (m.soliton.lam, m.soliton.f.label)
-        return m.p is None, m.name, m.k, sol, m.domain, m.h.label, m.p and m.p.label
+        return (m.p is None, m.name, m.k, sol, m.domain, m.h.label, m.p and m.p.label,
+                m.reduced is None)
 
     assert fields(from_cli) == fields(from_registry)
     default = {"product": -1.0, "gaussian": 1.0, "cylinder": 2.0}
     if cli_name in default:
         assert from_cli.soliton.lam == (default[cli_name] if lam is None else lam)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``bench/workloads.py``, loaded without a bytecode cache beside it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_integrate_exit_codes_follow_the_family_records_and_the_benchmark_gate(workloads,
+                                                                               capsys):
+    assert sorted(workloads.CLI_FAMILIES) == sorted(CLI_FAMILIES)
+    reduced = sorted(name for name in CLI_FAMILIES if _build_family(name, None).reduced)
+    refusal = ("solitonlab: error: integrate supports the families with reduced "
+               f"data: {reduced}\n")
+    for family in CLI_FAMILIES:
+        code = main(["integrate", "--family", family])
+        assert code == workloads.default_exit("integrate", family), family
+        assert capsys.readouterr().err == ("" if family in reduced else refusal), family
 
 
 SAMPLE_ROW = {"s": 1.0, "eigenvalues": [1.0, 1.0, 1.0, 1.0], "fprime": 0.0,

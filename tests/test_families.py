@@ -162,6 +162,18 @@ def test_singular_steady_zeta_identity():
             assert abs(z * fp - (sol.lam - li)) <= 1e-12
 
 
+@pytest.mark.parametrize("fam", [singular_steady_family(), product_family(-1.0),
+                                 product_family(0.75)], ids=lambda m: m.name)
+def test_reduced_start_is_the_family_data(fam):
+    # a = p'/p, b = h'/h, f' and h of the profiles; lambda and k of the record
+    for s in (0.4, 1.0, 2.5):
+        st = fam.reduced(s)
+        want = (s, fam.p.d1(s) / fam.p.value(s), fam.h.d1(s) / fam.h.value(s),
+                fam.soliton.f.d1(s), fam.h.value(s))
+        assert_allclose((st.s, st.a, st.b, st.fp, st.h), want, rtol=1e-15, atol=0.0)
+        assert (st.lam, st.k) == (fam.soliton.lam, fam.k)
+
+
 def test_canonical_soliton_unsupported():
     assert broken_family().soliton is None
     custom = MetricFamily(constant_profile(2.0), 1.0, p=power_profile(1.0, 0.25))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -14,7 +15,7 @@ from solitonlab.reduced import (MAX_STEPS, ReducedState, branch_label,
                                 distinct_frame_relations, dw_rhs,
                                 exclusion_residual, fprime_numerator, integrate,
                                 product_state, reduced_identity_residuals,
-                                singular_steady_state, trajectory_to_csv,
+                                singular_steady_state,
                                 warp3_rhs)
 
 
@@ -252,11 +253,24 @@ def test_exclusion_iff_fprime_over_random_triples():
 
 def test_trajectory_csv_export():
     traj = integrate(singular_steady_state(1.0), 1.1, 0.05)
-    text = trajectory_to_csv(traj)
+    text = traj.identities.to_csv()
     header = text.splitlines()[0].split(",")
     assert header[:5] == ["s", "a", "b", "fp", "h"]
     assert any(col.startswith("res_") for col in header)
     assert len(text.splitlines()) == len(traj.states) + 1
+
+
+def test_trajectory_csv_header_is_the_union_of_the_rows_keys():
+    # the first state has a == b, so its row holds only res_inapplicable
+    traj = reduced.Trajectory((ReducedState(0, .4, .4, .1, 1, 0, 1),
+                               ReducedState(0, .3, -.2, .5, 1.2, -1, 1)))
+    rows = list(csv.reader(traj.identities.to_csv().splitlines()))
+    assert rows[0] == ["s", "a", "b", "fp", "h", *(f"res_{k}" for k in reduced.IDENTITIES),
+                       "res_inapplicable"]
+    assert len(rows[0]) == 11 and len(rows) == 3
+    assert rows[1][5:] == [""] * 5 + ["1"]
+    second = reduced_identity_residuals(traj.states[1], dw_rhs(traj.states[1]).ap)
+    assert rows[2][5:] == ["%.17g" % second[k] for k in reduced.IDENTITIES] + [""]
 
 
 def reference_rk4_step(st, ds):
@@ -484,4 +498,4 @@ def test_cli_integrate_csv_evaluates_the_identities_once(tmp_path, monkeypatch):
     assert code == 0
     assert calls == [21]  # one evaluation, over all 21 states
     traj = integrate(product_state(1.0, -1.0), 1.02, 1e-3)
-    assert out.read_text() == trajectory_to_csv(traj)
+    assert out.read_text() == traj.identities.to_csv()

@@ -38,8 +38,9 @@ from workloads import BOUNDARY_JOBS, CLI_FAMILIES  # noqa: E402
 from gitrev import extract  # noqa: E402
 
 COMMANDS = ("verify", "oracle", "classify", "integrate")
-# overflowing potentials, and integrate runs whose CSV prints every state
-# with its identity residuals
+# overflowing potentials, integrate runs whose CSV prints every state with
+# its identity residuals, and integrate's refusals: an unknown family, a
+# family without a reduced start, and a bad --lam of one with it
 EDGE_JOBS = (
     "verify --family gaussian --lam 1e308",
     "verify --family product --lam 1e200",
@@ -47,6 +48,9 @@ EDGE_JOBS = (
     "integrate --family singular-steady --from 1 --to 0.01 --format csv",
     "integrate --family product --lam 2.5 --from 0.5 --to 3 --step 1e-2 --format csv",
     "integrate --family product --lam=-0.5 --from 2 --to 1 --step 1e-2 --format csv",
+    "integrate --family nosuch",
+    "integrate --family cylinder --lam 0",
+    "integrate --family product --lam 0",
 )
 OUT = "report.out"
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from solitonlab import (broken_family, family_eigenvalues, fd_curvature,
-                        grid_from_family, singular_steady_family, sym_eigen)
+                        grid_from_family, singular_steady_family, sym_eigvals)
 
 fam = singular_steady_family()
 
@@ -25,7 +25,7 @@ for n_s in (65, 129):
     node = (n_s // 2, 4, 4, 4)
     s = grid.axes[0][node[0]]
     bundle = fd_curvature(grid, node)
-    fd_eigs = np.array([w for w, _ in sym_eigen(bundle.ric, bundle.g)])
+    fd_eigs = sym_eigvals(bundle.ric[None], bundle.g[None])[0]
     cf = np.array(family_eigenvalues(fam, s))
     dev = np.max(np.abs(fd_eigs - cf[:4])) / abs(cf[4])
     print(f"n_s = {n_s:4d}  spacing = {h:.5f}  s = {s:.4f}  "

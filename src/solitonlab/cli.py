@@ -321,6 +321,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # a finite input too large for float arithmetic
         print(f"solitonlab: error: floating-point overflow: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size argument too large to allocate
+        print(f"solitonlab: error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,7 +24,9 @@ The tables, ``family_eigenvalues`` and ``family_weyl_sq`` take one s or an
 array of s.  A Python float gives floats, computed as the scalar formulas
 compute them; an array gives arrays of its shape from one call.  Each call
 checks the family domain, the positivity of p and h and the finiteness of
-every table entry once, and a failure names the first bad s.
+every table entry once, and a failure names the first bad s.  Each call
+dispatches on the type of s once: the family-level entry points call the
+per-ansatz formulas directly, not through `dw_table` and `warp3_table`.
 """
 
 from __future__ import annotations
@@ -165,8 +167,12 @@ def family_table(m: MetricFamily, s) -> CurvatureTable:
     """The curvature table of ``m`` at s, a float or an array of s."""
     m.require(s)
     if m.p is None:
-        return warp3_table(m.h, m.k, s)
-    return dw_table(m.p, m.h, m.k, s)
+        return _warp3(m.h, m.k, s)
+    return _dw(m.p, m.h, m.k, s)
+
+
+# the formulas without the dispatch on s, for entry points that have done it
+_dw, _warp3, _family = (f.__wrapped__ for f in (dw_table, warp3_table, family_table))
 
 
 def family_eigenvalues(m: MetricFamily, s):
@@ -185,7 +191,7 @@ def family_weyl_sq(m: MetricFamily, s) -> Values:
     and each plane contributes four equal squares (W_ijji = W_jiij =
     -W_ijij = -W_jiji).
     """
-    t = family_table(m, s)
+    t = _family(m, s)
     lam, r6 = t.lam, t.scalar / 6.0
     weyl = [kv - 0.5 * (lam[i] + lam[j]) + r6 for (i, j), kv in zip(PLANES, t.sectional)]
     return _finite(t.s, 4.0 * sum(w * w for w in weyl))[0]

@@ -15,10 +15,17 @@ itself wraps (``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv``,
 ``"d->dd"``) to cast other real dtypes to float64; every input here is
 float64 already (`_sym2` casts it), and for float64 the gufuncs' default
 loop is that same double-precision loop.  On a 4 x 4 matrix the wrapper's
-argument checks and error-state handling cost more than LAPACK does, and
-the FD oracle solves one matrix per grid node.  The gufuncs return NaN
-where ``numpy.linalg`` raises, so the factor and the eigenvalues are tested
-for finiteness here, and every failure is a `DomainError`.
+argument checks and error-state handling cost more than LAPACK does.  The
+gufuncs return NaN where ``numpy.linalg`` raises, so the factor and the
+eigenvalues are tested for finiteness here, and every failure is a
+`DomainError`.
+
+A one-matrix call costs its LAPACK calls, a few small array operations and
+checks made on Python floats: about 20 us per `sym_eigen` on a 2-vCPU host
+with numpy 2.4, 6-9 us of it LAPACK.  That fixed cost is per call, so a
+loop over many nodes should call the stack entry points, `sym_eigvals` or
+`verify.oracle_deviation`, as the CLI does: about 4 us per matrix on a
+stack of 1,000.
 
 One validity rule holds for every metric and symmetric tensor here, and
 for the metrics of an FD grid (`fdgrid.MetricGrid`): symmetric within
@@ -30,6 +37,7 @@ on the way, is a `DomainError` and never a numpy RuntimeWarning.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -41,6 +49,12 @@ DIM = 4
 # flat indices of the entries (i, j) and (j, i), i < j, of a 4 x 4 matrix
 _I, _J = np.triu_indices(DIM, 1)
 _UPPER, _LOWER = _I * DIM + _J, _J * DIM + _I
+# the same entries of one matrix's flat list of Python floats, as tuples
+_upper_of, _lower_of = (operator.itemgetter(*idx.tolist()) for idx in (_UPPER, _LOWER))
+
+# the metric when none is given; read-only, since it is returned as it is
+_EYE = np.eye(DIM)
+_EYE.flags.writeable = False
 
 
 def _sym2(m, shape=(DIM, DIM)) -> np.ndarray:
@@ -54,6 +68,13 @@ def _sym2(m, shape=(DIM, DIM)) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.shape != shape:
         raise ValueError(f"expected an array of shape {shape}, got {a.shape}")
+    if a.ndim == 2:
+        # one matrix: compare as Python floats, which is cheaper than the array
+        # code below.  Distinct list items are distinct objects, so the tuple
+        # comparison's identity shortcut never hides a NaN; -0.0 == 0.0.
+        entries = a.ravel().tolist()
+        if _upper_of(entries) == _lower_of(entries):
+            return a
     flat = a.reshape(-1, DIM * DIM)
     upper, lower = flat.take(_UPPER, axis=1), flat.take(_LOWER, axis=1)
     if not np.count_nonzero(upper != lower):  # unlike a difference, never warns
@@ -78,7 +99,11 @@ def _cholesky(g: np.ndarray) -> np.ndarray:
     g gives an inf in L (and a finite L^{-1}), so L itself is tested.
     """
     L = _umath_linalg.cholesky_lo(g)
-    if not np.isfinite(L).all():
+    if L.ndim == 2:  # one factor: its 16 floats cost less to test than a ufunc call
+        finite = all(map(math.isfinite, L.ravel().tolist()))
+    else:
+        finite = np.isfinite(L).all()
+    if not finite:
         raise DomainError("metric is not positive definite")
     return L
 
@@ -103,15 +128,20 @@ def _whitener(g: np.ndarray) -> np.ndarray:
 
 def _eigh(t: np.ndarray, g: np.ndarray):
     """(L^{-1}, w, Y) for symmetric t and g, one (4, 4) pair or two
-    (N, 4, 4) stacks: w ascending and Y the orthonormal eigenvectors of the
-    symmetrized L^{-1} t L^{-T}.  A DomainError when g is not positive
-    definite or an eigenvalue is not finite (a non-finite t, or an overflow
-    in the reduction)."""
+    (N, 4, 4) stacks: w ascending (a list of floats for one pair) and Y the
+    orthonormal eigenvectors of the symmetrized L^{-1} t L^{-T}.  A
+    DomainError when g is not positive definite or an eigenvalue is not
+    finite (a non-finite t, or an overflow in the reduction)."""
     with np.errstate(all="ignore"):  # failures come back as NaN, tested below
         Linv = _whitener(g)
         B = Linv @ t @ Linv.swapaxes(-1, -2)
         w, Y = _umath_linalg.eigh_lo(0.5 * (B + B.swapaxes(-1, -2)))
-    if not np.isfinite(w).all():
+    if w.ndim == 1:  # one pair: test the floats that the caller returns
+        w = w.tolist()
+        finite = all(map(math.isfinite, w))
+    else:
+        finite = np.isfinite(w).all()
+    if not finite:
         raise DomainError("eigenvalues are not finite: the tensor or the metric "
                           "is not finite, or too large")
     return Linv, w, Y
@@ -126,9 +156,9 @@ def sym_eigen(t, g=None) -> list[tuple[float, np.ndarray]]:
     ``v_i^T g v_j = delta_ij``.  Rounding-level asymmetry in the inputs (as
     produced by matrix products) is symmetrized away.
     """
-    Linv, w, Y = _eigh(_sym2(t), _sym2(np.eye(DIM) if g is None else g))
+    Linv, w, Y = _eigh(_sym2(t), _EYE if g is None else _sym2(g))
     V = (Linv.T @ Y)[:, ::-1].T.copy()  # row i: eigenvector of the i-th largest
-    return list(zip(w[::-1].tolist(), V))
+    return list(zip(w[::-1], V))
 
 
 def sym_eigvals(t, g) -> np.ndarray:
@@ -150,7 +180,7 @@ def tensor_norm(t, g=None) -> float:
     t = np.asarray(t, dtype=float)
     if any(n != DIM for n in t.shape):
         raise ValueError(f"expected a tensor with every axis of length 4, got {t.shape}")
-    g = _sym2(np.eye(DIM) if g is None else g)
+    g = _EYE if g is None else _sym2(g)
     with np.errstate(all="ignore"):  # as in numpy.linalg; failures are tested below
         Linv = _whitener(g)
         for _ in range(t.ndim):  # whiten the leading index, then rotate it to the back

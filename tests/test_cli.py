@@ -116,6 +116,11 @@ def test_usage_errors_exit_2(argv, capsys):
     ["verify", "--family", "gaussian", "--lam", "1e308"],
     ["verify", "--family", "product", "--lam", "1e200"],
     ["classify", "--family", "gaussian", "--lam", "1e308"],
+    # 10**15 float64 values are 8 PB, more than any address space: refused
+    # before any memory is touched
+    ["verify", "--family", "flat", "--samples", str(10**15)],
+    ["classify", "--family", "flat", "--samples", str(10**15)],
+    ["oracle", "--family", "flat", "--nodes", str(10**15)],
 ])
 def test_domain_errors_exit_2_with_one_line(argv, capsys):
     assert_exit_2_with_one_line(argv, capsys)

@@ -140,8 +140,27 @@ ASYMMETRIC_T[0, 1] = 1e-3
 # asymmetric within the tolerance, and t[0, 1] + t[1, 0] overflows
 NEAR_MAX_T = 1e308 * np.eye(4)
 NEAR_MAX_T[0, 1], NEAR_MAX_T[1, 0] = 1e308, 1e308 * (1.0 - 1e-15)
+
+
+def off_diagonal_pair(upper, lower):
+    """8 I with the (0, 1) entry ``upper`` and the (1, 0) entry ``lower``:
+    the symmetry bound is 1e-12 * 8 (exact), and a small pair keeps it
+    positive definite."""
+    m = 8.0 * np.eye(4)
+    m[0, 1], m[1, 0] = upper, lower
+    return m
+
+
+SYM_BOUND = 1e-12 * 8.0
+NAN_PAIR_T = off_diagonal_pair(np.nan, np.nan)  # symmetric in value, but NaN != NaN
+JUST_OVER_T = off_diagonal_pair(0.0, np.nextafter(SYM_BOUND, np.inf))
+# accepted: -0.0 == 0.0, and an asymmetry within the bound
+SIGNED_ZERO_PAIR = off_diagonal_pair(-0.0, 0.0)
+JUST_UNDER_PAIR = off_diagonal_pair(0.0, np.nextafter(SYM_BOUND, 0.0))
 REJECTED = {
     "t-asymmetric": ((ASYMMETRIC_T, np.eye(4)), ValueError),
+    "t-just-over-the-symmetry-bound": ((JUST_OVER_T, np.eye(4)), ValueError),
+    "t-nan-pair": ((NAN_PAIR_T, np.eye(4)), DomainError),
     "t-nan": (bad_pair(t_entry=np.nan), DomainError),
     "t-inf": (bad_pair(t_entry=np.inf), DomainError),
     "t-1e308": (bad_pair(t_entry=1e308), DomainError),
@@ -152,7 +171,7 @@ REJECTED = {
     "g-indefinite": (bad_pair(g_diag=[1.0, 1.0, 1.0, -1.0]), DomainError),
     "g-subnormal": (bad_pair(g_diag=[1e-320, 1.0, 1.0, 1.0]), DomainError),
 }
-NORM_REJECTS = ("t-nan", "t-inf", "t-1e308", "t-near-max-asymmetric",
+NORM_REJECTS = ("t-nan", "t-nan-pair", "t-inf", "t-1e308", "t-near-max-asymmetric",
                 "g-nan", "g-inf", "g-singular", "g-indefinite", "g-subnormal")
 
 
@@ -180,7 +199,7 @@ def test_sym_eigvals_rejects_what_sym_eigen_rejects():
         assert type(batched) is type(single), (case, batched)
         if case in NORM_REJECTS:
             assert isinstance(norm, DomainError), (case, norm)
-        if case in ("t-nan", "t-inf", "t-near-max-asymmetric"):  # not a metric either
+        if case in ("t-nan", "t-nan-pair", "t-inf", "t-near-max-asymmetric"):  # not a metric either
             assert isinstance(as_metric, DomainError), (case, as_metric)
 
 
@@ -226,6 +245,16 @@ def test_gufunc_layer_matches_numpy_linalg_bit_for_bit():
     grid = grid_from_family(singular_steady_family(), (0.5, 2.0), 33)
     blk = fd_ricci_block(grid, grid.interior_nodes()[::7])
     assert_matches_linalg_reference(blk["ric"], blk["g"])
+
+
+def test_one_matrix_symmetry_edges_match_the_stack_and_numpy_linalg():
+    """A single matrix that one-matrix calls accept, as t and as g, gives
+    the bits of a one-matrix stack and of numpy.linalg."""
+    spd = random_spd(np.random.default_rng(950), scale=3.0)[None]
+    for m in (SIGNED_ZERO_PAIR, JUST_UNDER_PAIR):
+        assert_matches_linalg_reference(m[None], spd)
+        assert_matches_linalg_reference(spd, m[None])
+        assert_matches_linalg_reference(m[None], m[None])
 
 
 @pytest.mark.parametrize("seed", range(4))

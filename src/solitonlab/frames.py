@@ -52,7 +52,7 @@ _UPPER, _LOWER = _I * DIM + _J, _J * DIM + _I
 # the same entries of one matrix's flat list of Python floats, as tuples
 _upper_of, _lower_of = (operator.itemgetter(*idx.tolist()) for idx in (_UPPER, _LOWER))
 
-# the metric when none is given; read-only, since it is returned as it is
+# the metric when none is given; read-only, since every such call shares it
 _EYE = np.eye(DIM)
 _EYE.flags.writeable = False
 

@@ -6,14 +6,24 @@ grid, and produces Christoffel symbols, Riemann/Ricci/scalar/Weyl curvature
 and the Codazzi residual of Ric - (R/6) g by 4th-order central differences.
 
 Stencils are fixed at 5 points.  First and second metric derivatives are
-taken at the node itself.  Ricci and R come straight from the connection and
-its chain-rule derivative; only `fd_curvature` builds the rank-4 Riemann
-tensor, at its one node.  For the covariant derivative of Ricci, Ricci and
-R are evaluated once on the distinct stencil neighbourhood of a batch of
-nodes, and the first-derivative stencil is applied to that field, so the
-Codazzi residual needs a margin of 4 nodes while plain curvature needs 2.
-Ricci is evaluated in blocks of 256 nodes, which bounds the memory of its
-temporaries on any batch size.
+taken at the node itself, on boxes of nodes: every stencil tap is a shifted
+slice of the grid over the box, and a mixed derivative is the inner odd
+stencil along m over the box widened by 2 along l, then the outer one along
+l on slices of that.  Ricci and R come straight from the connection and its
+chain-rule derivative, on slabs of at most 256 nodes (`_BLOCK`), which
+bounds the memory of the temporaries on any batch size; only
+`fd_curvature` builds the rank-4 Riemann tensor, at its one node.
+
+A node batch costs its bounding box.  `fd_ricci_block` evaluates the box and
+returns its arrays as they are when the nodes are the box in C order
+(`MetricGrid.interior_nodes`, an s-line), else it picks the nodes' rows.
+For the covariant derivative of Ricci, Ricci and R are evaluated in one
+pass on the cross of boxes around the bounding box: the box widened by 2
+along its first non-Killing axis, and a 2-thick slab on each side of it
+along each other one, which is exactly the stencil neighbourhood of an
+s-line.  The first-derivative stencil then reads shifted slices of that
+field, so the Codazzi residual needs a margin of 4 nodes while plain
+curvature needs 2.
 
 Grids can carry a different node count per axis.  Accuracy is set by the
 spacing, not the count, so axes the metric does not vary along (Killing
@@ -22,10 +32,11 @@ directions of the families) only need the minimal 2*margin+1 nodes.
 The metric array may be a read-only broadcast view with stride 0 along such
 axes, as `grid_from_family` returns it: g is then stored once per node of
 the non-Killing sub-grid, and callers must copy it before writing to it.
-Validation runs on that distinct slice.  Every derivative along a stride-0
-axis, pure or mixed, is exactly zero by the form of the stencils, so the
-metric stencils and the Codazzi stencil skip those axes, and a dense copy of
-the grid gives the same bits.
+Validation runs on that distinct slice, and a box spans one node of it
+along each stride-0 axis.  Every derivative along a stride-0 axis, pure or
+mixed, is exactly zero by the form of the stencils, so the metric stencils
+and the Codazzi stencil skip those axes, and a dense copy of the grid gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -47,10 +58,12 @@ _D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFSETS = np.array([-2, -1, 0, 1, 2])
 
-# nodes per block of `_ricci_blocks`; its largest temporaries are the
-# (N, 4, 4, 4, 4) second derivatives and their stencil taps.  On the family
-# grids 512 nodes were 1-10 % faster per node than 256 at 1.4-1.6x the peak
-# memory, and 128 was 14-27 % slower.
+# nodes per slab of `_ricci_boxes`; its largest temporaries are the
+# (N, 4, 4, 4, 4) second derivatives and the stencil taps of one slab.  For
+# FD Ricci on all interior nodes of the five 129-node family grids, 512 nodes
+# were 6-10 % faster than 256 at 1.3x the peak memory, and 128 12-17 %
+# slower; on the s-line Codazzi calls of the 129- and 257-node narrow grids,
+# 128 and 512 were both 7-11 % slower than 256.
 _BLOCK = 256
 
 
@@ -106,8 +119,7 @@ class MetricGrid:
         shape = tuple(len(ax) for ax in self.axes) + (DIM, DIM)
         if self.g.shape != shape:
             raise ValueError(f"metric array shape {self.g.shape} != {shape}")
-        _assert_positive_definite(
-            self.g[tuple(slice(0, 1) if b else slice(None) for b in self.broadcast_axes)])
+        _assert_positive_definite(self.distinct)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -119,21 +131,39 @@ class MetricGrid:
         return tuple(st == 0 for st in self.g.strides[:DIM])
 
     @property
+    def distinct(self) -> np.ndarray:
+        """g with length 1 along the stride-0 axes: each distinct metric once."""
+        return self.g[tuple(slice(0, 1) if b else slice(None) for b in self.broadcast_axes)]
+
+    @property
     def spacings(self) -> np.ndarray:
         return np.array([ax[1] - ax[0] for ax in self.axes])
 
     def require_interior(self, nodes, margin: int) -> np.ndarray:
-        """``nodes`` (one node or an (N, 4) batch) as an (N, 4) int array,
-        after raising GridBoundaryError naming the first of them that lies
-        within ``margin`` of the boundary."""
-        nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
+        """``nodes`` (one node of shape (4,) or an (N, 4) batch, N >= 0) as
+        an (N, 4) int array.  It raises ValueError for any other shape and
+        for the first node with an index that is not an integer, then
+        GridBoundaryError naming the first node within ``margin`` of the
+        boundary."""
+        nodes = np.asarray(nodes)
+        if nodes.shape != (DIM,) and (nodes.ndim != 2 or nodes.shape[1] != DIM):
+            raise ValueError(f"nodes must have shape (4,) or (N, 4), not {nodes.shape}")
+        if nodes.dtype.kind not in "iuf":
+            raise ValueError(f"node indices must be integers, not {nodes.dtype}")
+        nodes = nodes.reshape(-1, DIM)
+        if nodes.dtype.kind == "f":
+            with np.errstate(invalid="ignore"):
+                fraction = np.any(~np.isfinite(nodes) | (nodes != np.round(nodes)), axis=1)
+            if np.any(fraction):
+                node = tuple(nodes[np.argmax(fraction)].tolist())
+                raise ValueError(f"node {node} has an index that is not an integer")
         outside = np.any((nodes < margin)
                          | (nodes > np.array(self.shape) - 1 - margin), axis=1)
         if np.any(outside):
             node = tuple(int(i) for i in nodes[np.argmax(outside)])
             raise GridBoundaryError(
                 f"node {node} too close to the boundary of {self.shape}")
-        return nodes
+        return nodes.astype(int, copy=False)
 
     def interior_nodes(self, margin: int = MARGIN_CODAZZI) -> np.ndarray:
         ranges = [np.arange(margin, n - margin) for n in self.shape]
@@ -146,21 +176,15 @@ def _assert_positive_definite(g: np.ndarray) -> None:
     passes the validity rule of `frames`: `_sym2`'s symmetry test, then a
     finite Cholesky factor (`_cholesky`).
 
-    It runs on blocks of at most ``step`` matrices (2 MB), whatever g's
-    shape and strides: rows of the first axis whose trailing grid axes hold
-    at most ``step`` matrices, one block per index of the axes before it.
-    Each block is reshaped on its own, so no full-size copy or temporary is
-    made.  A block of diagonal metrics with finite positive entries, as the
-    warped-product grids hold, passes without LAPACK (`_positive_diagonal`);
-    every other block takes the route above.
+    It runs on the sub-boxes of at most 16,384 matrices (2 MB) of `_blocks`,
+    whatever g's shape and strides.  Each block is reshaped on its own, so
+    no full-size copy or temporary is made.  A block of diagonal metrics
+    with finite positive entries, as the warped-product grids hold, passes
+    without LAPACK (`_positive_diagonal`); every other block takes the route
+    above.
     """
-    step = 16384
-    lead = next(a for a in range(DIM) if math.prod(g.shape[a + 1:DIM]) <= step)
-    rows = step // math.prod(g.shape[lead + 1:DIM])
-    blocks = ((*outer, slice(lo, lo + rows)) for outer in np.ndindex(g.shape[:lead])
-              for lo in range(0, g.shape[lead], rows))
-    for block in blocks:
-        chunk = np.asarray(g[block], dtype=float).reshape(-1, DIM, DIM)
+    for start, extent in _blocks(g.shape[:DIM], 16384):
+        chunk = np.asarray(g[_box(start, extent)], dtype=float).reshape(-1, DIM, DIM)
         if _positive_diagonal(chunk):
             continue
         try:
@@ -172,60 +196,99 @@ def _assert_positive_definite(g: np.ndarray) -> None:
             raise ValueError("metric components must be symmetric") from exc
 
 
+def _blocks(shape, step: int):
+    """The index box ``shape`` cut into C-order sub-boxes (start, extent) of
+    at most ``step`` nodes: runs of rows of the first axis whose trailing
+    axes hold at most ``step`` nodes, for each index of the axes before it."""
+    lead = next(a for a in range(len(shape)) if math.prod(shape[a + 1:]) <= step)
+    tail = tuple(shape[lead + 1:])
+    rows = step // math.prod(tail)
+    for outer in np.ndindex(*shape[:lead]):
+        for lo in range(0, shape[lead], rows):
+            yield ((*outer, lo) + (0,) * len(tail),
+                   (1,) * lead + (min(rows, shape[lead] - lo),) + tail)
+
+
+def _box(lo, shape) -> tuple[slice, ...]:
+    return tuple(slice(a, a + n) for a, n in zip(lo, shape))
+
+
 # ---------------------------------------------------------------------------
-# batched derivative machinery
+# derivatives on boxes of nodes
 
-def _metric_derivs(grid: MetricGrid, nodes: np.ndarray):
-    """(g, dg, d2g) at a batch of nodes: dg[n,l,a,b] = d_l g_ab and
-    d2g[n,l,m,a,b] = d_l d_m g_ab.
+def _bounding_box(grid: MetricGrid, nodes: np.ndarray):
+    """(lo, shape, rows) of a non-empty (N, 4) node batch: its bounding box
+    in indices of `MetricGrid.distinct` (0 along stride-0 axes), and each
+    node's row in the C order of that box, or None when the nodes are the
+    box itself in C order."""
+    at = np.where(grid.broadcast_axes, 0, nodes)
+    lo = at.min(axis=0)
+    shape = tuple((at.max(axis=0) - lo + 1).tolist())
+    rows = np.ravel_multi_index(tuple((at - lo).T), shape)
+    if len(rows) == math.prod(shape) and np.array_equal(rows, np.arange(len(rows))):
+        rows = None
+    return lo, shape, rows
 
-    Every stencil value comes from one ``np.take`` on the distinct slice of
-    g (length 1 along stride-0 axes), flattened: the nodes' flat indices
-    plus each stencil shift's flat offset, which is 0 along stride-0 axes.
+
+def _jet(grid: MetricGrid, lo, shape):
+    """(g, dg, d2g) on the box of ``shape`` at ``lo``, in indices of
+    `MetricGrid.distinct`, as (n, ...) arrays over its nodes in C order:
+    dg[n,l,a,b] = d_l g_ab and d2g[n,l,m,a,b] = d_l d_m g_ab.
+
+    Every stencil tap is one shifted slice of the distinct slice of g, and
+    the inner pass of a mixed stencil is computed once per point of the box
+    widened along its outer axis, not once per node and outer tap.
     """
-    h = grid.spacings
+    h, g = grid.spacings, grid.distinct
     # derivatives along a broadcast (stride-0) axis are exactly 0, pure and
     # mixed alike (see the stencils below): they are skipped
-    skip = grid.broadcast_axes
-    distinct = grid.g[tuple(slice(0, 1) if b else slice(None) for b in skip)]
-    stride = np.array([0 if skip[l] else math.prod(distinct.shape[l + 1:DIM])
-                       for l in range(DIM)])
-    axes = [l for l in range(DIM) if not skip[l]]
-    pairs = [(a, b) for a in range(len(axes)) for b in range(a + 1, len(axes))]
-    nz = np.flatnonzero(_D1_W)
-    # shifts in the order they are used: the node, the 5 points along each
-    # of `axes`, then the nz x nz mixed taps of each pair
-    shifts = ([0] + [o * stride[l] for l in axes for o in _OFFSETS]
-              + [_OFFSETS[i] * stride[axes[a]] + _OFFSETS[j] * stride[axes[b]]
-                 for a, b in pairs for i in nz for j in nz])
-    vals = distinct.reshape(-1, DIM, DIM).take(
-        nodes @ stride + np.array(shifts)[:, None], axis=0)
-    N, n_line = nodes.shape[0], 1 + len(axes) * len(_OFFSETS)
-    g0 = vals[0]
-    lines = vals[1:n_line].reshape(len(axes), len(_OFFSETS), N, DIM, DIM) - g0
-    dg = np.zeros((N, DIM, DIM, DIM))
-    d2g = np.zeros((N, DIM, DIM, DIM, DIM))
-    for l, stack in zip(axes, lines):
-        dg[:, l] = np.tensordot(_D1_W, stack, axes=(0, 0)) / h[l]
-        d2g[:, l, l] = np.tensordot(_D2_W, stack, axes=(0, 0)) / h[l] ** 2
-    # mixed: the first-derivative stencil along m, then along l, each as
-    # w_1 (g_1 - g_-1) + w_2 (g_2 - g_-2) (the weights are odd).  Every
-    # difference is exactly 0 where g is constant along that axis, and every
-    # l-offset runs the same operations, so the result is exactly 0 when g
-    # is constant along l or along m.
-    taps = vals[n_line:].reshape(len(pairs), len(nz), len(nz), N, DIM, DIM)
-    inner = _odd_stencil(taps, axis=2)
-    for (a, b), acc in zip(pairs, _odd_stencil(inner, axis=1)):
-        l, m = axes[a], axes[b]
-        d2g[:, l, m] = d2g[:, m, l] = acc / (h[l] * h[m])
-    return g0, dg, d2g
+    axes = [l for l, skip in enumerate(grid.broadcast_axes) if not skip]
+    lo, n = [int(a) for a in lo], math.prod(shape)
+    box = list(_box(lo, shape))
+
+    def view(axis, offset, pad=None):
+        """The box moved by ``offset`` along ``axis``, widened by 2 on each
+        side along ``pad``."""
+        at = box.copy()
+        at[axis] = slice(lo[axis] + offset, lo[axis] + offset + shape[axis])
+        if pad is not None:
+            at[pad] = slice(lo[pad] - 2, lo[pad] + shape[pad] + 2)
+        return g[tuple(at)]
+
+    g0 = view(0, 0)
+    dg = np.zeros((n, DIM, DIM, DIM))
+    d2g = np.zeros((n, DIM, DIM, DIM, DIM))
+    for l in axes:
+        taps = np.empty((len(_OFFSETS),) + g0.shape)
+        for tap, o in zip(taps, _OFFSETS):
+            np.subtract(view(l, o), g0, out=tap)
+        dg[:, l] = (_stencil(_D1_W, taps) / h[l]).reshape(n, DIM, DIM)
+        d2g[:, l, l] = (_stencil(_D2_W, taps) / h[l] ** 2).reshape(n, DIM, DIM)
+    # mixed: the odd first-derivative stencil along m over the box widened
+    # by 2 along l, then the same stencil along l on slices of that.  Every
+    # difference is exactly 0 where g is constant along that axis, so the
+    # result is exactly 0 when g is constant along l or along m.
+    for i, l in enumerate(axes):
+        for m in axes[i + 1:]:
+            inner = _odd_stencil(lambda o: view(m, o, pad=l))
+            acc = _odd_stencil(lambda o: inner[(slice(None),) * l
+                                               + (slice(2 + o, 2 + o + shape[l]),)])
+            d2g[:, l, m] = d2g[:, m, l] = (acc / (h[l] * h[m])).reshape(n, DIM, DIM)
+    return np.array(g0).reshape(n, DIM, DIM), dg, d2g
 
 
-def _odd_stencil(vals: np.ndarray, axis: int) -> np.ndarray:
-    """The 4th-order first-derivative stencil (unscaled) along ``axis`` of
-    ``vals``, which holds the 4 off-center taps -2, -1, 1, 2."""
-    v = np.moveaxis(vals, axis, 0)
-    return _D1_W[3] * (v[2] - v[1]) + _D1_W[4] * (v[3] - v[0])
+def _stencil(weights: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The 5-point stencil ``weights`` over the leading axis of ``taps``,
+    flattened, as one BLAS dot of (1, 5) by (5, M), which is what
+    ``np.tensordot(weights, taps, axes=(0, 0))`` runs, without its wrapper."""
+    return np.dot(weights.reshape(1, -1), taps.reshape(len(weights), -1))
+
+
+def _odd_stencil(at) -> np.ndarray:
+    """The 4th-order first-derivative stencil (unscaled) on the values
+    ``at(o)`` at the off-center offsets o = -2, -1, 1, 2, as
+    w_1 (g_1 - g_-1) + w_2 (g_2 - g_-2) (the weights are odd)."""
+    return _D1_W[3] * (at(1) - at(-1)) + _D1_W[4] * (at(2) - at(-2))
 
 
 def _connection(g0: np.ndarray, dg: np.ndarray):
@@ -308,67 +371,123 @@ def _weyl_batch(riem, ric, scalar, g0):
     return riem + 0.5 * kulkarni - (scalar[:, None, None, None, None] / 6.0) * metric_part
 
 
-def _ricci_blocks(grid: MetricGrid, nodes: np.ndarray, christoffel_at=()):
-    """(g0, gam, ric, scalar) at interior nodes, with gam only at
-    ``nodes[christoffel_at]``.  It runs on `_BLOCK` nodes at a time, writing
-    into preallocated outputs, which caps its temporaries."""
-    n = nodes.shape[0]
-    want = np.asarray(christoffel_at, dtype=int)
+def _ricci_boxes(grid: MetricGrid, boxes, n_gam: int = 0):
+    """(g0, gam, ric, scalar) on the nodes of ``boxes``, (lo, shape) pairs in
+    indices of `MetricGrid.distinct`, box after box and each in C order;
+    gam only on the first ``n_gam`` of those nodes.
+
+    Each box is cut into slabs of at most `_BLOCK` nodes (`_blocks`), and the
+    jets of consecutive slabs are contracted together, at most `_BLOCK` nodes
+    at a time, into preallocated outputs, which caps the temporaries.
+    """
+    slabs = [(np.add(lo, start), extent) for lo, shape in boxes
+             for start, extent in _blocks(shape, _BLOCK)]
+    n = sum(math.prod(extent) for _, extent in slabs)
     g0, ric, scalar = np.empty((n, DIM, DIM)), np.empty((n, DIM, DIM)), np.empty(n)
-    gam = np.empty((len(want), DIM, DIM, DIM))
-    for lo in range(0, n, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        g0[blk], dg, d2g = _metric_derivs(grid, nodes[blk])
-        ginv_t, bracket, gam_t = _connection(g0[blk], dg)
-        ric[blk], scalar[blk] = _ricci(dg, d2g, ginv_t, bracket, gam_t)
-        here = (want >= lo) & (want < lo + _BLOCK)
-        gam[here] = gam_t[want[here] - lo].transpose(0, 3, 1, 2)
+    gam = np.empty((n_gam, DIM, DIM, DIM))
+    lo = 0
+    for chunk in _chunks(slabs):
+        jets = [_jet(grid, start, extent) for start, extent in chunk]
+        g0_c, dg, d2g = (parts[0] if len(chunk) == 1 else np.concatenate(parts)
+                         for parts in zip(*jets))
+        rows = slice(lo, lo + len(g0_c))
+        g0[rows] = g0_c
+        ginv_t, bracket, gam_t = _connection(g0_c, dg)
+        ric[rows], scalar[rows] = _ricci(dg, d2g, ginv_t, bracket, gam_t)
+        keep = min(len(g0_c), max(0, n_gam - lo))
+        gam[lo:lo + keep] = gam_t[:keep].transpose(0, 3, 1, 2)
+        lo = rows.stop
     return g0, gam, ric, scalar
+
+
+def _chunks(slabs):
+    """Runs of consecutive (start, extent) slabs of at most `_BLOCK` nodes."""
+    chunk, size = [], 0
+    for slab in slabs:
+        if chunk and size + math.prod(slab[1]) > _BLOCK:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(slab)
+        size += math.prod(slab[1])
+    if chunk:
+        yield chunk
 
 
 def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
     """Codazzi residual C_kij = cov_k Ric_ij - cov_i Ric_kj
-    + (d_i R / 6) g_kj - (d_k R / 6) g_ij at the batch nodes.
+    + (d_i R / 6) g_kj - (d_k R / 6) g_ij at a non-empty node batch.
 
-    Ricci and R are evaluated once on the distinct stencil neighbourhood of
-    the batch, in blocks of `_BLOCK` nodes: the nodes and their +-1, +-2
-    neighbours along every axis where g is not stride-0, deduplicated by
-    flat index.  The 5-point first-derivative stencil is then applied to
-    that one field.  Stride-0 axes are skipped: the Ricci differences along
-    them are exactly 0.
+    Ricci and R are evaluated once, in one `_ricci_boxes` pass, on the cross
+    of boxes around the bounding box of the nodes: the box widened by 2
+    along the first axis where g is not stride-0, and a 2-thick slab on each
+    side of it along each other such axis.  That is 1 + 2(A - 1) boxes for
+    A such axes, exactly the stencil neighbourhood of an s-line.  The 5-point
+    first-derivative stencil then reads shifted slices of that field.
+    Stride-0 axes are skipped: the Ricci differences along them are exactly 0.
     """
-    N = nodes.shape[0]
     h = grid.spacings
-    axes = [l for l in range(DIM) if not grid.broadcast_axes[l]]
-    # the nodes themselves, then the 5-point stencil along each of `axes`
-    shifts = np.zeros((1 + len(axes) * len(_OFFSETS), DIM), dtype=int)
-    for i, l in enumerate(axes):
-        shifts[1 + i * len(_OFFSETS):1 + (i + 1) * len(_OFFSETS), l] = _OFFSETS
-    flat = np.ravel_multi_index(tuple((nodes + shifts[:, None]).reshape(-1, DIM).T),
-                                grid.shape)
-    distinct, where = np.unique(flat, return_inverse=True)
-    where = where.reshape(len(shifts), N)
-    center, stencils = where[0], where[1:].reshape(len(axes), len(_OFFSETS), N)
-    g0, gam, ric, scalar = _ricci_blocks(
-        grid, np.stack(np.unravel_index(distinct, grid.shape), axis=1), center)
-    g0, ric_c, scal_c = g0[center], ric[center], scalar[center]
-    dric = np.zeros((N, DIM, DIM, DIM))
-    dscal = np.zeros((N, DIM))
-    for l, stencil in zip(axes, stencils):
-        dric[:, l] = np.tensordot(_D1_W, ric[stencil] - ric_c, axes=(0, 0)) / h[l]
-        dscal[:, l] = np.tensordot(_D1_W, scalar[stencil] - scal_c, axes=(0, 0)) / h[l]
+    axes = [l for l, skip in enumerate(grid.broadcast_axes) if not skip]
+    lo, shape, rows = _bounding_box(grid, nodes)
+    unit = np.eye(DIM, dtype=int)
+    pad = 2 * unit[axes[0]] if axes else np.zeros(DIM, dtype=int)
+    boxes = [(lo - pad, tuple((shape + 2 * pad).tolist()))]
+    for l in axes[1:]:
+        thin = tuple(np.where(unit[l], 2, shape).tolist())
+        boxes += [(lo - 2 * unit[l], thin), (lo + shape[l] * unit[l], thin)]
+    sizes = [math.prod(extent) for _, extent in boxes]
+    g0, gam, ric, scalar = _ricci_boxes(grid, boxes, sizes[0])
+    split = np.cumsum(sizes)[:-1]
+    rics = [r.reshape(extent + (DIM, DIM)) for r, (_, extent) in zip(np.split(ric, split), boxes)]
+    scalars = [c.reshape(extent) for c, (_, extent) in zip(np.split(scalar, split), boxes)]
+    center = _box(pad, shape)
+    n = math.prod(shape)
+
+    def derivative(parts, l):
+        """d_l of the field whose values on the cross of boxes are ``parts``,
+        on the box."""
+        c = parts[0][center]
+        if l == axes[0]:
+            line = parts[0]
+        else:  # the box between its two slabs along l
+            line = np.concatenate([parts[2 * axes.index(l) - 1], c, parts[2 * axes.index(l)]],
+                                  axis=l)
+        taps = [line[(slice(None),) * l + (slice(k, k + shape[l]),)]
+                for k in range(len(_OFFSETS))]
+        return _stencil(_D1_W, np.stack(taps) - c) / h[l]
+
+    dric = np.zeros((n, DIM, DIM, DIM))
+    dscal = np.zeros((n, DIM))
+    for l in axes:
+        dric[:, l] = derivative(rics, l).reshape(n, DIM, DIM)
+        dscal[:, l] = derivative(scalars, l).reshape(n)
+    box0 = boxes[0][1]
+    g0 = g0[:sizes[0]].reshape(box0 + (DIM, DIM))[center].reshape(n, DIM, DIM)
+    gam = gam.reshape(box0 + (DIM,) * 3)[center].reshape(n, DIM, DIM, DIM)
+    ric_c = rics[0][center].reshape(n, DIM, DIM)
     cov = (dric - np.einsum("nmki,nmj->nkij", gam, ric_c)
            - np.einsum("nmkj,nim->nkij", gam, ric_c))
-    return (cov - cov.transpose(0, 2, 1, 3)
-            + np.einsum("ni,nkj->nkij", dscal, g0) / 6.0
-            - np.einsum("nk,nij->nkij", dscal, g0) / 6.0)
+    res = (cov - cov.transpose(0, 2, 1, 3)
+           + np.einsum("ni,nkj->nkij", dscal, g0) / 6.0
+           - np.einsum("nk,nij->nkij", dscal, g0) / 6.0)
+    return res if rows is None else res[rows]
 
 
 def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
-    """Batched Ricci/scalar (with the node metrics) at interior nodes."""
+    """Batched Ricci/scalar (with the node metrics) at interior nodes.
+
+    A batch costs the bounding box of its nodes (one node per index of the
+    stride-0 axes).  When the nodes are that box in C order, as
+    `MetricGrid.interior_nodes` and s-lines are, the box arrays are
+    returned as they are; otherwise the nodes' rows are picked from them.
+    """
     nodes = grid.require_interior(nodes, MARGIN_CURVATURE)
-    g0, _, ric, scalar = _ricci_blocks(grid, nodes)
-    return {"g": g0, "ric": ric, "scalar": scalar}
+    if not len(nodes):
+        return {"g": np.empty((0, DIM, DIM)), "ric": np.empty((0, DIM, DIM)),
+                "scalar": np.empty(0)}
+    lo, shape, rows = _bounding_box(grid, nodes)
+    g0, _, ric, scalar = _ricci_boxes(grid, [(lo, shape)])
+    out = {"g": g0, "ric": ric, "scalar": scalar}
+    return out if rows is None else {key: val[rows] for key, val in out.items()}
 
 
 def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
@@ -376,8 +495,10 @@ def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
 
     Needs the full Codazzi margin (4 nodes) on every axis.
     """
-    nodes = grid.require_interior(tuple(int(i) for i in node), MARGIN_CODAZZI)
-    g0, dg, d2g = _metric_derivs(grid, nodes)
+    if np.shape(node) != (DIM,):
+        raise ValueError(f"node must have shape (4,), not {np.shape(node)}")
+    nodes = grid.require_interior(node, MARGIN_CODAZZI)
+    g0, dg, d2g = _jet(grid, np.where(grid.broadcast_axes, 0, nodes[0]), (1,) * DIM)
     conn = _connection(g0, dg)
     ric, scalar = _ricci(dg, d2g, *conn)
     riem = _riemann(g0, dg, d2g, *conn)
@@ -389,7 +510,14 @@ def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
 
 
 def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
+    """Codazzi residual of ``Ric - (R/6) g`` at interior nodes, (N, 4, 4, 4).
+
+    A batch costs the cross of boxes around the bounding box of its nodes
+    (`_codazzi_batch`).
+    """
     nodes = grid.require_interior(nodes, MARGIN_CODAZZI)
+    if not len(nodes):
+        return np.empty((0, DIM, DIM, DIM))
     return _codazzi_batch(grid, nodes)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .curvature import (_finite, codazzi_components, family_eigenvalues,
                         family_table, float_semantics)
 from .families import MetricFamily, SolitonData
-from .fdgrid import MetricGrid, fd_ricci_block
+from .fdgrid import MARGIN_CURVATURE, MetricGrid, fd_ricci_block
 from .frames import sym_eigvals
 
 CURVATURE_SCALE_FLOOR = 1e-8
@@ -118,7 +118,7 @@ def oracle_deviation(m: MetricFamily, grid: MetricGrid, nodes) -> np.ndarray:
     """Per-node deviation of FD Ricci eigenvalues and R on a grid of ``m``
     (first axis s) from the closed forms, relative to max(1, |R|, max
     |lambda_i|) of the closed form."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
+    nodes = grid.require_interior(nodes, MARGIN_CURVATURE)
     blk = fd_ricci_block(grid, nodes)
     s_index, where = np.unique(nodes[:, 0], return_inverse=True)
     cf = np.array(family_eigenvalues(m, grid.axes[0][s_index])).T[where]

@@ -12,7 +12,7 @@ from solitonlab.errors import DomainError, GridBoundaryError
 from solitonlab.families import (broken_family, cylinder_family, gaussian_family,
                                  product_family, singular_steady_family,
                                  sphere_family)
-from solitonlab.fdgrid import (MetricGrid, _metric_derivs, fd_codazzi_block,
+from solitonlab.fdgrid import (MetricGrid, _bounding_box, _jet, fd_codazzi_block,
                                fd_curvature, fd_ricci_block, grid_from_family)
 from solitonlab.frames import _cholesky, _positive_diagonal, _sym2, sym_eigen, tensor_norm
 from solitonlab.verify import codazzi_residual_closed, oracle_deviation
@@ -47,10 +47,10 @@ def narrow_grid(fam, n_s, s_range=(0.5, 2.0), r0=1.0):
 # metric derivatives, on the diagonal metric g = field * I of a scalar field
 
 def field_derivs(field, spacings, node):
-    """(dg, d2g) of `_metric_derivs` at one node of g = field * I."""
+    """(dg, d2g) of `_jet` at one node of g = field * I."""
     axes = tuple(np.arange(n) * h for n, h in zip(field.shape, spacings))
     grid = MetricGrid(axes, field[..., None, None] * np.eye(4))
-    _, dg, d2g = _metric_derivs(grid, np.array([node]))
+    _, dg, d2g = _jet(grid, node, (1, 1, 1, 1))
     return dg[0], d2g[0]
 
 
@@ -78,6 +78,40 @@ def test_fd_partial_constant_is_zero():
     dg, d2g = field_derivs(field, (0.1,) * 4, (4, 2, 2, 2))
     assert np.all(dg == 0.0)
     assert np.all(d2g == 0.0)
+
+
+def jet_reference(grid, node):
+    """(g, dg, d2g) at one node from the stencil values one at a time: each
+    pure derivative as the 5-point weights over its taps minus g, each mixed
+    one as the odd stencil along m, then along l, in that order."""
+    h, node = grid.spacings, np.asarray(node)
+    at = lambda shift: grid.g[tuple(node + shift)]
+    unit = np.eye(4, dtype=int)
+    w1, w2 = 8.0 / 12.0, -1.0 / 12.0
+    g0 = at(0 * unit[0])
+    dg, d2g = np.zeros((4, 4, 4)), np.zeros((4, 4, 4, 4))
+    for l in range(4):
+        taps = np.stack([at(o * unit[l]) for o in range(-2, 3)]) - g0
+        dg[l] = np.tensordot(np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, taps, axes=(0, 0)) / h[l]
+        d2g[l, l] = (np.tensordot(np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0, taps,
+                                  axes=(0, 0)) / h[l] ** 2)
+    for l in range(4):
+        for m in range(l + 1, 4):
+            inner = lambda i: (w1 * (at(i * unit[l] + unit[m]) - at(i * unit[l] - unit[m]))
+                               + w2 * (at(i * unit[l] + 2 * unit[m])
+                                       - at(i * unit[l] - 2 * unit[m])))
+            acc = w1 * (inner(1) - inner(-1)) + w2 * (inner(2) - inner(-2))
+            d2g[l, m] = d2g[m, l] = acc / (h[l] * h[m])
+    return g0, dg, d2g
+
+
+def test_box_jet_matches_the_node_by_node_stencils_bit_for_bit():
+    grid = smooth_random_grid((10, 9, 9, 10), seed=5)
+    lo, shape = (2, 3, 2, 4), (4, 2, 3, 2)
+    box = _jet(grid, lo, shape)
+    for j, node in enumerate(np.ndindex(*shape)):
+        for got, want in zip(box, jet_reference(grid, np.add(lo, node))):
+            assert np.array_equal(got[j], want)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +288,121 @@ def test_block_boundary_error_names_first_bad_node(block, first_bad, later_bad):
         block(grid, np.array(nodes))
 
 
+# the batch entry points, and the one-node bundle node by node
+BATCH_CALLS = {
+    "ricci": fd_ricci_block,
+    "codazzi": fd_codazzi_block,
+    "oracle": lambda grid, nodes: oracle_deviation(singular_steady_family(), grid, nodes),
+}
+NODE_CALLS = dict(BATCH_CALLS,
+                  bundle=lambda grid, nodes: [fd_curvature(grid, node) for node in nodes])
+
+
+@pytest.mark.parametrize("call", NODE_CALLS.values(), ids=NODE_CALLS.keys())
+@pytest.mark.parametrize("nodes, first_bad", [
+    ([[10.7, 4, 4, 4]], (10.7, 4.0, 4.0, 4.0)),
+    ([[10, 4, 4, 4], [11, 4, np.nan, 4], [12.5, 4, 4, 4]], (11.0, 4.0, np.nan, 4.0)),
+    ([[12, 4, 4, np.inf]], (12.0, 4.0, 4.0, np.inf)),
+], ids=["fraction", "nan", "inf"])
+def test_non_integer_node_index_is_rejected_not_truncated(call, nodes, first_bad):
+    grid = narrow_grid(singular_steady_family(), 33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"node {first_bad} has an index")):
+            call(grid, np.array(nodes))
+
+
+@pytest.mark.parametrize("call", BATCH_CALLS.values(), ids=BATCH_CALLS.keys())
+@pytest.mark.parametrize("nodes", [[[10, 4, 4]], np.zeros((2, 4, 1), dtype=int), [],
+                                   [[10, 4, 4, 4, 4]]], ids=["3-index", "3-d", "empty-list", "5-index"])
+def test_node_batch_of_another_shape_is_rejected(call, nodes):
+    grid = narrow_grid(singular_steady_family(), 33)
+    shape = np.shape(nodes)
+    with pytest.raises(ValueError, match=re.escape(f"not {shape}")):
+        call(grid, nodes)
+
+
+def test_bundle_takes_exactly_one_node():
+    grid = narrow_grid(singular_steady_family(), 33)
+    for node in ([(16, 4, 4, 4)], (16, 4, 4), (16, 4, 4, 4, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"node must have shape (4,), not "
+                                                       f"{np.shape(node)}")):
+            fd_curvature(grid, node)
+    a, b = fd_curvature(grid, (16, 4, 4, 4)), fd_curvature(grid, np.array([16.0, 4, 4, 4]))
+    assert np.array_equal(a.codazzi_residual, b.codazzi_residual) and a.scalar == b.scalar
+
+
+@pytest.mark.parametrize("dtype", [int, float])
+def test_empty_node_batches_give_empty_arrays(dtype):
+    grid = narrow_grid(singular_steady_family(), 33)
+    nodes = np.empty((0, 4), dtype=dtype)
+    blk = fd_ricci_block(grid, nodes)
+    assert {key: val.shape for key, val in blk.items()} == {
+        "g": (0, 4, 4), "ric": (0, 4, 4), "scalar": (0,)}
+    assert fd_codazzi_block(grid, nodes).shape == (0, 4, 4, 4)
+
+
+@pytest.mark.parametrize("fam", [singular_steady_family(), gaussian_family()],
+                         ids=["doubly_warped", "warped3"])
+def test_block_rows_follow_shuffled_duplicated_and_sparse_nodes(fam):
+    grid = narrow_grid(fam, 65)
+    nodes = line_nodes(grid)
+    shuffled = np.random.default_rng(31).permutation(len(nodes))
+    duplicated = np.concatenate([shuffled, shuffled[:9]])
+    sparse = [5, 0, 5, 17]
+    ricci, codazzi = fd_ricci_block(grid, nodes), fd_codazzi_block(grid, nodes)
+    for pick in (shuffled, duplicated, sparse):
+        for key, val in fd_ricci_block(grid, nodes[pick]).items():
+            assert np.array_equal(val, ricci[key][pick])
+    for pick in (shuffled, duplicated):  # the bounding box of the full set
+        assert np.array_equal(fd_codazzi_block(grid, nodes[pick]), codazzi[pick])
+    # a smaller box: d_l R is one BLAS dot over the box's nodes, whose last
+    # (count mod 4) outputs can round differently
+    got = fd_codazzi_block(grid, nodes[sparse])
+    assert np.max(np.abs(got - codazzi[sparse])) <= 1e-15 * np.max(np.abs(codazzi))
+
+
+def test_sparse_nodes_of_a_dense_grid_match_the_full_box():
+    grid = smooth_random_grid((12, 11, 10, 10), seed=2)
+    nodes = grid.interior_nodes(margin=2)
+    pick = [40, 3, 40, len(nodes) - 1, 77]
+    full = fd_ricci_block(grid, nodes)
+    for key, val in fd_ricci_block(grid, nodes[pick]).items():
+        assert np.array_equal(val, full[key][pick])
+    inner = grid.interior_nodes()
+    assert len(inner) > 1 and np.ptp(inner, axis=0).min() > 0  # spans all four axes
+    got, want = fd_codazzi_block(grid, inner[::-3]), fd_codazzi_block(grid, inner)[::-3]
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_codazzi_block_peak_memory_on_a_long_s_line():
+    # the 257-node sphere grid of the benchmark's Codazzi probe
+    grid = narrow_grid(sphere_family(), 257, s_range=(0.5, 0.5 + 1.5))
+    nodes = line_nodes(grid)
+    tracemalloc.start()
+    try:
+        fd_codazzi_block(grid, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(nodes) == 249
+    assert peak < 4 * 2**20
+
+
+def test_ricci_block_on_its_own_box_returns_the_box_arrays(steady_grid):
+    # interior_nodes are the box in C order: no pick, so no copy of the outputs
+    nodes = steady_grid.interior_nodes()
+    tracemalloc.start()
+    try:
+        blk = fd_ricci_block(steady_grid, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(val.nbytes for val in blk.values())
+    assert out == len(nodes) * (2 * 16 + 1) * 8
+    assert peak < 1.75 * out
+
+
 # ---------------------------------------------------------------------------
 # compact grids: g stored once per non-Killing node, broadcast along the rest
 
@@ -294,7 +443,8 @@ def test_derivatives_along_killing_axes_are_exactly_zero(fam, killing):
     dense = MetricGrid(grid.axes, np.ascontiguousarray(grid.g))
     assert grid.broadcast_axes == killing
     for g in (grid, dense):
-        _, dg, d2g = _metric_derivs(g, line_nodes(grid))
+        lo, shape, _ = _bounding_box(g, line_nodes(grid))
+        _, dg, d2g = _jet(g, lo, shape)
         for l in range(4):
             assert np.all(dg[:, l] == 0.0) or not killing[l]
             for m in range(4):

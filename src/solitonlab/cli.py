@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -292,15 +293,28 @@ def _args_from_job(parser: argparse.ArgumentParser, path: str):
     if not isinstance(spec, dict) or "command" not in spec:
         raise UsageError("job file must be a JSON object with a 'command' field")
     argv = [str(spec["command"])]
-    flags = {"s_range": "s", "samples_file": "samples-file", "in": "in"}
     for key, val in spec.items():
         if key == "command" or val is None:
             continue
-        flag = flags.get(key, key.replace("_", "-"))
+        flag = "s" if key == "s_range" else key.replace("_", "-")
         if flag == "s" and isinstance(val, (list, tuple)):
             val = f"{val[0]}:{val[1]}"
-        argv += [f"--{flag}", str(val)]
+        argv.append(f"--{flag}={val}")
     return parser.parse_args(argv)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with ``--flag VALUE`` written ``--flag=VALUE`` where VALUE starts
+    like a negative number ("-1e-3", "-1:1"), which argparse would take for
+    an option.  Every long option but ``--help`` takes one value."""
+    out = []
+    for arg in argv:
+        if (out and re.fullmatch(r"--[\w-]+", out[-1]) and not "--help".startswith(out[-1])
+                and re.match(r"-[\d.]", arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 _PARSER = build_parser()  # one per process: parse_args keeps no state between calls
@@ -308,7 +322,7 @@ _PARSER = build_parser()  # one per process: parse_args keeps no state between c
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         if args.command == "job":
             args = _args_from_job(_PARSER, args.jobfile)
         if args.command != "report" and not getattr(args, "samples_file", None) \

@@ -3,40 +3,30 @@
 This is the brute-force oracle for the closed-form results: it knows nothing
 about warped structure, takes raw metric components g_ij on a 4-d product
 grid, and produces Christoffel symbols, Riemann/Ricci/scalar/Weyl curvature
-and the Codazzi residual of Ric - (R/6) g by 4th-order central differences.
-
-Stencils are fixed at 5 points.  First and second metric derivatives are
-taken at the node itself, on boxes of nodes: every stencil tap is a shifted
-slice of the grid over the box, and a mixed derivative is the inner odd
-stencil along m over the box widened by 2 along l, then the outer one along
-l on slices of that.  Ricci and R come straight from the connection and its
-chain-rule derivative, on slabs of at most 256 nodes (`_BLOCK`), which
-bounds the memory of the temporaries on any batch size; only
+and the Codazzi residual of Ric - (R/6) g by 4th-order central differences
+on 5 points.  Metric derivatives are taken on boxes of nodes, every stencil
+tap a shifted slice of the grid over the box (`_jet`); Ricci and R come
+straight from the connection and its chain-rule derivative, and only
 `fd_curvature` builds the rank-4 Riemann tensor, at its one node.
 
-A node batch costs its bounding box.  `fd_ricci_block` evaluates the box and
-returns its arrays as they are when the nodes are the box in C order
-(`MetricGrid.interior_nodes`, an s-line), else it picks the nodes' rows.
-For the covariant derivative of Ricci, Ricci and R are evaluated in one
-pass on the cross of boxes around the bounding box: the box widened by 2
-along its first non-Killing axis, and a 2-thick slab on each side of it
-along each other one, which is exactly the stencil neighbourhood of an
-s-line.  The first-derivative stencil then reads shifted slices of that
-field, so the Codazzi residual needs a margin of 4 nodes while plain
-curvature needs 2.
+A node batch costs its bounding box (`fd_ricci_block`), and its Codazzi
+residual the cross of boxes around that, exactly the stencil neighbourhood
+of an s-line, differentiated node by node (`_codazzi_batch`); it needs a
+margin of 4 nodes, plain curvature 2.  A pass holds its outputs and the
+temporaries of one slab of at most `_BLOCK` nodes, about 1.4 MB at 256
+nodes, freed before the next slab's jets are built; the node metrics it
+returns are a copy of the grid over the box.
 
 Grids can carry a different node count per axis.  Accuracy is set by the
 spacing, not the count, so axes the metric does not vary along (Killing
-directions of the families) only need the minimal 2*margin+1 nodes.
-
-The metric array may be a read-only broadcast view with stride 0 along such
+directions of the families) only need the minimal 2*margin+1 nodes.  The
+metric array may be a read-only broadcast view with stride 0 along such
 axes, as `grid_from_family` returns it: g is then stored once per node of
 the non-Killing sub-grid, and callers must copy it before writing to it.
 Validation runs on that distinct slice, and a box spans one node of it
 along each stride-0 axis.  Every derivative along a stride-0 axis, pure or
-mixed, is exactly zero by the form of the stencils, so the metric stencils
-and the Codazzi stencil skip those axes, and a dense copy of the grid gives
-the same bits.
+mixed, is exactly zero by the form of the stencils, so the stencils skip
+those axes, and a dense copy of the grid gives the same bits.
 """
 
 from __future__ import annotations
@@ -58,12 +48,10 @@ _D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFSETS = np.array([-2, -1, 0, 1, 2])
 
-# nodes per slab of `_ricci_boxes`; its largest temporaries are the
-# (N, 4, 4, 4, 4) second derivatives and the stencil taps of one slab.  For
-# FD Ricci on all interior nodes of the five 129-node family grids, 512 nodes
-# were 6-10 % faster than 256 at 1.3x the peak memory, and 128 12-17 %
-# slower; on the s-line Codazzi calls of the 129- and 257-node narrow grids,
-# 128 and 512 were both 7-11 % slower than 256.
+# nodes per slab of `_ricci_boxes`: a pass holds its outputs and one slab's
+# temporaries, about 1.4 MB at 256 nodes.  512 was 6-10 % faster for FD Ricci
+# on all interior nodes of the 129-node family grids, at 1.3x the peak memory;
+# 128 and 512 were 7-17 % slower on the s-line Codazzi calls.
 _BLOCK = 256
 
 
@@ -372,43 +360,38 @@ def _weyl_batch(riem, ric, scalar, g0):
 
 
 def _ricci_boxes(grid: MetricGrid, boxes, n_gam: int = 0):
-    """(g0, gam, ric, scalar) on the nodes of ``boxes``, (lo, shape) pairs in
+    """(gam, ric, scalar) on the nodes of ``boxes``, (lo, shape) pairs in
     indices of `MetricGrid.distinct`, box after box and each in C order;
-    gam only on the first ``n_gam`` of those nodes.
-
-    Each box is cut into slabs of at most `_BLOCK` nodes (`_blocks`), and the
-    jets of consecutive slabs are contracted together, at most `_BLOCK` nodes
-    at a time, into preallocated outputs, which caps the temporaries.
-    """
-    slabs = [(np.add(lo, start), extent) for lo, shape in boxes
-             for start, extent in _blocks(shape, _BLOCK)]
-    n = sum(math.prod(extent) for _, extent in slabs)
-    g0, ric, scalar = np.empty((n, DIM, DIM)), np.empty((n, DIM, DIM)), np.empty(n)
+    gam only on the first ``n_gam`` of those nodes.  The chunks of
+    `_chunks` are contracted one at a time into preallocated outputs, and a
+    chunk's temporaries are freed before the next chunk's jets are built."""
+    n = sum(math.prod(shape) for _, shape in boxes)
+    ric, scalar = np.empty((n, DIM, DIM)), np.empty(n)
     gam = np.empty((n_gam, DIM, DIM, DIM))
     lo = 0
-    for chunk in _chunks(slabs):
-        jets = [_jet(grid, start, extent) for start, extent in chunk]
-        g0_c, dg, d2g = (parts[0] if len(chunk) == 1 else np.concatenate(parts)
-                         for parts in zip(*jets))
-        rows = slice(lo, lo + len(g0_c))
-        g0[rows] = g0_c
-        ginv_t, bracket, gam_t = _connection(g0_c, dg)
+    for chunk in _chunks(boxes):
+        g0, dg, d2g = (parts[0] if len(chunk) == 1 else np.concatenate(parts)
+                       for parts in zip(*[_jet(grid, start, extent) for start, extent in chunk]))
+        rows = slice(lo, lo + len(g0))
+        ginv_t, bracket, gam_t = _connection(g0, dg)
         ric[rows], scalar[rows] = _ricci(dg, d2g, ginv_t, bracket, gam_t)
-        keep = min(len(g0_c), max(0, n_gam - lo))
+        keep = min(len(g0), max(0, n_gam - lo))
         gam[lo:lo + keep] = gam_t[:keep].transpose(0, 3, 1, 2)
         lo = rows.stop
-    return g0, gam, ric, scalar
+        del g0, dg, d2g, ginv_t, bracket, gam_t
+    return gam, ric, scalar
 
 
-def _chunks(slabs):
-    """Runs of consecutive (start, extent) slabs of at most `_BLOCK` nodes."""
-    chunk, size = [], 0
-    for slab in slabs:
-        if chunk and size + math.prod(slab[1]) > _BLOCK:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(slab)
-        size += math.prod(slab[1])
+def _chunks(boxes):
+    """The boxes cut into slabs (start, extent) of at most `_BLOCK` nodes
+    (`_blocks`), in runs of consecutive slabs of at most `_BLOCK` nodes."""
+    chunk = []
+    for lo, shape in boxes:
+        for start, extent in _blocks(shape, _BLOCK):
+            if sum(math.prod(e) for _, e in chunk) + math.prod(extent) > _BLOCK:
+                yield chunk
+                chunk = []
+            chunk.append((np.add(lo, start), extent))
     if chunk:
         yield chunk
 
@@ -417,13 +400,12 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
     """Codazzi residual C_kij = cov_k Ric_ij - cov_i Ric_kj
     + (d_i R / 6) g_kj - (d_k R / 6) g_ij at a non-empty node batch.
 
-    Ricci and R are evaluated once, in one `_ricci_boxes` pass, on the cross
-    of boxes around the bounding box of the nodes: the box widened by 2
-    along the first axis where g is not stride-0, and a 2-thick slab on each
-    side of it along each other such axis.  That is 1 + 2(A - 1) boxes for
-    A such axes, exactly the stencil neighbourhood of an s-line.  The 5-point
-    first-derivative stencil then reads shifted slices of that field.
-    Stride-0 axes are skipped: the Ricci differences along them are exactly 0.
+    Ricci and R are evaluated in one `_ricci_boxes` pass on the cross of
+    boxes around the bounding box of the nodes: the box widened by 2 along
+    the first axis where g is not stride-0, and a 2-thick slab on each side
+    of it along each other such axis, 1 + 2(A - 1) boxes for A such axes.
+    The odd first-derivative stencil reads shifted slices of that field node
+    by node, and skips stride-0 axes; the node metrics come from the grid.
     """
     h = grid.spacings
     axes = [l for l, skip in enumerate(grid.broadcast_axes) if not skip]
@@ -435,35 +417,32 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
         thin = tuple(np.where(unit[l], 2, shape).tolist())
         boxes += [(lo - 2 * unit[l], thin), (lo + shape[l] * unit[l], thin)]
     sizes = [math.prod(extent) for _, extent in boxes]
-    g0, gam, ric, scalar = _ricci_boxes(grid, boxes, sizes[0])
-    split = np.cumsum(sizes)[:-1]
-    rics = [r.reshape(extent + (DIM, DIM)) for r, (_, extent) in zip(np.split(ric, split), boxes)]
-    scalars = [c.reshape(extent) for c, (_, extent) in zip(np.split(scalar, split), boxes)]
+    gam, ric, scalar = _ricci_boxes(grid, boxes, sizes[0])
+    ends = np.cumsum([0] + sizes)
     center = _box(pad, shape)
     n = math.prod(shape)
 
-    def derivative(parts, l):
-        """d_l of the field whose values on the cross of boxes are ``parts``,
-        on the box."""
-        c = parts[0][center]
-        if l == axes[0]:
-            line = parts[0]
-        else:  # the box between its two slabs along l
-            line = np.concatenate([parts[2 * axes.index(l) - 1], c, parts[2 * axes.index(l)]],
-                                  axis=l)
-        taps = [line[(slice(None),) * l + (slice(k, k + shape[l]),)]
-                for k in range(len(_OFFSETS))]
-        return _stencil(_D1_W, np.stack(taps) - c) / h[l]
+    def part(field, i):
+        """Box i of the cross, of a field given by its rows on the cross."""
+        return field[ends[i]:ends[i + 1]].reshape(boxes[i][1] + field.shape[1:])
 
-    dric = np.zeros((n, DIM, DIM, DIM))
-    dscal = np.zeros((n, DIM))
-    for l in axes:
-        dric[:, l] = derivative(rics, l).reshape(n, DIM, DIM)
-        dscal[:, l] = derivative(scalars, l).reshape(n)
-    box0 = boxes[0][1]
-    g0 = g0[:sizes[0]].reshape(box0 + (DIM, DIM))[center].reshape(n, DIM, DIM)
-    gam = gam.reshape(box0 + (DIM,) * 3)[center].reshape(n, DIM, DIM, DIM)
-    ric_c = rics[0][center].reshape(n, DIM, DIM)
+    def derivative(field, l):
+        """d_l of a field given by its rows on the cross, (n, ...) on the
+        box: node by node in the stencil's order, 0 along stride-0 axes."""
+        if l not in axes:
+            return np.zeros((n,) + field.shape[1:])
+        line = part(field, 0)
+        if l != axes[0]:  # the box between its two slabs along l
+            k = 2 * axes.index(l)
+            line = np.concatenate([part(field, k - 1), line[center], part(field, k)], axis=l)
+        at = lambda o: line[(slice(None),) * l + (slice(2 + o, 2 + o + shape[l]),)]
+        return (_odd_stencil(at) / h[l]).reshape((n,) + field.shape[1:])
+
+    dric = np.stack([derivative(ric, l) for l in range(DIM)], axis=1)
+    dscal = np.stack([derivative(scalar, l) for l in range(DIM)], axis=1)
+    g0 = np.array(grid.distinct[_box(lo, shape)]).reshape(n, DIM, DIM)
+    gam = part(gam, 0)[center].reshape(n, DIM, DIM, DIM)
+    ric_c = part(ric, 0)[center].reshape(n, DIM, DIM)
     cov = (dric - np.einsum("nmki,nmj->nkij", gam, ric_c)
            - np.einsum("nmkj,nim->nkij", gam, ric_c))
     res = (cov - cov.transpose(0, 2, 1, 3)
@@ -485,7 +464,8 @@ def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
         return {"g": np.empty((0, DIM, DIM)), "ric": np.empty((0, DIM, DIM)),
                 "scalar": np.empty(0)}
     lo, shape, rows = _bounding_box(grid, nodes)
-    g0, _, ric, scalar = _ricci_boxes(grid, [(lo, shape)])
+    _, ric, scalar = _ricci_boxes(grid, [(lo, shape)])
+    g0 = np.array(grid.distinct[_box(lo, shape)]).reshape(-1, DIM, DIM)  # the jet's g0
     out = {"g": g0, "ric": ric, "scalar": scalar}
     return out if rows is None else {key: val[rows] for key, val in out.items()}
 

@@ -95,6 +95,8 @@ def test_job_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "no-such-family"],
     ["verify", "--family", "singular-steady", "--s", "2.0:0.5"],
+    ["verify", "--family", "flat", "--s", "2:1"],
+    ["verify", "--family", "flat", "--s", "-1:-2"],
     ["integrate", "--family", "gaussian"],
     ["classify", "--family", "broken-product"],
 ])
@@ -236,6 +238,26 @@ def test_bad_input_files_exit_2_with_one_line(argv, content, names, tmp_path, ca
     assert len(lines) == 1 and lines[0].startswith("solitonlab: error: ")
     assert "Traceback" not in captured.err
     assert names is None or names in lines[0]  # the row and the key
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["verify", "--family", "product", "--lam", "-1e-3"],
+     ["verify", "--family", "product", "--lam=-1e-3"]),
+    (["verify", "--family", "cylinder", "--s", "-1:1"],
+     ["verify", "--family", "cylinder", "--s=-1:1"]),
+    ({"command": "verify", "family": "cylinder", "s_range": [-1, 1]},
+     ["verify", "--family", "cylinder", "--s=-1:1"]),
+], ids=["lam", "s", "job"])
+def test_negative_option_values_parse_as_their_equals_form(spaced, joined, tmp_path):
+    want, got = tmp_path / "joined.json", tmp_path / "spaced.json"
+    assert main(joined + ["--out", str(want)]) == 0
+    if isinstance(spaced, dict):  # a job file
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(dict(spaced, out=str(got))))
+        assert main(["job", str(job)]) == 0
+    else:
+        assert main(spaced + ["--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_bad_job_file_exits_2(tmp_path, capsys):

@@ -354,12 +354,11 @@ def test_block_rows_follow_shuffled_duplicated_and_sparse_nodes(fam):
     for pick in (shuffled, duplicated, sparse):
         for key, val in fd_ricci_block(grid, nodes[pick]).items():
             assert np.array_equal(val, ricci[key][pick])
-    for pick in (shuffled, duplicated):  # the bounding box of the full set
+    for pick in (shuffled, duplicated, sparse):  # sparse: a smaller box
         assert np.array_equal(fd_codazzi_block(grid, nodes[pick]), codazzi[pick])
-    # a smaller box: d_l R is one BLAS dot over the box's nodes, whose last
-    # (count mod 4) outputs can round differently
-    got = fd_codazzi_block(grid, nodes[sparse])
-    assert np.max(np.abs(got - codazzi[sparse])) <= 1e-15 * np.max(np.abs(codazzi))
+    for j in (0, 17, len(nodes) - 1):  # a one-node box
+        assert np.array_equal(fd_codazzi_block(grid, nodes[j]), codazzi[j:j + 1])
+        assert np.array_equal(fd_curvature(grid, nodes[j]).codazzi_residual, codazzi[j])
 
 
 def test_sparse_nodes_of_a_dense_grid_match_the_full_box():
@@ -371,8 +370,8 @@ def test_sparse_nodes_of_a_dense_grid_match_the_full_box():
         assert np.array_equal(val, full[key][pick])
     inner = grid.interior_nodes()
     assert len(inner) > 1 and np.ptp(inner, axis=0).min() > 0  # spans all four axes
-    got, want = fd_codazzi_block(grid, inner[::-3]), fd_codazzi_block(grid, inner)[::-3]
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(fd_codazzi_block(grid, inner[::-3]),
+                          fd_codazzi_block(grid, inner)[::-3])
 
 
 def test_codazzi_block_peak_memory_on_a_long_s_line():
@@ -386,7 +385,7 @@ def test_codazzi_block_peak_memory_on_a_long_s_line():
     finally:
         tracemalloc.stop()
     assert len(nodes) == 249
-    assert peak < 4 * 2**20
+    assert peak < 2.25 * 2**20
 
 
 def test_ricci_block_on_its_own_box_returns_the_box_arrays(steady_grid):
@@ -400,7 +399,7 @@ def test_ricci_block_on_its_own_box_returns_the_box_arrays(steady_grid):
         tracemalloc.stop()
     out = sum(val.nbytes for val in blk.values())
     assert out == len(nodes) * (2 * 16 + 1) * 8
-    assert peak < 1.75 * out
+    assert peak < 1.1 * out
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,18 @@ tree's ``BENCHMARK.json``, the same on both sides.  N is at least 10.
 ``--workload`` may be given more than once; each workload gets its own
 pairs.  The output file holds every run's result line and, per workload
 and end-to-end metric of ``BENCHMARK.json``, each side's median and
-quartiles, the relative change of the medians and the number of pairs the
-working tree wins.  It names the working tree by its HEAD commit and, when
+quartiles, the relative change of the medians, the number of pairs the
+working tree wins and two verdicts:
+
+* ``claim``: whether a gain on the metric could be claimed, that is the
+  working tree wins at least 9 of 10 pairs and its median is better than
+  the revision's by more than the revision's quartile gap;
+* ``bound``: ``"within"`` when the working tree's median is worse than the
+  revision's by at most the metric's ``bound`` (relative to the revision's
+  median), ``"outside"`` when it is worse by more, and ``"unresolved"``
+  when the revision's own quartile gap is wider than the bound.
+
+It names the working tree by its HEAD commit and, when
 tracked files differ from HEAD, by the SHA-256 of ``git diff --binary
 HEAD`` (untracked files are not covered).  A run that fails stops the tool
 with exit code 1 and writes nothing; exit code 2 means REV cannot be
@@ -66,19 +76,27 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' median and quartiles, the change of the
-    medians relative to the revision's, and the pairs the tree wins."""
+def compare(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric of ``metrics`` (name to its `BENCHMARK.json` entry): both
+    sides' median and quartiles, the change of the medians relative to the
+    revision's, the pairs the tree wins and the two verdicts."""
     out = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
+        sign = 1.0 if spec["better"] == "lower" else -1.0
         rev = [p["rev"]["metrics"][name]["value"] for p in pairs]
         tree = [p["tree"]["metrics"][name]["value"] for p in pairs]
-        wins = sum((t < r) if direction == "lower" else (t > r) for r, t in zip(rev, tree))
+        wins = sum(sign * (t - r) < 0 for r, t in zip(rev, tree))
         rev_s, tree_s = summary(rev), summary(tree)
-        out[name] = {"better": direction, "rev": rev_s, "tree": tree_s,
+        gap = rev_s["q3"] - rev_s["q1"]
+        worse = sign * (tree_s["median"] - rev_s["median"])  # < 0 is a gain
+        allowed = spec["bound"] * abs(rev_s["median"])
+        out[name] = {"better": spec["better"], "rev": rev_s, "tree": tree_s,
                      "change": (tree_s["median"] / rev_s["median"] - 1.0
                                 if rev_s["median"] else None),
-                     "wins": wins, "pairs": len(pairs)}
+                     "wins": wins, "pairs": len(pairs),
+                     "claim": 10 * wins >= 9 * len(pairs) and -worse > gap,
+                     "bound": ("unresolved" if gap > allowed
+                               else "within" if worse <= allowed else "outside")}
     return out
 
 
@@ -94,7 +112,7 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least {MIN_PAIRS}")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base = Path(tmp)
         if not extract("bench_pairs", args.rev, base):
@@ -119,14 +137,15 @@ def main(argv=None) -> int:
                 wall = {side: runs[side]["metrics"]["wall_s"]["value"] for side in order}
                 print(f"{workload} seed {seed}: wall_s {wall['rev']:.4f} -> {wall['tree']:.4f}",
                       flush=True)
-            report["workloads"][workload] = {"pairs": pairs, "metrics": compare(pairs, better)}
+            report["workloads"][workload] = {"pairs": pairs, "metrics": compare(pairs, metrics)}
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
             change = "" if m["change"] is None else f" ({100 * m['change']:+.1f} %)"
             print(f"{workload} {name}: {m['rev']['median']:.6g} "
                   f"[{m['rev']['q1']:.6g}, {m['rev']['q3']:.6g}] -> {m['tree']['median']:.6g}"
-                  f"{change}, {m['wins']}/{m['pairs']} wins")
+                  f"{change}, {m['wins']}/{m['pairs']} wins, claim {m['claim']}, "
+                  f"bound {m['bound']}")
     return 0
 
 

@@ -49,9 +49,9 @@ _D2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFSETS = np.array([-2, -1, 0, 1, 2])
 
 # nodes per slab of `_ricci_boxes`: a pass holds its outputs and one slab's
-# temporaries, about 1.4 MB at 256 nodes.  512 was 6-10 % faster for FD Ricci
-# on all interior nodes of the 129-node family grids, at 1.3x the peak memory;
-# 128 and 512 were 7-17 % slower on the s-line Codazzi calls.
+# temporaries, about 1.4 MB at 256 nodes.  For FD Ricci on all interior nodes
+# of the 129-node family grids, 512 was 6-10 % faster at 1.3x the peak memory
+# and 128 12-17 % slower; on the s-line Codazzi calls both were 7-11 % slower.
 _BLOCK = 256
 
 
@@ -452,7 +452,8 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
 
 
 def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
-    """Batched Ricci/scalar (with the node metrics) at interior nodes.
+    """Batched Ricci/scalar (with the node metrics, a copy of the grid's)
+    at interior nodes.
 
     A batch costs the bounding box of its nodes (one node per index of the
     stride-0 axes).  When the nodes are that box in C order, as
@@ -465,7 +466,7 @@ def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
                 "scalar": np.empty(0)}
     lo, shape, rows = _bounding_box(grid, nodes)
     _, ric, scalar = _ricci_boxes(grid, [(lo, shape)])
-    g0 = np.array(grid.distinct[_box(lo, shape)]).reshape(-1, DIM, DIM)  # the jet's g0
+    g0 = np.array(grid.distinct[_box(lo, shape)]).reshape(-1, DIM, DIM)
     out = {"g": g0, "ric": ric, "scalar": scalar}
     return out if rows is None else {key: val[rows] for key, val in out.items()}
 

@@ -131,7 +131,7 @@ def oracle_deviation(m: MetricFamily, grid: MetricGrid, nodes) -> np.ndarray:
         rows = slice(lo, lo + _EIGEN_BLOCK)
         try:
             eigs = sym_eigvals(blk["ric"][rows], blk["g"][rows])
-        except ValueError:  # raise it as one call on the whole stack numbers it
+        except ValueError:  # raise what one call on the whole stack raises
             sym_eigvals(blk["ric"], blk["g"])
             raise
         at = where[rows]

@@ -244,8 +244,19 @@ def _add_common(sp, with_range=True):
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a word starting like a negative number
+    ("-1e-3", "-1:1") for a value, as it takes "-1" and "-.5": otherwise
+    ``--lam -1e-3`` fails with "expected one argument".  No option string of
+    this CLI starts like a negative number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solitonlab",
         description="verification and exploration jobs for structured "
                     "4-d gradient Ricci solitons")
@@ -293,28 +304,15 @@ def _args_from_job(parser: argparse.ArgumentParser, path: str):
     if not isinstance(spec, dict) or "command" not in spec:
         raise UsageError("job file must be a JSON object with a 'command' field")
     argv = [str(spec["command"])]
+    flags = {"s_range": "s", "samples_file": "samples-file", "in": "in"}
     for key, val in spec.items():
         if key == "command" or val is None:
             continue
-        flag = "s" if key == "s_range" else key.replace("_", "-")
+        flag = flags.get(key, key.replace("_", "-"))
         if flag == "s" and isinstance(val, (list, tuple)):
             val = f"{val[0]}:{val[1]}"
-        argv.append(f"--{flag}={val}")
+        argv += [f"--{flag}", str(val)]
     return parser.parse_args(argv)
-
-
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """argv with ``--flag VALUE`` written ``--flag=VALUE`` where VALUE starts
-    like a negative number ("-1e-3", "-1:1"), which argparse would take for
-    an option.  Every long option but ``--help`` takes one value."""
-    out = []
-    for arg in argv:
-        if (out and re.fullmatch(r"--[\w-]+", out[-1]) and not "--help".startswith(out[-1])
-                and re.match(r"-[\d.]", arg)):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
 
 
 _PARSER = build_parser()  # one per process: parse_args keeps no state between calls
@@ -322,7 +320,7 @@ _PARSER = build_parser()  # one per process: parse_args keeps no state between c
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _PARSER.parse_args(argv)
         if args.command == "job":
             args = _args_from_job(_PARSER, args.jobfile)
         if args.command != "report" and not getattr(args, "samples_file", None) \

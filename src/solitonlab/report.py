@@ -35,21 +35,27 @@ def _dump(obj, pieces: list[str], indent: int) -> None:
         pieces.append(format_float(obj))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
-    elif isinstance(obj, (dict, list, tuple)):
-        if isinstance(obj, dict):  # keys sorted, each item led by its key
-            items = [(f"{json.dumps(str(key))}: ", obj[key]) for key in sorted(obj, key=str)]
-        else:
-            items = [("", item) for item in obj]
-        start, end = "{}" if isinstance(obj, dict) else "[]"
-        if not items:
-            pieces.append(start + end)
+    elif isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
             return
-        pieces.append(start + "\n")
-        for i, (lead, item) in enumerate(items):
-            pieces.append(f"{pad}  {lead}")
+        pieces.append("{\n")
+        keys = sorted(obj, key=str)
+        for i, key in enumerate(keys):
+            pieces.append(f'{pad}  {json.dumps(str(key))}: ')
+            _dump(obj[key], pieces, indent + 1)
+            pieces.append(",\n" if i < len(keys) - 1 else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for i, item in enumerate(obj):
+            pieces.append(pad + "  ")
             _dump(item, pieces, indent + 1)
-            pieces.append(",\n" if i < len(items) - 1 else "\n")
-        pieces.append(pad + end)
+            pieces.append(",\n" if i < len(obj) - 1 else "\n")
+        pieces.append(pad + "]")
     else:
         try:
             pieces.append(format_float(float(obj)))

@@ -26,7 +26,6 @@ from .fdgrid import MARGIN_CURVATURE, MetricGrid, fd_ricci_block
 from .frames import sym_eigvals
 
 CURVATURE_SCALE_FLOOR = 1e-8
-_EIGEN_BLOCK = 2048  # nodes per eigen-solve of `oracle_deviation`
 
 
 @dataclass(frozen=True)
@@ -118,23 +117,13 @@ def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport
 def oracle_deviation(m: MetricFamily, grid: MetricGrid, nodes) -> np.ndarray:
     """Per-node deviation of FD Ricci eigenvalues and R on a grid of ``m``
     (first axis s) from the closed forms, relative to max(1, |R|, max
-    |lambda_i|) of the closed form.  The eigen-solve and the comparison run
-    in blocks of `_EIGEN_BLOCK` nodes, so they hold one block's temporaries."""
+    |lambda_i|) of the closed form."""
     nodes = grid.require_interior(nodes, MARGIN_CURVATURE)
     blk = fd_ricci_block(grid, nodes)
     s_index, where = np.unique(nodes[:, 0], return_inverse=True)
-    cf = np.array(family_eigenvalues(m, grid.axes[0][s_index])).T
+    cf = np.array(family_eigenvalues(m, grid.axes[0][s_index])).T[where]
     expected = np.sort(cf[:, :4], axis=1)[:, ::-1]
+    eig_dev = np.abs(sym_eigvals(blk["ric"], blk["g"]) - expected).max(axis=1)
+    dev = np.maximum(eig_dev, np.abs(blk["scalar"] - cf[:, 4]))
     scale = np.maximum(1.0, np.maximum(np.abs(cf[:, 4]), np.abs(cf[:, :4]).max(axis=1)))
-    dev = np.empty(len(nodes))
-    for lo in range(0, len(nodes), _EIGEN_BLOCK):
-        rows = slice(lo, lo + _EIGEN_BLOCK)
-        try:
-            eigs = sym_eigvals(blk["ric"][rows], blk["g"][rows])
-        except ValueError:  # raise what one call on the whole stack raises
-            sym_eigvals(blk["ric"], blk["g"])
-            raise
-        at = where[rows]
-        dev[rows] = np.maximum(np.abs(eigs - expected[at]).max(axis=1),
-                               np.abs(blk["scalar"][rows] - cf[at, 4])) / scale[at]
-    return dev
+    return dev / scale

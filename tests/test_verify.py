@@ -1,5 +1,3 @@
-import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +12,6 @@ from solitonlab.families import (Profile, SolitonData, broken_family, constant_p
                                  sphere_family)
 from solitonlab.fdgrid import fd_ricci_block, grid_from_family
 from solitonlab.frames import sym_eigen
-from solitonlab import verify
 from solitonlab.verify import (codazzi_residual_closed, hamilton_check,
                                oracle_deviation, soliton_residual)
 
@@ -198,36 +195,3 @@ def test_oracle_deviation_matches_per_node_loop(fam):
     assert got.shape == (len(nodes),)
     assert np.array_equal(got, per_node_oracle_deviation(fam, grid, nodes))
     assert got.max() <= 1e-6
-
-
-def test_oracle_deviation_holds_the_fd_output_and_one_eigen_block():
-    # the 14,641 interior nodes of the 129-node sphere grid: 8 blocks
-    fam = sphere_family()
-    grid = grid_from_family(fam, (0.5, 2.0), 129)
-    nodes = grid.interior_nodes()
-    tracemalloc.start()
-    try:
-        got = oracle_deviation(fam, grid, nodes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    fd_bytes = len(nodes) * (2 * 16 + 1) * 8  # g, Ric and R of every node
-    assert peak < 1.6 * fd_bytes
-    # a block's rows do not depend on where the blocks start
-    for rows in (slice(0, 1), slice(1000, 3000), slice(4095, 4097)):
-        assert np.array_equal(oracle_deviation(fam, grid, nodes[rows]), got[rows])
-
-
-def test_oracle_deviation_numbers_an_asymmetric_matrix_within_the_whole_stack(monkeypatch):
-    fam = sphere_family()
-    grid = grid_from_family(fam, (0.5, 2.0), 65)
-    nodes = grid.interior_nodes()  # 3,249 nodes: two eigen blocks
-
-    def skewed(grid, nodes):
-        blk = fd_ricci_block(grid, nodes)
-        blk["ric"][[2500, 3000], 0, 1] += 1.0
-        return blk
-
-    monkeypatch.setattr(verify, "fd_ricci_block", skewed)
-    with pytest.raises(ValueError, match=re.escape("matrix 2500 of the stack is not symmetric")):
-        oracle_deviation(fam, grid, nodes)

@@ -22,7 +22,8 @@ working tree wins and two verdicts:
 * ``bound``: ``"within"`` when the working tree's median is worse than the
   revision's by at most the metric's ``bound`` (relative to the revision's
   median), ``"outside"`` when it is worse by more, and ``"unresolved"``
-  when the revision's own quartile gap is wider than the bound.
+  when the revision's own quartile gap is wider than the bound, unless every
+  run of the working tree is better than every run of the revision.
 
 It names the working tree by its HEAD commit and, when
 tracked files differ from HEAD, by the SHA-256 of ``git diff --binary
@@ -90,12 +91,13 @@ def compare(pairs: list[dict], metrics: dict[str, dict]) -> dict:
         gap = rev_s["q3"] - rev_s["q1"]
         worse = sign * (tree_s["median"] - rev_s["median"])  # < 0 is a gain
         allowed = spec["bound"] * abs(rev_s["median"])
+        beats_all = all(sign * (t - r) < 0 for t in tree for r in rev)
         out[name] = {"better": spec["better"], "rev": rev_s, "tree": tree_s,
                      "change": (tree_s["median"] / rev_s["median"] - 1.0
                                 if rev_s["median"] else None),
                      "wins": wins, "pairs": len(pairs),
                      "claim": 10 * wins >= 9 * len(pairs) and -worse > gap,
-                     "bound": ("unresolved" if gap > allowed
+                     "bound": ("unresolved" if gap > allowed and not beats_all
                                else "within" if worse <= allowed else "outside")}
     return out
 

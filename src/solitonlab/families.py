@@ -297,18 +297,20 @@ def _positive_values(profile: Profile, s: np.ndarray, name: str) -> np.ndarray:
                             profile, name)
 
 
-def family_metric(m: MetricFamily, s, r, theta=None) -> np.ndarray:
-    """Coordinate components of the family metric on the product of the 1-d
-    axes s, r and, for warped3 only, theta.
+def family_diagonal(m: MetricFamily, s, r, theta=None) -> np.ndarray:
+    """The diagonal of the family metric on the product of the 1-d axes s,
+    r and, for warped3 only, theta, which is all of it: every family metric
+    is diagonal in its chart.
 
     Doubly-warped families use coordinates (s, t, r, theta) and give
-    ``diag(1, p^2, h^2, h^2 u(r)^2)`` with shape (len(s), len(r), 4, 4);
-    warped3 (``p is None``) uses (s, r, theta, phi) and gives
-    ``diag(1, h^2, h^2 u^2, h^2 u^2 sin^2 theta)`` with shape
-    (len(s), len(r), len(theta), 4, 4).  The metric does not depend on the
+    ``(1, p^2, h^2, h^2 u(r)^2)`` with shape (len(s), len(r), 4); warped3
+    (``p is None``) uses (s, r, theta, phi) and gives
+    ``(1, h^2, h^2 u^2, h^2 u^2 sin^2 theta)`` with shape
+    (len(s), len(r), len(theta), 4).  The metric does not depend on the
     other coordinates.  Every s must lie in the family domain, p and h must
     be positive there, r in the fiber domain and theta in the polar chart;
-    a DomainError names the first value that is not.
+    a DomainError names the first value that is not.  The entries are
+    computed in place, so no temporary of the full shape is made.
     """
     if (theta is None) == (m.p is None):
         raise ValueError("theta is an axis of warped3 families only")
@@ -322,13 +324,26 @@ def family_metric(m: MetricFamily, s, r, theta=None) -> np.ndarray:
         bad = first_failure(in_chart, theta)
         if bad is not None:
             raise DomainError(f"theta={bad!r} outside polar chart (0, pi)")
-        H, U, ST = h[:, None, None], u[None, :, None], np.sin(theta)
-        diag = (H**2, (H * U) ** 2, (H * U * ST) ** 2)
+        d = np.empty((len(s), len(r), len(theta), 4))
+        hu = (h[:, None] * u[None, :])[:, :, None]
+        d[..., 1] = h[:, None, None]
+        d[..., 2] = hu
+        np.multiply(hu, np.sin(theta), out=d[..., 3])
     else:
-        P, H, U = _positive_values(m.p, s, "p")[:, None], h[:, None], u[None, :]
-        diag = (P**2, H**2, (H * U) ** 2)
-    g = np.zeros(diag[-1].shape + (4, 4))
-    g[..., 0, 0] = 1.0
-    for i, v in enumerate(diag, start=1):
-        g[..., i, i] = v
+        d = np.empty((len(s), len(r), 4))
+        d[..., 1] = _positive_values(m.p, s, "p")[:, None]
+        d[..., 2] = h[:, None]
+        np.multiply(h[:, None], u[None, :], out=d[..., 3])
+    d[..., 0] = 1.0
+    return np.square(d, out=d)  # d held the square roots of the entries
+
+
+def family_metric(m: MetricFamily, s, r, theta=None) -> np.ndarray:
+    """Coordinate components of the family metric, the matrices of
+    `family_diagonal`: shape (len(s), len(r), 4, 4) for doubly-warped
+    families and (len(s), len(r), len(theta), 4, 4) for warped3, with its
+    checks."""
+    d = family_diagonal(m, s, r, theta)
+    g = np.zeros(d.shape + (4,))
+    np.einsum("...ii->...i", g)[...] = d
     return g

@@ -27,18 +27,29 @@ Validation runs on that distinct slice, and a box spans one node of it
 along each stride-0 axis.  Every derivative along a stride-0 axis, pure or
 mixed, is exactly zero by the form of the stencils, so the stencils skip
 those axes, and a dense copy of the grid gives the same bits.
+
+A grid stores the full metric, shape (n1, n2, n3, n4, 4, 4), or a diagonal
+metric by its diagonal, shape (n1, n2, n3, n4, 4): every family metric is
+diagonal in its chart, so `grid_from_family` stores 4 floats per node, not
+16.  The stencils run over the entries the grid stores, and `_put` writes
+them into (n, 4, 4) jets whose other entries stay exactly 0, so the two
+layouts of one metric give the same bits; nothing after `_jet` sees the
+layout.  A full metric is valid when it passes the rule of `frames`
+(`_sym2`, then `_cholesky`), a diagonal when every entry is finite and
+> 0, which is LAPACK's verdict on the diagonal matrix.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridBoundaryError
-from .families import MetricFamily, family_metric
-from .frames import DIM, _cholesky, _positive_diagonal, _sym2, tensor_norm
+from .families import MetricFamily, family_diagonal
+from .frames import DIM, _cholesky, _sym2, tensor_norm
 
 MARGIN_CURVATURE = 2
 MARGIN_CODAZZI = 4
@@ -85,15 +96,19 @@ class CurvatureBundle:
 class MetricGrid:
     """Uniform 4-d coordinate grid carrying metric components per node.
 
-    Every distinct metric of the grid (one per node of the non-stride-0
-    axes) must pass the one validity rule of `frames`: symmetric within
-    1e-12 max(1, max |entry|), and a finite Cholesky factor.  The check
-    runs in blocks of at most 16,384 metrics (`_assert_positive_definite`),
-    so it needs a few MB beyond the grid itself, on any grid.
+    ``g`` holds the full metric, shape (n1, n2, n3, n4, 4, 4), or a
+    diagonal metric by its diagonal, shape (n1, n2, n3, n4, 4); the layout
+    follows the shape.  Every distinct metric of the grid (one per node of
+    the non-stride-0 axes) must be valid: a full one passes the rule of
+    `frames`, symmetric within 1e-12 max(1, max |entry|) and a finite
+    Cholesky factor; a diagonal has every entry finite and > 0, which is
+    LAPACK's verdict on the diagonal matrix.  The check runs in blocks of
+    at most 16,384 metrics (`_assert_positive_definite`), so it needs a few
+    MB beyond the grid itself, on any grid.
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    g: np.ndarray  # shape (n1, n2, n3, n4, 4, 4)
+    g: np.ndarray  # shape (n1, n2, n3, n4, 4, 4), or (n1, n2, n3, n4, 4) for a diagonal
 
     def __post_init__(self):
         if len(self.axes) != DIM:
@@ -104,9 +119,9 @@ class MetricGrid:
                 raise ValueError("axes must be strictly increasing")
             if np.max(np.abs(d - d[0])) > 1e-12 * max(1.0, abs(d[0])):
                 raise ValueError("axes must be uniformly spaced")
-        shape = tuple(len(ax) for ax in self.axes) + (DIM, DIM)
-        if self.g.shape != shape:
-            raise ValueError(f"metric array shape {self.g.shape} != {shape}")
+        shape = tuple(len(ax) for ax in self.axes)
+        if self.g.shape not in (shape + (DIM, DIM), shape + (DIM,)):
+            raise ValueError(f"metric array shape {self.g.shape} != {shape} + (4, 4) or (4,)")
         _assert_positive_definite(self.distinct)
 
     @property
@@ -160,21 +175,24 @@ class MetricGrid:
 
 
 def _assert_positive_definite(g: np.ndarray) -> None:
-    """A ValueError unless every metric of g, shaped (n1, n2, n3, n4, 4, 4),
-    passes the validity rule of `frames`: `_sym2`'s symmetry test, then a
-    finite Cholesky factor (`_cholesky`).
+    """A ValueError unless every metric of g is valid.  Full metrics,
+    shaped (n1, n2, n3, n4, 4, 4), pass the rule of `frames`: `_sym2`'s
+    symmetry test, then a finite Cholesky factor (`_cholesky`).  Diagonals,
+    shaped (n1, n2, n3, n4, 4), have every entry finite and > 0: a diagonal
+    matrix is symmetric, and LAPACK's Cholesky pivots of it are its
+    entries, so this is the verdict of that route.
 
-    It runs on the sub-boxes of at most 16,384 matrices (2 MB) of `_blocks`,
+    It runs on the sub-boxes of at most 16,384 metrics (2 MB) of `_blocks`,
     whatever g's shape and strides.  Each block is reshaped on its own, so
-    no full-size copy or temporary is made.  A block of diagonal metrics
-    with finite positive entries, as the warped-product grids hold, passes
-    without LAPACK (`_positive_diagonal`); every other block takes the route
-    above.
+    no full-size copy or temporary is made.
     """
     for start, extent in _blocks(g.shape[:DIM], 16384):
-        chunk = np.asarray(g[_box(start, extent)], dtype=float).reshape(-1, DIM, DIM)
-        if _positive_diagonal(chunk):
+        chunk = np.asarray(g[_box(start, extent)], dtype=float)
+        if chunk.ndim == DIM + 1:
+            if not ((chunk > 0.0) & (chunk < np.inf)).all():  # NaN fails both
+                raise ValueError("metric is not positive definite on the grid")
             continue
+        chunk = chunk.reshape(-1, DIM, DIM)
         try:
             with np.errstate(invalid="ignore"):  # NaN and inf fail the Cholesky test
                 _cholesky(_sym2(chunk, chunk.shape))
@@ -223,8 +241,9 @@ def _jet(grid: MetricGrid, lo, shape):
     `MetricGrid.distinct`, as (n, ...) arrays over its nodes in C order:
     dg[n,l,a,b] = d_l g_ab and d2g[n,l,m,a,b] = d_l d_m g_ab.
 
-    Every stencil tap is one shifted slice of the distinct slice of g, and
-    the inner pass of a mixed stencil is computed once per point of the box
+    Every stencil tap is one shifted slice of the distinct slice of g, over
+    the entries the grid stores (`_put` writes them into the jets), and the
+    inner pass of a mixed stencil is computed once per point of the box
     widened along its outer axis, not once per node and outer tap.
     """
     h, g = grid.spacings, grid.distinct
@@ -250,8 +269,8 @@ def _jet(grid: MetricGrid, lo, shape):
         taps = np.empty((len(_OFFSETS),) + g0.shape)
         for tap, o in zip(taps, _OFFSETS):
             np.subtract(view(l, o), g0, out=tap)
-        dg[:, l] = (_stencil(_D1_W, taps) / h[l]).reshape(n, DIM, DIM)
-        d2g[:, l, l] = (_stencil(_D2_W, taps) / h[l] ** 2).reshape(n, DIM, DIM)
+        _put(dg[:, l], _stencil(_D1_W, taps) / h[l])
+        _put(d2g[:, l, l], _stencil(_D2_W, taps) / h[l] ** 2)
     # mixed: the odd first-derivative stencil along m over the box widened
     # by 2 along l, then the same stencil along l on slices of that.  Every
     # difference is exactly 0 where g is constant along that axis, so the
@@ -261,8 +280,26 @@ def _jet(grid: MetricGrid, lo, shape):
             inner = _odd_stencil(lambda o: view(m, o, pad=l))
             acc = _odd_stencil(lambda o: inner[(slice(None),) * l
                                                + (slice(2 + o, 2 + o + shape[l]),)])
-            d2g[:, l, m] = d2g[:, m, l] = (acc / (h[l] * h[m])).reshape(n, DIM, DIM)
-    return np.array(g0).reshape(n, DIM, DIM), dg, d2g
+            _put(d2g[:, l, m], acc / (h[l] * h[m]))
+            d2g[:, m, l] = d2g[:, l, m]
+    return _node_metrics(grid, lo, shape), dg, d2g
+
+
+def _put(out, values) -> None:
+    """Write ``values``, the entries a grid stores at the nodes of ``out``
+    in their C order, into those nodes' (..., 4, 4) matrices ``out``: all
+    16 per node, or, from a diagonal grid, 4 on the diagonal, the rest of
+    ``out`` left as it is."""
+    lanes = out if values.size == out.size else np.einsum("...ii->...i", out)
+    lanes[...] = values.reshape(lanes.shape)
+
+
+def _node_metrics(grid: MetricGrid, lo, shape) -> np.ndarray:
+    """The metrics of the box of ``shape`` at ``lo`` (indices of
+    `MetricGrid.distinct`), as a new (n, 4, 4) array in C order."""
+    g0 = np.zeros(tuple(shape) + (DIM, DIM))
+    _put(g0, grid.distinct[_box(lo, shape)])
+    return g0.reshape(-1, DIM, DIM)
 
 
 def _stencil(weights: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -440,7 +477,7 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
 
     dric = np.stack([derivative(ric, l) for l in range(DIM)], axis=1)
     dscal = np.stack([derivative(scalar, l) for l in range(DIM)], axis=1)
-    g0 = np.array(grid.distinct[_box(lo, shape)]).reshape(n, DIM, DIM)
+    g0 = _node_metrics(grid, lo, shape)
     gam = part(gam, 0)[center].reshape(n, DIM, DIM, DIM)
     ric_c = part(ric, 0)[center].reshape(n, DIM, DIM)
     cov = (dric - np.einsum("nmki,nmj->nkij", gam, ric_c)
@@ -466,8 +503,7 @@ def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
                 "scalar": np.empty(0)}
     lo, shape, rows = _bounding_box(grid, nodes)
     _, ric, scalar = _ricci_boxes(grid, [(lo, shape)])
-    g0 = np.array(grid.distinct[_box(lo, shape)]).reshape(-1, DIM, DIM)
-    out = {"g": g0, "ric": ric, "scalar": scalar}
+    out = {"g": _node_metrics(grid, lo, shape), "ric": ric, "scalar": scalar}
     return out if rows is None else {key: val[rows] for key, val in out.items()}
 
 
@@ -513,17 +549,23 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
     not vary along (t, phi; theta for 2-d fibers) get the 2 * MARGIN_CODAZZI
     + 1 nodes of one Codazzi stencil, at the s-spacing.  For warped3 the
     theta axis also uses the s-spacing, centered at theta = pi/2.  The
-    metric comes from `family_metric`, so every s node must lie in the
-    family domain.
+    metric comes from `family_diagonal`, so every s node must lie in the
+    family domain.  ``n_s`` and ``n_r`` (``n_s`` when None) must be
+    integers >= 2; a ValueError names the first that is not.
 
-    The metric is stored once per node of the non-Killing axes (s, r and,
-    for warped3, theta): ``grid.g`` is a read-only ``np.broadcast_to`` view
-    with stride 0 along the Killing axes (t and phi for doubly-warped
-    families, phi for warped3).  Copy it before writing to it.
+    The grid stores the metric's diagonal, 4 floats per node (the metric
+    of every family is diagonal in its chart), once per node of the
+    non-Killing axes (s, r and, for warped3, theta): ``grid.g`` is a
+    read-only ``np.broadcast_to`` view of shape (n1, n2, n3, n4, 4) with
+    stride 0 along the Killing axes (t and phi for doubly-warped families,
+    phi for warped3).  Copy it before writing to it.
     """
+    n_r = n_s if n_r is None else n_r
+    for name, count in (("n_s", n_s), ("n_r", n_r)):
+        if not isinstance(count, numbers.Integral) or count < 2:
+            raise ValueError(f"{name} must be an integer >= 2, not {count!r}")
     lo, hi = float(s_range[0]), float(s_range[1])
     ds = (hi - lo) / (n_s - 1)
-    n_r = n_s if n_r is None else n_r
     if r_range is None:
         r_range = (0.6, 2.1) if m.k > 0 else (0.5, 2.0)
     rlo, rhi = float(r_range[0]), float(r_range[1])
@@ -537,9 +579,9 @@ def grid_from_family(m: MetricFamily, s_range=(0.5, 2.0), n_s: int = 129,
     if m.p is None:
         th_ax = cross(math.pi / 2.0)
         axes = (s_ax, r_ax, th_ax, cross(0.0))
-        g = family_metric(m, s_ax, r_ax, th_ax)[:, :, :, None]
+        g = family_diagonal(m, s_ax, r_ax, th_ax)[:, :, :, None]
     else:
         axes = (s_ax, cross(0.0), r_ax, cross(0.0))
-        g = family_metric(m, s_ax, r_ax)[:, None, :, None]
-    shape = tuple(len(ax) for ax in axes) + (DIM, DIM)
+        g = family_diagonal(m, s_ax, r_ax)[:, None, :, None]
+    shape = tuple(len(ax) for ax in axes) + (DIM,)
     return MetricGrid(axes, np.broadcast_to(g, shape))

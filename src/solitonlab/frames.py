@@ -28,9 +28,11 @@ loop over many nodes should call the stack entry points, `sym_eigvals` or
 stack of 1,000.
 
 One validity rule holds for every metric and symmetric tensor here, and
-for the metrics of an FD grid (`fdgrid.MetricGrid`): symmetric within
+for the full metrics of an FD grid (`fdgrid.MetricGrid`): symmetric within
 1e-12 max(1, max |entry|) per matrix (`_sym2`), and, for a metric, a
-finite Cholesky factor (`_cholesky`).  A non-finite value, or an overflow
+finite Cholesky factor (`_cholesky`).  A grid that stores diagonals holds
+a diagonal valid when its entries are finite and > 0, this rule's verdict
+on the diagonal matrix.  A non-finite value, or an overflow
 on the way, is a `DomainError` and never a numpy RuntimeWarning.
 """
 
@@ -106,18 +108,6 @@ def _cholesky(g: np.ndarray) -> np.ndarray:
     if not finite:
         raise DomainError("metric is not positive definite")
     return L
-
-
-def _positive_diagonal(m: np.ndarray) -> bool:
-    """Whether every matrix of the (N, 4, 4) float stack m is diagonal, with
-    every diagonal entry finite and > 0.  Such a stack passes `_sym2` as it
-    is, and LAPACK's Cholesky pivots of it are its diagonal entries, so
-    `_cholesky` accepts it: this says so without calling LAPACK.  A False
-    decides nothing."""
-    flat = m.reshape(-1, DIM * DIM)
-    diag = flat[:, ::DIM + 1]
-    # with every pivot nonzero, the count of nonzeros shows any off-diagonal one
-    return bool(((diag > 0.0) & (diag < np.inf)).all()) and np.count_nonzero(flat) == diag.size
 
 
 def _whitener(g: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ PACKAGE = ROOT / "src" / "solitonlab"
 KEEP = {
     "dw_rhs": "the paper's reduced system of the doubly-warped soliton",
     "warp3_rhs": "the paper's reduced system of the warped product",
+    "family_metric": "a family's coordinate metric as 4 x 4 matrices; FD grids store "
+                     "its diagonal (family_diagonal)",
 }
 
 

@@ -9,12 +9,12 @@ from numpy.testing import assert_allclose
 
 from solitonlab.curvature import family_eigenvalues, family_weyl_sq
 from solitonlab.errors import DomainError, GridBoundaryError
-from solitonlab.families import (broken_family, cylinder_family, gaussian_family,
-                                 product_family, singular_steady_family,
-                                 sphere_family)
+from solitonlab.families import (broken_family, cylinder_family, family_metric,
+                                 flat_family, gaussian_family, product_family,
+                                 singular_steady_family, sphere_family)
 from solitonlab.fdgrid import (MetricGrid, _bounding_box, _jet, fd_codazzi_block,
                                fd_curvature, fd_ricci_block, grid_from_family)
-from solitonlab.frames import _cholesky, _positive_diagonal, _sym2, sym_eigen, tensor_norm
+from solitonlab.frames import _cholesky, _sym2, sym_eigen, tensor_norm
 from solitonlab.verify import codazzi_residual_closed, oracle_deviation
 
 from helpers import ricci_from_riemann
@@ -175,7 +175,7 @@ def test_grid_validation_needs_little_memory_beyond_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grid.g.base.nbytes == 129 * 129 * 9 * 16 * 8  # stored once per (s, r, theta)
+    assert grid.g.base.nbytes == 129 * 129 * 9 * 4 * 8  # a diagonal once per (s, r, theta)
     assert peak <= 1.25 * grid.g.base.nbytes
 
 
@@ -215,19 +215,27 @@ def lapack_verdict(m):
 
 def grid_verdict(node_metric, stored):
     """None if a MetricGrid holding node_metric at one node of an identity
-    grid, stored densely or broadcast from one s-line, is accepted, else
-    its message."""
+    grid is accepted, else its message.  The grid stores full metrics
+    densely or broadcast from one s-line, or, given the stored shape
+    "diagonal", each node's diagonal densely (node_metric must be one)."""
     ax = np.arange(9) * 0.1
-    g = np.tile(np.eye(4), stored + (1, 1))
-    g[tuple(n // 2 for n in stored)] = node_metric
+    if stored == "diagonal":
+        assert not np.any(node_metric[~np.eye(4, dtype=bool)])
+        g = np.ones((9, 9, 9, 9, 4))
+        g[4, 4, 4, 4] = np.diagonal(node_metric)
+    else:
+        g = np.tile(np.eye(4), stored + (1, 1))
+        g[tuple(n // 2 for n in stored)] = node_metric
+        g = np.broadcast_to(g, (9, 9, 9, 9, 4, 4))
     try:
-        MetricGrid((ax, ax, ax, ax), np.broadcast_to(g, (9, 9, 9, 9, 4, 4)))
+        MetricGrid((ax, ax, ax, ax), g)
     except ValueError as exc:
         return str(exc)
     return None
 
 
-@pytest.mark.parametrize("stored", [(9, 9, 9, 9), (9, 1, 1, 1)], ids=["dense", "broadcast"])
+@pytest.mark.parametrize("stored", [(9, 9, 9, 9), (9, 1, 1, 1), "diagonal"],
+                         ids=["dense", "broadcast", "diagonal"])
 @pytest.mark.parametrize("value", DIAGONAL_EDGES)
 def test_diagonal_grid_validation_decides_as_lapack(value, stored):
     m = np.diag([1.0, 2.0, value, 4.0])
@@ -242,8 +250,7 @@ def test_positive_diagonal_agrees_with_lapack_on_random_diagonals():
     stacks = np.zeros((len(diags), 4, 4))
     stacks[:, range(4), range(4)] = diags
     for m in stacks:
-        assert _positive_diagonal(m[None]) == (lapack_verdict(m[None]) is None)
-    assert not _positive_diagonal(stacks)  # some diagonal in it is rejected
+        assert grid_verdict(m, "diagonal") == lapack_verdict(m[None])
 
 
 @pytest.mark.parametrize("stored", [(9, 9, 9, 9), (9, 1, 1, 1)], ids=["dense", "broadcast"])
@@ -254,7 +261,11 @@ def test_off_diagonal_metrics_still_take_the_lapack_route(stored):
     asym = np.eye(4)
     asym[0, 1] = 1e-3
     assert grid_verdict(asym, stored) == "metric components must be symmetric"
-    assert not _positive_diagonal(indefinite[None]) and not _positive_diagonal(asym[None])
+    # the off-diagonal entries decide: a diagonal grid of their diagonals
+    # is accepted, as LAPACK accepts those
+    for m in (indefinite, asym):
+        d = np.diag(np.diagonal(m))
+        assert grid_verdict(d, "diagonal") == lapack_verdict(d[None]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +443,49 @@ def test_compact_grid_matches_dense_copy_bit_for_bit(fam, killing):
     assert a.scalar == b.scalar
 
 
+ALL_FAMILIES = [singular_steady_family(), product_family(-1.0), gaussian_family(),
+                cylinder_family(2.0), sphere_family(), flat_family(), broken_family()]
+
+
+def full_metric_grid(fam, grid):
+    """The MetricGrid of ``grid``'s axes holding `family_metric`'s 4 x 4
+    matrices, broadcast along the Killing axes."""
+    s, a1, a2, _ = grid.axes
+    if fam.p is None:
+        g = family_metric(fam, s, a1, a2)[:, :, :, None]
+    else:
+        g = family_metric(fam, s, a2)[:, None, :, None]
+    return MetricGrid(grid.axes, np.broadcast_to(g, grid.shape + (4, 4)))
+
+
+def bits(a):
+    """The float64 bits of an array or a float, as int64, so that -0.0 != 0.0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("fam, n_s", [(fam, n) for n in (33, 65) for fam in ALL_FAMILIES]
+                         + [(gaussian_family(), "full")],
+                         ids=lambda case: getattr(case, "name", str(case)))
+def test_diagonal_and_full_layouts_give_the_same_bits(fam, n_s):
+    if n_s == "full":  # every interior node of a warped3 grid
+        diag = grid_from_family(fam, (0.5, 2.0), 33, n_r=33)
+        nodes = diag.interior_nodes()
+    else:
+        diag = narrow_grid(fam, n_s)
+        nodes = line_nodes(diag)
+    full = full_metric_grid(fam, diag)
+    assert diag.g.shape[4:] == (4,) and full.g.shape[4:] == (4, 4)
+    a, b = fd_ricci_block(diag, nodes), fd_ricci_block(full, nodes)
+    for key in ("g", "ric", "scalar"):
+        assert np.array_equal(bits(a[key]), bits(b[key]))
+    assert np.array_equal(bits(fd_codazzi_block(diag, nodes)),
+                          bits(fd_codazzi_block(full, nodes)))
+    mid = tuple(n // 2 for n in diag.shape)
+    a, b = fd_curvature(diag, mid), fd_curvature(full, mid)
+    for field in ("g", "christoffel", "riem", "ric", "scalar", "weyl", "codazzi_residual"):
+        assert np.array_equal(bits(getattr(a, field)), bits(getattr(b, field)))
+
+
 @pytest.mark.parametrize("fam, killing", [
     (singular_steady_family(), (False, True, False, True)),
     (gaussian_family(), (False, False, False, True)),
@@ -561,6 +615,22 @@ def test_ricci_block_peak_memory_on_full_grid(steady_grid):
     assert peak < 32 * 2**20
 
 
+def test_build_and_ricci_of_a_full_grid_hold_little_beyond_grid_and_outputs():
+    # the job shape of the benchmark's full-grid oracle: build a 129-node
+    # warped3 grid, then FD Ricci on all of its interior nodes
+    tracemalloc.start()
+    try:
+        grid = grid_from_family(cylinder_family(2.0), (0.5, 2.0), 129, n_r=129)
+        nodes = grid.interior_nodes()
+        blk = fd_ricci_block(grid, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = grid.g.base.nbytes + sum(val.nbytes for val in blk.values()) + nodes.nbytes
+    assert grid.g.base.nbytes == 129 * 129 * 9 * 4 * 8
+    assert peak <= held + 2**20
+
+
 def test_fd_singular_steady_ricci_at_s1(steady_grid):
     fam = singular_steady_family()
     i_s = int(np.argmin(np.abs(steady_grid.axes[0] - 1.0)))
@@ -652,3 +722,16 @@ def test_grid_from_family_rejects_s_outside_the_family_domain(fam, s_range, firs
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=rf"^s={re.escape(first_bad)} outside family"):
             grid_from_family(fam, s_range, 33)
+
+
+@pytest.mark.parametrize("counts, name", [
+    ({"n_s": 1}, "n_s"), ({"n_s": 9, "n_r": 1}, "n_r"), ({"n_s": 0}, "n_s"),
+    ({"n_s": -9}, "n_s"), ({"n_s": 2.5}, "n_s"), ({"n_s": 33, "n_r": 9.0}, "n_r"),
+    ({"n_s": True}, "n_s"), ({"n_s": "33"}, "n_s"),
+], ids=["s-one", "r-one", "s-zero", "s-negative", "s-fraction", "r-float", "s-bool",
+        "s-string"])
+def test_grid_from_family_rejects_bad_node_counts(counts, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 2, not "):
+        grid_from_family(product_family(-1.0), (0.5, 2.0), **counts)
+    assert grid_from_family(product_family(-1.0), (0.5, 2.0), np.int64(33)).shape == (
+        33, 9, 33, 9)

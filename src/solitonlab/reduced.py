@@ -12,13 +12,18 @@ with the third soliton component
 
     fp b = b' + 2 b^2 + a b - k/h^2 + lambda
 
-left over as a conserved diagnostic.  Along solutions a family of derived
-identities holds; :func:`reduced_identity_residuals` evaluates them at one
-state.  A trajectory evaluates them once for all its states, with numpy,
-from the same formulas (`Trajectory.identities`): every power still goes
-through Python's float pow, state by state, because numpy's ``power``
-rounds some squares and cubes differently, so each residual has the bits
-of the one-state evaluation.
+left over as a diagnostic.  The flow does not conserve it in general.  From
+starts where it vanishes, integrated over s in [1, 1.3], it stays at
+rounding level (4.4e-16) on the branch lambda - 2 a^2 + a b = 0 with
+lambda = k = 0, the singular steady metric with s shifted, but reaches
+0.34 to 1.5 on that branch at other lambda or k, and 0.04 off every
+branch.  Along solutions a family of derived identities holds;
+:func:`reduced_identity_residuals` evaluates them at one state.  A
+trajectory evaluates them once for all its states, with numpy, from the
+same formulas (`Trajectory.identities`): every power still goes through
+Python's float pow, state by state, because numpy's ``power`` rounds some
+squares and cubes differently, so each residual has the bits of the
+one-state evaluation.
 
 The module also carries the algebra of the pairwise-distinct eigenvalue
 case: with eigenframe coefficients (a, b, c) and commutator coefficients
@@ -92,7 +97,9 @@ def _rhs(a: float, b: float, fp: float, h: float, lam: float):
 
 
 def dw_rhs(st: ReducedState) -> DwDerivatives:
-    """Right-hand side of the reduced system, plus the conserved diagnostic."""
+    """Right-hand side of the reduced system, plus the diagnostic: the residual
+    of the third soliton component, which the flow does not conserve in
+    general (see the module docstring)."""
     ap, bp, fpp, hp = _rhs(st.a, st.b, st.fp, st.h, st.lam)
     diag = abs(st.fp * st.b - (bp + 2.0 * st.b**2 + st.a * st.b - st.k_h2() + st.lam))
     return DwDerivatives(ap, bp, fpp, hp, diag)

@@ -2,8 +2,9 @@
 
     python3 tools/bench_pairs.py REV --workload W --pairs N --seed0 S --out BENCH_n.json
 
-REV is extracted with ``git archive`` into a temporary directory, as
-``tools/report_diff.py`` does.  Pair i runs
+REV is extracted with ``git archive`` into a temporary directory, and
+each run is a fresh process in its own session (`gitrev.Workspace`).  Pair
+i runs
 
     python3 bench/run.py --workload W --seed S+i --seconds T --trace 0
 
@@ -29,7 +30,9 @@ It names the working tree by its HEAD commit and, when
 tracked files differ from HEAD, by the SHA-256 of ``git diff --binary
 HEAD`` (untracked files are not covered).  A run that fails stops the tool
 with exit code 1 and writes nothing; exit code 2 means REV cannot be
-extracted.  Nothing under ``bench/`` is written, only its ``.bench_out/``
+extracted.  SIGTERM or SIGINT ends every run's processes, removes the
+extract and stops the tool with exit code 128 + the signal's number,
+writing nothing.  Nothing under ``bench/`` is written, only its ``.bench_out/``
 scratch directory in each tree.
 """
 
@@ -39,33 +42,21 @@ import argparse
 import hashlib
 import json
 import statistics
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from gitrev import extract
-
-ROOT = Path(__file__).resolve().parent.parent
-
+from gitrev import ROOT, Workspace, git
 
 MIN_PAIRS = 10
 
 
-def git(*args) -> bytes:
-    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
-                          check=True).stdout
-
-
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(ws: Workspace, tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one ``bench/run.py`` run in ``tree``, with the
-    machine facts of its ``# run`` line under ``meta``."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"bench/run.py in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
+    machine facts of its ``# run`` line under ``meta``.  A run that fails
+    ends the tool with exit code 1."""
+    proc = ws.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds), "--trace", "0"], tree, fail=1)
+    lines = proc.stdout.decode().strip().splitlines()
     result = json.loads(lines[-1])
     result["meta"] = next((json.loads(line[len("# run "):]) for line in lines
                            if line.startswith("# run ")), {})
@@ -115,10 +106,8 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        base = Path(tmp)
-        if not extract("bench_pairs", args.rev, base):
-            return 2
+    with Workspace("bench_pairs") as ws:
+        base = ws.extract(args.rev)
         diff = git("diff", "--binary", "HEAD")
         report = {"rev": args.rev, "rev_commit": git("rev-parse", args.rev).decode().strip(),
                   "tree_head": git("rev-parse", "HEAD").decode().strip(),
@@ -129,12 +118,8 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 seed = args.seed0 + i
                 order = ("rev", "tree") if i % 2 == 0 else ("tree", "rev")
-                try:
-                    runs = {side: bench_run(base if side == "rev" else ROOT, workload,
-                                            seed, seconds) for side in order}
-                except RuntimeError as exc:
-                    print(f"bench_pairs: {exc}", file=sys.stderr)
-                    return 1
+                runs = {side: bench_run(ws, base if side == "rev" else ROOT, workload, seed,
+                                        seconds) for side in order}
                 pairs.append({"seed": seed, "first": order[0], **runs})
                 wall = {side: runs[side]["metrics"]["wall_s"]["value"] for side in order}
                 print(f"{workload} seed {seed}: wall_s {wall['rev']:.4f} -> {wall['tree']:.4f}",

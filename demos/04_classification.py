@@ -12,7 +12,7 @@ import numpy as np
 
 from solitonlab import (classify, cylinder_family, gaussian_family, product_family,
                         singular_steady_family, sphere_family)
-from solitonlab.classify import ClassifySample, sample_family, signature_labels
+from solitonlab.classify import SAMPLE, sample_family, signature_labels
 
 S = np.linspace(0.5, 2.0, 64)
 
@@ -32,14 +32,14 @@ product = product_family(-1.0)
 base = sample_family(product, product.soliton, S)
 rng = np.random.default_rng(0)
 for eps in (1e-10, 1e-9, 1e-7, 1e-5):
-    noisy = [ClassifySample(sm.s,
-                            tuple(e + eps * rng.choice([-1, 1]) for e in sm.eigenvalues),
-                            sm.fprime + eps, sm.scalar + eps, sm.weyl_sq + eps)
-             for sm in base]
+    noisy = base.copy()
+    noisy["eigenvalues"] += eps * rng.choice([-1, 1], size=noisy["eigenvalues"].shape)
+    for key in ("fprime", "scalar", "weyl_sq"):
+        noisy[key] += eps
     print(f"  noise {eps:.0e}: {classify(noisy, tol=1e-8).label}")
 
 print("\nsynthetic pairwise-distinct spectrum:")
-fake = [ClassifySample(s, (1.0, 0.5, 0.2, -0.1), 1.0, 1.6, 1.0)
-        for s in np.linspace(1.0, 2.0, 8)]
+fake = np.array([(s, (1.0, 0.5, 0.2, -0.1), 1.0, 1.6, 1.0)
+                 for s in np.linspace(1.0, 2.0, 8)], SAMPLE)
 verdict = classify(fake, tol=1e-8)
 print(f"  label = {verdict.label}; notes = {verdict.notes}")

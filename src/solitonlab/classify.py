@@ -1,22 +1,22 @@
 """Eigenvalue-signature detection and matching against the four local types.
 
-A sample is the tuple (s, Ricci eigenvalues in the adapted frame order,
-f', R, |W|^2).  The decision tree mirrors the separating marks of the
-classification: a vanishing potential slope means Einstein; a vanishing Weyl
-norm means the locally conformally flat warped product; otherwise the
-eigenvalue structure lambda_2 != lambda_3 = lambda_4 together with constant
-R (and R = 2 lambda) marks the plane x surface product, while R s^2 = -4/9
-marks the singular steady metric.
+A sample is one entry (s, Ricci eigenvalues in the adapted frame order,
+f', R, |W|^2) of a `SAMPLE` array, which holds each value as a column.  The
+decision tree mirrors the separating marks of the classification: a
+vanishing potential slope means Einstein; a vanishing Weyl norm means the
+locally conformally flat warped product; otherwise the eigenvalue
+structure lambda_2 != lambda_3 = lambda_4 together with constant R (and
+R = 2 lambda) marks the plane x surface product, while R s^2 = -4/9 marks
+the singular steady metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .curvature import _finite, family_eigenvalues, family_weyl_sq, float_semantics
+from .curvature import _finite, _weyl_sq, family_table, float_semantics
 from .families import MetricFamily, SolitonData
 
 DEFAULT_TOL_CLOSED = 1e-8
@@ -54,25 +54,23 @@ def signature_labels(values, tol: float) -> np.ndarray:
     return labels
 
 
-@dataclass(frozen=True)
-class ClassifySample:
-    s: float
-    eigenvalues: tuple[float, float, float, float]
-    fprime: float
-    scalar: float
-    weyl_sq: float
+SAMPLE = np.dtype([("s", float), ("eigenvalues", float, (4,)), ("fprime", float),
+                   ("scalar", float), ("weyl_sq", float)])
 
 
 @float_semantics
-def sample_family(m: MetricFamily, sol: SolitonData, s_values) -> list[ClassifySample]:
-    """Closed-form classification samples of a family along s; an f' that
-    overflows is a DomainError naming its s."""
+def sample_family(m: MetricFamily, sol: SolitonData, s_values) -> np.ndarray:
+    """Closed-form classification samples of a family along s, a `SAMPLE`
+    array read off one curvature table; an f' that overflows is a
+    DomainError naming its s."""
     s = np.asarray(s_values, dtype=float)
-    *eigs, scalar = family_eigenvalues(m, s)
+    t = family_table(m, s)
     (fprime,) = _finite(s, sol.f.d1(s), what="potential slope f'")
-    rows = zip(s.tolist(), np.stack(eigs, axis=1).tolist(), fprime.tolist(),
-               scalar.tolist(), family_weyl_sq(m, s).tolist())
-    return [ClassifySample(si, tuple(e), fp, r, w2) for si, e, fp, r, w2 in rows]
+    out = np.empty(s.shape, SAMPLE)
+    out["s"], out["fprime"], out["scalar"] = s, fprime, t.scalar
+    out["eigenvalues"] = np.stack(t.lam, axis=-1)
+    out["weyl_sq"] = _weyl_sq(t)
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,22 +84,23 @@ class TypeVerdict:
                 "notes": list(self.notes)}
 
 
-def classify(samples: Sequence[ClassifySample], tol: float = DEFAULT_TOL_CLOSED
-             ) -> TypeVerdict:
-    """Match sampled soliton data against the four local types."""
+@float_semantics
+def classify(samples: np.ndarray, tol: float = DEFAULT_TOL_CLOSED) -> TypeVerdict:
+    """Match sampled soliton data, a `SAMPLE` array, against the four local
+    types."""
     if len(samples) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {len(samples)}")
-    labels = signature_labels([sm.eigenvalues for sm in samples], tol)
+    eigs, scalars = samples["eigenvalues"], samples["scalar"]
+    labels = signature_labels(eigs, tol)
     evidence: dict[str, float] = {}
 
-    scale = max(1.0, max(abs(sm.scalar) for sm in samples),
-                max(max(abs(e) for e in sm.eigenvalues) for sm in samples))
-    max_fp = max(abs(sm.fprime) for sm in samples)
+    scale = max(1.0, np.abs(scalars).max(), np.abs(eigs).max())
+    max_fp = float(np.abs(samples["fprime"]).max())
     evidence["max_abs_fprime"] = max_fp
     if max_fp <= tol:
         return TypeVerdict(LABEL_EINSTEIN, evidence)
 
-    max_w2 = max(abs(sm.weyl_sq) for sm in samples)
+    max_w2 = float(np.abs(samples["weyl_sq"]).max())
     evidence["max_weyl_sq"] = max_w2
     if max_w2 <= tol * scale:
         return TypeVerdict(LABEL_WARPED, evidence)
@@ -111,19 +110,20 @@ def classify(samples: Sequence[ClassifySample], tol: float = DEFAULT_TOL_CLOSED
     pair_frac = float(np.mean(pair))
     evidence["pair_signature_fraction"] = pair_frac
     if pair_frac > 0.5:
-        scalars = np.array([sm.scalar for sm in samples])
         mean_r = float(np.mean(scalars))
         const_dev = float(np.max(np.abs(scalars - mean_r)))
         evidence["scalar_constancy_dev"] = const_dev
         if const_dev <= tol * (1.0 + abs(mean_r)):
-            lam_hat = float(np.mean([(sm.eigenvalues[2] + sm.eigenvalues[3]) / 2
-                                     for sm in samples]))
+            lam_hat = float(np.mean((eigs[:, 2] + eigs[:, 3]) / 2))
             fit = abs(mean_r - 2.0 * lam_hat)
             evidence["scalar_minus_twice_fiber"] = fit
             if fit <= tol * (1.0 + abs(mean_r)):
                 return TypeVerdict(LABEL_PRODUCT, evidence)
-        rs2 = np.array([sm.scalar * sm.s**2 for sm in samples])
-        steady_dev = float(np.max(np.abs(rs2 + 4.0 / 9.0)))
+        # s^2 by Python's float pow, elementwise on an object array, as one
+        # sample squares it: numpy's s**2 is s*s, which rounds about 0.08 %
+        # of squares otherwise and gives inf where the pow raises OverflowError
+        s2 = (samples["s"].astype(object) ** 2).astype(float)
+        steady_dev = float(np.max(np.abs(scalars * s2 + 4.0 / 9.0)))
         evidence["scalar_s2_plus_4_9_dev"] = steady_dev
         if steady_dev <= tol:
             return TypeVerdict(LABEL_STEADY, evidence)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import ClassifySample, LABEL_UNKNOWN, classify, sample_family
+from .classify import LABEL_UNKNOWN, SAMPLE, classify, sample_family
 from .families import BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily, canonical_family
 from .fdgrid import MARGIN_CODAZZI, grid_from_family
 from .reduced import branch_label, integrate
@@ -168,27 +168,24 @@ def _cmd_oracle(args) -> tuple[dict, bool, None]:
     return report, passed, None
 
 
-_SAMPLE_KEYS = ("s", "eigenvalues", "fprime", "scalar", "weyl_sq")
-
-
-def _sample_row(i: int, row) -> ClassifySample:
-    """Row i of a samples file: each value a finite JSON number (not a
-    bool), the eigenvalues a list of four of them."""
-    values = [row[key] for key in _SAMPLE_KEYS]
+def _sample_row(i: int, row) -> tuple:
+    """Row i of a samples file as a `SAMPLE` entry: each value a finite JSON
+    number (not a bool), the eigenvalues a list of four of them."""
+    values = [row[key] for key in SAMPLE.names]
     number = lambda v: type(v) in (int, float) and math.isfinite(v)
-    for key, v in zip(_SAMPLE_KEYS, values):
+    for key, v in zip(SAMPLE.names, values):
         if not (type(v) is list and len(v) == 4 and all(map(number, v))
                 if key == "eigenvalues" else number(v)):
             raise UsageError(f"samples file row {i}: {key} must be a finite number "
                              f"(eigenvalues: a list of four), got {json.dumps(v)}")
-    return ClassifySample(values[0], tuple(values[1]), *values[2:])
+    return tuple(values)
 
 
 def _cmd_classify(args) -> tuple[dict, bool, None]:
     if args.samples_file:
         raw = _read_json(args.samples_file, "samples file")
         try:
-            samples = [_sample_row(i, row) for i, row in enumerate(raw)]
+            samples = np.array([_sample_row(i, row) for i, row in enumerate(raw)], SAMPLE)
         except (KeyError, TypeError) as exc:
             raise UsageError("samples file must be a list of objects with keys s, "
                              f"eigenvalues, fprime, scalar, weyl_sq: {exc!r}") from exc

@@ -191,7 +191,11 @@ def family_weyl_sq(m: MetricFamily, s) -> Values:
     and each plane contributes four equal squares (W_ijji = W_jiij =
     -W_ijij = -W_jiji).
     """
-    t = _family(m, s)
+    return _weyl_sq(_family(m, s))
+
+
+def _weyl_sq(t: CurvatureTable) -> Values:
+    """|W|^2 of a table, as `family_weyl_sq` describes it."""
     lam, r6 = t.lam, t.scalar / 6.0
     weyl = [kv - 0.5 * (lam[i] + lam[j]) + r6 for (i, j), kv in zip(PLANES, t.sectional)]
     return _finite(t.s, 4.0 * sum(w * w for w in weyl))[0]

@@ -1,16 +1,18 @@
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
-from solitonlab.classify import (ClassifySample, LABEL_EINSTEIN, LABEL_PRODUCT,
-                                 LABEL_STEADY, LABEL_UNKNOWN, LABEL_WARPED,
-                                 classify, sample_family, signature_labels)
+from solitonlab.classify import (LABEL_EINSTEIN, LABEL_PRODUCT, LABEL_STEADY,
+                                 LABEL_UNKNOWN, LABEL_WARPED, SAMPLE, classify,
+                                 sample_family, signature_labels)
 from solitonlab.curvature import family_eigenvalues, family_weyl_sq
 from solitonlab.errors import DomainError
 from solitonlab.families import (cylinder_family, flat_family, gaussian_family,
                                  product_family, singular_steady_family, sphere_family)
 
+CLASSIFY = importlib.import_module("solitonlab.classify")  # the package binds the function
 S_VALUES = np.linspace(0.5, 2.0, 64)
 TOL = 1e-8
 
@@ -42,9 +44,11 @@ def perturbed(samples, eps, rng, rademacher):
     shape = (len(samples), 7)
     noise = (eps * rng.choice([-1.0, 1.0], size=shape) if rademacher
              else rng.uniform(-eps, eps, size=shape))
-    return [ClassifySample(sm.s, tuple(e + n for e, n in zip(sm.eigenvalues, row)),
-                           sm.fprime + row[4], sm.scalar + row[5], sm.weyl_sq + row[6])
-            for sm, row in zip(samples, noise.tolist())]
+    out = samples.copy()
+    out["eigenvalues"] += noise[:, :4]
+    for j, key in enumerate(("fprime", "scalar", "weyl_sq"), start=4):
+        out[key] += noise[:, j]
+    return out
 
 
 def sequential_groups(values, tol):
@@ -112,13 +116,31 @@ def test_signature_labels_match_a_sequential_grouping():
 def test_sample_family_rows_match_float_evaluation():
     for fam, _ in FAMILY_LABELS:
         sol = fam.soliton
-        for row in sample_family(fam, sol, S_VALUES):
-            assert isinstance(row, ClassifySample)
-            *eigs, scalar = family_eigenvalues(fam, row.s)
-            got = (*row.eigenvalues, row.scalar, row.fprime, row.weyl_sq)
-            want = (*eigs, scalar, sol.f.d1(row.s), family_weyl_sq(fam, row.s))
-            assert all(type(v) is float for v in got)
+        samples = sample_family(fam, sol, S_VALUES)
+        assert samples.dtype == SAMPLE and samples.shape == S_VALUES.shape
+        for row in samples:
+            s = float(row["s"])
+            *eigs, scalar = family_eigenvalues(fam, s)
+            got = (*row["eigenvalues"], row["scalar"], row["fprime"], row["weyl_sq"])
+            want = (*eigs, scalar, sol.f.d1(s), family_weyl_sq(fam, s))
             assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("fam,_", FAMILY_LABELS, ids=case_id)
+def test_sample_family_columns_have_the_bits_of_the_array_tables(fam, _, monkeypatch):
+    calls = []
+    table = CLASSIFY.family_table
+    monkeypatch.setattr(CLASSIFY, "family_table",
+                        lambda *args: calls.append(args) or table(*args))
+    samples = sample_family(fam, fam.soliton, S_VALUES)
+    assert len(calls) == 1
+    *eigs, scalar = family_eigenvalues(fam, S_VALUES)
+    for got, want in [(samples["eigenvalues"], np.stack(eigs, axis=1)),
+                      (samples["scalar"], scalar), (samples["s"], S_VALUES),
+                      (samples["fprime"], fam.soliton.f.d1(S_VALUES)),
+                      (samples["weyl_sq"], family_weyl_sq(fam, S_VALUES))]:
+        want = np.broadcast_to(want, got.shape)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_sample_family_rejects_an_overflowing_potential_slope():
@@ -157,8 +179,8 @@ def test_classify_degrades_to_unknown_under_large_noise(fam, _):
 
 def test_classify_distinct_triple_is_unknown_with_note():
     # synthetic non-soliton data: pairwise-distinct level-surface eigenvalues
-    samples = [ClassifySample(s, (1.0, 0.5, 0.2, -0.1), 1.0, 1.6, 1.0)
-               for s in np.linspace(1.0, 2.0, 8)]
+    samples = np.array([(s, (1.0, 0.5, 0.2, -0.1), 1.0, 1.6, 1.0)
+                        for s in np.linspace(1.0, 2.0, 8)], SAMPLE)
     verdict = classify(samples, TOL)
     assert verdict.label == LABEL_UNKNOWN
     assert any("pairwise-distinct" in note for note in verdict.notes)

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import sys
 import warnings
@@ -177,16 +178,36 @@ def test_cli_and_json_family_names_build_the_same_family(cli_name, lam):
         assert from_cli.soliton.lam == (default[cli_name] if lam is None else lam)
 
 
-@pytest.fixture
-def workloads(monkeypatch):
-    """``bench/workloads.py``, loaded without a bytecode cache beside it."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def load_bench(monkeypatch, name):
+    """``bench/<name>.py``, loaded without a bytecode cache beside it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    return load_bench(monkeypatch, "workloads")
+
+
+def test_traced_counters_name_public_functions_and_count_the_samples(monkeypatch):
+    tracing = load_bench(monkeypatch, "tracing")
+    for key in tracing.COUNTERS:
+        short, name = key.split(".")
+        module = importlib.import_module(f"solitonlab.{short}")
+        obj = getattr(module, name, None)
+        # the functions that `Tracer.install` wraps, so that the counter runs
+        assert short in tracing.MODULES and not name.startswith("_"), key
+        assert inspect.isfunction(obj) and obj.__module__ == module.__name__, key
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert main(["classify", "--family", "product", "--samples", "64"]) == 0
+    info = {span[3]: span[6] for span in tracer.spans}
+    assert info["classify.sample_family"] == info["classify.classify"] == 64
 
 
 def test_integrate_exit_codes_follow_the_family_records_and_the_benchmark_gate(workloads,

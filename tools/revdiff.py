@@ -64,6 +64,19 @@ EDGE_JOBS = (
     "classify --family singular-steady --s 100:1000",
     "integrate --family gaussian",
 )
+# the rows of the samples files of `classify --samples-file` jobs, written
+# into the workspace so that both trees read them at one path: a product-like
+# set, a pairwise-distinct spectrum and integer values that reach the
+# singular steady test
+SAMPLES_FILES = {
+    "product_samples.json": [{"s": 0.5 + 0.25 * i, "eigenvalues": [0.0, 0.0, -1.0, -1.0],
+                              "fprime": -0.5 - 0.25 * i, "scalar": -2.0, "weyl_sq": 4 / 3}
+                             for i in range(8)],
+    "distinct_samples.json": [{"s": 1.0 + 0.1 * i, "eigenvalues": [1.0, 0.5, 0.2, -0.1],
+                               "fprime": 1.0, "scalar": 1.6, "weyl_sq": 1.0} for i in range(8)],
+    "integer_samples.json": [{"s": i, "eigenvalues": [1, 0, -1, -1], "fprime": i,
+                              "scalar": -1, "weyl_sq": 2} for i in range(1, 9)],
+}
 OUT = "report.out"
 
 
@@ -168,14 +181,16 @@ def jobs(tree: Path) -> list[tuple[str, list[str]]]:
     ``verify``, ``oracle``, ``classify`` and ``integrate`` at their defaults
     for every CLI family, as JSON and as CSV; the boundary arguments of the
     benchmark (``BOUNDARY_JOBS`` in ``bench/workloads.py``) and `EDGE_JOBS`;
-    the demos, each tree running its own copy."""
+    ``classify`` on each of `SAMPLES_FILES`; the demos, each tree running its
+    own copy."""
     from workloads import BOUNDARY_JOBS, CLI_FAMILIES  # main puts bench/ on the path
     cli = ["-m", "solitonlab.cli"]
     out = [(f"{command} --family {family} --format {fmt}",
             cli + [command, "--family", family, "--format", fmt, "--out", OUT])
            for command in COMMANDS for family in CLI_FAMILIES for fmt in ("json", "csv")]
     out += [(text, cli + text.split() + ["--out", OUT])
-            for text in [text for text, _ in BOUNDARY_JOBS] + list(EDGE_JOBS)]
+            for text in [text for text, _ in BOUNDARY_JOBS] + list(EDGE_JOBS)
+            + [f"classify --samples-file {name}" for name in SAMPLES_FILES]]
     out += [(f"demos/{demo.name}", [str(tree / "demos" / demo.name)])
             for demo in sorted((ROOT / "demos").glob("*.py"))]
     return out
@@ -239,6 +254,8 @@ def main(argv=None) -> int:
         for name in arrays:
             print(f"DIFFERS  {name}")
         print(f"{len(arrays)} of {len(names)} FD arrays differ from {rev}", flush=True)
+        for name, rows in SAMPLES_FILES.items():
+            (ws.dir / name).write_text(json.dumps(rows))
         differing = 0
         pairs = list(zip(jobs(base), jobs(ROOT)))
         for (name, old_argv), (_, new_argv) in pairs:

@@ -18,12 +18,14 @@ rounding level (4.4e-16) on the branch lambda - 2 a^2 + a b = 0 with
 lambda = k = 0, the singular steady metric with s shifted, but reaches
 0.34 to 1.5 on that branch at other lambda or k, and 0.04 off every
 branch.  Along solutions a family of derived identities holds;
-:func:`reduced_identity_residuals` evaluates them at one state.  A
-trajectory evaluates them once for all its states, with numpy, from the
-same formulas (`Trajectory.identities`): every power still goes through
-Python's float pow, state by state, because numpy's ``power`` rounds some
-squares and cubes differently, so each residual has the bits of the
-one-state evaluation.
+:func:`reduced_identity_residuals` evaluates them at one state.  A state
+(`ReducedState`) is a named tuple: iterable, and equal to the plain tuple
+of its fields.  A trajectory turns its states into float columns once
+(`Trajectory.columns`) and evaluates the identities for all its states,
+with numpy, from the same formulas (`Trajectory.identities`): every power
+still goes through Python's float pow, in a single pass over the states,
+because numpy's ``power`` rounds some squares and cubes differently, so
+each residual has the bits of the one-state evaluation.
 
 The module also carries the algebra of the pairwise-distinct eigenvalue
 case: with eigenframe coefficients (a, b, c) and commutator coefficients
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,9 +62,9 @@ BRANCH_FACTORS = ("b", "lambda+3ab", "lambda-2a^2+ab")
 IDENTITIES = ("linear", "second_order", "quadratic", "cubic_slope", "branch_cubic")
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """State of the reduced system at arc-length s."""
+class ReducedState(NamedTuple):
+    """State of the reduced system at arc-length s: a tuple of its fields,
+    so it is iterable and equal to the plain tuple of them."""
 
     s: float
     a: float
@@ -91,9 +94,11 @@ class DwDerivatives(NamedTuple):
 
 def _rhs(a: float, b: float, fp: float, h: float, lam: float):
     """(a', b', fp', h') of the reduced system."""
-    _require_h(h)
-    ap = fp * a - a**2 - 2.0 * a * b - lam
-    return (ap, ap + a**2 - b**2, 3.0 * ap + 3.0 * a**2 + lam, b * h)
+    if h == 0.0:  # tested here, as RK4 calls this four times a step
+        _require_h(h)
+    a2 = a**2
+    ap = fp * a - a2 - 2.0 * a * b - lam
+    return (ap, ap + a2 - b**2, 3.0 * ap + 3.0 * a2 + lam, b * h)
 
 
 def dw_rhs(st: ReducedState) -> DwDerivatives:
@@ -137,9 +142,14 @@ class Trajectory:
         return self.states[-1]
 
     @cached_property
+    def columns(self) -> np.ndarray:
+        """The states as one (7, N) float array, a row per `ReducedState` field."""
+        return _columns(self.states)
+
+    @cached_property
     def identities(self) -> _IdentityTable:
         """The identity residuals of every state, evaluated once."""
-        return _identity_table(self.states)
+        return _identity_table(self.states, self.columns)
 
     def identity_residual_rows(self) -> list[dict[str, float]]:
         return self.identities.rows()
@@ -177,18 +187,20 @@ def integrate(st0: ReducedState, s_end: float, step: float) -> Trajectory:
                           f"takes more than {MAX_STEPS} steps")
     n = max(1, round(abs(span) / step))
     ds = span / n
+    s0, lam, k, top = st0.s, st0.lam, st0.k, BLOWUP_LIMIT
     states = [st0]
     y = (st0.a, st0.b, st0.fp, st0.h)
     for i in range(n):
-        y = _rk4_step(y, ds, st0.lam)
-        if not all(map(math.isfinite, y)):
-            return Trajectory(tuple(states), True, "non-finite state")
-        if max(map(abs, y)) > BLOWUP_LIMIT:
-            return Trajectory(tuple(states), True, "state blow-up")
-        if y[3] < H_FLOOR:
-            return Trajectory(tuple(states), True, "h reached its floor")
-        # s from the step count, so no additive drift
-        states.append(ReducedState(st0.s + (i + 1) * ds, *y, st0.lam, st0.k))
+        a, b, fp, h = y = _rk4_step(y, ds, lam)
+        # false on a NaN, an infinity, |value| > top and h < H_FLOOR alike
+        if not (-top <= a <= top and -top <= b <= top and -top <= fp <= top
+                and H_FLOOR <= h <= top):
+            reason = ("non-finite state" if not all(map(math.isfinite, y)) else
+                      "state blow-up" if max(map(abs, y)) > top else "h reached its floor")
+            return Trajectory(tuple(states), True, reason)
+        # s from the step count, so no additive drift; tuple.__new__ skips
+        # the named tuple's Python-level __new__
+        states.append(tuple.__new__(ReducedState, (s0 + (i + 1) * ds, a, b, fp, h, lam, k)))
     return Trajectory(tuple(states))
 
 
@@ -273,15 +285,33 @@ class _IdentityTable(NamedTuple):
         return buf.getvalue()
 
 
-def _identity_table(states) -> _IdentityTable:
+def _columns(states) -> np.ndarray:
+    """The states as one (7, N) float array, a row per `ReducedState` field."""
+    return np.fromiter(itertools.chain.from_iterable(states), float,
+                       7 * len(states)).reshape(-1, 7).T
+
+
+def _powers(states):
+    """a**2, k/h^2 and a**3 (0.0 where a = b) of each state in turn, by
+    Python's float pow, after the h = 0 test and the b**2 of `_rhs`: so the
+    first failing state raises what it raises alone."""
+    for _, a, b, _, h, _, k in states:
+        _require_h(h)
+        a2, _ = a**2, b**2  # b**2 for the OverflowError of `_rhs` only
+        yield a2
+        yield k / h**2
+        yield a**3 if a != b else 0.0
+
+
+def _identity_table(states, columns=None) -> _IdentityTable:
     """The identities of every state at once.  One pass over the states takes
-    a' (from `_rhs`), k/h^2 and the cube a**3 (where a != b) in Python, in
-    the order of the one-state evaluation, so it raises what the first
-    failing state raises there; the formulas then run over arrays."""
-    a, b, fp, lam, k, ap, kh2, a3 = np.array(
-        [(st.a, st.b, st.fp, st.lam, st.k, _rhs(st.a, st.b, st.fp, st.h, st.lam)[0],
-          st.k_h2(), st.a**3 if st.a != st.b else 0.0) for st in states], dtype=float).T
+    the powers (`_powers`) in Python, so it raises what the first failing
+    state raises in the one-state evaluation; a' (in `_rhs`'s operation
+    order) and the formulas then run over the columns."""
+    _, a, b, fp, _, lam, k = _columns(states) if columns is None else columns
+    a2, kh2, a3 = np.fromiter(_powers(states), float, 3 * len(states)).reshape(-1, 3).T
     with np.errstate(all="ignore"):  # inf and nan, as float arithmetic gives them
+        ap = fp * a - a2 - 2.0 * a * b - lam
         values = np.array(_identities(a, b, fp, lam, kh2, ap, a3))
     return _IdentityTable(tuple(states), values, a != b, k != 0.0)
 
@@ -290,9 +320,7 @@ def branch_label(traj: Trajectory) -> tuple[str, ...]:
     """The `BRANCH_FACTORS` whose running max of |factor| along the
     trajectory stays below BRANCH_TOL; ties are labeled jointly.  A NaN
     factor does not raise the running max."""
-    states = traj.states
-    a, b, lam = (np.array(v, dtype=float) for v in (
-        [st.a for st in states], [st.b for st in states], [st.lam for st in states]))
+    _, a, b, _, _, lam, _ = traj.columns
     with np.errstate(all="ignore"):
         peaks = [np.fmax.reduce(np.abs(v), initial=0.0) for v in _branch_factors(a, b, lam)]
     return tuple(name for name, peak in zip(BRANCH_FACTORS, peaks) if peak < BRANCH_TOL)

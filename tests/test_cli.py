@@ -206,8 +206,10 @@ def test_traced_counters_name_public_functions_and_count_the_samples(monkeypatch
     tracer = tracing.Tracer()
     with tracer.installed():
         assert main(["classify", "--family", "product", "--samples", "64"]) == 0
+        assert main(["integrate", "--family", "singular-steady"]) == 0
     info = {span[3]: span[6] for span in tracer.spans}
     assert info["classify.sample_family"] == info["classify.classify"] == 64
+    assert info["reduced.integrate"] == 1000  # the steps, s = 1 -> 2 at 1e-3
 
 
 def test_integrate_exit_codes_follow_the_family_records_and_the_benchmark_gate(workloads,

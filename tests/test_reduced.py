@@ -1,5 +1,5 @@
 import csv
-import dataclasses
+import itertools
 import json
 import math
 
@@ -99,6 +99,40 @@ def test_integrate_flags_blowup():
     traj = integrate(st0, 5.0, 1e-3)
     assert traj.truncated
     assert traj.reason is not None
+
+
+def reference_truncation(steps):
+    """(state count, truncated, reason) of a run whose RK4 steps give
+    ``steps`` in turn, checking each step for a non-finite value, then for
+    |value| > BLOWUP_LIMIT, then for h < H_FLOOR."""
+    for kept, y in enumerate(steps, start=1):
+        if not all(map(math.isfinite, y)):
+            return kept, True, "non-finite state"
+        if max(map(abs, y)) > reduced.BLOWUP_LIMIT:
+            return kept, True, "state blow-up"
+        if y[3] < reduced.H_FLOOR:
+            return kept, True, "h reached its floor"
+    return len(steps) + 1, False, None
+
+
+PAST_TOP = math.nextafter(reduced.BLOWUP_LIMIT, math.inf)
+EDGES = (-0.0, 1.0, 1e8, -1e8, PAST_TOP, -PAST_TOP, math.nan, math.inf, -math.inf)
+H_EDGES = (1.0, -0.0, reduced.H_FLOOR, math.nextafter(reduced.H_FLOOR, 0.0), 1e8, PAST_TOP,
+           math.nan, math.inf, -math.inf)
+
+
+def test_integrate_truncates_where_the_three_checks_in_order_do(monkeypatch):
+    # every mix of edge values in (a, b, fp, h), as the second of three steps
+    good = (0.5, -0.5, 0.25, 1.0)
+    script = iter(())
+    monkeypatch.setattr(reduced, "_rk4_step", lambda *args: next(script))
+    for y in itertools.product(EDGES, EDGES, EDGES, H_EDGES):
+        steps = [good, y, good]
+        script = iter(steps)
+        traj = integrate(ReducedState(0.0, *good, 0.0, 0.0), 3.0, 1.0)
+        assert (len(traj.states), traj.truncated, traj.reason) == reference_truncation(steps), y
+        kept = [(st.a, st.b, st.fp, st.h) for st in traj.states]
+        assert kept == [good, *steps][:len(kept)]
 
 
 def test_identity_residuals_singular_steady_point():
@@ -277,8 +311,8 @@ def reference_rk4_step(st, ds):
     """The four stage states of one RK4 step from `st`, and its result, on
     `ReducedState` objects through `dw_rhs`."""
     def shift(k, c):
-        return dataclasses.replace(st, a=st.a + c * ds * k[0], b=st.b + c * ds * k[1],
-                                   fp=st.fp + c * ds * k[2], h=st.h + c * ds * k[3])
+        return st._replace(a=st.a + c * ds * k[0], b=st.b + c * ds * k[1],
+                           fp=st.fp + c * ds * k[2], h=st.h + c * ds * k[3])
 
     stages, ks = [st], []
     for c in (0.5, 0.5, 1.0):
@@ -297,7 +331,7 @@ def reference_rk4_states(st0, s_end, step):
     states = [st0]
     for i in range(n):
         _, nxt = reference_rk4_step(states[-1], ds)
-        states.append(dataclasses.replace(nxt, s=st0.s + (i + 1) * ds))
+        states.append(nxt._replace(s=st0.s + (i + 1) * ds))
     return states
 
 
@@ -470,9 +504,14 @@ def test_identity_table_raises_what_the_first_failing_state_raises():
     cube = ReducedState(0.0, 1e120, 0.5, 0.0, 1.0, 0.0, 0.0)  # a**3 overflows, a**2 not
     vanished = ReducedState(0.0, 0.3, 0.5, 0.0, 0.0, 0.0, 0.0)  # h = 0 in `_rhs`
     tiny_h = ReducedState(0.0, 0.3, 0.5, 0.0, 1e-200, 0.0, 1.0)  # h**2 = 0 in k/h^2
+    sq = ReducedState(0.0, 1e160, 0.5, 0.0, 1e-200, 0.0, 1.0)  # a**2 overflows, then h**2 = 0
+    b_sq = ReducedState(0.0, 0.3, 1e160, 0.0, 1e-200, 0.0, 1.0)  # b**2 in `_rhs` overflows
     for states, error in [((PLAIN, cube, vanished), OverflowError),
                           ((PLAIN, vanished, cube), DomainError),
-                          ((tiny_h, vanished), ZeroDivisionError)]:
+                          ((tiny_h, vanished), ZeroDivisionError),
+                          ((sq, tiny_h), OverflowError),
+                          ((tiny_h, sq), ZeroDivisionError),
+                          ((b_sq, tiny_h), OverflowError)]:
         for st in states:  # the state-by-state evaluation raises this first
             try:
                 reference_identity_row(st)

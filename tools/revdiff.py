@@ -43,9 +43,10 @@ RANDOM_GRIDS = (((11, 10, 9, 9), 0), ((9, 9, 8, 8), 1), ((12, 11, 10, 10), 2))
 DUMP = "import sys, numpy, revdiff; numpy.savez(sys.argv[1], **revdiff.dump())"
 COMMANDS = ("verify", "oracle", "classify", "integrate")
 # overflowing potentials, integrate runs whose CSV prints every state with
-# its identity residuals, integrate's refusals (an unknown family, a family
-# without a reduced start, and a bad --lam of one with it), and the known
-# CLI defects that the benchmark's boundary jobs leave out
+# its identity residuals, a run that blows up (at step 317) as JSON and as
+# CSV, integrate's refusals (an unknown family, a family without a reduced
+# start, and a bad --lam of one with it), and the known CLI defects that the
+# benchmark's boundary jobs leave out
 EDGE_JOBS = (
     "verify --family gaussian --lam 1e308",
     "verify --family product --lam 1e200",
@@ -53,6 +54,8 @@ EDGE_JOBS = (
     "integrate --family singular-steady --from 1 --to 0.01 --format csv",
     "integrate --family product --lam 2.5 --from 0.5 --to 3 --step 1e-2 --format csv",
     "integrate --family product --lam=-0.5 --from 2 --to 1 --step 1e-2 --format csv",
+    "integrate --family product --lam 3 --from 1 --to 30 --step 0.01",
+    "integrate --family product --lam 3 --from 1 --to 30 --step 0.01 --format csv",
     "integrate --family nosuch",
     "integrate --family cylinder --lam 0",
     "integrate --family product --lam 0",

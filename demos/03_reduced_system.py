@@ -5,12 +5,12 @@ The reduced first-order soliton system
 For the doubly-warped ansatz the soliton equation collapses to a first-order
 system in (a, b, f', h) along s.  This demo integrates it from singular
 steady and from product initial data, watching the derived identities stay
-conserved and the branch detector name the solution family, and then
-evaluates the algebra that rules out pairwise-distinct fiber eigenvalues.
+conserved and the branch detector name the solution family.  The algebra
+that rules out pairwise-distinct fiber eigenvalues is proved exactly, by
+computer algebra, in acceptance criterion 7 (``tests/symbolic.py``).
 """
 
-from solitonlab import (branch_label, distinct_fprime, exclusion_residual,
-                        integrate)
+from solitonlab import branch_label, integrate
 from solitonlab.reduced import product_state, singular_steady_state
 
 for title, state in (("singular steady", singular_steady_state(1.0)),
@@ -25,16 +25,12 @@ for title, state in (("singular steady", singular_steady_state(1.0)),
     print(f"  branch label: {branch_label(traj)}\n")
 
 print("closed forms at s = 2: singular steady a = 1/6, b = f' = 1/3;")
-print("product a = 1/2, f' = -2\n")
-
-print("pairwise-distinct eigenframe algebra:")
-for triple in ((1.0, -1.0, 0.0), (3.0, 2.0, 1.0)):
-    fp = distinct_fprime(*triple)
-    res = exclusion_residual(*triple)
-    print(f"  (a,b,c) = {triple}:  forced f' = {fp:+.4f}   "
-          f"exclusion residual = {res:+.4f}")
+print("product a = 1/2, f' = -2")
 print("""
-The residual is proportional to the forced f', so a soliton with three
-distinct level-surface eigenvalues must have constant potential: the
-pairwise-distinct case cannot occur away from the Einstein regime.
+Pairwise-distinct fiber eigenvalues force a potential slope f', and
+differentiating the commutator coefficient alpha^2 in s two ways leaves
+-(a-b)^4 f' / (2P).  So a soliton with three distinct level-surface
+eigenvalues has constant potential: the pairwise-distinct case cannot occur
+away from the Einstein regime.  Acceptance criterion 7 proves this identity
+exactly, by computer algebra (tests/symbolic.py).
 """)

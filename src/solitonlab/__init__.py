@@ -23,10 +23,8 @@ from .families import (MetricFamily, Profile, SolitonData, broken_family,
 from .fdgrid import CurvatureBundle, MetricGrid, fd_curvature, grid_from_family
 from .frames import sym_eigen, sym_eigvals, tensor_norm
 from .reduced import (DwDerivatives, ReducedState, Trajectory, branch_label,
-                      distinct_fprime, distinct_frame_relations, dw_rhs,
-                      exclusion_residual, integrate, product_state,
-                      reduced_identity_residuals, singular_steady_state,
-                      warp3_rhs)
+                      dw_rhs, integrate, product_state, reduced_identity_residuals,
+                      singular_steady_state, warp3_rhs)
 from .verify import (ResidualReport, codazzi_residual_closed, hamilton_check,
                      oracle_deviation, soliton_residual)
 

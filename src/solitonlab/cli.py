@@ -307,7 +307,7 @@ def _args_from_job(parser: argparse.ArgumentParser, path: str):
             continue
         flag = flags.get(key, key.replace("_", "-"))
         if flag == "s" and isinstance(val, (list, tuple)):
-            val = f"{val[0]}:{val[1]}"
+            val = ":".join(map(str, val))  # any number of ends: _parse_range judges
         argv += [f"--{flag}", str(val)]
     return parser.parse_args(argv)
 

@@ -26,23 +26,10 @@ with numpy, from the same formulas (`Trajectory.identities`): every power
 still goes through Python's float pow, in a single pass over the states,
 because numpy's ``power`` rounds some squares and cubes differently, so
 each residual has the bits of the one-state evaluation.
-
-The module also carries the algebra of the pairwise-distinct eigenvalue
-case: with eigenframe coefficients (a, b, c) and commutator coefficients
-alpha, beta, gamma of the fiber frame, the bracket structure forces
-
-    alpha^2 = (a - b)^4 / (4 P),   beta/alpha = (b - c)^2 / (a - b)^2,
-    gamma/alpha = (a - c)^2 / (a - b)^2,   P = a^2+b^2+c^2-ab-bc-ac,
-
-and differentiating alpha^2 in s two ways leaves a residual proportional to
-f'; the residual vanishing forces f' = 0, which excludes pairwise-distinct
-fiber eigenvalues on a non-Einstein soliton.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -244,7 +231,7 @@ def reduced_identity_residuals(st: ReducedState, ap: float) -> dict[str, float]:
 class _IdentityTable(NamedTuple):
     """The identity residuals of a run of states, from one evaluation."""
 
-    states: tuple[ReducedState, ...]
+    columns: np.ndarray     # (7, N): the states, as `Trajectory.columns`
     values: np.ndarray      # (5, N): row i holds IDENTITIES[i] at every state
     applicable: np.ndarray  # a != b
     branch: np.ndarray      # k != 0, so branch_cubic is reported
@@ -267,22 +254,22 @@ class _IdentityTable(NamedTuple):
         return float(peak[0] if np.isnan(peak[0]) else np.fmax.reduce(peak))
 
     def to_csv(self) -> str:
-        """One CSV row per state, each value as ``%.17g``.  The header is the
-        union of the rows' keys: s, a, b, fp, h, then ``res_<identity>`` in
-        `IDENTITIES` order, then ``res_inapplicable``; a missing cell is empty."""
-        rows = [{"s": st.s, "a": st.a, "b": st.b, "fp": st.fp, "h": st.h,
-                 **{f"res_{k}": v for k, v in res.items()}}
-                for st, res in zip(self.states, self.rows())]
-        keys = set().union(*rows)
-        fields = [key for key in ("s", "a", "b", "fp", "h",
-                                  *(f"res_{k}" for k in (*IDENTITIES, "inapplicable")))
-                  if key in keys]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: "%.17g" % v for k, v in row.items()})
-        return buf.getvalue()
+        """One CSV row per state, each value as ``%.17g``.  The header is s, a,
+        b, fp, h, then ``res_<identity>`` in `IDENTITIES` order, then
+        ``res_inapplicable``, each residual only where some row reports it;
+        a cell that its row does not report is empty."""
+        ok = self.applicable
+        header = ["s", "a", "b", "fp", "h"]
+        cells = [["%.17g" % v for v in col] for col in self.columns[:5].tolist()]
+        for name, col, shown in zip(IDENTITIES, self.values.tolist(),
+                                    (ok,) * 4 + (ok & self.branch,)):
+            if shown.any():
+                header.append(f"res_{name}")
+                cells.append(["%.17g" % v if m else "" for v, m in zip(col, shown.tolist())])
+        if not ok.all():
+            header.append("res_inapplicable")
+            cells.append(["" if m else "1" for m in ok.tolist()])
+        return "".join(",".join(row) + "\n" for row in (header, *zip(*cells)))
 
 
 def _columns(states) -> np.ndarray:
@@ -308,12 +295,13 @@ def _identity_table(states, columns=None) -> _IdentityTable:
     the powers (`_powers`) in Python, so it raises what the first failing
     state raises in the one-state evaluation; a' (in `_rhs`'s operation
     order) and the formulas then run over the columns."""
-    _, a, b, fp, _, lam, k = _columns(states) if columns is None else columns
+    columns = _columns(states) if columns is None else columns
+    _, a, b, fp, _, lam, k = columns
     a2, kh2, a3 = np.fromiter(_powers(states), float, 3 * len(states)).reshape(-1, 3).T
     with np.errstate(all="ignore"):  # inf and nan, as float arithmetic gives them
         ap = fp * a - a2 - 2.0 * a * b - lam
         values = np.array(_identities(a, b, fp, lam, kh2, ap, a3))
-    return _IdentityTable(tuple(states), values, a != b, k != 0.0)
+    return _IdentityTable(columns, values, a != b, k != 0.0)
 
 
 def branch_label(traj: Trajectory) -> tuple[str, ...]:
@@ -338,56 +326,3 @@ def warp3_rhs(h: float, hp: float, fp: float, lam: float, k: float) -> tuple[flo
     fpp = lam + 3.0 * hpp / h
     return hpp, fpp
 
-
-# ---------------------------------------------------------------------------
-# pairwise-distinct eigenvalue algebra
-
-def _pairwise_distinct_P(a: float, b: float, c: float) -> float:
-    # stable form of a^2+b^2+c^2-ab-bc-ac: zero exactly iff a = b = c
-    P = 0.5 * ((a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2)
-    if P == 0.0:
-        raise DomainError("a = b = c: the eigenframe algebra degenerates")
-    return P
-
-
-def fprime_numerator(a: float, b: float, c: float) -> float:
-    """a^2 b + a^2 c + a b^2 + a c^2 + b^2 c + c^2 b - 6abc, equal to
-    a(b-c)^2 + b(c-a)^2 + c(a-b)^2."""
-    return (a * a * b + a * a * c + a * b * b + a * c * c
-            + b * b * c + c * c * b - 6.0 * a * b * c)
-
-
-def distinct_fprime(a: float, b: float, c: float) -> float:
-    """The potential slope forced by pairwise-distinct fiber eigenvalues."""
-    return fprime_numerator(a, b, c) / (2.0 * _pairwise_distinct_P(a, b, c))
-
-
-def _require_pairwise_distinct(a: float, b: float, c: float) -> float:
-    if a == b or b == c or a == c:
-        raise DomainError("eigenframe coefficients must be pairwise distinct")
-    return _pairwise_distinct_P(a, b, c)
-
-
-def distinct_frame_relations(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """(alpha^2, beta/alpha, gamma/alpha) of the fiber commutator coefficients."""
-    P = _require_pairwise_distinct(a, b, c)
-    ab2 = (a - b) ** 2
-    return (ab2 * ab2 / (4.0 * P), (b - c) ** 2 / ab2, (a - c) ** 2 / ab2)
-
-
-def exclusion_residual(a: float, b: float, c: float) -> float:
-    """Difference of the two closed-form expressions for 2 alpha alpha'.
-
-    Expression one differentiates alpha^2 = (a-b)^4/(4P) in s using the
-    propagation rules b' - a' = a^2 - b^2, c' - a' = a^2 - c^2; expression
-    two uses E_1(alpha) = alpha (c - a - b).  The difference simplifies to
-    -(a-b)^4 / (2P) * distinct_fprime(a, b, c), so it vanishes exactly when
-    the forced potential slope does.
-    """
-    P = _require_pairwise_distinct(a, b, c)
-    ab4 = (a - b) ** 4
-    sym_term = (6.0 * a * b * c - a * a * b - a * b * b - a * a * c
-                - a * c * c - b * b * c - b * c * c)
-    expr1 = -(ab4 / P) * (0.5 * (a + b - c) - sym_term / (4.0 * P))
-    expr2 = -(ab4 / (2.0 * P)) * (a + b - c)
-    return expr1 - expr2

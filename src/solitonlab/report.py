@@ -93,10 +93,14 @@ def flatten(obj, prefix: str = "") -> list[tuple[str, str]]:
     return rows
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted where it holds a comma, a quote or
+    a line break."""
+    if any(ch in text for ch in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def canonical_csv(obj) -> str:
-    lines = ["key,value"]
-    for key, val in flatten(obj):
-        if "," in val or '"' in val:
-            val = '"' + val.replace('"', '""') + '"'
-        lines.append(f"{key},{val}")
+    lines = ["key,value", *(f"{_csv_field(k)},{_csv_field(v)}" for k, v in flatten(obj))]
     return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ Tolerances are pinned here and must not be loosened.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 from solitonlab.classify import LABEL_UNKNOWN, classify
@@ -17,9 +18,7 @@ from solitonlab.families import (SolitonData, broken_family, cylinder_family,
 from solitonlab.fdgrid import (fd_codazzi_block, fd_curvature, fd_ricci_block,
                                grid_from_family)
 from solitonlab.frames import tensor_norm
-from solitonlab.reduced import (distinct_fprime, distinct_frame_relations,
-                                exclusion_residual, fprime_numerator,
-                                integrate, singular_steady_state)
+from solitonlab.reduced import integrate, singular_steady_state
 from solitonlab.verify import (codazzi_residual_closed, hamilton_check,
                                oracle_deviation, soliton_residual)
 
@@ -187,35 +186,19 @@ def test_criterion_6_reduced_ode_fidelity():
 
 
 def test_criterion_7_distinct_eigenvalue_algebra():
-    rng = np.random.default_rng(12345)
-    ok = True
-    checked = 0
-    while checked < 10_000:
-        a, b, c = rng.uniform(-5.0, 5.0, size=3)
-        if min(abs(a - b), abs(b - c), abs(a - c)) < 1e-3:
-            continue
-        checked += 1
-        fp = distinct_fprime(a, b, c)
-        res = exclusion_residual(a, b, c)
-        if abs(fp) <= 1e-12 and abs(res) > 1e-12:
-            ok = False
-        if res == 0.0 and abs(fp) > 1e-12:
-            ok = False
-        # numerator identity, relative 1e-12
-        lhs = fprime_numerator(a, b, c)
-        rhs = a * (b - c) ** 2 + b * (c - a) ** 2 + c * (a - b) ** 2
-        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
-            ok = False
-        # commutator coefficient ratios satisfy their defining relations
-        a2, ba, ga = distinct_frame_relations(a, b, c)
-        alpha = math.sqrt(a2)
-        beta, gamma = ba * alpha, ga * alpha
-        lhs1 = (-alpha - gamma + beta) * (b - c)
-        rhs1 = (a - c) * (alpha - gamma + beta)
-        scale = max(1.0, abs(lhs1), abs(rhs1))
-        if abs(lhs1 - rhs1) > 1e-13 * scale:
-            ok = False
-    report("7 distinct-eigenvalue algebra", ok, f"{checked} triples")
+    import symbolic  # sympy, imported by this test alone
+
+    held = {
+        "numerator": symbolic.numerator_residual() == 0,
+        "frame relations": symbolic.frame_relation_residuals() == (0, 0, 0),
+        "exclusion": (symbolic.exclusion_identity_residual() == 0
+                      and symbolic.A not in symbolic.exclusion_difference().free_symbols),
+        "pins": symbolic.exclusion_pins() == (Fraction(-1, 3), 0),
+    }
+    failed = [name for name, ok in held.items() if not ok]
+    report("7 distinct-eigenvalue algebra", not failed,
+           f"exact; failed: {', '.join(failed)}" if failed
+           else f"exact: {', '.join(held)}")
 
 
 def test_criterion_8_classifier():

@@ -9,6 +9,9 @@ deleted with those tests, unless `KEEP` gives the reason to keep it.
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import solitonlab
@@ -82,3 +85,29 @@ def package_imports(module):
 def test_closed_forms_and_fd_oracle_import_only_the_shared_modules():
     for module, allowed in ALLOWED_IMPORTS.items():
         assert package_imports(module) <= allowed, module
+
+
+def imported_roots(path):
+    """The top-level names of the modules that the file at ``path`` imports."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots.add((node.module or "").split(".")[0])  # "" for a relative import
+    return roots
+
+
+def test_exact_witness_imports_only_the_standard_library_and_sympy():
+    # so that no fault of the package can hide in what it proves
+    roots = imported_roots(ROOT / "tests" / "symbolic.py")
+    assert roots - sys.stdlib_module_names == {"sympy"}
+
+
+def test_importing_the_package_leaves_sympy_out():
+    code = "import sys, solitonlab, solitonlab.cli; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"

@@ -1,5 +1,7 @@
+import csv
 import importlib.util
 import inspect
+import io
 import json
 import sys
 import warnings
@@ -289,6 +291,17 @@ def test_bad_job_file_exits_2(tmp_path, capsys):
     assert main(["job", str(path)]) == 2
 
 
+@pytest.mark.parametrize("ends", [[0.5], [], [0.5, 1.0, 2.0]])
+def test_job_range_without_two_ends_exits_2_with_one_line(ends, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "verify", "family": "cylinder", "s_range": ends}))
+    assert main(["job", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "range must look like 0.5:2.0" in lines[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "singular-steady", "--samples", "32"],
     ["integrate", "--family", "singular-steady", "--from", "1", "--to", "1.5",
@@ -351,6 +364,18 @@ def test_canonical_csv_flatten():
     assert '"x,y"' in text
 
 
+def test_report_csv_quotes_keys_and_line_breaks(tmp_path, capsys):
+    obj = {"a,b": 1, "note": "l1\nl2", 'q"k': 2, "cr": "x\ry", "plain": "z"}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(["report", "--in", str(path), "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0] == ["key", "value"]
+    assert dict(rows[1:]) == {"a,b": "1", "note": "l1\nl2", 'q"k': "2", "cr": "x\ry",
+                              "plain": "z"}
+
+
 # Exit-code contract: boundary values of every option give exit 0, 1 or 2,
 # never an escaping exception.  Values stay small so that no run builds a
 # large grid or takes many RK4 steps; only --lam also draws two huge values,
@@ -400,11 +425,15 @@ def test_cli_exit_contract_on_boundary_values(tmp_path_factory, argv):
     assert exit_code(argv + ["--out", str(out)]) in (0, 1, 2)
 
 
+# a job file's s_range as a list of JSON numbers, of any length
+JOB_RANGES = st.lists(st.sampled_from([-1, 0, 0.5, 2.5]), max_size=3)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.sampled_from(["", "[1, 2]", "{}", '{"pass": false}', "{", "null"]),
        st.sampled_from(["verify", "oracle", "report", "nosuch", None]),
        st.dictionaries(st.sampled_from(["family", "lam", "tol", "s_range", "in"]),
-                       NUMBERS, max_size=3))
+                       st.one_of(NUMBERS, JOB_RANGES), max_size=3))
 def test_report_and_job_exit_contract(tmp_path_factory, text, command, fields):
     path = tmp_path_factory.getbasetemp() / "contract_input.json"
     path.write_text(text)

@@ -1,22 +1,18 @@
 import csv
+import io
 import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from solitonlab import cli, reduced
 from solitonlab.errors import DomainError
-from solitonlab.reduced import (MAX_STEPS, ReducedState, branch_label,
-                                distinct_fprime,
-                                distinct_frame_relations, dw_rhs,
-                                exclusion_residual, fprime_numerator, integrate,
-                                product_state, reduced_identity_residuals,
-                                singular_steady_state,
-                                warp3_rhs)
+from solitonlab.reduced import (MAX_STEPS, ReducedState, branch_label, dw_rhs,
+                                integrate, product_state, reduced_identity_residuals,
+                                singular_steady_state, warp3_rhs)
 
 
 def test_dw_rhs_singular_steady_point():
@@ -181,110 +177,6 @@ def test_warp3_rhs_gaussian_line():
         assert_allclose(fpp, lam, rtol=1e-14)
 
 
-def test_distinct_fprime_reference_values():
-    assert distinct_fprime(1.0, -1.0, 0.0) == 0.0
-    assert_allclose(distinct_fprime(2.0, 1.0, 1.0), 1.0, rtol=1e-15)
-    with pytest.raises(DomainError):
-        distinct_fprime(0.7, 0.7, 0.7)
-
-
-def test_distinct_frame_relations_reference_values():
-    a2, ba, ga = distinct_frame_relations(1.0, -1.0, 0.0)
-    assert_allclose((a2, ba, ga), (4.0 / 3.0, 0.25, 0.25), rtol=1e-15)
-    with pytest.raises(DomainError):
-        distinct_frame_relations(2.0, 1.0, 1.0)
-
-
-def test_distinct_frame_relations_scaling():
-    a, b, c = 1.3, -0.4, 0.6
-    a2, ba, ga = distinct_frame_relations(a, b, c)
-    for t in (0.5, 2.0, 10.0):
-        a2t, bat, gat = distinct_frame_relations(t * a, t * b, t * c)
-        assert_allclose(a2t, t * t * a2, rtol=1e-12)
-        assert_allclose((bat, gat), (ba, ga), rtol=1e-12)
-
-
-def test_exclusion_residual_reference_values():
-    assert exclusion_residual(1.0, -1.0, 0.0) == 0.0
-    # pinned regression value: -(a-b)^4/(2P) * f' = -(1/6)*2 at (3, 2, 1)
-    assert_allclose(exclusion_residual(3.0, 2.0, 1.0), -1.0 / 3.0, rtol=1e-13)
-    for t in (0.3, 1.0, 7.0):
-        assert abs(exclusion_residual(t, -t, 0.0)) <= 1e-14 * t**3
-
-
-triple = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=300, deadline=None)
-@given(triple, triple, triple)
-def test_numerator_identity(a, b, c):
-    lhs = fprime_numerator(a, b, c)
-    rhs = a * (b - c) ** 2 + b * (c - a) ** 2 + c * (a - b) ** 2
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
-
-
-@settings(max_examples=300, deadline=None)
-@given(triple, triple, triple)
-def test_numerator_symmetry(a, b, c):
-    base = fprime_numerator(a, b, c)
-    # rounding scales with the cubic term size, not the (cancelled) result
-    scale = max(1.0, max(abs(a), abs(b), abs(c)) ** 3)
-    import itertools
-    for perm in itertools.permutations((a, b, c)):
-        assert abs(fprime_numerator(*perm) - base) <= 1e-13 * scale
-
-
-def _pairwise_separated(a, b, c, gap=1e-3):
-    return abs(a - b) >= gap and abs(b - c) >= gap and abs(a - c) >= gap
-
-
-@settings(max_examples=400, deadline=None)
-@given(triple, triple, triple)
-def test_exclusion_residual_proportional_to_fprime(a, b, c):
-    if not _pairwise_separated(a, b, c):
-        return
-    P = a * a + b * b + c * c - a * b - b * c - a * c
-    expected = -((a - b) ** 4 / (2.0 * P)) * distinct_fprime(a, b, c)
-    got = exclusion_residual(a, b, c)
-    assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
-
-
-@settings(max_examples=400, deadline=None)
-@given(triple, triple, triple)
-def test_frame_relation_compatibility(a, b, c):
-    """The commutator coefficients satisfy the three linear compatibility
-    relations that force them, e.g.
-    -alpha - gamma + beta = ((a-c)/(b-c)) (alpha - gamma + beta)."""
-    if not _pairwise_separated(a, b, c, gap=1e-2):
-        return
-    a2, ba, ga = distinct_frame_relations(a, b, c)
-    alpha = math.sqrt(a2)
-    beta, gamma = ba * alpha, ga * alpha
-    scale = max(1.0, alpha, beta, gamma)
-    r1 = (-alpha - gamma + beta) - ((a - c) / (b - c)) * (alpha - gamma + beta)
-    r2 = (-beta - alpha + gamma) - ((b - a) / (c - a)) * (beta - alpha + gamma)
-    r3 = (-gamma - beta + alpha) - ((c - b) / (a - b)) * (gamma - beta + alpha)
-    assert abs(r1) <= 1e-9 * scale
-    assert abs(r2) <= 1e-9 * scale
-    assert abs(r3) <= 1e-9 * scale
-
-
-def test_exclusion_iff_fprime_over_random_triples():
-    rng = np.random.default_rng(0)
-    checked = 0
-    while checked < 10_000:
-        a, b, c = rng.uniform(-5.0, 5.0, size=3)
-        if not _pairwise_separated(a, b, c):
-            continue
-        checked += 1
-        fp = distinct_fprime(a, b, c)
-        res = exclusion_residual(a, b, c)
-        if abs(fp) <= 1e-12:
-            assert abs(res) <= 1e-12
-        if res == 0.0:
-            assert abs(fp) <= 1e-12
-
-
 def test_trajectory_csv_export():
     traj = integrate(singular_steady_state(1.0), 1.1, 0.05)
     text = traj.identities.to_csv()
@@ -305,6 +197,36 @@ def test_trajectory_csv_header_is_the_union_of_the_rows_keys():
     assert rows[1][5:] == [""] * 5 + ["1"]
     second = reduced_identity_residuals(traj.states[1], dw_rhs(traj.states[1]).ap)
     assert rows[2][5:] == ["%.17g" % second[k] for k in reduced.IDENTITIES] + [""]
+
+
+def reference_csv(traj):
+    """The integrate CSV written as one dict per state through csv.DictWriter,
+    the header the union of the rows' keys in the documented order."""
+    rows = [{"s": st.s, "a": st.a, "b": st.b, "fp": st.fp, "h": st.h,
+             **{f"res_{k}": v for k, v in res.items()}}
+            for st, res in zip(traj.states, traj.identity_residual_rows())]
+    keys = set().union(*rows)
+    order = ("s", "a", "b", "fp", "h",
+             *(f"res_{k}" for k in (*reduced.IDENTITIES, "inapplicable")))
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, [k for k in order if k in keys], restval="",
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: "%.17g" % v for k, v in row.items()} for row in rows)
+    return buf.getvalue()
+
+
+def test_trajectory_csv_has_the_bytes_of_the_dictwriter_table():
+    same = ReducedState(0, .4, .4, .1, 1, 0, 1)  # a == b: inapplicable
+    other = ReducedState(0, .3, -.2, .5, 1.2, -1, 1)
+    k0 = ReducedState(1, .3, -.2, math.nan, 1.2, -1, 0)  # no branch_cubic, NaN cells
+    runs = [integrate(singular_steady_state(1.0), 1.1, 0.01),
+            integrate(product_state(1.0, -1.0), 1.2, 0.01),
+            integrate(product_state(1.0, 3.0), 30.0, 0.01),  # truncated: state blow-up
+            reduced.Trajectory((same, same)), reduced.Trajectory((other, same, k0))]
+    assert runs[2].truncated
+    for traj in runs:
+        assert traj.identities.to_csv() == reference_csv(traj)
 
 
 def reference_rk4_step(st, ds):

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .classify import LABEL_UNKNOWN, SAMPLE, classify, sample_family
-from .families import BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily, canonical_family
+from .families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, PARAMETRIC_FAMILIES, MetricFamily,
+                       canonical_family)
 from .fdgrid import MARGIN_CODAZZI, grid_from_family
 from .reduced import branch_label, integrate
 from .report import canonical_csv, canonical_json
@@ -42,6 +43,8 @@ _CLI_FAMILIES = {name.replace("_", "-"): name for name in CANONICAL_FAMILIES}
 # before it builds the family
 _REDUCED_FAMILIES = sorted(cli for cli, name in _CLI_FAMILIES.items()
                            if canonical_family(name).reduced is not None)
+# the families whose soliton constant --lam sets
+_LAM_FAMILIES = sorted(cli for cli, name in _CLI_FAMILIES.items() if name in PARAMETRIC_FAMILIES)
 
 
 def _build_family(name: str, lam) -> MetricFamily:
@@ -49,6 +52,23 @@ def _build_family(name: str, lam) -> MetricFamily:
         raise UsageError(f"unknown family {name!r}; choose from "
                          f"{sorted(_CLI_FAMILIES)}")
     return canonical_family(_CLI_FAMILIES[name], lam)
+
+
+def _check_lam(args) -> None:
+    """Refuse a --lam that nothing would read: next to --samples-file, or
+    on a family without a soliton constant.  An unknown family is left to
+    `_build_family`."""
+    if getattr(args, "samples_file", None):
+        raise UsageError("--lam does not apply to --samples-file")
+    if args.family in _CLI_FAMILIES and args.family not in _LAM_FAMILIES:
+        raise UsageError(f"family {args.family!r} has no soliton constant; --lam applies "
+                         f"to {_LAM_FAMILIES}")
+
+
+def _job(args, **fields) -> dict:
+    """The job block of a report: the command, ``fields``, and the --lam
+    when one is given."""
+    return {"command": args.command, **fields, **({} if args.lam is None else {"lam": args.lam})}
 
 
 def _read_json(path: str, what: str):
@@ -106,8 +126,7 @@ def _cmd_verify(args) -> tuple[dict, bool, None]:
     checks.update((name, rep.as_dict()) for name, rep in reports.items())
     passed = all(rep.max_abs <= args.tol for rep in reports.values())
     report = {
-        "job": {"command": "verify", "family": args.family,
-                "s_range": list(args.s), "samples": args.samples},
+        "job": _job(args, family=args.family, s_range=list(args.s), samples=args.samples),
         "thresholds": {"residual_tol": args.tol},
         "checks": checks,
         "pass": passed,
@@ -125,8 +144,8 @@ def _cmd_integrate(args) -> tuple[dict, bool, str | None]:
     end = traj.final
     passed = (worst <= args.tol) and not traj.truncated
     report = {
-        "job": {"command": "integrate", "family": args.family,
-                "from": getattr(args, "from"), "to": args.to, "step": args.step},
+        "job": _job(args, family=args.family, to=args.to, step=args.step,
+                    **{"from": getattr(args, "from")}),
         "thresholds": {"identity_tol": args.tol},
         "truncated": traj.truncated,
         "reason": traj.reason,
@@ -157,8 +176,7 @@ def _cmd_oracle(args) -> tuple[dict, bool, None]:
     worst_s = float(grid.axes[0][nodes[int(np.argmax(devs))][0]])
     passed = bool(worst <= args.tol)
     report = {
-        "job": {"command": "oracle", "family": args.family,
-                "s_range": list(args.s), "nodes": n_s},
+        "job": _job(args, family=args.family, s_range=list(args.s), nodes=n_s),
         "thresholds": {"agreement_tol": args.tol},
         "max_relative_deviation": worst,
         "worst_s": worst_s,
@@ -201,7 +219,7 @@ def _cmd_classify(args) -> tuple[dict, bool, None]:
     verdict = classify(samples, args.tol)
     passed = verdict.label != LABEL_UNKNOWN
     report = {
-        "job": {"command": "classify", **job_src},
+        "job": _job(args, **job_src),
         "thresholds": {"tol": args.tol},
         "verdict": verdict.as_dict(),
         "pass": passed,
@@ -223,7 +241,10 @@ def _dispatch(args) -> int:
     else:
         text = canonical_json(report)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:  # a directory, a missing parent, no permission
+            raise UsageError(f"cannot write report {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0 if passed else 1
@@ -323,6 +344,8 @@ def main(argv=None) -> int:
         if args.command != "report" and not getattr(args, "samples_file", None) \
                 and args.family is None:
             raise UsageError("--family is required")
+        if getattr(args, "lam", None) is not None:
+            _check_lam(args)
         return _dispatch(args)
     except (UsageError, ValueError) as exc:  # ValueError covers DomainError
         print(f"solitonlab: error: {exc}", file=sys.stderr)

@@ -260,7 +260,8 @@ CANONICAL_FAMILIES = {
     "flat": flat_family,
     "broken_product": broken_family,
 }
-_PARAMETRIC = ("product", "gaussian", "cylinder")
+# the families whose constructor takes the soliton constant lam
+PARAMETRIC_FAMILIES = ("product", "gaussian", "cylinder")
 
 
 def canonical_family(name: str, lam: float | None = None) -> MetricFamily:
@@ -270,7 +271,7 @@ def canonical_family(name: str, lam: float | None = None) -> MetricFamily:
     if name not in CANONICAL_FAMILIES:
         raise UnsupportedFamilyError(f"unknown family name {name!r}")
     build = CANONICAL_FAMILIES[name]
-    return build() if lam is None or name not in _PARAMETRIC else build(lam)
+    return build() if lam is None or name not in PARAMETRIC_FAMILIES else build(lam)
 
 
 def require_positive(v, s, profile: Profile, name: str):

@@ -175,7 +175,7 @@ def tensor_norm(t, g=None) -> float:
         Linv = _whitener(g)
         for _ in range(t.ndim):  # whiten the leading index, then rotate it to the back
             t = (Linv @ t.reshape(DIM, -1)).T
-        norm = float(np.sum(np.square(t.ravel())))  # t's index order: g = I adds as t * t
+        norm = float(np.add.reduce(np.square(t.ravel())))  # np.sum's loop; g = I adds as t * t
     if not math.isfinite(norm):
         raise DomainError("tensor norm is not finite: the tensor is not finite, "
                           "or it or the metric is too large")

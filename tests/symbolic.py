@@ -1,6 +1,10 @@
-"""Exact witnesses, by computer algebra, of claims that the acceptance suite
-makes.  This module imports nothing from `solitonlab`, so no fault of the
-package can hide in it.
+"""Exact witnesses, by computer algebra, of claims that the tests make.
+This module imports nothing from `solitonlab`, so no fault of the package
+can hide in it.
+
+The closed-form curvature: `frame_curvature` derives the frame Riemann
+tensor of a diagonal 4-metric, and `family_curvature` specialises it to
+either block ansatz with exact profiles p(s), h(s), so no float enters.
 
 Criterion 7: the algebra of pairwise-distinct level-surface Ricci
 eigenvalues.  With eigenframe coefficients (a, b, c) and commutator
@@ -26,6 +30,7 @@ expression; the identity holds when that is 0.
 """
 
 from functools import cache
+from itertools import product
 
 import sympy as sp
 
@@ -74,3 +79,72 @@ def exclusion_pins():
     N = 12 and N = 0, as exact rationals."""
     return tuple(exclusion_difference().subs({a: x, b: y, c: z})
                  for x, y, z in ((3, 2, 1), (1, -1, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the frame curvature of the block ansaetze
+
+s, r, theta, phi, k = sp.symbols("s r theta phi k", real=True)
+_p, _h, _u = (sp.Function(name, positive=True) for name in "phu")
+_d = lambda i, j: int(i == j)  # the Kronecker delta
+
+
+def frame_curvature(diagonal, coords):
+    """(gamma, riemann) of g = diag(e_0^2, .., e_3^2), ``diagonal`` = (e_0, ..,
+    e_3) in ``coords``: gamma[a, b, c] = Gamma^a_bc and riemann[i, j, k, l] =
+    <R(E_i, E_j) E_k, E_l> in the frame E_i = d/dx^i / e_i, with R(X, Y) =
+    [grad_X, grad_Y] - grad_[X,Y]; riemann[i, j, j, i] is a sectional."""
+    g, x, n = [e**2 for e in diagonal], coords, range(4)
+    gamma = {(a, b, c): sp.cancel((_d(a, c) * sp.diff(g[a], x[b]) + _d(a, b) * sp.diff(g[a], x[c])
+                                   - _d(b, c) * sp.diff(g[b], x[a])) / (2 * g[a]))
+             for a, b, c in product(n, repeat=3)}
+
+    def component(i, j, m, l):  # g_ll R^l_mij / (e_i e_j e_m e_l)
+        rie = (sp.diff(gamma[l, j, m], x[i]) - sp.diff(gamma[l, i, m], x[j])
+               + sum(gamma[l, i, e] * gamma[e, j, m] - gamma[l, j, e] * gamma[e, i, m] for e in n))
+        return sp.cancel(g[l] * rie / (diagonal[i] * diagonal[j] * diagonal[m] * diagonal[l]))
+
+    return gamma, {q: component(*q) for q in product(n, repeat=4)}
+
+
+@cache
+def _ansatz(warped3: bool):
+    """(zeta, riemann) of g = diag(1, p^2, h^2, h^2 u^2) on (s, t, r, theta)
+    or, on warped3, diag(1, h^2, h^2 u^2, h^2 u^2 sin^2 theta) on (s, r,
+    theta, phi), after u'' = -k u and u'^2 = 1 - k u^2; zeta_i =
+    <grad_{E_i} E_1, E_i> is Gamma^i_i1, as e_1 = 1."""
+    p, h, u = _p(s), _h(s), _u(r)
+    diagonal, coords = (((1, h, h * u, h * u * sp.sin(theta)), (s, r, theta, phi)) if warped3
+                        else ((1, p, h, h * u), (s, sp.Symbol("t"), r, theta)))
+    gamma, riemann = frame_curvature(tuple(map(sp.sympify, diagonal)), coords)
+    up = sp.Symbol("up")  # u', of which only even powers are left
+    ode = {u.diff(r, 2): -k * u, u.diff(r): up}
+    fiber = lambda x: sp.cancel(sp.expand(x.xreplace(ode)).subs(up**2, 1 - k * u**2))
+    return (tuple(fiber(gamma[i, i, 0]) for i in (1, 2, 3)),
+            {q: fiber(x) for q, x in riemann.items()})
+
+
+@cache
+def family_curvature(p, h, k_value):
+    """`_ansatz` at the profiles p(s), h(s), expressions in `s` (p None on
+    warped3), and the fiber curvature ``k_value``, as expressions in s."""
+    zeta, riemann = _ansatz(p is None)
+    values = {_h(s): h, k: k_value, **({} if p is None else {_p(s): p})}
+    on = lambda x: sp.cancel(x.subs(values).doit())
+    return tuple(map(on, zeta)), {q: on(x) for q, x in riemann.items()}
+
+
+def ricci(riemann):
+    """Ric_jl = sum_i riemann[j, i, i, l]."""
+    return {(j, l): sum(riemann[j, i, i, l] for i in range(4))
+            for j, l in product(range(4), repeat=2)}
+
+
+def weyl_sq(riemann):
+    """|W|^2 of a frame Riemann tensor, W = R + (d_ik A_jl - d_il A_jk + d_jl A_ik
+    - d_jk A_il) / 2 - (R / 6)(d_ik d_jl - d_il d_jk) with A = Ric, d = delta."""
+    a = ricci(riemann)
+    r6 = sum(a[i, i] for i in range(4)) / 6
+    return sum((x + (_d(i, m) * a[j, l] - _d(i, l) * a[j, m] + _d(j, l) * a[i, m]
+                     - _d(j, m) * a[i, l]) / 2 - r6 * (_d(i, m) * _d(j, l) - _d(i, l) * _d(j, m))) ** 2
+               for (i, j, m, l), x in riemann.items())

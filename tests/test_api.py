@@ -87,21 +87,28 @@ def test_closed_forms_and_fd_oracle_import_only_the_shared_modules():
         assert package_imports(module) <= allowed, module
 
 
-def imported_roots(path):
-    """The top-level names of the modules that the file at ``path`` imports."""
-    roots = set()
+def imported_names(path):
+    """The dotted names that the file at ``path`` imports ("m.x" for
+    ``from m import x``; a relative import starts with ".")."""
+    names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            roots |= {a.name.split(".")[0] for a in node.names}
+            names |= {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom):
-            roots.add((node.module or "").split(".")[0])  # "" for a relative import
-    return roots
+            names |= {f"{node.module or ''}.{a.name}" for a in node.names}
+    return names
 
 
 def test_exact_witness_imports_only_the_standard_library_and_sympy():
     # so that no fault of the package can hide in what it proves
-    roots = imported_roots(ROOT / "tests" / "symbolic.py")
+    roots = {name.split(".")[0] for name in imported_names(ROOT / "tests" / "symbolic.py")}
     assert roots - sys.stdlib_module_names == {"sympy"}
+
+
+def test_test_helpers_take_nothing_from_the_closed_forms():
+    # the exact witness is the tables' one reference: no float stand-in beside it
+    names = imported_names(ROOT / "tests" / "helpers.py")
+    assert not [n for n in names if f"{n}.".startswith("solitonlab.curvature.")]
 
 
 def test_importing_the_package_leaves_sympy_out():

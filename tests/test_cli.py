@@ -126,9 +126,24 @@ def test_usage_errors_exit_2(argv, capsys):
     ["verify", "--family", "flat", "--samples", str(10**15)],
     ["classify", "--family", "flat", "--samples", str(10**15)],
     ["oracle", "--family", "flat", "--nodes", str(10**15)],
+    # a --lam on a family without a soliton constant, which nothing would read
+    ["verify", "--family", "sphere", "--lam", "5"],
+    ["oracle", "--family", "singular-steady", "--lam", "1"],
+    ["integrate", "--family", "singular-steady", "--lam", "1"],
+    ["classify", "--family", "flat", "--lam", "0"],
 ])
 def test_domain_errors_exit_2_with_one_line(argv, capsys):
     assert_exit_2_with_one_line(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "product"], ["oracle", "--family", "cylinder", "--nodes", "33"],
+    ["classify", "--family", "gaussian"], ["integrate", "--family", "product"],
+], ids=lambda argv: argv[0])
+def test_job_block_records_lam_when_given(argv, capsys):
+    jobs = [json.loads(run(argv + lam, capsys)[1])["job"] for lam in ([], ["--lam=-0.5"], ["--lam=-2"])]
+    assert "lam" not in jobs[0] and [job.pop("lam") for job in jobs[1:]] == [-0.5, -2.0]
+    assert jobs[1:] == [jobs[0]] * 2
 
 
 def assert_exit_2_with_one_line(argv, capsys):
@@ -237,6 +252,8 @@ BAD_FIELDS = [("fprime", None, SAMPLE_ROW), ("scalar", "x", SAMPLE_ROW),
               ("s", None, PAIR_ROW), ("s", True, SAMPLE_ROW),
               ("scalar", float("nan"), SAMPLE_ROW), ("eigenvalues", [1.0, 1.0, 1.0], SAMPLE_ROW),
               ("eigenvalues", [1.0, 1.0, 1.0, None], SAMPLE_ROW)]
+# in place of a file's content: the path is a directory, or its parent is missing
+DIRECTORY, NO_PARENT = "<directory>", "<no parent>"
 
 
 @pytest.mark.parametrize("argv, content, names", [
@@ -246,15 +263,24 @@ BAD_FIELDS = [("fprime", None, SAMPLE_ROW), ("scalar", "x", SAMPLE_ROW),
     (["classify", "--samples-file"], None, None),
     (["report", "--in"], None, None),
     (["report", "--in"], [1, 2, 3], None),
+    (["verify", "--family", "flat", "--out"], DIRECTORY, "cannot write report"),
+    (["verify", "--family", "flat", "--out"], NO_PARENT, "cannot write report"),
+    (["job"], {"command": "verify", "family": "flat", "out": "."}, "cannot write report '.'"),
+    (["classify", "--lam", "1", "--samples-file"], [SAMPLE_ROW] * 8, "--lam"),
 ] + [(["classify", "--samples-file"], [dict(row, **{key: value})] * 8, f"row 0: {key}")
      for key, value, row in BAD_FIELDS],
     ids=["row-missing-key", "row-not-object", "missing-samples-file",
-         "missing-report", "report-not-object", "fprime-null", "scalar-string",
+         "missing-report", "report-not-object", "out-directory", "out-no-parent",
+         "job-out-directory", "lam-and-samples-file", "fprime-null", "scalar-string",
          "weyl_sq-null", "fprime-list", "s-null-pair", "s-bool", "scalar-nan",
          "three-eigenvalues", "eigenvalue-null"])
 def test_bad_input_files_exit_2_with_one_line(argv, content, names, tmp_path, capsys):
     path = tmp_path / "input.json"
-    if content is not None:
+    if content == NO_PARENT:
+        path = tmp_path / "nosuch" / "input.json"
+    elif content == DIRECTORY:
+        path.mkdir()
+    elif content is not None:
         path.write_text(json.dumps(content))
     assert main(argv + [str(path)]) == 2
     captured = capsys.readouterr()
@@ -419,9 +445,9 @@ def exit_code(argv) -> int:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(cli_argv())
-def test_cli_exit_contract_on_boundary_values(tmp_path_factory, argv):
-    out = tmp_path_factory.getbasetemp() / "contract_report.json"
+@given(cli_argv(), st.sampled_from(["contract_report.json", ".", "nosuch/report.json"]))
+def test_cli_exit_contract_on_boundary_values(tmp_path_factory, argv, out):
+    out = tmp_path_factory.getbasetemp() / out
     assert exit_code(argv + ["--out", str(out)]) in (0, 1, 2)
 
 

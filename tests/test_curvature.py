@@ -4,20 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from solitonlab.curvature import (dw_table, family_eigenvalues, family_table,
+from solitonlab.curvature import (PLANES, dw_table, family_eigenvalues, family_table,
                                   family_weyl_sq, warp3_table)
 from solitonlab.errors import DomainError
 from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily,
-                                 broken_family, canonical_family, constant_profile,
-                                 cylinder_family, gaussian_family, power_profile,
+                                 canonical_family, constant_profile, power_profile,
                                  product_family, sin_profile, singular_steady_family,
                                  sphere_family)
-from solitonlab.frames import tensor_norm
 
-from helpers import family_bundle, ricci_from_riemann, riemann_symmetry_residuals
+import symbolic
 
 STEADY = singular_steady_family()
 ONE = constant_profile(1.0)
@@ -57,54 +56,6 @@ def test_dw_table_scalar_is_eigenvalue_sum():
     assert_allclose(t.scalar, t.lam[0] + t.lam[1] + 2 * t.lam[2], rtol=1e-14)
 
 
-def test_dw_full_bundle_singular_steady():
-    b = family_bundle(MetricFamily(STEADY.h, 0.0, p=STEADY.p), (1.0, 0.0, 0.8, 0.1))
-    # R_1221 = -zeta_2' - zeta_2^2 = 2/9 at s = 1
-    assert_allclose(b.riem[0, 1, 1, 0], 2.0 / 9.0, rtol=1e-13)
-    assert_allclose(b.riem[0, 1, 1, 0], b.riem[0, 2, 2, 0], rtol=1e-13)
-    assert_allclose(b.riem[0, 2, 2, 0], b.riem[0, 3, 3, 0], rtol=1e-13)
-    # Ricci by contraction matches the closed-form eigenvalues
-    assert_allclose(np.diag(b.ric), dw_ricci(STEADY.p, STEADY.h, 0.0, 1.0)[:4],
-                    rtol=1e-12)
-    assert_allclose(ricci_from_riemann(b.riem), b.ric, atol=1e-15)
-    assert_allclose(b.scalar, np.trace(b.ric), rtol=1e-12)
-    for v in riemann_symmetry_residuals(b.riem).values():
-        assert v <= 1e-15
-    assert b.weyl_norm_sq() > 1e-3
-    assert np.max(np.abs(b.codazzi_residual)) <= 1e-14
-
-
-def test_dw_full_bundle_flat_is_zero():
-    b = family_bundle(MetricFamily(ONE, 0.0, p=ONE), (2.0, 0.0, 1.0, 0.0))
-    assert np.max(np.abs(b.riem)) == 0.0
-    assert np.max(np.abs(b.ric)) == 0.0
-    assert b.scalar == 0.0
-    assert np.max(np.abs(b.weyl)) == 0.0
-    # only the flat-polar fiber term survives in the connection
-    assert_allclose(b.christoffel[2, 3, 3], 1.0, rtol=1e-15)
-
-
-@pytest.mark.parametrize("p, h, k", [
-    (power_profile(1.0, 1.0 / 3.0), power_profile(1.0, 2.0 / 3.0), 0.0),
-    (power_profile(1.0, 1.0), constant_profile(1.0), -1.0),
-    (ONE, ONE, 0.0),
-])
-def test_dw_bundle_contraction_matches_dw_ricci(p, h, k):
-    s = 1.4
-    b = family_bundle(MetricFamily(h, k, p=p), (s, 0.0, 0.9, 0.3))
-    eigs = dw_ricci(p, h, k, s)
-    assert_allclose(np.diag(b.ric), eigs[:4], rtol=1e-12, atol=1e-15)
-    assert_allclose(b.scalar, eigs[4], rtol=1e-12, atol=1e-15)
-
-
-def test_dw_connection_values():
-    gam = family_bundle(MetricFamily(STEADY.h, 0.0, p=STEADY.p),
-                        (1.0, 0.0, 2.0, 0.0)).christoffel
-    zeta2, zeta3, beta4 = gam[1, 1, 0], gam[2, 2, 0], gam[2, 3, 3]
-    assert_allclose((zeta2, zeta3), (1.0 / 3.0, 2.0 / 3.0), rtol=1e-15)
-    assert_allclose(beta4, 1.0 / 2.0, rtol=1e-15)  # u = r, h(1) = 1
-
-
 def test_warp3_ricci_reference_values():
     assert_allclose(warp3_ricci(ONE, 1.0, 0.7), (0.0, 2.0, 6.0), atol=1e-15)
     assert_allclose(warp3_ricci(power_profile(1.0, 1.0), 1.0, 1.3),
@@ -125,24 +76,8 @@ def test_sphere_family_is_einstein():
     (sin_profile(), 1.0), (power_profile(2.0, 0.7), -0.5),
 ])
 def test_warp3_is_conformally_flat(h, k):
-    b = family_bundle(MetricFamily(h, k), (1.1, 0.8, 1.2, 0.4))
-    assert tensor_norm(b.weyl) <= 1e-10
-    for v in riemann_symmetry_residuals(b.riem).values():
-        assert v <= 1e-13
-
-
-def test_warp3_bundle_connection_flat_chart():
-    # gaussian family at h = s is flat R^4 in spherical coordinates, where
-    # the frame connection coefficients are classical
-    s, r, th = 2.0, 0.7, 1.1
-    b = family_bundle(MetricFamily(power_profile(1.0, 1.0), 1.0), (s, r, th, 0.3))
-    gam = b.christoffel
-    assert_allclose(gam[1, 1, 0], 1.0 / s, rtol=1e-14)            # zeta
-    assert_allclose(gam[1, 2, 2], -math.cos(r) / (s * math.sin(r)), rtol=1e-13)
-    assert_allclose(gam[2, 3, 3], -math.cos(th) / (math.sin(th) * s * math.sin(r)),
-                    rtol=1e-13)
-    # metric compatibility: antisymmetric in the last two frame slots
-    assert np.max(np.abs(gam + gam.transpose(2, 1, 0))) <= 1e-15
+    # on profiles and fiber curvatures (k < 0 too) that no canonical family has
+    assert family_weyl_sq(MetricFamily(h, k), 1.1) <= 1e-10
 
 
 def test_singular_steady_weyl_scaling():
@@ -156,18 +91,41 @@ def test_product_weyl_norm():
     assert_allclose(family_weyl_sq(fam, 1.3), 4.0 / 3.0, rtol=1e-12)
 
 
-def test_family_bundle_accepts_broken_family():
-    b = family_bundle(broken_family(), (1.0, 0.0, 0.9, 0.3))
-    assert np.max(np.abs(b.codazzi_residual)) > 1e-2
+# ---------------------------------------------------------------------------
+# the tables against the exact frame curvature of `symbolic`
+
+_s, _1 = symbolic.s, sp.Integer(1)
+EXACT_PROFILES = {  # each canonical family as exact (p, h, k), p None on warped3
+    "singular_steady": (_s ** sp.Rational(1, 3), _s ** sp.Rational(2, 3), 0),
+    "product": (_s, _1, -1), "flat": (_1, _1, 0), "broken_product": (_s, sp.sqrt(_s), 1),
+    "gaussian": (None, _s, 1), "cylinder": (None, _1, 1), "sphere": (None, sp.sin(_s), 1),
+}
 
 
-@pytest.mark.parametrize("fam", [STEADY, product_family(-1.0), gaussian_family(),
-                                 cylinder_family(2.0), sphere_family()],
-                         ids=lambda f: f.name)
-def test_family_bundle_codazzi_vanishes_on_canonical(fam):
-    point = (1.0, 0.8, 1.2, 0.4)
-    b = family_bundle(fam, point)
-    assert np.max(np.abs(b.codazzi_residual)) <= 5e-14
+@pytest.mark.parametrize("s0", [sp.Rational(1, 2), sp.Integer(1), sp.Rational(7, 4)], ids=str)
+@pytest.mark.parametrize("name", sorted(CANONICAL_FAMILIES))
+def test_tables_are_the_exact_frame_curvature(name, s0):
+    """Riemann is exactly 0 off the frame planes, and at a float s and in an
+    array the 19 table values (zeta, six sectionals, lam, lam', R, R') are
+    exact to 1e-15 of the largest, and |W|^2 to 1e-13."""
+    fam = canonical_family(name)
+    p, h, k = EXACT_PROFILES[name]
+    assert (p is None) == (fam.p is None) and k == fam.k
+    zeta, riemann = symbolic.family_curvature(p, h, k)
+    at = lambda x: x.subs(_s, s0)
+    riem = {q: at(x) for q, x in riemann.items()}
+    assert all(x == 0 for (i, j, m, l), x in riem.items() if i == j or {i, j} != {m, l})
+    lam = [x for (i, j), x in symbolic.ricci(riemann).items() if i == j]
+    exact = [*zeta, *(riemann[i, j, j, i] for i, j in PLANES), *lam,
+             *(sp.diff(x, _s) for x in lam), sum(lam), sp.diff(sum(lam), _s)]
+    want = np.array([float(sp.N(at(x), 30)) for x in exact])
+    weyl_sq = float(sp.N(symbolic.weyl_sq(riem), 30))
+    scale = max(1.0, float(np.max(np.abs(want))))
+    for s in (float(s0), np.array([float(s0)])):
+        t = family_table(fam, s)
+        got = np.hstack([*t.zeta, *t.sectional, *t.lam, *t.lamp, t.scalar, t.scalarp])
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+        assert abs(family_weyl_sq(fam, s) - weyl_sq) <= 1e-13 * max(1.0, weyl_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +208,7 @@ CUBE_ROOT = power_profile(1.0, 1.0 / 3.0)
 def test_complex_profile_value_is_a_domain_error_at_a_float_and_in_an_array(fam, name):
     message = re.escape(f"{name}(s) = {CUBE_ROOT.value(-1.0)!r} is not positive at s=-1.0")
     calls = (lambda: family_table(fam, -1.0), lambda: family_table(fam, [1.0, -1.0]),
-             lambda: family_weyl_sq(fam, -1.0), lambda: family_bundle(fam, (-1.0, 0.0, 1.0, 0.5)))
+             lambda: family_weyl_sq(fam, -1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
@@ -266,16 +224,6 @@ def test_tables_keep_the_shape_of_s():
             assert value.shape == (2, 3)
         assert isinstance(family_eigenvalues(fam, 1.0)[4], float)
         assert isinstance(family_weyl_sq(fam, 1.0), float)
-
-
-@pytest.mark.parametrize("name", sorted(CANONICAL_FAMILIES))
-def test_weyl_sq_matches_the_bundle_tensor_norm(name):
-    fam = canonical_family(name)
-    for s in (0.6, 1.0, 1.7):
-        bundle = family_bundle(fam, (s, 0.8, 1.2, 0.4))
-        want = bundle.weyl_norm_sq()
-        assert abs(family_weyl_sq(fam, s) - want) <= 1e-13 * max(1.0, want)
-        assert abs(family_weyl_sq(fam, [s])[0] - want) <= 1e-13 * max(1.0, want)
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_FAMILIES))

@@ -45,8 +45,8 @@ COMMANDS = ("verify", "oracle", "classify", "integrate")
 # overflowing potentials, integrate runs whose CSV prints every state with
 # its identity residuals, a run that blows up (at step 317) as JSON and as
 # CSV, integrate's refusals (an unknown family, a family without a reduced
-# start, and a bad --lam of one with it), and the known CLI defects that the
-# benchmark's boundary jobs leave out
+# start, and a bad --lam of one with it), a --lam on a family without one,
+# and the known CLI defects that the benchmark's boundary jobs leave out
 EDGE_JOBS = (
     "verify --family gaussian --lam 1e308",
     "verify --family product --lam 1e200",
@@ -59,6 +59,7 @@ EDGE_JOBS = (
     "integrate --family nosuch",
     "integrate --family cylinder --lam 0",
     "integrate --family product --lam 0",
+    "verify --family sphere --lam 2",
     "verify --family sphere --s 3.0:3.1315",
     "verify --family sphere --s 1e-5:0.5",
     "verify --family product --lam 1e4",

@@ -22,7 +22,7 @@ for title, state in (("singular steady", singular_steady_state(1.0)),
     print(f"{title}: integrated s = 1 -> 2 in {len(traj.states) - 1} steps")
     print(f"  endpoint   a = {end.a:.12f}  b = {end.b:.12f}  f' = {end.fp:.12f}")
     print(f"  max identity residual along the way: {worst:.2e}")
-    print(f"  branch label: {branch_label(traj)}\n")
+    print(f"  branch label: {branch_label(traj, 1e-10)}\n")
 
 print("closed forms at s = 2: singular steady a = 1/6, b = f' = 1/3;")
 print("product a = 1/2, f' = -2")

@@ -25,7 +25,7 @@ from .frames import sym_eigen, sym_eigvals, tensor_norm
 from .reduced import (DwDerivatives, ReducedState, Trajectory, branch_label,
                       dw_rhs, integrate, product_state, reduced_identity_residuals,
                       singular_steady_state, warp3_rhs)
-from .verify import (ResidualReport, codazzi_residual_closed, hamilton_check,
-                     oracle_deviation, soliton_residual)
+from .verify import (codazzi_residual_closed, hamilton_check, oracle_deviation,
+                     soliton_residual)
 
 __version__ = "0.1.0"

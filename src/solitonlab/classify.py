@@ -3,11 +3,17 @@
 A sample is one entry (s, Ricci eigenvalues in the adapted frame order,
 f', R, |W|^2) of a `SAMPLE` array, which holds each value as a column.  The
 decision tree mirrors the separating marks of the classification: a
-vanishing potential slope means Einstein; a vanishing Weyl norm means the
-locally conformally flat warped product; otherwise the eigenvalue
-structure lambda_2 != lambda_3 = lambda_4 together with constant R (and
-R = 2 lambda) marks the plane x surface product, while R s^2 = -4/9 marks
-the singular steady metric.
+vanishing potential slope means Einstein; a flat metric or a vanishing Weyl
+norm means the locally conformally flat warped product; otherwise the
+eigenvalue structure lambda_2 != lambda_3 = lambda_4 together with constant
+R (and R = 2 lambda) marks the plane x surface product, while the invariant
+R^3 / |grad R|^2 = -1/9, with |grad R| = 2 |lambda_1 f'|, marks the singular
+steady metric.
+
+Each test is an `Evidence` record under the scale rule of
+:mod:`solitonlab.report`, judged against the sample set's own scales:
+K_c = max |lambda_i| (length^-2) and K_f = max f'^2.  No test reads s, so a
+label does not change under a homothety of the metric or a new origin of s.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 
 from .curvature import _finite, _weyl_sq, family_table, float_semantics
 from .families import MetricFamily, SolitonData
+from .report import Evidence, weigh
 
 DEFAULT_TOL_CLOSED = 1e-8
 MIN_SAMPLES = 8
@@ -31,7 +38,7 @@ LABEL_UNKNOWN = "Unknown"
 
 def signature_labels(values, tol: float) -> np.ndarray:
     """Single-linkage grouping of the rows of an (N, 4) eigenvalue array at
-    threshold tol * max(1, max |value|) per row.
+    threshold tol * max |value| per row.
 
     Each row is sorted descending (stable, so ties keep input order) and a
     new group starts wherever the next value lies more than the threshold
@@ -43,7 +50,7 @@ def signature_labels(values, tol: float) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[1] != 4:
         raise ValueError("need exactly 4 eigenvalues per sample")
-    thr = tol * np.fmax(1.0, np.abs(vals).max(axis=1))  # fmax: a NaN row keeps tol
+    thr = tol * np.abs(vals).max(axis=1)
     order = np.argsort(-vals, axis=1, kind="stable")
     ranked = np.take_along_axis(vals, order, axis=1)
     splits = ~(ranked[:, :-1] - ranked[:, 1:] <= thr[:, None])
@@ -76,56 +83,51 @@ def sample_family(m: MetricFamily, sol: SolitonData, s_values) -> np.ndarray:
 @dataclass(frozen=True)
 class TypeVerdict:
     label: str
-    evidence: dict[str, float] = field(default_factory=dict)
+    evidence: dict[str, Evidence | float] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {"label": self.label, "evidence": dict(self.evidence),
-                "notes": list(self.notes)}
+        evidence = {name: ev.as_dict() if isinstance(ev, Evidence) else ev
+                    for name, ev in self.evidence.items()}
+        return {"label": self.label, "evidence": evidence, "notes": list(self.notes)}
 
 
 @float_semantics
 def classify(samples: np.ndarray, tol: float = DEFAULT_TOL_CLOSED) -> TypeVerdict:
     """Match sampled soliton data, a `SAMPLE` array, against the four local
-    types."""
+    types.  The evidence holds each test taken, with the fraction of
+    samples whose eigenvalues show the pair signature."""
     if len(samples) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {len(samples)}")
-    eigs, scalars = samples["eigenvalues"], samples["scalar"]
+    s, eigs, fprime, scalars = (samples[key] for key in ("s", "eigenvalues", "fprime", "scalar"))
     labels = signature_labels(eigs, tol)
-    evidence: dict[str, float] = {}
+    evidence: dict[str, Evidence | float] = {}
+    row_scale = np.abs(eigs).max(axis=1)
+    k_c, k_f = row_scale.max(), (fprime * fprime).max()
 
-    scale = max(1.0, np.abs(scalars).max(), np.abs(eigs).max())
-    max_fp = float(np.abs(samples["fprime"]).max())
-    evidence["max_abs_fprime"] = max_fp
-    if max_fp <= tol:
+    def holds(name, residual, dim, sigma) -> bool:
+        """Whether ``residual``, of length dimension ``dim``, holds at tol
+        against ``sigma``; its `Evidence` goes into the verdict."""
+        evidence[name] = weigh(s, [residual], [dim], sigma, what=f"{name} test")
+        return evidence[name].passes(tol)
+
+    if holds("einstein", fprime, 1, k_c):  # f' vanishes
         return TypeVerdict(LABEL_EINSTEIN, evidence)
-
-    max_w2 = float(np.abs(samples["weyl_sq"]).max())
-    evidence["max_weyl_sq"] = max_w2
-    if max_w2 <= tol * scale:
+    if holds("flat", row_scale, 2, k_f) or holds("weyl", samples["weyl_sq"], 4, k_c):
         return TypeVerdict(LABEL_WARPED, evidence)
 
     # lambda_3 and lambda_4 coincide while lambda_2 stays apart
     pair = (labels[:, 2] == labels[:, 3]) & (labels[:, 1] != labels[:, 2])
-    pair_frac = float(np.mean(pair))
-    evidence["pair_signature_fraction"] = pair_frac
+    evidence["pair_signature_fraction"] = pair_frac = float(np.mean(pair))
     if pair_frac > 0.5:
-        mean_r = float(np.mean(scalars))
-        const_dev = float(np.max(np.abs(scalars - mean_r)))
-        evidence["scalar_constancy_dev"] = const_dev
-        if const_dev <= tol * (1.0 + abs(mean_r)):
-            lam_hat = float(np.mean((eigs[:, 2] + eigs[:, 3]) / 2))
-            fit = abs(mean_r - 2.0 * lam_hat)
-            evidence["scalar_minus_twice_fiber"] = fit
-            if fit <= tol * (1.0 + abs(mean_r)):
-                return TypeVerdict(LABEL_PRODUCT, evidence)
-        # s^2 by Python's float pow, elementwise on an object array, as one
-        # sample squares it: numpy's s**2 is s*s, which rounds about 0.08 %
-        # of squares otherwise and gives inf where the pow raises OverflowError
-        s2 = (samples["s"].astype(object) ** 2).astype(float)
-        steady_dev = float(np.max(np.abs(scalars * s2 + 4.0 / 9.0)))
-        evidence["scalar_s2_plus_4_9_dev"] = steady_dev
-        if steady_dev <= tol:
+        if (holds("scalar_constant", scalars - np.mean(scalars), 2, k_c)
+                and holds("scalar_twice_fiber", scalars - (eigs[:, 2] + eigs[:, 3]), 2, k_c)):
+            return TypeVerdict(LABEL_PRODUCT, evidence)
+        # R^3 / |grad R|^2 = -1/9 as |grad R|^(2/3) = 9^(1/3) |R| with R < 0,
+        # each side of length dimension 2
+        u = np.abs(2.0 * eigs[:, 0] * fprime) ** (2.0 / 3.0)
+        v = np.cbrt(9.0) * np.abs(scalars)
+        if holds("steady_invariant", u - v, 2, u + v) and scalars.max() < 0.0:
             return TypeVerdict(LABEL_STEADY, evidence)
 
     level = labels[:, 1:]
@@ -135,4 +137,3 @@ def classify(samples: np.ndarray, tol: float = DEFAULT_TOL_CLOSED) -> TypeVerdic
             "pairwise-distinct level-surface eigenvalues with a "
             "nonzero potential slope cannot occur on a true soliton",))
     return TypeVerdict(LABEL_UNKNOWN, evidence)
-

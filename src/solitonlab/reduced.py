@@ -26,6 +26,11 @@ with numpy, from the same formulas (`Trajectory.identities`): every power
 still goes through Python's float pow, in a single pass over the states,
 because numpy's ``power`` rounds some squares and cubes differently, so
 each residual has the bits of the one-state evaluation.
+
+The identities and the branch factors are judged by the scale rule of
+:mod:`solitonlab.report`, against sigma, the largest of a^2, b^2, f'^2,
+|lambda| and |k/h^2| at each state.  Their length dimensions are
+`IDENTITY_DIMS` and `BRANCH_DIMS`.
 """
 
 from __future__ import annotations
@@ -39,14 +44,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .report import Evidence, weigh
 
 BLOWUP_LIMIT = 1e8
 MAX_STEPS = 10**6
 H_FLOOR = 1e-8
-BRANCH_TOL = 1e-8
 
 BRANCH_FACTORS = ("b", "lambda+3ab", "lambda-2a^2+ab")
+BRANCH_DIMS = (1, 2, 2)
 IDENTITIES = ("linear", "second_order", "quadratic", "cubic_slope", "branch_cubic")
+IDENTITY_DIMS = (2, 2, 3, 3, 5)
+# the rows of an identity table: the identities, then the flag of a = b
+REPORTED = IDENTITIES + ("inapplicable",)
 
 
 class ReducedState(NamedTuple):
@@ -231,44 +240,37 @@ def reduced_identity_residuals(st: ReducedState, ap: float) -> dict[str, float]:
 class _IdentityTable(NamedTuple):
     """The identity residuals of a run of states, from one evaluation."""
 
-    columns: np.ndarray     # (7, N): the states, as `Trajectory.columns`
-    values: np.ndarray      # (5, N): row i holds IDENTITIES[i] at every state
-    applicable: np.ndarray  # a != b
-    branch: np.ndarray      # k != 0, so branch_cubic is reported
+    columns: np.ndarray  # (7, N): the states, as `Trajectory.columns`
+    values: np.ndarray   # (6, N): row i holds REPORTED[i] at every state, the flag as 1
+    shown: np.ndarray    # (6, N): whether the row of a state reports REPORTED[i]
+    sigma: np.ndarray    # the scale of each state
 
     def rows(self) -> list[dict[str, float]]:
         """`reduced_identity_residuals` of each state, with ap from `_rhs`."""
-        keys = (IDENTITIES[:4], IDENTITIES)
-        return [dict(zip(keys[br], vals)) if ok else {"inapplicable": 1.0}
-                for vals, ok, br in zip(self.values.T.tolist(), self.applicable.tolist(),
-                                        self.branch.tolist())]
+        return [{name: v for name, v, m in zip(REPORTED, vals, mask) if m}
+                for vals, mask in zip(self.values.T.tolist(), self.shown.T.tolist())]
 
-    def worst(self) -> float:
-        """The largest |residual| of the rows as Python's ``max`` finds it,
-        row by row and then over the rows: a NaN first value wins, and a
-        later NaN is passed over."""
-        res = np.abs(self.values)
-        res[4, ~self.branch] = np.nan  # not reported: passed over
-        peak = np.where(np.isnan(res[0]), np.nan, np.fmax.reduce(res))
-        peak[~self.applicable] = 1.0
-        return float(peak[0] if np.isnan(peak[0]) else np.fmax.reduce(peak))
+    def evidence(self) -> Evidence:
+        """The identities of every state as one `Evidence`, ``per_equation``
+        naming each residual that some row reports; an inapplicable state
+        counts as the dimensionless residual 1."""
+        r = np.abs(np.where(self.shown, self.values, 0.0))
+        per_eq = {name: peak for name, peak, m in zip(REPORTED, r.max(axis=1).tolist(),
+                                                      self.shown.any(axis=1)) if m}
+        return weigh(self.columns[0], r, IDENTITY_DIMS + (0,), self.sigma, per_eq,
+                     what="identity residual")
 
     def to_csv(self) -> str:
         """One CSV row per state, each value as ``%.17g``.  The header is s, a,
-        b, fp, h, then ``res_<identity>`` in `IDENTITIES` order, then
-        ``res_inapplicable``, each residual only where some row reports it;
-        a cell that its row does not report is empty."""
-        ok = self.applicable
+        b, fp, h, then ``res_<name>`` in `REPORTED` order, each residual only
+        where some row reports it; a cell that its row does not report is
+        empty."""
         header = ["s", "a", "b", "fp", "h"]
         cells = [["%.17g" % v for v in col] for col in self.columns[:5].tolist()]
-        for name, col, shown in zip(IDENTITIES, self.values.tolist(),
-                                    (ok,) * 4 + (ok & self.branch,)):
+        for name, col, shown in zip(REPORTED, self.values.tolist(), self.shown):
             if shown.any():
                 header.append(f"res_{name}")
                 cells.append(["%.17g" % v if m else "" for v, m in zip(col, shown.tolist())])
-        if not ok.all():
-            header.append("res_inapplicable")
-            cells.append(["" if m else "1" for m in ok.tolist()])
         return "".join(",".join(row) + "\n" for row in (header, *zip(*cells)))
 
 
@@ -300,18 +302,22 @@ def _identity_table(states, columns=None) -> _IdentityTable:
     a2, kh2, a3 = np.fromiter(_powers(states), float, 3 * len(states)).reshape(-1, 3).T
     with np.errstate(all="ignore"):  # inf and nan, as float arithmetic gives them
         ap = fp * a - a2 - 2.0 * a * b - lam
-        values = np.array(_identities(a, b, fp, lam, kh2, ap, a3))
-    return _IdentityTable(columns, values, a != b, k != 0.0)
+        values = np.array([*_identities(a, b, fp, lam, kh2, ap, a3), np.ones_like(a)])
+        sigma = np.abs([a2, b * b, fp * fp, lam, kh2]).max(axis=0)
+    ok = a != b  # branch_cubic is reported where k != 0, the flag where a = b
+    shown = np.array([ok] * 4 + [ok & (k != 0.0), ~ok])
+    return _IdentityTable(columns, values, shown, sigma)
 
 
-def branch_label(traj: Trajectory) -> tuple[str, ...]:
-    """The `BRANCH_FACTORS` whose running max of |factor| along the
-    trajectory stays below BRANCH_TOL; ties are labeled jointly.  A NaN
-    factor does not raise the running max."""
-    _, a, b, _, _, lam, _ = traj.columns
+def branch_label(traj: Trajectory, tol: float) -> tuple[str, ...]:
+    """The `BRANCH_FACTORS` that vanish at tol at every state of the
+    trajectory, each judged against the sigma of its state; ties are
+    labeled jointly."""
+    s, a, b, _, _, lam, _ = traj.columns
     with np.errstate(all="ignore"):
-        peaks = [np.fmax.reduce(np.abs(v), initial=0.0) for v in _branch_factors(a, b, lam)]
-    return tuple(name for name, peak in zip(BRANCH_FACTORS, peaks) if peak < BRANCH_TOL)
+        factors = _branch_factors(a, b, lam)
+    return tuple(name for name, v, d in zip(BRANCH_FACTORS, factors, BRANCH_DIMS)
+                 if weigh(s, [v], [d], traj.identities.sigma, what="branch factor").passes(tol))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,11 @@
-"""Deterministic report serialization.
+"""The evidence behind every verdict, and deterministic report serialization.
+
+Every verdict follows one rule.  A residual r of length dimension d passes
+at a point when |r| <= tol * sigma^(d/2), where sigma (length^-2) is the
+local scale of the point: the size of the curvature terms there.  So a
+verdict does not change when the metric is scaled by a constant (g -> c^2 g
+takes r to r / c^d and sigma to sigma / c^2).  `weigh` applies the rule and
+returns one `Evidence` record per check.
 
 Reports must be byte-identical across runs of the same job, so floats are
 printed with a fixed 17-significant-digit format, dictionary keys are
@@ -9,8 +16,60 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import DomainError
 
 FLOAT_FMT = "%.17g"
+
+
+@dataclass(frozen=True)
+class Evidence:
+    """The worst case of one check's residuals over a set of points.
+
+    ``max_abs`` is the largest |r| and ``worst_point`` the point (a value of
+    s) where it is reached.  ``ratio`` is the largest |r| / sigma^(d/2); the
+    check holds at tolerance tol when ratio <= tol.  ``per_equation`` holds
+    the largest |r| of each named residual, where the check has several;
+    `as_dict` leaves it out where it is empty.
+    """
+
+    max_abs: float
+    worst_point: float
+    ratio: float
+    per_equation: dict[str, float] = field(default_factory=dict)
+
+    def passes(self, tol: float) -> bool:
+        return self.ratio <= tol
+
+    def as_dict(self) -> dict:
+        out = {"max_abs": self.max_abs, "worst_point": self.worst_point, "ratio": self.ratio}
+        return {**out, "per_equation": dict(self.per_equation)} if self.per_equation else out
+
+
+def weigh(points, residuals, dims, sigma, per_equation=None, *, what: str) -> Evidence:
+    """The `Evidence` of the residuals, one row per residual and one column
+    per point, row i of length dimension ``dims[i]``, against ``sigma``, the
+    scale of each point (broadcast against the rows).  0/0 counts as 0 and a
+    nonzero residual over sigma = 0 as an infinite ratio; a residual or a
+    sigma that is not finite is a DomainError, naming ``what`` and the first
+    such point."""
+    r, sigma = np.abs(residuals), np.asarray(sigma)
+    peak = r.max(axis=0)
+    worst = int(peak.argmax())  # the first nan, if there is one
+    if not (math.isfinite(peak[worst]) and math.isfinite(sigma.max())):
+        finite = (np.isfinite(r) & np.isfinite(sigma)).all(axis=0)
+        raise DomainError(f"{what} or its scale is not finite at "
+                          f"s={float(points[np.argmin(finite)])!r}")
+    # sigma^(d/2) as two factors, each finite for d <= 4 where sigma is
+    root = sigma ** (np.array(dims, dtype=float)[:, None] / 4.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r/0 = inf, 0/0 = nan
+        ratios = r / root / root
+    # fmax passes over the nan of 0/0, so that it counts as 0
+    return Evidence(float(peak[worst]), float(points[worst]),
+                    float(np.fmax.reduce(ratios, axis=None, initial=0.0)), per_equation or {})
 
 
 def format_float(x: float) -> str:

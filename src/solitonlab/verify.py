@@ -8,14 +8,21 @@ equation error is isolated from differentiation error:
 * the conservation identities  R + |grad f|^2 - 2 lambda f = const  and
   dR/2 = lambda_1 f' satisfied by every gradient soliton.
 
-Each check evaluates the closed forms once, over its whole sample array.
+Each check evaluates the closed forms once, over its whole sample array,
+and returns its `Evidence` under the scale rule of :mod:`solitonlab.report`.
+The scale sigma of a sample is the largest of zeta_i^2 and the |sectional
+curvatures| of its table, and also of f'^2 and |lambda| in the checks that
+take a soliton.  The Hessian entries have length dimension d = 2, and the
+Codazzi components and R'/2 - lambda_1 f' have d = 3.  The deviation of the
+conserved quantity (d = 2) is judged against the largest sigma of the
+samples, as its mean is taken over all of them.
 `oracle_deviation` cross-checks the closed forms against the independent
 finite-difference engine of :mod:`solitonlab.fdgrid`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
@@ -24,45 +31,32 @@ from .curvature import (_finite, codazzi_components, family_eigenvalues,
 from .families import MetricFamily, SolitonData
 from .fdgrid import MARGIN_CURVATURE, MetricGrid, fd_ricci_block
 from .frames import sym_eigvals
-
-CURVATURE_SCALE_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Worst-case residuals of one check over a sample set."""
-
-    max_abs: float
-    max_rel: float
-    worst_point: float
-    per_equation: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"max_abs": self.max_abs, "max_rel": self.max_rel,
-                "worst_point": self.worst_point,
-                "per_equation": dict(self.per_equation)}
+from .report import Evidence, weigh
 
 
-def _report(samples, abs_values, scales, per_equation) -> ResidualReport:
-    worst = int(np.argmax(abs_values))
-    rels = abs_values / np.maximum(scales, CURVATURE_SCALE_FLOOR)
-    return ResidualReport(float(abs_values[worst]), float(rels.max()),
-                          float(samples[worst]), per_equation)
+def _scale(t, *terms):
+    """sigma at each sample of the table t: the largest of zeta_i^2, the
+    |sectional curvatures| and ``terms``, which the checks that take a
+    soliton give as f'^2 and |lambda|."""
+    return functools.reduce(np.maximum, [z * z for z in t.zeta] + list(map(np.abs, t.sectional))
+                            + list(terms))
 
 
 @float_semantics
-def _componentwise(m: MetricFamily, samples, check, keys, components) -> ResidualReport:
-    """Report of the residual components ``components(table, s)``, named by
-    ``keys``, over the samples, each relative to |R| at its sample; a
-    component that overflows is a DomainError of the ``check``."""
+def _componentwise(m: MetricFamily, samples, check, keys, dim, components) -> Evidence:
+    """`Evidence` of the residual components of ``components(table, s)``,
+    named by ``keys`` and each of length dimension ``dim``, against the
+    sigma that it returns with them; a component that overflows is a
+    DomainError of the ``check``."""
     s = np.asarray(samples, dtype=float)
     t = family_table(m, s)
-    comps = np.abs(np.array(_finite(s, *components(t, s), what=f"{check} residual")))
-    per_eq = dict(zip(keys, comps.max(axis=1).tolist()))
-    return _report(s, comps.max(axis=0), np.abs(t.scalar), per_eq)
+    comps, sigma = components(t, s)
+    comps = np.abs(np.array(_finite(s, *comps, what=f"{check} residual")))
+    return weigh(s, comps, [dim], sigma, dict(zip(keys, comps.max(axis=1).tolist())),
+                 what=f"{check} residual")
 
 
-def soliton_residual(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport:
+def soliton_residual(m: MetricFamily, sol: SolitonData, samples) -> Evidence:
     """sup-norm of Hess f + Ric - lambda g over the samples.
 
     The Hessian of an s-profiled potential is frame diagonal with entries
@@ -71,26 +65,27 @@ def soliton_residual(m: MetricFamily, sol: SolitonData, samples) -> ResidualRepo
     """
     def hessian_entries(t, s):
         fp = sol.f.d1(s)
-        return [sol.f.d2(s) + t.lam[0] - sol.lam] + [
+        entries = [sol.f.d2(s) + t.lam[0] - sol.lam] + [
             z * fp + e - sol.lam for z, e in zip(t.zeta, t.lam[1:])]
+        return entries, _scale(t, fp * fp, abs(sol.lam))
 
-    return _componentwise(m, samples, "soliton", [f"hess_{i}{i}" for i in (1, 2, 3, 4)],
+    return _componentwise(m, samples, "soliton", [f"hess_{i}{i}" for i in (1, 2, 3, 4)], 2,
                           hessian_entries)
 
 
-def codazzi_residual_closed(m: MetricFamily, samples) -> ResidualReport:
+def codazzi_residual_closed(m: MetricFamily, samples) -> Evidence:
     """Closed-form Codazzi residual of Ric - (R/6) g on the ansatz.
 
     For the s-profiled block metrics the only components that can survive
     are D_i = lam_i' + zeta_i (lam_i - lam_1) - R'/6 for the three
     level-surface directions; the report carries each of them.
     """
-    return _componentwise(m, samples, "Codazzi", [f"direction_{i}" for i in (2, 3, 4)],
-                          lambda t, s: codazzi_components(t))
+    return _componentwise(m, samples, "Codazzi", [f"direction_{i}" for i in (2, 3, 4)], 3,
+                          lambda t, s: (codazzi_components(t), _scale(t)))
 
 
 @float_semantics
-def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport:
+def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> Evidence:
     """Conservation identities over an s-sample set.
 
     ``conserved_deviation``: max deviation of R + (f')^2 - 2 lambda f from
@@ -108,10 +103,12 @@ def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> ResidualReport
         np.abs(0.5 * t.scalarp - t.lam[0] * fp), what="conservation identity")
     mean = float(np.mean(conserved))
     dev = np.abs(conserved - mean)
+    sigma = _scale(t, fp * fp, abs(sol.lam))
     per_eq = {"conserved_deviation": float(dev.max()),
               "conserved_mean": mean,
               "scalar_slope": float(slope_res.max())}
-    return _report(s, np.maximum(dev, slope_res), np.abs(t.scalar), per_eq)
+    return weigh(s, [dev, slope_res], (2, 3), [np.full_like(sigma, sigma.max()), sigma],
+                 per_eq, what="conservation identity")
 
 
 def oracle_deviation(m: MetricFamily, grid: MetricGrid, nodes) -> np.ndarray:

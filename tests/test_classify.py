@@ -55,7 +55,7 @@ def sequential_groups(values, tol):
     """Reference grouping of one row: sort descending, then merge each value
     into the previous group while the gap stays within the threshold."""
     vals = np.asarray(values, dtype=float)
-    thr = tol * max(1.0, float(np.max(np.abs(vals))))
+    thr = tol * float(np.max(np.abs(vals)))
     order = np.argsort(-vals, kind="stable")
     groups = [[int(order[0])]]
     for prev, cur in zip(order[:-1], order[1:]):
@@ -184,6 +184,16 @@ def test_classify_distinct_triple_is_unknown_with_note():
     verdict = classify(samples, TOL)
     assert verdict.label == LABEL_UNKNOWN
     assert any("pairwise-distinct" in note for note in verdict.notes)
+
+
+def test_classify_steady_invariant_needs_a_negative_scalar_curvature():
+    # lambda_1 = 0 and R = 0, so |grad R| = 2 |lambda_1 f'| = 0 and the
+    # invariant's sides are 0/0: not the singular steady metric, whose R < 0
+    samples = np.array([(s, (0.0, 2.0, -1.0, -1.0), 1.0, 0.0, 1.0)
+                        for s in np.linspace(1.0, 2.0, 8)], SAMPLE)
+    verdict = classify(samples, TOL)
+    assert verdict.evidence["steady_invariant"].ratio == 0.0
+    assert verdict.label == LABEL_UNKNOWN
 
 
 def test_classify_needs_eight_samples():

@@ -1,8 +1,10 @@
 import csv
+import functools
 import importlib.util
 import inspect
 import io
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -32,6 +34,81 @@ def test_verify_singular_steady_passes(capsys):
     report = json.loads(out)
     assert report["pass"] is True
     assert report["checks"]["codazzi"]["max_abs"] <= 1e-12
+
+
+# The known CLI defects: runs on exact solitons, each with the exit the
+# contract asks for and, for `classify`, the label the mathematics asks for.
+# A defect still open is a strict xfail that names the ROADMAP item that
+# mends it, so that mending it turns the case into a failure until it moves.
+DEFECT_LEDGER = [
+    ("verify --family sphere --s 0:4", 0, None),
+    ("verify --family sphere --s 3.0:3.1315", 0, None),
+    ("verify --family sphere --s 1e-5:0.5", 0, None),
+    ("integrate --family singular-steady --from 1 --to 1e-4", 0, None),
+    ("verify --family product --lam 1e4", 0, None),
+    ("verify --family gaussian --lam 1e4", 0, None),
+    ("verify --family singular-steady --s 1e-3:1e-2", 0, None),
+    ("classify --family singular-steady --s 100:1000", 0, "SingularSteady_iii"),
+    pytest.param("integrate --family gaussian", 0, None, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 9: the warped families have no reduced path")),
+]
+
+
+@pytest.mark.parametrize("argv, code, label", DEFECT_LEDGER)
+def test_known_defect_runs_exit_as_the_contract_asks(argv, code, label, capsys):
+    got, out = run(argv.split(), capsys)
+    assert got == code
+    if label is not None:
+        assert json.loads(out)["verdict"]["label"] == label
+
+
+# The canonical solitons that the CLI can rescale, with lambda at c = 1:
+# (c^2 g, f, lambda / c^2) is a soliton on c s; singular-steady (lambda = 0)
+# is self-similar, and broken-product is the control that must keep failing.
+HOMOTHETIC = {"product": -1.0, "gaussian": 1.0, "cylinder": 2.0, "singular-steady": None,
+              "broken-product": None}
+
+
+def homothetic_runs(c):
+    """The verify and classify runs of each family in `HOMOTHETIC` on
+    c * [0.5, 2], and the integrate runs from c to 2c at step c * 1e-3."""
+    for family, lam in HOMOTHETIC.items():
+        opts = [f"--family={family}"] + ([] if lam is None else [f"--lam={lam / c**2!r}"])
+        yield ["verify", *opts, f"--s={0.5 * c!r}:{2.0 * c!r}"]
+        if family != "broken-product":
+            yield ["classify", *opts, f"--s={0.5 * c!r}:{2.0 * c!r}"]
+        if _build_family(family, None).reduced is not None:
+            yield ["integrate", *opts, f"--from={c!r}", f"--to={2.0 * c!r}",
+                   f"--step={c * 1e-3!r}"]
+
+
+def homothetic_verdicts(c, path):
+    """(command, exit code, classify label, integrate branch) of each run of
+    `homothetic_runs`."""
+    verdicts = []
+    for argv in homothetic_runs(c):
+        code = main(argv + ["--out", str(path)])
+        report = json.loads(path.read_text())
+        verdicts.append((argv[0], code, report.get("verdict", {}).get("label"),
+                         report.get("branch")))
+    return verdicts
+
+
+@functools.cache
+def unit_verdicts(path):
+    """`homothetic_verdicts` at c = 1, after checking that every run passes
+    there but broken-product's."""
+    verdicts = homothetic_verdicts(1.0, path)
+    assert [code for _, code, _, _ in verdicts] == [
+        1 if "--family=broken-product" in argv else 0 for argv in homothetic_runs(1.0)]
+    return verdicts
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(math.log(1e-3), math.log(1e3)).map(math.exp))
+def test_verdicts_do_not_depend_on_the_unit_of_length(tmp_path_factory, c):
+    path = tmp_path_factory.getbasetemp() / "homothety_report.json"
+    assert homothetic_verdicts(c, path) == unit_verdicts(path)
 
 
 def test_verify_broken_product_fails_on_codazzi(capsys):
@@ -244,7 +321,7 @@ def test_integrate_exit_codes_follow_the_family_records_and_the_benchmark_gate(w
 SAMPLE_ROW = {"s": 1.0, "eigenvalues": [1.0, 1.0, 1.0, 1.0], "fprime": 0.0,
               "scalar": 4.0, "weyl_sq": 0.0}
 # lambda_2 != lambda_3 = lambda_4 with constant R != 2 lambda_3: a pair
-# signature that is not a product, so the classifier reads s in R s^2
+# signature that is not a product, so the classifier reaches its steady test
 PAIR_ROW = {"s": 1.0, "eigenvalues": [1.0, 0.8, 0.5, 0.5], "fprime": 1.0,
             "scalar": 2.8, "weyl_sq": 1.0}
 BAD_FIELDS = [("fprime", None, SAMPLE_ROW), ("scalar", "x", SAMPLE_ROW),

@@ -13,8 +13,7 @@ from solitonlab.curvature import (PLANES, dw_table, family_eigenvalues, family_t
 from solitonlab.errors import DomainError
 from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily,
                                  canonical_family, constant_profile, power_profile,
-                                 product_family, sin_profile, singular_steady_family,
-                                 sphere_family)
+                                 product_family, sin_profile, singular_steady_family)
 
 import symbolic
 
@@ -22,33 +21,10 @@ STEADY = singular_steady_family()
 ONE = constant_profile(1.0)
 
 
-def dw_ricci(p, h, k, s):
-    """(lam1, lam2, lam3, lam4, R) of the doubly-warped table at s."""
-    t = dw_table(p, h, k, s)
-    return (*t.lam, t.scalar)
-
-
 def warp3_ricci(h, k, s):
     """(lam1, lam_fiber, R) of the 3-fiber warped table at s."""
     t = warp3_table(h, k, s)
     return t.lam[0], t.lam[1], t.scalar
-
-
-@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
-def test_dw_ricci_singular_steady(s):
-    got = dw_ricci(STEADY.p, STEADY.h, 0.0, s)
-    expected = np.array([2 / 3, -2 / 9, -4 / 9, -4 / 9, -4 / 9]) / s**2
-    assert_allclose(got, expected, rtol=1e-12)
-
-
-def test_dw_ricci_product():
-    fam = product_family(-1.0)
-    got = dw_ricci(fam.p, fam.h, fam.k, 1.7)
-    assert_allclose(got, (0.0, 0.0, -1.0, -1.0, -2.0), atol=1e-14)
-
-
-def test_dw_ricci_flat():
-    assert_allclose(dw_ricci(ONE, ONE, 0.0, 3.0), np.zeros(5), atol=1e-15)
 
 
 def test_dw_table_scalar_is_eigenvalue_sum():
@@ -61,14 +37,6 @@ def test_warp3_ricci_reference_values():
     assert_allclose(warp3_ricci(power_profile(1.0, 1.0), 1.0, 1.3),
                     (0.0, 0.0, 0.0), atol=1e-14)
     assert_allclose(warp3_ricci(ONE, 0.0, 2.0), (0.0, 0.0, 0.0), atol=1e-15)
-
-
-def test_sphere_family_is_einstein():
-    fam = sphere_family()
-    for s in (0.5, 1.2, 2.4):
-        l1, l2, l3, l4, scalar = family_eigenvalues(fam, s)
-        assert_allclose([l1, l2, l3, l4], [3.0] * 4, rtol=1e-12)
-        assert_allclose(scalar, 12.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("h, k", [

@@ -14,6 +14,8 @@ from solitonlab.reduced import (MAX_STEPS, ReducedState, branch_label, dw_rhs,
                                 integrate, product_state, reduced_identity_residuals,
                                 singular_steady_state, warp3_rhs)
 
+TOL = 1e-10  # the default --tol of `solitonlab integrate`
+
 
 def test_dw_rhs_singular_steady_point():
     st0 = ReducedState(1.0, 1 / 3, 2 / 3, 2 / 3, 1.0, 0.0, 0.0)
@@ -160,7 +162,7 @@ def test_identities_and_branch_along_trajectories(state, expected_branch):
     for st0, res in zip(traj.states, traj.identity_residual_rows()):
         assert max(abs(v) for v in res.values()) <= 1e-10
         assert dw_rhs(st0).diagnostic <= 1e-11
-    assert branch_label(traj) == (expected_branch,)
+    assert branch_label(traj, TOL) == (expected_branch,)
 
 
 def test_warp3_rhs_reference_values():
@@ -326,13 +328,33 @@ def reference_identity_row(st):
     return out
 
 
-def reference_branch(states, tol=reduced.BRANCH_TOL):
+def reference_sigma(st):
+    """The scale of one state: the largest of a^2, b^2, f'^2, |lambda| and
+    |k/h^2|."""
+    return max(st.a**2, st.b**2, st.fp**2, abs(st.lam), abs(st.k / st.h**2))
+
+
+def reference_ratio(value, dim, sigma):
+    return 0.0 if value == 0.0 else abs(value) / sigma ** (dim / 2)
+
+
+def reference_branch(states, tol=TOL):
+    """The branch factors whose |factor| / sigma^(d/2) stays at or below tol
+    at every state, one state at a time."""
     peaks = [0.0, 0.0, 0.0]
     for st in states:
         vals = (st.b, st.lam + 3.0 * st.a * st.b, st.lam - 2.0 * st.a**2 + st.a * st.b)
-        for i, v in enumerate(vals):
-            peaks[i] = max(peaks[i], abs(v))
-    return tuple(name for name, peak in zip(reduced.BRANCH_FACTORS, peaks) if peak < tol)
+        for i, (v, d) in enumerate(zip(vals, reduced.BRANCH_DIMS)):
+            peaks[i] = max(peaks[i], reference_ratio(v, d, reference_sigma(st)))
+    return tuple(name for name, peak in zip(reduced.BRANCH_FACTORS, peaks) if peak <= tol)
+
+
+def reference_identity_ratio(states):
+    """The largest |identity| / sigma^(d/2) over the states, an inapplicable
+    state counting as 1."""
+    dims = dict(zip(reduced.IDENTITIES, reduced.IDENTITY_DIMS))
+    return max(max(reference_ratio(v, dims.get(k, 0), reference_sigma(st)) for k, v in
+                   reference_identity_row(st).items()) for st in states)
 
 
 def bits(rows):
@@ -343,9 +365,16 @@ def bits(rows):
 def assert_batch_matches_reference(traj):
     rows = [reference_identity_row(st) for st in traj.states]
     assert bits(traj.identity_residual_rows()) == bits(rows)
-    worst = max(max(map(abs, row.values())) for row in rows)  # the parent CLI's reduction
-    assert reduced._identity_table(traj.states).worst().hex() == worst.hex()
-    assert branch_label(traj) == reference_branch(traj.states)
+    if not all(math.isfinite(v) for st in traj.states for v in st):
+        # a non-finite residual or scale is a domain error, never a verdict
+        for judge in (traj.identities.evidence, lambda: branch_label(traj, TOL)):
+            with pytest.raises(DomainError):
+                judge()
+        return
+    evidence = traj.identities.evidence()
+    assert evidence.max_abs == max(max(map(abs, row.values())) for row in rows)
+    assert_allclose(evidence.ratio, reference_identity_ratio(traj.states), rtol=1e-14)
+    assert branch_label(traj, TOL) == reference_branch(traj.states)
 
 
 def seeded_starts(count=40, seed=24):
@@ -386,8 +415,7 @@ def test_cli_integrate_summary_matches_the_state_by_state_formulas(argv, st0, s_
     report = json.loads(out.read_text())
     traj = integrate(st0, s_end, step)
     rows = [reference_identity_row(st) for st in traj.states]
-    worst = max(max(map(abs, row.values())) for row in rows)
-    assert report["max_identity_residual"].hex() == worst.hex()
+    assert report["identities"]["max_abs"] == max(max(map(abs, row.values())) for row in rows)
     assert tuple(report["branch"]) == reference_branch(traj.states)
     assert report["steps"] == len(traj.states) - 1
 
@@ -413,13 +441,6 @@ K_ZERO = ReducedState(0.0, 2.0, 3.0, 3.0, 1.0, 1.0, 0.0)  # |b (lambda+3ab) (..)
         "nan-later-key", "nan-later-key-later-row", "inapplicable-only", "k-zero"])
 def test_identity_table_keeps_the_per_state_max_on_inapplicable_and_non_finite_rows(states):
     assert_batch_matches_reference(reduced.Trajectory(states))
-
-
-def test_identity_table_max_passes_over_a_later_nan_as_pythons_max_does():
-    # np.max would give NaN on the first two
-    assert reduced._identity_table((PLAIN, NAN_FIRST, INF_ROW)).worst() == math.inf
-    assert math.isfinite(reduced._identity_table((PLAIN, NAN_LATER)).worst())
-    assert math.isnan(reduced._identity_table((NAN_FIRST, PLAIN)).worst())
 
 
 def test_identity_table_raises_what_the_first_failing_state_raises():

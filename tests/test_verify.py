@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from solitonlab.families import (Profile, SolitonData, broken_family, constant_p
                                  sphere_family)
 from solitonlab.fdgrid import fd_ricci_block, grid_from_family
 from solitonlab.frames import sym_eigen
+from solitonlab.report import weigh
 from solitonlab.verify import (codazzi_residual_closed, hamilton_check,
                                oracle_deviation, soliton_residual)
 
@@ -131,35 +133,67 @@ def profile_zetas(fam, s):
 def per_sample_residuals(fam, sol, samples):
     """Reference for the residual checks: the Hessian, Codazzi and
     conservation terms of each sample from its own float table, with zeta
-    taken from the profiles rather than the table."""
+    taken from the profiles rather than the table, and the scale sigma of
+    the sample without and with the soliton's f'^2 and |lambda|."""
     rows = []
     for s in map(float, samples):
         t = family_table(fam, s)
-        eigs, fp = t.lam, sol.f.d1(s)
+        eigs, fp, zetas = t.lam, sol.f.d1(s), profile_zetas(fam, s)
         hess = [sol.f.d2(s) + eigs[0] - sol.lam] + [
-            z * fp + e - sol.lam for z, e in zip(profile_zetas(fam, s), eigs[1:])]
+            z * fp + e - sol.lam for z, e in zip(zetas, eigs[1:])]
         conserved = t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s)
+        sigma = max(*(z * z for z in zetas), *map(abs, t.sectional))
         rows.append((hess, codazzi_components(t), conserved,
-                     abs(0.5 * t.scalarp - eigs[0] * fp)))
+                     abs(0.5 * t.scalarp - eigs[0] * fp), sigma,
+                     max(sigma, fp * fp, abs(sol.lam))))
     return rows
+
+
+def ratio(r, sigma, d):
+    """|r| / sigma^(d/2), 0/0 as 0."""
+    r = np.abs(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r == 0.0, 0.0, r / sigma ** (d / 2)).max()
 
 
 @pytest.mark.parametrize("fam", CANONICAL + [broken_family()], ids=lambda f: f.name)
 def test_residual_checks_match_per_sample_loop(fam):
     sol = fam.soliton or SolitonData(constant_profile(0.0), 0.0)  # broken: no potential
     rows = per_sample_residuals(fam, sol, SAMPLES)
-    hess, cod, conserved, slope = (np.array(col) for col in zip(*rows))
+    hess, cod, conserved, slope, sigma, sigma_sol = (np.array(col) for col in zip(*rows))
     mean = conserved.mean()
+    dev = np.abs(conserved - mean)
     want = {"hess": np.abs(hess).max(axis=0), "cod": np.abs(cod).max(axis=0),
-            "ham": [np.abs(conserved - mean).max(), mean, slope.max()]}
-    got = {"hess": list(soliton_residual(fam, sol, SAMPLES).per_equation.values()),
-           "cod": list(codazzi_residual_closed(fam, SAMPLES).per_equation.values()),
-           "ham": list(hamilton_check(fam, sol, SAMPLES).per_equation.values())}
+            "ham": [dev.max(), mean, slope.max()]}
+    reports = {"hess": soliton_residual(fam, sol, SAMPLES),
+               "cod": codazzi_residual_closed(fam, SAMPLES),
+               "ham": hamilton_check(fam, sol, SAMPLES)}
     for key in want:
-        assert_allclose(got[key], want[key], rtol=1e-13, atol=1e-13)
+        assert_allclose(list(reports[key].per_equation.values()), want[key], rtol=1e-13,
+                        atol=1e-13)
+    # d = 2 for the Hessian entries, 3 for Codazzi and the scalar slope, and 2
+    # for the conserved deviation against the largest sigma of the samples
+    want = {"hess": ratio(hess, sigma_sol[:, None], 2), "cod": ratio(cod, sigma[:, None], 3),
+            "ham": max(ratio(dev, sigma_sol.max(), 2), ratio(slope, sigma_sol, 3))}
+    for key in want:
+        assert_allclose(reports[key].ratio, want[key], rtol=1e-12, atol=1e-300)
     worst = codazzi_residual_closed(fam, SAMPLES).worst_point
     if fam.name == "broken_product":
         assert worst == SAMPLES[np.argmax(np.abs(cod).max(axis=1))]
+
+
+def test_weigh_counts_0_over_0_as_0_fails_a_residual_over_a_zero_scale_and_refuses_non_finite():
+    s = np.array([1.0, 2.0])
+    assert weigh(s, [[0.0, 0.0]], [2], [0.0, 0.0], what="r").ratio == 0.0
+    ev = weigh(s, [[0.0, 1e-300], [3.0, 0.0]], [2, 3], [4.0, 0.0], what="r")
+    assert (ev.ratio, ev.max_abs, ev.worst_point) == (math.inf, 3.0, 1.0)
+    assert not ev.passes(1e300)
+    assert weigh(s, [[0.0, 3.0]], [3], [1.0, 16.0], what="r").ratio == 3.0 / 64.0
+    # sigma^(d/2) = 1e310 overflows a float, the ratio does not
+    assert_allclose(weigh(s, [[1e305, 0.0]], [4], 1e155, what="r").ratio, 1e-5, rtol=1e-14)
+    for residual, sigma in [([0.0, 1.0], [1.0, math.inf]), ([0.0, math.nan], [1.0, 1.0])]:
+        with pytest.raises(DomainError, match=r"^r or its scale is not finite at s=2\.0$"):
+            weigh(s, [residual], [2], sigma, what="r")
 
 
 def per_node_oracle_deviation(fam, grid, nodes):

@@ -25,8 +25,8 @@ print()
 
 def ratios(verdict):
     """Each test's ratio to its scale, and the pair-signature fraction."""
-    return ", ".join(f"{name} {getattr(ev, 'ratio', ev):.1e}"
-                     for name, ev in verdict.evidence.items())
+    return ", ".join([f"{name} {ev.ratio:.1e}" for name, ev in verdict.evidence.items()]
+                     + [f"pair fraction {verdict.pair_signature_fraction:.2f}"])
 
 
 for fam in (sphere_family(), product_family(-1.0), singular_steady_family(),

@@ -20,10 +20,12 @@ where the check has several residuals, ``per_equation`` (the largest |r| of
 each).
 
 * ``verify``: sigma is the largest of zeta_i^2 and the |sectional
-  curvatures| at the sample, and also of f'^2 and |lambda| for the soliton
-  and conservation checks.  d is 2 for the Hessian entries, 3 for the
-  Codazzi components and for ``scalar_slope``, and 2 for
-  ``conserved_deviation``, judged against the largest sigma of the samples.
+  curvatures| at the sample, and in the checks that take a soliton also of
+  the |terms| of that identity: |f''|, |zeta_i f'| and |lambda| for the
+  Hessian entries (d = 2), |lambda_1 f'|^(2/3) for ``scalar_slope`` (d = 3),
+  and f'^2 and |2 lambda f| for ``conserved_deviation`` (d = 2), judged
+  against the largest sigma of the samples.  d is 3 for the Codazzi
+  components.
 * ``integrate``: sigma is the largest of a^2, b^2, f'^2, |lambda| and
   |k/h^2| at the state.  d is 2 for ``linear`` and ``second_order``, 3 for
   ``quadratic`` and ``cubic_slope`` and 5 for ``branch_cubic``; the branch
@@ -33,7 +35,8 @@ each).
 * ``oracle``: ``max_relative_deviation`` is relative to max(1, |R|,
   max |lambda_i|) of the closed form already.
 * ``classify``: each test's evidence is judged against the sample set's own
-  scales (`solitonlab.classify`), and a run passes when a type is found.
+  scales (`solitonlab.classify`), beside the verdict's
+  ``pair_signature_fraction``; a run passes when a type is found.
 
 Exit codes: 0 pass, 1 a check fails (report still written), 2 usage or
 domain error (one message line on stderr, no report).  Reports are
@@ -137,9 +140,16 @@ def _samples(fam: MetricFamily, s_range, count: int) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _judged(args, report: dict, evidence, holds: bool = True) -> dict:
+    """``report`` with its verdict, the one place a command's ``pass`` is
+    set: ``holds`` (the command's other conditions) and every `Evidence`
+    of ``evidence`` within --tol."""
+    report["pass"] = holds and all(ev.passes(args.tol) for ev in evidence)
+    return report
+
+
 # ---------------------------------------------------------------------------
-# command implementations: each returns (report dict, the `Evidence` its
-# verdict needs, whether its other conditions hold, csv override)
+# command implementations: each returns (judged report dict, csv override)
 
 
 def _cmd_verify(args) -> tuple:
@@ -158,7 +168,7 @@ def _cmd_verify(args) -> tuple:
         "job": _job(args, family=args.family, s_range=list(args.s), samples=args.samples),
         "checks": checks,
     }
-    return report, list(reports.values()), True, None
+    return _judged(args, report, reports.values()), None
 
 
 def _cmd_integrate(args) -> tuple:
@@ -180,7 +190,7 @@ def _cmd_integrate(args) -> tuple:
         "identities": identities.as_dict(),
     }
     csv_text = traj.identities.to_csv() if args.format == "csv" else None
-    return report, [identities], not traj.truncated, csv_text
+    return _judged(args, report, [identities], not traj.truncated), csv_text
 
 
 def _cmd_oracle(args) -> tuple:
@@ -204,7 +214,7 @@ def _cmd_oracle(args) -> tuple:
         "worst_s": agreement.worst_point,
         "interior_nodes_checked": int(len(nodes)),
     }
-    return report, [agreement], True, None
+    return _judged(args, report, [agreement]), None
 
 
 def _sample_row(i: int, row) -> tuple:
@@ -240,20 +250,18 @@ def _cmd_classify(args) -> tuple:
     verdict = classify(samples, args.tol)
     report = {"job": _job(args, **job_src), "verdict": verdict.as_dict()}
     # the tests are judged inside `classify`; a run passes when one type holds
-    return report, [], verdict.label != LABEL_UNKNOWN, None
+    return _judged(args, report, [], verdict.label != LABEL_UNKNOWN), None
 
 
 def _cmd_report(args) -> tuple:
     data = _read_json(getattr(args, "in"), "report")
     if not isinstance(data, dict):
         raise UsageError("a report must be a JSON object")
-    return data, [], bool(data.get("pass", True)), None
+    return data, None  # re-emitted with the verdict it holds
 
 
 def _dispatch(args) -> int:
-    report, evidence, passed, csv_text = args.handler(args)
-    if args.command != "report":  # which re-emits a report as it stands
-        passed = report["pass"] = passed and all(ev.passes(args.tol) for ev in evidence)
+    report, csv_text = args.handler(args)
     if args.format == "csv":
         text = csv_text if csv_text is not None else canonical_csv(report)
     else:
@@ -265,7 +273,7 @@ def _dispatch(args) -> int:
             raise UsageError(f"cannot write report {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
-    return 0 if passed else 1
+    return 0 if report.get("pass", True) else 1
 
 
 def _add_common(sp, with_range=True):

@@ -11,18 +11,18 @@ equation error is isolated from differentiation error:
 Each check evaluates the closed forms once, over its whole sample array,
 and returns its `Evidence` under the scale rule of :mod:`solitonlab.report`.
 The scale sigma of a sample is the largest of zeta_i^2 and the |sectional
-curvatures| of its table, and also of f'^2 and |lambda| in the checks that
-take a soliton.  The Hessian entries have length dimension d = 2, and the
-Codazzi components and R'/2 - lambda_1 f' have d = 3.  The deviation of the
-conserved quantity (d = 2) is judged against the largest sigma of the
-samples, as its mean is taken over all of them.
+curvatures| of its table, the terms that each curvature value is computed
+from, and of the |terms| of the soliton's own identity in the checks that
+take one: |f''|, |zeta_i f'| and |lambda| beside the Hessian entries (d =
+2), |lambda_1 f'|^(2/3) beside R'/2 - lambda_1 f' (d = 3), and f'^2 and
+|2 lambda f| beside the conserved quantity R + f'^2 - 2 lambda f (d = 2),
+whose deviation from its mean is judged against the largest sigma of the
+samples.  The Codazzi components have d = 3.
 `oracle_deviation` cross-checks the closed forms against the independent
 finite-difference engine of :mod:`solitonlab.fdgrid`.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -36,10 +36,9 @@ from .report import Evidence, weigh
 
 def _scale(t, *terms):
     """sigma at each sample of the table t: the largest of zeta_i^2, the
-    |sectional curvatures| and ``terms``, which the checks that take a
-    soliton give as f'^2 and |lambda|."""
-    return functools.reduce(np.maximum, [z * z for z in t.zeta] + list(map(np.abs, t.sectional))
-                            + list(terms))
+    |sectional curvatures| and the |``terms``| of a soliton's identity, each
+    of length dimension 2."""
+    return np.abs([*(z * z for z in t.zeta), *t.sectional, *terms]).max(axis=0)
 
 
 @float_semantics
@@ -64,10 +63,9 @@ def soliton_residual(m: MetricFamily, sol: SolitonData, samples) -> Evidence:
     diagonal and the report carries one entry per frame direction.
     """
     def hessian_entries(t, s):
-        fp = sol.f.d1(s)
-        entries = [sol.f.d2(s) + t.lam[0] - sol.lam] + [
-            z * fp + e - sol.lam for z, e in zip(t.zeta, t.lam[1:])]
-        return entries, _scale(t, fp * fp, abs(sol.lam))
+        fp, lam = sol.f.d1(s), np.full_like(s, sol.lam)
+        hess = [sol.f.d2(s), *(z * fp for z in t.zeta)]
+        return [h + e - lam for h, e in zip(hess, t.lam)], _scale(t, *hess, lam)
 
     return _componentwise(m, samples, "soliton", [f"hess_{i}{i}" for i in (1, 2, 3, 4)], 2,
                           hessian_entries)
@@ -98,17 +96,16 @@ def hamilton_check(m: MetricFamily, sol: SolitonData, samples) -> Evidence:
         raise ValueError("hamilton_check needs at least 3 samples")
     t = family_table(m, s)
     fp = sol.f.d1(s)
-    conserved, slope_res = _finite(
-        s, t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s),
-        np.abs(0.5 * t.scalarp - t.lam[0] * fp), what="conservation identity")
+    fp2, lam_f, slope = fp * fp, 2.0 * sol.lam * sol.f.value(s), t.lam[0] * fp
+    conserved, slope_res = _finite(s, t.scalar + fp2 - lam_f, np.abs(0.5 * t.scalarp - slope),
+                                   what="conservation identity")
     mean = float(np.mean(conserved))
     dev = np.abs(conserved - mean)
-    sigma = _scale(t, fp * fp, abs(sol.lam))
     per_eq = {"conserved_deviation": float(dev.max()),
               "conserved_mean": mean,
               "scalar_slope": float(slope_res.max())}
-    return weigh(s, [dev, slope_res], (2, 3), [np.full_like(sigma, sigma.max()), sigma],
-                 per_eq, what="conservation identity")
+    sigma = [np.full_like(s, _scale(t, fp2, lam_f).max()), _scale(t, np.cbrt(slope) ** 2)]
+    return weigh(s, [dev, slope_res], (2, 3), sigma, per_eq, what="conservation identity")
 
 
 def oracle_deviation(m: MetricFamily, grid: MetricGrid, nodes) -> np.ndarray:

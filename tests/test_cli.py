@@ -49,6 +49,11 @@ DEFECT_LEDGER = [
     ("verify --family gaussian --lam 1e4", 0, None),
     ("verify --family singular-steady --s 1e-3:1e-2", 0, None),
     ("classify --family singular-steady --s 100:1000", 0, "SingularSteady_iii"),
+    # far out along s, f'^2 outgrows the curvature of the product and of the
+    # flat metric; neither may read flat against it, nor overflow in it
+    ("classify --family product --lam 1e8", 0, "Product_ii"),
+    ("classify --family product --s 1e4:2e4", 0, "Product_ii"),
+    ("classify --family gaussian --lam 1e200", 0, "WarpedLCF_iv"),
     pytest.param("integrate --family gaussian", 0, None, marks=pytest.mark.xfail(
         strict=True, reason="ROADMAP item 9: the warped families have no reduced path")),
 ]

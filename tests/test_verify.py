@@ -9,8 +9,8 @@ from solitonlab.curvature import codazzi_components, family_eigenvalues, family_
 from solitonlab.errors import DomainError
 from solitonlab.families import (Profile, SolitonData, broken_family, constant_profile,
                                  cylinder_family, flat_family, gaussian_family,
-                                 product_family, singular_steady_family,
-                                 sphere_family)
+                                 product_family, quadratic_potential,
+                                 singular_steady_family, sphere_family)
 from solitonlab.fdgrid import fd_ricci_block, grid_from_family
 from solitonlab.frames import sym_eigen
 from solitonlab.report import weigh
@@ -134,18 +134,21 @@ def per_sample_residuals(fam, sol, samples):
     """Reference for the residual checks: the Hessian, Codazzi and
     conservation terms of each sample from its own float table, with zeta
     taken from the profiles rather than the table, and the scale sigma of
-    the sample without and with the soliton's f'^2 and |lambda|."""
+    the sample alone and with the |terms| of each soliton identity: the
+    Hessian's, the conserved quantity's and the scalar slope's."""
     rows = []
     for s in map(float, samples):
         t = family_table(fam, s)
         eigs, fp, zetas = t.lam, sol.f.d1(s), profile_zetas(fam, s)
-        hess = [sol.f.d2(s) + eigs[0] - sol.lam] + [
-            z * fp + e - sol.lam for z, e in zip(zetas, eigs[1:])]
+        hess_terms = [sol.f.d2(s)] + [z * fp for z in zetas]
+        hess = [h + e - sol.lam for h, e in zip(hess_terms, eigs)]
         conserved = t.scalar + fp * fp - 2.0 * sol.lam * sol.f.value(s)
         sigma = max(*(z * z for z in zetas), *map(abs, t.sectional))
         rows.append((hess, codazzi_components(t), conserved,
                      abs(0.5 * t.scalarp - eigs[0] * fp), sigma,
-                     max(sigma, fp * fp, abs(sol.lam))))
+                     max(sigma, *map(abs, hess_terms), abs(sol.lam)),
+                     max(sigma, fp * fp, abs(2.0 * sol.lam * sol.f.value(s))),
+                     max(sigma, abs(eigs[0] * fp) ** (2 / 3))))
     return rows
 
 
@@ -160,7 +163,8 @@ def ratio(r, sigma, d):
 def test_residual_checks_match_per_sample_loop(fam):
     sol = fam.soliton or SolitonData(constant_profile(0.0), 0.0)  # broken: no potential
     rows = per_sample_residuals(fam, sol, SAMPLES)
-    hess, cod, conserved, slope, sigma, sigma_sol = (np.array(col) for col in zip(*rows))
+    hess, cod, conserved, slope, sigma, sigma_hess, sigma_cons, sigma_slope = (
+        np.array(col) for col in zip(*rows))
     mean = conserved.mean()
     dev = np.abs(conserved - mean)
     want = {"hess": np.abs(hess).max(axis=0), "cod": np.abs(cod).max(axis=0),
@@ -173,13 +177,25 @@ def test_residual_checks_match_per_sample_loop(fam):
                         atol=1e-13)
     # d = 2 for the Hessian entries, 3 for Codazzi and the scalar slope, and 2
     # for the conserved deviation against the largest sigma of the samples
-    want = {"hess": ratio(hess, sigma_sol[:, None], 2), "cod": ratio(cod, sigma[:, None], 3),
-            "ham": max(ratio(dev, sigma_sol.max(), 2), ratio(slope, sigma_sol, 3))}
+    want = {"hess": ratio(hess, sigma_hess[:, None], 2), "cod": ratio(cod, sigma[:, None], 3),
+            "ham": max(ratio(dev, sigma_cons.max(), 2), ratio(slope, sigma_slope, 3))}
     for key in want:
         assert_allclose(reports[key].ratio, want[key], rtol=1e-12, atol=1e-300)
     worst = codazzi_residual_closed(fam, SAMPLES).worst_point
     if fam.name == "broken_product":
         assert worst == SAMPLES[np.argmax(np.abs(cod).max(axis=1))]
+
+
+@pytest.mark.parametrize("lam, s_range", [(1e8, (0.5, 2.0)), (1.0, (1e4, 2e4))])
+def test_a_relative_hessian_error_fails_where_f_prime_outgrows_the_curvature(lam, s_range):
+    # on the product f' = lam s, so f'^2 exceeds every term of the Hessian
+    # equation by |lam| s^2; the scale is the terms', so an error of 1e-3 of
+    # them is seen, as it is at lam = 1 on [0.5, 2]
+    s = np.linspace(*s_range, 64)
+    fam = product_family(lam)
+    assert soliton_residual(fam, fam.soliton, s).ratio <= 1e-15
+    off = SolitonData(quadratic_potential(lam * (1.0 + 1e-3)), lam)
+    assert_allclose(soliton_residual(fam, off, s).ratio, 1e-3, rtol=2e-3)
 
 
 def test_weigh_counts_0_over_0_as_0_fails_a_residual_over_a_zero_scale_and_refuses_non_finite():

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from solitonlab import (broken_family, family_eigenvalues, fd_curvature,
-                        grid_from_family, singular_steady_family, sym_eigvals)
+                        grid_from_family, singular_steady_family, sym_eigvals,
+                        tensor_norm)
 
 fam = singular_steady_family()
 
@@ -30,7 +31,7 @@ for n_s in (65, 129):
     dev = np.max(np.abs(fd_eigs - cf[:4])) / abs(cf[4])
     print(f"n_s = {n_s:4d}  spacing = {h:.5f}  s = {s:.4f}  "
           f"Ricci rel deviation = {dev:.3e}  "
-          f"Codazzi norm = {math.sqrt(bundle.codazzi_norm_sq()):.3e}")
+          f"Codazzi norm = {math.sqrt(tensor_norm(bundle.codazzi_residual, bundle.g)):.3e}")
 
 print("\nThe deviation drops by ~16x per spacing halving (4th-order stencils).")
 
@@ -40,5 +41,5 @@ grid = grid_from_family(broken, (0.5, 2.0), 129,
                         r_range=(1.0 - 4 * h, 1.0 + 4 * h), n_r=9)
 bundle = fd_curvature(grid, (64, 4, 4, 4))
 print(f"\nbroken metric ds^2 + s^2 dt^2 + s*gt:  "
-      f"Codazzi norm = {math.sqrt(bundle.codazzi_norm_sq()):.3f}  "
+      f"Codazzi norm = {math.sqrt(tensor_norm(bundle.codazzi_residual, bundle.g)):.3f}  "
       "(a true divergence-free-Weyl metric would give ~1e-7 here)")

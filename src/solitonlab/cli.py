@@ -13,11 +13,12 @@ length dimension d passes at a point when |r| <= tol * sigma^(d/2), where
 sigma (length^-2) is the local scale there, so no verdict depends on the
 unit of length.  0/0 counts as 0, a nonzero residual over sigma = 0 fails,
 and a residual or sigma that is not finite is a domain error.  ``--tol`` is
-tol, recorded once in the report's ``job`` block.  Each check reports an
-evidence entry: ``max_abs`` (the largest |r|), ``worst_point`` (the s where
-it peaks), ``ratio`` (the largest |r| / sigma^(d/2), which decides) and,
-where the check has several residuals, ``per_equation`` (the largest |r| of
-each).
+tol, a positive finite number for every command (the parser refuses any
+other value), recorded once in the report's ``job`` block.  Each check
+reports an evidence entry: ``max_abs`` (the largest |r|), ``worst_point``
+(the s where it peaks), ``ratio`` (the largest |r| / sigma^(d/2), which
+decides) and, where the check has several residuals, ``per_equation`` (the
+largest |r| of each).
 
 * ``verify``: sigma is the largest of zeta_i^2 and the |sectional
   curvatures| at the sample, and in the checks that take a soliton also of
@@ -119,6 +120,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """--tol, of every command and job file: a positive finite number."""
+    if not _finite_float(text) > 0.0:
+        raise UsageError(f"--tol must be positive, got {text!r}")
+    return float(text)
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     ends = text.split(":")
     if len(ends) != 2:
@@ -197,12 +205,14 @@ def _cmd_oracle(args) -> tuple:
     fam = _build_family(args.family, args.lam)
     lo, hi = args.s
     n_s = args.nodes
-    if n_s < 9:
-        raise UsageError("oracle needs --nodes >= 9: 4 margin nodes on each "
-                         "side of the checked s nodes")
-    h = (hi - lo) / (n_s - 1)
-    grid = grid_from_family(fam, (lo, hi), n_s, n_r=9,
-                            r_range=(1.0 - MARGIN_CODAZZI * h, 1.0 + MARGIN_CODAZZI * h))
+    h = (hi - lo) / max(1, n_s - 1)
+    r_lo, r_hi = 1.0 - MARGIN_CODAZZI * h, 1.0 + MARGIN_CODAZZI * h
+    # 4 margin nodes on each side of the checked s nodes, and the fiber's 9
+    # r-nodes 1 +- 4h staying 10h away from r = 0, as `grid_from_family` tests it
+    if n_s < 9 or r_lo < 10.0 * ((r_hi - r_lo) / 8):
+        raise UsageError(f"oracle needs --nodes >= 9 and an s-spacing h <= 1/14; --s "
+                         f"{lo:g}:{hi:g} on --nodes {n_s} gives h = {h:.6g}")
+    grid = grid_from_family(fam, (lo, hi), n_s, n_r=9, r_range=(r_lo, r_hi))
     mid = [n // 2 for n in grid.shape]
     nodes = np.array([(i, *mid[1:]) for i in range(MARGIN_CODAZZI, n_s - MARGIN_CODAZZI)])
     # the deviations are relative to their own scale already, so d = 0
@@ -283,7 +293,7 @@ def _add_common(sp, with_range=True):
     if with_range:
         sp.add_argument("--s", type=_parse_range, default=(0.5, 2.0),
                         metavar="LO:HI")
-    sp.add_argument("--tol", type=_finite_float)
+    sp.add_argument("--tol", type=_tolerance)
     sp.add_argument("--out", default=None, metavar="PATH")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -321,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="finite-difference cross-check of closed forms")
     _add_common(p)
     p.add_argument("--nodes", type=int, default=129,
-                   help="s-axis resolution; the 1e-6 agreement default is "
-                        "calibrated at 129")
+                   help="s-axis resolution, at least 9 and an s-spacing of at most "
+                        "1/14; the 1e-6 agreement default is calibrated at 129")
     p.set_defaults(handler=_cmd_oracle, tol=1e-6)
 
     p = sub.add_parser("classify", help="match sampled data to the four types")

@@ -25,8 +25,9 @@ array of s.  A Python float gives floats, computed as the scalar formulas
 compute them; an array gives arrays of its shape from one call.  Each call
 checks the family domain, the positivity of p and h and the finiteness of
 every table entry once, and a failure names the first bad s.  Each call
-dispatches on the type of s once: the family-level entry points call the
-per-ansatz formulas directly, not through `dw_table` and `warp3_table`.
+dispatches on the type of s once; the per-ansatz formulas (`_dw`,
+`_warp3`) are plain functions of the s they are given, which only
+`family_table` calls.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ def _finite(s: Values, *values: Values, what: str = "closed-form curvature"
     return values
 
 
-@_over_samples
-def dw_table(p: Profile, h: Profile, k: float, s) -> CurvatureTable:
+def _dw(p: Profile, h: Profile, k: float, s) -> CurvatureTable:
     """Unconstrained curvature table of the doubly-warped ansatz at s."""
     pv = require_positive(p.value(s), s, p, "p")
     hv = require_positive(h.value(s), s, h, "h")
@@ -130,8 +130,7 @@ def dw_table(p: Profile, h: Profile, k: float, s) -> CurvatureTable:
                           (lam1p, lam2p, lam3p, lam3p), r, rp)
 
 
-@_over_samples
-def warp3_table(h: Profile, k: float, s) -> CurvatureTable:
+def _warp3(h: Profile, k: float, s) -> CurvatureTable:
     """Curvature table of the 3-fiber warped product at s."""
     hv = require_positive(h.value(s), s, h, "h")
     b = h.d1(s) / hv
@@ -171,8 +170,8 @@ def family_table(m: MetricFamily, s) -> CurvatureTable:
     return _dw(m.p, m.h, m.k, s)
 
 
-# the formulas without the dispatch on s, for entry points that have done it
-_dw, _warp3, _family = (f.__wrapped__ for f in (dw_table, warp3_table, family_table))
+# the table without the dispatch on s, for entry points that have done it
+_family = family_table.__wrapped__
 
 
 def family_eigenvalues(m: MetricFamily, s):

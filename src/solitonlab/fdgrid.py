@@ -6,8 +6,11 @@ grid, and produces Christoffel symbols, Riemann/Ricci/scalar/Weyl curvature
 and the Codazzi residual of Ric - (R/6) g by 4th-order central differences
 on 5 points.  Metric derivatives are taken on boxes of nodes, every stencil
 tap a shifted slice of the grid over the box (`_jet`); Ricci and R come
-straight from the connection and its chain-rule derivative, and only
-`fd_curvature` builds the rank-4 Riemann tensor, at its one node.
+straight from the connection and its chain-rule derivative.  One slab loop
+(`_ricci_boxes`) serves every entry point: it evaluates Ricci and R on each
+node it is given once, and the per-node fields of `_FIELDS` (the
+connection, the rank-4 Riemann tensor) on the nodes of its leading box only,
+so `fd_curvature` reads its node off box 0 of its Codazzi cross.
 
 A node batch costs its bounding box (`fd_ricci_block`), and its Codazzi
 residual the cross of boxes around that, exactly the stencil neighbourhood
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import DomainError, GridBoundaryError
 from .families import MetricFamily, family_diagonal
-from .frames import DIM, _cholesky, _sym2, tensor_norm
+from .frames import DIM, _cholesky, _sym2
 
 MARGIN_CURVATURE = 2
 MARGIN_CODAZZI = 4
@@ -69,12 +72,10 @@ _BLOCK = 256
 @dataclass(frozen=True)
 class CurvatureBundle:
     """Christoffel symbols, curvature tensors and the Codazzi residual of
-    ``Ric - (R/6) g`` at one point.  `fd_curvature` builds it in the
-    coordinate frame; the closed-form reference of the tests builds it in
-    the orthonormal adapted frame.
-
-    ``christoffel[k, i, j]`` is the coordinate symbol ``Gamma^k_ij`` in a
-    coordinate frame and ``<grad_{E_i} E_j, E_k>`` in an orthonormal frame.
+    ``Ric - (R/6) g`` at one node, in the coordinate frame, as `fd_curvature`
+    reads them off its Codazzi cross.  ``christoffel[k, i, j]`` is
+    ``Gamma^k_ij``; `frames.tensor_norm` gives |W|^2 and the squared norm
+    of the residual.
     """
 
     g: np.ndarray
@@ -84,12 +85,6 @@ class CurvatureBundle:
     scalar: float
     weyl: np.ndarray
     codazzi_residual: np.ndarray
-
-    def weyl_norm_sq(self) -> float:
-        return tensor_norm(self.weyl, self.g)
-
-    def codazzi_norm_sq(self) -> float:
-        return tensor_norm(self.codazzi_residual, self.g)
 
 
 @dataclass(frozen=True)
@@ -396,27 +391,39 @@ def _weyl_batch(riem, ric, scalar, g0):
     return riem + 0.5 * kulkarni - (scalar[:, None, None, None, None] / 6.0) * metric_part
 
 
-def _ricci_boxes(grid: MetricGrid, boxes, n_gam: int = 0):
-    """(gam, ric, scalar) on the nodes of ``boxes``, (lo, shape) pairs in
+# the per-node fields that `_ricci_boxes` keeps on the nodes of its leading
+# box: (rank, field of the 2-jet (g0, dg, d2g) and the connection (ginv_t,
+# bracket, gam_t)); gam[n,k,i,j] = Gamma^k_ij
+_FIELDS = {
+    "gam": (3, lambda jet, conn: conn[2].transpose(0, 3, 1, 2)),
+    "riem": (4, lambda jet, conn: _riemann(*jet, *conn)),
+}
+
+
+def _ricci_boxes(grid: MetricGrid, boxes, fields=()):
+    """(ric, scalar, lead) on the nodes of ``boxes``, (lo, shape) pairs in
     indices of `MetricGrid.distinct`, box after box and each in C order;
-    gam only on the first ``n_gam`` of those nodes.  The chunks of
-    `_chunks` are contracted one at a time into preallocated outputs, and a
-    chunk's temporaries are freed before the next chunk's jets are built."""
+    ``lead`` maps each name of ``fields`` (keys of `_FIELDS`) to that field
+    on the nodes of the first box only.  The chunks of `_chunks` are
+    contracted one at a time into preallocated outputs, and a chunk's
+    temporaries are freed before the next chunk's jets are built."""
     n = sum(math.prod(shape) for _, shape in boxes)
     ric, scalar = np.empty((n, DIM, DIM)), np.empty(n)
-    gam = np.empty((n_gam, DIM, DIM, DIM))
+    lead = {name: np.empty((math.prod(boxes[0][1]),) + (DIM,) * _FIELDS[name][0])
+            for name in fields}
     lo = 0
     for chunk in _chunks(boxes):
-        g0, dg, d2g = (parts[0] if len(chunk) == 1 else np.concatenate(parts)
-                       for parts in zip(*[_jet(grid, start, extent) for start, extent in chunk]))
-        rows = slice(lo, lo + len(g0))
-        ginv_t, bracket, gam_t = _connection(g0, dg)
-        ric[rows], scalar[rows] = _ricci(dg, d2g, ginv_t, bracket, gam_t)
-        keep = min(len(g0), max(0, n_gam - lo))
-        gam[lo:lo + keep] = gam_t[:keep].transpose(0, 3, 1, 2)
+        jet = tuple(parts[0] if len(chunk) == 1 else np.concatenate(parts)
+                    for parts in zip(*[_jet(grid, start, extent) for start, extent in chunk]))
+        rows = slice(lo, lo + len(jet[0]))
+        conn = _connection(*jet[:2])
+        ric[rows], scalar[rows] = _ricci(*jet[1:], *conn)
+        for name, out in lead.items():  # on the chunk's rows in the leading box
+            k = len(out[rows])
+            out[rows] = _FIELDS[name][1]([a[:k] for a in jet], [a[:k] for a in conn])
         lo = rows.stop
-        del g0, dg, d2g, ginv_t, bracket, gam_t
-    return gam, ric, scalar
+        del jet, conn
+    return ric, scalar, lead
 
 
 def _chunks(boxes):
@@ -433,16 +440,19 @@ def _chunks(boxes):
         yield chunk
 
 
-def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
-    """Codazzi residual C_kij = cov_k Ric_ij - cov_i Ric_kj
-    + (d_i R / 6) g_kj - (d_k R / 6) g_ij at a non-empty node batch.
+def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray, fields=()) -> dict[str, np.ndarray]:
+    """At a non-empty node batch, row for row: the Codazzi residual
+    ``codazzi`` C_kij = cov_k Ric_ij - cov_i Ric_kj + (d_i R / 6) g_kj
+    - (d_k R / 6) g_ij, the node metrics ``g``, ``ric``, ``scalar``, ``gam``
+    and each field of ``fields`` (keys of `_FIELDS`).
 
     Ricci and R are evaluated in one `_ricci_boxes` pass on the cross of
     boxes around the bounding box of the nodes: the box widened by 2 along
     the first axis where g is not stride-0, and a 2-thick slab on each side
     of it along each other such axis, 1 + 2(A - 1) boxes for A such axes.
     The odd first-derivative stencil reads shifted slices of that field node
-    by node, and skips stride-0 axes; the node metrics come from the grid.
+    by node, and skips stride-0 axes; the node metrics come from the grid,
+    the other values at the nodes from box 0 of the cross.
     """
     h = grid.spacings
     axes = [l for l, skip in enumerate(grid.broadcast_axes) if not skip]
@@ -453,9 +463,8 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
     for l in axes[1:]:
         thin = tuple(np.where(unit[l], 2, shape).tolist())
         boxes += [(lo - 2 * unit[l], thin), (lo + shape[l] * unit[l], thin)]
-    sizes = [math.prod(extent) for _, extent in boxes]
-    gam, ric, scalar = _ricci_boxes(grid, boxes, sizes[0])
-    ends = np.cumsum([0] + sizes)
+    ric, scalar, lead = _ricci_boxes(grid, boxes, ("gam", *fields))
+    ends = np.cumsum([0] + [math.prod(extent) for _, extent in boxes])
     center = _box(pad, shape)
     n = math.prod(shape)
 
@@ -477,15 +486,15 @@ def _codazzi_batch(grid: MetricGrid, nodes: np.ndarray):
 
     dric = np.stack([derivative(ric, l) for l in range(DIM)], axis=1)
     dscal = np.stack([derivative(scalar, l) for l in range(DIM)], axis=1)
-    g0 = _node_metrics(grid, lo, shape)
-    gam = part(gam, 0)[center].reshape(n, DIM, DIM, DIM)
-    ric_c = part(ric, 0)[center].reshape(n, DIM, DIM)
-    cov = (dric - np.einsum("nmki,nmj->nkij", gam, ric_c)
-           - np.einsum("nmkj,nim->nkij", gam, ric_c))
-    res = (cov - cov.transpose(0, 2, 1, 3)
-           + np.einsum("ni,nkj->nkij", dscal, g0) / 6.0
-           - np.einsum("nk,nij->nkij", dscal, g0) / 6.0)
-    return res if rows is None else res[rows]
+    out = {"g": _node_metrics(grid, lo, shape)}
+    for name, field in (("ric", ric), ("scalar", scalar), *lead.items()):
+        out[name] = part(field, 0)[center].reshape((n,) + field.shape[1:])
+    cov = (dric - np.einsum("nmki,nmj->nkij", out["gam"], out["ric"])
+           - np.einsum("nmkj,nim->nkij", out["gam"], out["ric"]))
+    out["codazzi"] = (cov - cov.transpose(0, 2, 1, 3)
+                      + np.einsum("ni,nkj->nkij", dscal, out["g"]) / 6.0
+                      - np.einsum("nk,nij->nkij", dscal, out["g"]) / 6.0)
+    return out if rows is None else {key: val[rows] for key, val in out.items()}
 
 
 def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
@@ -502,28 +511,25 @@ def fd_ricci_block(grid: MetricGrid, nodes) -> dict[str, np.ndarray]:
         return {"g": np.empty((0, DIM, DIM)), "ric": np.empty((0, DIM, DIM)),
                 "scalar": np.empty(0)}
     lo, shape, rows = _bounding_box(grid, nodes)
-    _, ric, scalar = _ricci_boxes(grid, [(lo, shape)])
+    ric, scalar, _ = _ricci_boxes(grid, [(lo, shape)])
     out = {"g": _node_metrics(grid, lo, shape), "ric": ric, "scalar": scalar}
     return out if rows is None else {key: val[rows] for key, val in out.items()}
 
 
 def fd_curvature(grid: MetricGrid, node) -> CurvatureBundle:
-    """Full curvature bundle (coordinate frame) at one interior node.
+    """Full curvature bundle (coordinate frame) at one interior node, read
+    off box 0 of its Codazzi cross (`_codazzi_batch`), which also yields
+    the Riemann tensor there: the node's values are the ones
+    `fd_ricci_block` and `fd_codazzi_block` give it, bit for bit.
 
     Needs the full Codazzi margin (4 nodes) on every axis.
     """
     if np.shape(node) != (DIM,):
         raise ValueError(f"node must have shape (4,), not {np.shape(node)}")
-    nodes = grid.require_interior(node, MARGIN_CODAZZI)
-    g0, dg, d2g = _jet(grid, np.where(grid.broadcast_axes, 0, nodes[0]), (1,) * DIM)
-    conn = _connection(g0, dg)
-    ric, scalar = _ricci(dg, d2g, *conn)
-    riem = _riemann(g0, dg, d2g, *conn)
-    weyl = _weyl_batch(riem, ric, scalar, g0)
-    gam = conn[2].transpose(0, 3, 1, 2)
-    codazzi = _codazzi_batch(grid, nodes)
-    return CurvatureBundle(g0[0], gam[0], riem[0], ric[0], float(scalar[0]), weyl[0],
-                           codazzi[0])
+    at = _codazzi_batch(grid, grid.require_interior(node, MARGIN_CODAZZI), ("riem",))
+    weyl = _weyl_batch(at["riem"], at["ric"], at["scalar"], at["g"])
+    return CurvatureBundle(at["g"][0], at["gam"][0], at["riem"][0], at["ric"][0],
+                           float(at["scalar"][0]), weyl[0], at["codazzi"][0])
 
 
 def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
@@ -535,7 +541,7 @@ def fd_codazzi_block(grid: MetricGrid, nodes) -> np.ndarray:
     nodes = grid.require_interior(nodes, MARGIN_CODAZZI)
     if not len(nodes):
         return np.empty((0, DIM, DIM, DIM))
-    return _codazzi_batch(grid, nodes)
+    return _codazzi_batch(grid, nodes)["codazzi"]
 
 
 # ---------------------------------------------------------------------------

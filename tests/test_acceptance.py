@@ -138,7 +138,7 @@ def test_criterion_4_harmonic_weyl():
     grid = grid_from_family(broken, (0.5, 2.0), 129,
                             r_range=(1.0 - 4 * h, 1.0 + 4 * h), n_r=9)
     bundle = fd_curvature(grid, (64, 4, 4, 4))
-    fd_broken = math.sqrt(bundle.codazzi_norm_sq())
+    fd_broken = math.sqrt(tensor_norm(bundle.codazzi_residual, bundle.g))
     ok = ok and closed_broken > 1e-2 and fd_broken > 1e-2
     # Weyl marks: non-flat for the steady metric, flat for type (iv)
     w_steady = family_weyl_sq(FAMILIES["singular_steady"], 1.0)

@@ -238,6 +238,27 @@ def assert_exit_2_with_one_line(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("solitonlab: error: ")
     assert "Traceback" not in captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("command", ["verify", "integrate", "oracle", "classify"])
+def test_tol_that_is_not_positive_exits_2_naming_it(command, tol, tmp_path, capsys):
+    # the parser refuses it for every command, and so for a job file too
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": command, "family": "product", "tol": float(tol)}))
+    for argv in ([command, "--family", "product", "--tol", tol], ["job", str(job)]):
+        assert "--tol must be positive" in assert_exit_2_with_one_line(argv, capsys)
+
+
+def test_oracle_names_the_arguments_of_a_too_coarse_grid(capsys):
+    # the fiber's radial window 1 +- 4h must stay 10 spacings from r = 0, so
+    # h <= 1/14: on --s 0.5:2 from 22 nodes on
+    for argv in (["--nodes", "9"], ["--nodes", "21"], ["--s", "0.5:100"]):
+        line = assert_exit_2_with_one_line(["oracle", "--family", "product", *argv], capsys)
+        assert "--nodes" in line and "--s" in line
+    assert main(["oracle", "--family", "product", "--nodes", "22"]) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,8 +8,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from solitonlab.curvature import (PLANES, dw_table, family_eigenvalues, family_table,
-                                  family_weyl_sq, warp3_table)
+from solitonlab.curvature import PLANES, family_eigenvalues, family_table, family_weyl_sq
 from solitonlab.errors import DomainError
 from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily,
                                  canonical_family, constant_profile, power_profile,
@@ -23,12 +22,13 @@ ONE = constant_profile(1.0)
 
 def warp3_ricci(h, k, s):
     """(lam1, lam_fiber, R) of the 3-fiber warped table at s."""
-    t = warp3_table(h, k, s)
+    t = family_table(MetricFamily(h, k), s)
     return t.lam[0], t.lam[1], t.scalar
 
 
 def test_dw_table_scalar_is_eigenvalue_sum():
-    t = dw_table(power_profile(1.0, 0.4), power_profile(2.0, 0.4), -1.0, 1.3)
+    fam = MetricFamily(power_profile(2.0, 0.4), -1.0, p=power_profile(1.0, 0.4))
+    t = family_table(fam, 1.3)
     assert_allclose(t.scalar, t.lam[0] + t.lam[1] + 2 * t.lam[2], rtol=1e-14)
 
 

@@ -12,6 +12,7 @@ from solitonlab.errors import DomainError, GridBoundaryError
 from solitonlab.families import (broken_family, cylinder_family, family_metric,
                                  flat_family, gaussian_family, product_family,
                                  singular_steady_family, sphere_family)
+from solitonlab import fdgrid
 from solitonlab.fdgrid import (MetricGrid, _bounding_box, _jet, fd_codazzi_block,
                                fd_curvature, fd_ricci_block, grid_from_family)
 from solitonlab.frames import _cholesky, _sym2, sym_eigen, tensor_norm
@@ -369,7 +370,28 @@ def test_block_rows_follow_shuffled_duplicated_and_sparse_nodes(fam):
         assert np.array_equal(fd_codazzi_block(grid, nodes[pick]), codazzi[pick])
     for j in (0, 17, len(nodes) - 1):  # a one-node box
         assert np.array_equal(fd_codazzi_block(grid, nodes[j]), codazzi[j:j + 1])
-        assert np.array_equal(fd_curvature(grid, nodes[j]).codazzi_residual, codazzi[j])
+        bundle = fd_curvature(grid, nodes[j])
+        assert np.array_equal(bits(bundle.codazzi_residual), bits(codazzi[j]))
+        for key in ("g", "ric", "scalar"):
+            assert np.array_equal(bits(getattr(bundle, key)), bits(ricci[key][j]))
+
+
+@pytest.mark.parametrize("fam, cross", [(singular_steady_family(), 9), (gaussian_family(), 13)],
+                         ids=["doubly_warped", "warped3"])
+def test_fd_curvature_reads_its_node_off_its_codazzi_cross(fam, cross, monkeypatch):
+    # a node's Codazzi cross: 5 nodes along s, and 2 on each side along each
+    # other axis that is not stride-0.  The bundle builds no jet of its own,
+    # evaluates Ricci once per cross node and Riemann on box 0 only.
+    rows = {"_jet": lambda grid, lo, shape: math.prod(shape),
+            "_ricci": lambda dg, *rest: len(dg), "_riemann": lambda g0, *rest: len(g0)}
+    seen = dict.fromkeys(rows, 0)
+    for name, count in rows.items():
+        def counted(*args, real=getattr(fdgrid, name), name=name, count=count):
+            seen[name] += count(*args)
+            return real(*args)
+        monkeypatch.setattr(fdgrid, name, counted)
+    fd_curvature(narrow_grid(fam, 33), (16, 4, 4, 4))
+    assert seen == {"_jet": cross, "_ricci": cross, "_riemann": 5}
 
 
 def test_sparse_nodes_of_a_dense_grid_match_the_full_box():
@@ -642,8 +664,9 @@ def test_fd_singular_steady_ricci_at_s1(steady_grid):
     assert np.max(np.abs(eigs - cf[:4])) / abs(cf[4]) <= 1e-6
     assert abs(b.scalar - cf[4]) / abs(cf[4]) <= 1e-6
     # Weyl cross-check, and the |W|^2 s^4 = 16/243 scaling
-    assert abs(b.weyl_norm_sq() - family_weyl_sq(fam, s)) <= 1e-6 * family_weyl_sq(fam, s)
-    assert_allclose(b.weyl_norm_sq() * s**4, 16.0 / 243.0, rtol=1e-6)
+    weyl_sq = tensor_norm(b.weyl, b.g)
+    assert abs(weyl_sq - family_weyl_sq(fam, s)) <= 1e-6 * family_weyl_sq(fam, s)
+    assert_allclose(weyl_sq * s**4, 16.0 / 243.0, rtol=1e-6)
 
 
 def test_fd_singular_steady_line_agreement(steady_grid):
@@ -659,14 +682,14 @@ def test_fd_product_weyl_cross_check():
     b = fd_curvature(grid, node)
     s = grid.axes[0][32]
     cf = family_weyl_sq(fam, s)
-    assert abs(b.weyl_norm_sq() - cf) <= 1e-6 * cf
+    assert abs(tensor_norm(b.weyl, b.g) - cf) <= 1e-6 * cf
     assert_allclose(cf, 4.0 / 3.0, rtol=1e-12)
 
 
 def test_fd_cylinder_codazzi_vanishes():
     grid = narrow_grid(cylinder_family(2.0), 65)
     b = fd_curvature(grid, (32, 4, 4, 4))
-    assert math.sqrt(b.codazzi_norm_sq()) < 1e-6
+    assert math.sqrt(tensor_norm(b.codazzi_residual, b.g)) < 1e-6
 
 
 def test_fd_codazzi_matches_closed_form_on_broken_family():
@@ -676,7 +699,7 @@ def test_fd_codazzi_matches_closed_form_on_broken_family():
     node = (i_s, 4, 4, 4)
     s = grid.axes[0][i_s]
     b = fd_curvature(grid, node)
-    fd_norm = math.sqrt(b.codazzi_norm_sq())
+    fd_norm = math.sqrt(tensor_norm(b.codazzi_residual, b.g))
     rep = codazzi_residual_closed(fam, [s])
     d2 = rep.per_equation["direction_2"]
     d3 = rep.per_equation["direction_3"]

@@ -46,7 +46,8 @@ COMMANDS = ("verify", "oracle", "classify", "integrate")
 # its identity residuals, a run that blows up (at step 317) as JSON and as
 # CSV, integrate's refusals (an unknown family, a family without a reduced
 # start, and a bad --lam of one with it), a --lam on a family without one,
-# and the known CLI defects that the benchmark's boundary jobs leave out
+# the known CLI defects that the benchmark's boundary jobs leave out, a
+# --tol that is not positive and an oracle grid too coarse for its fiber
 EDGE_JOBS = (
     "verify --family gaussian --lam 1e308",
     "verify --family product --lam 1e200",
@@ -67,6 +68,9 @@ EDGE_JOBS = (
     "verify --family singular-steady --s 1e-3:1e-2",
     "classify --family singular-steady --s 100:1000",
     "integrate --family gaussian",
+    "verify --family product --tol 0",
+    "integrate --family product --tol -1",
+    "oracle --family product --nodes 21",
 )
 # the rows of the samples files of `classify --samples-file` jobs, written
 # into the workspace so that both trees read them at one path: a product-like

@@ -22,8 +22,7 @@ from .families import (MetricFamily, Profile, SolitonData, broken_family,
                        singular_steady_family, sphere_family)
 from .fdgrid import CurvatureBundle, MetricGrid, fd_curvature, grid_from_family
 from .frames import sym_eigen, sym_eigvals, tensor_norm
-from .reduced import (DwDerivatives, ReducedState, Trajectory, branch_label,
-                      dw_rhs, integrate, product_state, reduced_identity_residuals,
+from .reduced import (ReducedState, Trajectory, branch_label, integrate, product_state,
                       singular_steady_state, warp3_rhs)
 from .verify import (codazzi_residual_closed, hamilton_check, oracle_deviation,
                      soliton_residual)

@@ -40,8 +40,9 @@ largest |r| of each).
   ``pair_signature_fraction``; a run passes when a type is found.
 
 Exit codes: 0 pass, 1 a check fails (report still written), 2 usage or
-domain error (one message line on stderr, no report).  Reports are
-byte-identical across runs of the same job.
+domain error (one message line on stderr, no report), the parser's own
+usage errors and a --samples or --nodes above `MAX_SAMPLES` or `MAX_NODES`
+included.  Reports are byte-identical across runs of the same job.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ from .verify import (codazzi_residual_closed, hamilton_check, oracle_deviation,
 class UsageError(Exception):
     pass
 
+
+# the largest --samples (verify, classify) and --nodes (oracle): each keeps a
+# run's peak memory near that of a MAX_STEPS integrate run (about 0.6 GB), at
+# about 0.43 KB a verify sample, 0.32 KB a classify sample and up to 4.3 KB
+# an oracle node
+MAX_SAMPLES = 10**6
+MAX_NODES = 10**5
 
 _CLI_FAMILIES = {name.replace("_", "-"): name for name in CANONICAL_FAMILIES}
 # the families whose record has a reduced start; integrate checks this
@@ -127,6 +135,13 @@ def _tolerance(text: str) -> float:
     return float(text)
 
 
+def _shown(x: float) -> str:
+    """x as %g where that reads back as x, else as its repr, so that a
+    message shows the number that was given."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     ends = text.split(":")
     if len(ends) != 2:
@@ -145,6 +160,8 @@ def _samples(fam: MetricFamily, s_range, count: int) -> np.ndarray:
         raise UsageError(f"sample range {s_range} misses the family domain")
     if count < 3:
         raise UsageError("need at least 3 samples")
+    if count > MAX_SAMPLES:
+        raise UsageError(f"--samples {count} is more than {MAX_SAMPLES}")
     return np.linspace(lo, hi, count)
 
 
@@ -205,13 +222,15 @@ def _cmd_oracle(args) -> tuple:
     fam = _build_family(args.family, args.lam)
     lo, hi = args.s
     n_s = args.nodes
+    if n_s > MAX_NODES:
+        raise UsageError(f"--nodes {n_s} is more than {MAX_NODES}")
     h = (hi - lo) / max(1, n_s - 1)
     r_lo, r_hi = 1.0 - MARGIN_CODAZZI * h, 1.0 + MARGIN_CODAZZI * h
     # 4 margin nodes on each side of the checked s nodes, and the fiber's 9
     # r-nodes 1 +- 4h staying 10h away from r = 0, as `grid_from_family` tests it
     if n_s < 9 or r_lo < 10.0 * ((r_hi - r_lo) / 8):
         raise UsageError(f"oracle needs --nodes >= 9 and an s-spacing h <= 1/14; --s "
-                         f"{lo:g}:{hi:g} on --nodes {n_s} gives h = {h:.6g}")
+                         f"{_shown(lo)}:{_shown(hi)} on --nodes {n_s} gives h = {h:.6g}")
     grid = grid_from_family(fam, (lo, hi), n_s, n_r=9, r_range=(r_lo, r_hi))
     mid = [n // 2 for n in grid.shape]
     nodes = np.array([(i, *mid[1:]) for i in range(MARGIN_CODAZZI, n_s - MARGIN_CODAZZI)])
@@ -302,11 +321,16 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that takes a word starting like a negative number
     ("-1e-3", "-1:1") for a value, as it takes "-1" and "-.5": otherwise
     ``--lam -1e-3`` fails with "expected one argument".  No option string of
-    this CLI starts like a negative number."""
+    this CLI starts like a negative number.  Its usage errors raise
+    `UsageError`, so they exit 2 with one line as every other does; --help
+    still exits 0."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="finite-difference cross-check of closed forms")
     _add_common(p)
     p.add_argument("--nodes", type=int, default=129,
-                   help="s-axis resolution, at least 9 and an s-spacing of at most "
-                        "1/14; the 1e-6 agreement default is calibrated at 129")
+                   help=f"s-axis resolution, at most {MAX_NODES}, at least 9 and an "
+                        "s-spacing of at most 1/14; the 1e-6 agreement default is "
+                        "calibrated at 129")
     p.set_defaults(handler=_cmd_oracle, tol=1e-6)
 
     p = sub.add_parser("classify", help="match sampled data to the four types")

@@ -4,7 +4,7 @@ For the doubly-warped ansatz with a = p'/p, b = h'/h and potential slope
 fp = f', the soliton equation reduces, after eliminating curvature, to
 
     a'  = fp a - a^2 - 2 a b - lambda
-    b'  = a' + a^2 - b^2          (from R_1221 = R_1331)
+    b'  = a' + a^2 - b^2          (delta W = 0: p''/p = h''/h)
     fp' = 3 a' + 3 a^2 + lambda
     h'  = b h
 
@@ -12,20 +12,34 @@ with the third soliton component
 
     fp b = b' + 2 b^2 + a b - k/h^2 + lambda
 
-left over as a diagnostic.  The flow does not conserve it in general.  From
+left over: along the flow its residual is exactly minus the ``linear``
+identity below.  The flow does not conserve it in general.  From
 starts where it vanishes, integrated over s in [1, 1.3], it stays at
 rounding level (4.4e-16) on the branch lambda - 2 a^2 + a b = 0 with
 lambda = k = 0, the singular steady metric with s shifted, but reaches
 0.34 to 1.5 on that branch at other lambda or k, and 0.04 off every
-branch.  Along solutions a family of derived identities holds;
-:func:`reduced_identity_residuals` evaluates them at one state.  A state
-(`ReducedState`) is a named tuple: iterable, and equal to the plain tuple
-of its fields.  A trajectory turns its states into float columns once
-(`Trajectory.columns`) and evaluates the identities for all its states,
-with numpy, from the same formulas (`Trajectory.identities`): every power
-still goes through Python's float pow, in a single pass over the states,
-because numpy's ``power`` rounds some squares and cubes differently, so
-each residual has the bits of the one-state evaluation.
+branch.  Along solutions the identities `IDENTITIES` hold:
+
+    linear        (a - b) f' - b (a - b) - k/h^2
+    second_order  2 (b' + b^2) + b^2 - k/h^2 + lambda
+    quadratic     (a - b)(2 a b - b^2 + lambda) - (a + b) k/h^2
+    cubic_slope   (a + b) a' + a^3 + 2 a b^2 + lambda b
+    branch_cubic  b (lambda + 3 a b)(lambda - 2 a^2 + a b), where k != 0
+
+and a state with a = b reports only the flag ``inapplicable``.  With C the
+``linear`` one and ' the derivative along the flow, ``second_order``,
+``quadratic`` and ``cubic_slope`` vanish where C = C' = 0 (dividing by
+a - b and a + b), and ``branch_cubic`` where C'' = 0 too;
+``tests/symbolic.py`` derives the flow, the third component and these
+statements exactly.
+
+A state (`ReducedState`) is a named tuple: iterable, and equal to the plain
+tuple of its fields.  A trajectory turns its states into float columns
+once (`Trajectory.columns`) and evaluates the identities of all its states
+at once, one formula run on the columns (`Trajectory.identities`).  Its
+powers go through Python's float pow, in a single pass over the states,
+because numpy's ``power`` rounds some squares and cubes differently, and
+the integrate reports keep their bytes.
 
 The identities and the branch factors are judged by the scale rule of
 :mod:`solitonlab.report`, against sigma, the largest of a^2, b^2, f'^2,
@@ -70,22 +84,10 @@ class ReducedState(NamedTuple):
     lam: float
     k: float
 
-    def k_h2(self) -> float:
-        _require_h(self.h)
-        return self.k / self.h**2
-
 
 def _require_h(h: float) -> None:
     if h == 0.0:
         raise DomainError("h vanished: the fiber scale degenerated")
-
-
-class DwDerivatives(NamedTuple):
-    ap: float
-    bp: float
-    fpp: float
-    hp: float
-    diagnostic: float  # |fp b - (b' + 2b^2 + ab - k/h^2 + lambda)|
 
 
 def _rhs(a: float, b: float, fp: float, h: float, lam: float):
@@ -95,15 +97,6 @@ def _rhs(a: float, b: float, fp: float, h: float, lam: float):
     a2 = a**2
     ap = fp * a - a2 - 2.0 * a * b - lam
     return (ap, ap + a2 - b**2, 3.0 * ap + 3.0 * a2 + lam, b * h)
-
-
-def dw_rhs(st: ReducedState) -> DwDerivatives:
-    """Right-hand side of the reduced system, plus the diagnostic: the residual
-    of the third soliton component, which the flow does not conserve in
-    general (see the module docstring)."""
-    ap, bp, fpp, hp = _rhs(st.a, st.b, st.fp, st.h, st.lam)
-    diag = abs(st.fp * st.b - (bp + 2.0 * st.b**2 + st.a * st.b - st.k_h2() + st.lam))
-    return DwDerivatives(ap, bp, fpp, hp, diag)
 
 
 def _require_positive_s(s: float) -> None:
@@ -218,25 +211,6 @@ def _identities(a, b, fp, lam, kh2, ap, a3):
             b0 * b1 * b2)
 
 
-def reduced_identity_residuals(st: ReducedState, ap: float) -> dict[str, float]:
-    """Residuals of the derived constraints at one state.
-
-    Keys (all should vanish along true soliton trajectories):
-
-    * ``linear``      : (a-b) f' - b(a-b) - k/h^2
-    * ``second_order``: 2(b'+b^2) + b^2 - k/h^2 + lambda
-    * ``quadratic``   : (a-b)(2ab - b^2 + lambda) - (a+b) k/h^2
-    * ``cubic_slope`` : (a+b) a' + a^3 + 2ab^2 + lambda b
-    * ``branch_cubic``: b (lambda+3ab) (lambda-2a^2+ab), reported when k != 0
-    * ``inapplicable``: 1.0 flag when a = b makes the family degenerate
-    """
-    a, b, kh2 = st.a, st.b, st.k_h2()
-    if a == b:
-        return {"inapplicable": 1.0}
-    keys = IDENTITIES if st.k != 0.0 else IDENTITIES[:4]
-    return dict(zip(keys, _identities(a, b, st.fp, st.lam, kh2, ap, a**3)))
-
-
 class _IdentityTable(NamedTuple):
     """The identity residuals of a run of states, from one evaluation."""
 
@@ -246,7 +220,7 @@ class _IdentityTable(NamedTuple):
     sigma: np.ndarray    # the scale of each state
 
     def rows(self) -> list[dict[str, float]]:
-        """`reduced_identity_residuals` of each state, with ap from `_rhs`."""
+        """The residuals that each state reports, as one dict per state."""
         return [{name: v for name, v, m in zip(REPORTED, vals, mask) if m}
                 for vals, mask in zip(self.values.T.tolist(), self.shown.T.tolist())]
 
@@ -295,7 +269,7 @@ def _powers(states):
 def _identity_table(states, columns=None) -> _IdentityTable:
     """The identities of every state at once.  One pass over the states takes
     the powers (`_powers`) in Python, so it raises what the first failing
-    state raises in the one-state evaluation; a' (in `_rhs`'s operation
+    state raises in `_rhs` or in its powers; a' (in `_rhs`'s operation
     order) and the formulas then run over the columns."""
     columns = _columns(states) if columns is None else columns
     _, a, b, fp, _, lam, k = columns

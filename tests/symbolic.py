@@ -27,6 +27,13 @@ pairwise-distinct fiber eigenvalues on a non-Einstein soliton.
 
 Each function returns what an identity leaves over, as an exact sympy
 expression; the identity holds when that is 0.
+
+The reduced systems: `soliton_tensor` is Ric + Hess f - lambda g of either
+ansatz, with the profiles and their derivatives replaced by the reduced
+variables.  `dw_flow` solves it on the doubly-warped ansatz, with
+delta W = 0, for (a', b', f'', h'), and `warp3_flow` on the warped product
+for (h'', f'').  `linear_variety` solves an identity C and its derivative
+C' along a flow for f' and k, naming the divisors that this takes.
 """
 
 from functools import cache
@@ -148,3 +155,89 @@ def weyl_sq(riemann):
     return sum((x + (_d(i, m) * a[j, l] - _d(i, l) * a[j, m] + _d(j, l) * a[i, m]
                      - _d(j, m) * a[i, l]) / 2 - r6 * (_d(i, m) * _d(j, l) - _d(i, l) * _d(j, m))) ** 2
                for (i, j, m, l), x in riemann.items())
+
+
+# ---------------------------------------------------------------------------
+# the reduced soliton systems: Ric + Hess f = lambda g on either ansatz
+
+fp, lam = sp.symbols("fp lambda", real=True)  # f' and the soliton constant
+h = sp.Symbol("h", positive=True)  # the value of the profile h(s)
+hp, B, F2, H2 = sp.symbols("hp B F2 H2", real=True)  # h', and b', f'', h'' left free
+
+
+def soliton_tensor(warped3, jets):
+    """Ric + Hess f - lambda g of `_ansatz` for a potential f(s), as a dict
+    (i, j) -> expression in its frame, after ``jets`` replaces the profiles
+    and their derivatives; f' is `fp` and f'' is `F2`.  Hess f is diag(f'',
+    zeta_i f'): Hess f(E_i, E_i) = -<grad_{E_i} E_i, d/ds> f' = zeta_i f',
+    and a diagonal metric leaves no mixed entry."""
+    zeta, riemann = _ansatz(warped3)
+    ric, hess = ricci(riemann), (F2, *(z * fp for z in zeta))
+    return {(i, j): sp.cancel((ric[i, j] + _d(i, j) * (hess[i] - lam)).xreplace(jets))
+            for i, j in product(range(4), repeat=2)}
+
+
+@cache
+def _dw_tensor():
+    """`soliton_tensor` of the doubly-warped ansatz in a = p'/p and b = h'/h,
+    with a' = `A` and b' = `B`; p itself cancels."""
+    p, hs, p0 = _p(s), _h(s), sp.Symbol("p", positive=True)
+    return soliton_tensor(False, {p.diff(s, 2): (A + a**2) * p0, p.diff(s): a * p0, p: p0,
+                                  hs.diff(s, 2): (B + b**2) * h, hs.diff(s): b * h, hs: h})
+
+
+@cache
+def dw_flow():
+    """(a', b', f'', h') of the doubly-warped soliton: the solution of its
+    components (0, 0) and (1, 1) and of delta W = 0, which on this ansatz is
+    p''/p = h''/h; h' = b h is the definition of b."""
+    t = _dw_tensor()
+    (sol,) = sp.solve([t[0, 0], t[1, 1], A + a**2 - B - b**2], [A, B, F2], dict=True)
+    return sol[A], sol[B], sol[F2], b * h
+
+
+def dw_soliton_tensor(rhs):
+    """`soliton_tensor` of the doubly-warped ansatz along the flow rhs = (a',
+    b', f'', h')."""
+    return {q: sp.cancel(x.xreplace(dict(zip((A, B, F2), rhs)))) for q, x in _dw_tensor().items()}
+
+
+@cache
+def _warp3_tensor():
+    """`soliton_tensor` of the warped product in h, h' = `hp` and h'' = `H2`."""
+    hs = _h(s)
+    return soliton_tensor(True, {hs.diff(s, 2): H2, hs.diff(s): hp, hs: h})
+
+
+@cache
+def warp3_flow():
+    """(h'', f'') of the warped-product soliton: the solution of its
+    components (0, 0) and (1, 1)."""
+    t = _warp3_tensor()
+    (sol,) = sp.solve([t[0, 0], t[1, 1]], [H2, F2], dict=True)
+    return sol[H2], sol[F2]
+
+
+def warp3_soliton_tensor(rhs):
+    """`soliton_tensor` of the warped product along rhs = (h'', f'')."""
+    return {q: sp.cancel(x.xreplace(dict(zip((H2, F2), rhs)))) for q, x in _warp3_tensor().items()}
+
+
+def flow_derivative(expr, rhs):
+    """d expr / ds along the doubly-warped flow (a, b, f', h)' = rhs, with
+    lambda and k constant."""
+    return sum(sp.diff(expr, x) * v for x, v in zip((a, b, fp, h), rhs))
+
+
+def linear_variety(c, rhs):
+    """(values, divisors) of the set where C = ``c`` and C' (along ``rhs``)
+    vanish: C = 0 solved for f', then C' = 0 for k, with ``divisors`` the
+    coefficient of f' in C and of k in C' that each solution divides by.
+    Each is a solution only where C is linear in f' and C' in k, which the
+    caller checks by putting ``values`` back in."""
+    c_fp = sp.cancel(sp.diff(c, fp))
+    fp_value = sp.cancel(fp - c / c_fp)
+    c1 = sp.cancel(flow_derivative(c, rhs).xreplace({fp: fp_value}))
+    c_k = sp.cancel(sp.diff(c1, k))
+    k_value = sp.cancel(k - c1 / c_k)
+    return {fp: sp.cancel(fp_value.xreplace({k: k_value})), k: k_value}, (c_fp, c_k)

@@ -20,14 +20,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "solitonlab"
 
 KEEP = {
-    "dw_rhs": "the paper's reduced system of the doubly-warped soliton",
     "warp3_rhs": "the paper's reduced system of the warped product",
     "family_metric": "a family's coordinate metric as 4 x 4 matrices; FD grids store "
                      "its diagonal (family_diagonal)",
     "sym_eigen": "the benchmark's per-node oracle loop (bench/workloads.oracle_deviations) "
                  "calls it until that loop moves to the library's batched route",
-    "reduced_identity_residuals": "the one-state reference that the batch identities of "
-                                  "Trajectory.identities are held to",
 }
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -204,7 +205,7 @@ def test_usage_errors_exit_2(argv, capsys):
     ["verify", "--family", "product", "--lam", "1e200"],
     ["classify", "--family", "gaussian", "--lam", "1e308"],
     # 10**15 float64 values are 8 PB, more than any address space: refused
-    # before any memory is touched
+    # by the size bounds before any memory is touched
     ["verify", "--family", "flat", "--samples", str(10**15)],
     ["classify", "--family", "flat", "--samples", str(10**15)],
     ["oracle", "--family", "flat", "--nodes", str(10**15)],
@@ -213,6 +214,13 @@ def test_usage_errors_exit_2(argv, capsys):
     ["oracle", "--family", "singular-steady", "--lam", "1"],
     ["integrate", "--family", "singular-steady", "--lam", "1"],
     ["classify", "--family", "flat", "--lam", "0"],
+    # the parser's own usage errors, with no usage block
+    ["verify", "--family", "product", "--samples", "x"],
+    ["oracle", "--family", "product", "--nodes", "1.5"],
+    ["verify", "--bogus", "1"],
+    ["verify", "--family", "product", "--no-such-option"],
+    ["nosuch"],
+    [],
 ])
 def test_domain_errors_exit_2_with_one_line(argv, capsys):
     assert_exit_2_with_one_line(argv, capsys)
@@ -254,11 +262,38 @@ def test_tol_that_is_not_positive_exits_2_naming_it(command, tol, tmp_path, caps
 def test_oracle_names_the_arguments_of_a_too_coarse_grid(capsys):
     # the fiber's radial window 1 +- 4h must stay 10 spacings from r = 0, so
     # h <= 1/14: on --s 0.5:2 from 22 nodes on
-    for argv in (["--nodes", "9"], ["--nodes", "21"], ["--s", "0.5:100"]):
+    for argv in (["--nodes", "9"], ["--nodes", "21"], ["--s", "0.5:100"],
+                 ["--s", "1e10:1.0000001e10"]):
         line = assert_exit_2_with_one_line(["oracle", "--family", "product", *argv], capsys)
         assert "--nodes" in line and "--s" in line
+    # each end as given, though %g reads both as 1e+10
+    assert "--s 1e+10:10000001000.0 " in line
     assert main(["oracle", "--family", "product", "--nodes", "22"]) in (0, 1)
     assert capsys.readouterr().err == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0 and "--samples" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["verify", "--family", "sphere", "--samples"], cli.MAX_SAMPLES),
+    (["classify", "--family", "product", "--samples"], cli.MAX_SAMPLES),
+    (["oracle", "--family", "sphere", "--nodes"], cli.MAX_NODES),
+], ids=["verify", "classify", "oracle"])
+@pytest.mark.parametrize("above", [1, 10**12], ids=["just-above", "far-above"])
+def test_size_arguments_above_their_bound_are_refused_before_allocating(argv, bound, above,
+                                                                       capsys):
+    tracemalloc.start()
+    try:
+        line = assert_exit_2_with_one_line(argv + [str(bound + above)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"is more than {bound}" in line
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,13 +404,15 @@ DIRECTORY, NO_PARENT = "<directory>", "<no parent>"
     (["verify", "--family", "flat", "--out"], DIRECTORY, "cannot write report"),
     (["verify", "--family", "flat", "--out"], NO_PARENT, "cannot write report"),
     (["job"], {"command": "verify", "family": "flat", "out": "."}, "cannot write report '.'"),
+    (["job"], {"command": "oracle", "family": "flat", "nodes": 1e3},
+     "invalid int value: '1000.0'"),
     (["classify", "--lam", "1", "--samples-file"], [SAMPLE_ROW] * 8, "--lam"),
 ] + [(["classify", "--samples-file"], [dict(row, **{key: value})] * 8, f"row 0: {key}")
      for key, value, row in BAD_FIELDS],
     ids=["row-missing-key", "row-not-object", "missing-samples-file",
          "missing-report", "report-not-object", "out-directory", "out-no-parent",
-         "job-out-directory", "lam-and-samples-file", "fprime-null", "scalar-string",
-         "weyl_sq-null", "fprime-list", "s-null-pair", "s-bool", "scalar-nan",
+         "job-out-directory", "job-nodes-float", "lam-and-samples-file", "fprime-null",
+         "scalar-string", "weyl_sq-null", "fprime-list", "s-null-pair", "s-bool", "scalar-nan",
          "three-eigenvalues", "eigenvalue-null"])
 def test_bad_input_files_exit_2_with_one_line(argv, content, names, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -457,8 +494,7 @@ def test_parser_reuse_keeps_no_state_between_calls(tmp_path, monkeypatch):
     assert main(["verify", "--family", "product", "--samples", "8", "--tol", "1e-3",
                  "--out", str(tmp_path / "other.json")]) == 0
     assert main(["verify", "--family", "nosuch"]) == 2
-    with pytest.raises(SystemExit):  # argparse's own usage error
-        main(["verify", "--no-such-option"])
+    assert main(["verify", "--no-such-option"]) == 2  # argparse's own usage error
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"command": "classify", "family": "gaussian",
                                "samples": 16, "out": str(tmp_path / "job.out")}))
@@ -506,7 +542,8 @@ def test_report_csv_quotes_keys_and_line_breaks(tmp_path, capsys):
 
 
 # Exit-code contract: boundary values of every option give exit 0, 1 or 2,
-# never an escaping exception.  Values stay small so that no run builds a
+# never an escaping exception.  Sizes stay small, or far above their bound,
+# which refuses them before anything is allocated, so that no run builds a
 # large grid or takes many RK4 steps; only --lam also draws two huge values,
 # whose products overflow float arithmetic.
 NUMBERS = st.sampled_from(["0", "-0", "-1", "1", "2.5", "nan", "inf", "-inf", "x"])
@@ -515,9 +552,12 @@ RANGES = st.one_of(st.tuples(NUMBERS, NUMBERS).map(":".join),
 COMMON = {"--lam": st.one_of(NUMBERS, st.sampled_from(["1e200", "-1e308"])),
           "--tol": NUMBERS}
 OPTIONS = {
-    "verify": {"--s": RANGES, "--samples": st.sampled_from(["-1", "0", "2", "3", "8"])},
-    "classify": {"--s": RANGES, "--samples": st.sampled_from(["-1", "0", "4", "8"])},
-    "oracle": {"--s": RANGES, "--nodes": st.sampled_from(["-1", "0", "1", "8", "9", "17"])},
+    "verify": {"--s": RANGES, "--samples": st.sampled_from(["-1", "0", "2", "3", "8", "1e3",
+                                                            str(10**12)])},
+    "classify": {"--s": RANGES, "--samples": st.sampled_from(["-1", "0", "4", "8",
+                                                              str(10**12)])},
+    "oracle": {"--s": RANGES, "--nodes": st.sampled_from(["-1", "0", "1", "8", "9", "17",
+                                                          str(10**12)])},
     "integrate": {"--from": NUMBERS, "--to": NUMBERS, "--step": NUMBERS},
 }
 # mostly families the command can run, so that the values reach its code
@@ -540,18 +580,11 @@ def cli_argv(draw):
     return argv
 
 
-def exit_code(argv) -> int:
-    try:
-        return main(argv)
-    except SystemExit as exc:  # argparse's own usage errors
-        return exc.code
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cli_argv(), st.sampled_from(["contract_report.json", ".", "nosuch/report.json"]))
 def test_cli_exit_contract_on_boundary_values(tmp_path_factory, argv, out):
     out = tmp_path_factory.getbasetemp() / out
-    assert exit_code(argv + ["--out", str(out)]) in (0, 1, 2)
+    assert main(argv + ["--out", str(out)]) in (0, 1, 2)
 
 
 # a job file's s_range as a list of JSON numbers, of any length
@@ -566,9 +599,9 @@ JOB_RANGES = st.lists(st.sampled_from([-1, 0, 0.5, 2.5]), max_size=3)
 def test_report_and_job_exit_contract(tmp_path_factory, text, command, fields):
     path = tmp_path_factory.getbasetemp() / "contract_input.json"
     path.write_text(text)
-    assert exit_code(["report", "--in", str(path)]) in (0, 1, 2)
+    assert main(["report", "--in", str(path)]) in (0, 1, 2)
     spec = dict(fields, **({"in": str(path)} if command == "report" else {}))
     if command is not None:
         spec["command"] = command
     path.write_text(json.dumps(spec))
-    assert exit_code(["job", str(path)]) in (0, 1, 2)
+    assert main(["job", str(path)]) in (0, 1, 2)

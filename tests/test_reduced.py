@@ -1,42 +1,56 @@
 import csv
+import functools
 import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from numpy.testing import assert_allclose
 
+import symbolic
 from solitonlab import cli, reduced
 from solitonlab.errors import DomainError
-from solitonlab.reduced import (MAX_STEPS, ReducedState, branch_label, dw_rhs,
-                                integrate, product_state, reduced_identity_residuals,
-                                singular_steady_state, warp3_rhs)
+from solitonlab.reduced import (MAX_STEPS, ReducedState, branch_label, integrate,
+                                product_state, singular_steady_state, warp3_rhs)
 
 TOL = 1e-10  # the default --tol of `solitonlab integrate`
 
 
+def rhs(st):
+    """(a', b', f'', h') of the doubly-warped flow at a state."""
+    return reduced._rhs(st.a, st.b, st.fp, st.h, st.lam)
+
+
+def row(st):
+    """The identity residuals that one state reports."""
+    return reduced.Trajectory((st,)).identity_residual_rows()[0]
+
+
+# the residual of the third soliton component is minus the `linear` row
+# (`test_third_soliton_component_is_minus_the_linear_row`), which these
+# points check in its place
 def test_dw_rhs_singular_steady_point():
     st0 = ReducedState(1.0, 1 / 3, 2 / 3, 2 / 3, 1.0, 0.0, 0.0)
-    d = dw_rhs(st0)
-    assert_allclose((d.ap, d.bp, d.fpp, d.hp), (-1 / 3, -2 / 3, -2 / 3, 2 / 3),
-                    rtol=1e-15)
-    assert d.diagnostic <= 1e-16
+    assert_allclose(rhs(st0), (-1 / 3, -2 / 3, -2 / 3, 2 / 3), rtol=1e-15)
+    assert abs(row(st0)["linear"]) <= 1e-16
 
 
 def test_dw_rhs_flat_fixed_point():
-    d = dw_rhs(ReducedState(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0))
-    assert (d.ap, d.bp, d.fpp, d.hp) == (0.0, 0.0, 0.0, 0.0)
-    assert d.diagnostic == 0.0
+    st0 = ReducedState(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+    assert rhs(st0) == (0.0, 0.0, 0.0, 0.0)
+    assert row(st0) == {"inapplicable": 1.0}  # a = b: no identity applies
 
 
 def test_dw_rhs_product_point():
     st0 = product_state(1.7, -1.0)
-    d = dw_rhs(st0)
-    assert abs(d.bp) <= 1e-15
-    assert abs(d.hp) <= 1e-15
-    assert d.diagnostic <= 1e-15
+    _, bp, _, hp = rhs(st0)
+    assert abs(bp) <= 1e-15
+    assert abs(hp) <= 1e-15
+    assert abs(row(st0)["linear"]) <= 1e-15
 
 
 def test_integrate_singular_steady_closed_form():
@@ -134,23 +148,20 @@ def test_integrate_truncates_where_the_three_checks_in_order_do(monkeypatch):
 
 
 def test_identity_residuals_singular_steady_point():
-    st0 = singular_steady_state(1.0)
-    res = reduced_identity_residuals(st0, dw_rhs(st0).ap)
+    res = row(singular_steady_state(1.0))
     for key in ("linear", "second_order", "quadratic", "cubic_slope"):
         assert abs(res[key]) <= 1e-15, key
     assert "branch_cubic" not in res  # k = 0
 
 
 def test_identity_residuals_product_point():
-    st0 = product_state(1.3, -1.0)
-    res = reduced_identity_residuals(st0, dw_rhs(st0).ap)
+    res = row(product_state(1.3, -1.0))
     for key in ("linear", "second_order", "quadratic", "cubic_slope", "branch_cubic"):
         assert abs(res[key]) <= 1e-15, key
 
 
 def test_identity_residuals_inapplicable_when_a_equals_b():
-    st0 = ReducedState(1.0, 0.4, 0.4, 0.1, 1.0, 0.0, 1.0)
-    assert reduced_identity_residuals(st0, 0.0) == {"inapplicable": 1.0}
+    assert row(ReducedState(1.0, 0.4, 0.4, 0.1, 1.0, 0.0, 1.0)) == {"inapplicable": 1.0}
 
 
 @pytest.mark.parametrize("state, expected_branch", [
@@ -159,9 +170,9 @@ def test_identity_residuals_inapplicable_when_a_equals_b():
 ])
 def test_identities_and_branch_along_trajectories(state, expected_branch):
     traj = integrate(state, 2.0, 1e-3)
-    for st0, res in zip(traj.states, traj.identity_residual_rows()):
+    for res in traj.identity_residual_rows():
         assert max(abs(v) for v in res.values()) <= 1e-10
-        assert dw_rhs(st0).diagnostic <= 1e-11
+        assert abs(res["linear"]) <= 1e-11  # minus the third soliton component
     assert branch_label(traj, TOL) == (expected_branch,)
 
 
@@ -197,7 +208,7 @@ def test_trajectory_csv_header_is_the_union_of_the_rows_keys():
                        "res_inapplicable"]
     assert len(rows[0]) == 11 and len(rows) == 3
     assert rows[1][5:] == [""] * 5 + ["1"]
-    second = reduced_identity_residuals(traj.states[1], dw_rhs(traj.states[1]).ap)
+    second = reference_identity_row(traj.states[1])
     assert rows[2][5:] == ["%.17g" % second[k] for k in reduced.IDENTITIES] + [""]
 
 
@@ -233,16 +244,16 @@ def test_trajectory_csv_has_the_bytes_of_the_dictwriter_table():
 
 def reference_rk4_step(st, ds):
     """The four stage states of one RK4 step from `st`, and its result, on
-    `ReducedState` objects through `dw_rhs`."""
+    `ReducedState` objects through `rhs`."""
     def shift(k, c):
         return st._replace(a=st.a + c * ds * k[0], b=st.b + c * ds * k[1],
                            fp=st.fp + c * ds * k[2], h=st.h + c * ds * k[3])
 
     stages, ks = [st], []
     for c in (0.5, 0.5, 1.0):
-        ks.append(dw_rhs(stages[-1]))
+        ks.append(rhs(stages[-1]))
         stages.append(shift(ks[-1], c))
-    ks.append(dw_rhs(stages[-1]))
+    ks.append(rhs(stages[-1]))
     mix = [(ks[0][j] + 2.0 * ks[1][j] + 2.0 * ks[2][j] + ks[3][j]) / 6.0 for j in range(4)]
     return stages, shift(mix, 1.0)
 
@@ -293,13 +304,6 @@ def test_rk4_step_matches_the_reference_stage_by_stage(monkeypatch):
         assert got == (want.a, want.b, want.fp, want.h)
 
 
-@pytest.mark.parametrize("st0, s_end, step", REFERENCE_RUNS)
-def test_identity_rows_match_the_rows_through_dw_rhs(st0, s_end, step):
-    traj = integrate(st0, s_end, step)
-    expected = [reduced_identity_residuals(st, dw_rhs(st).ap) for st in traj.states]
-    assert traj.identity_residual_rows() == expected
-
-
 def test_integrate_rejects_a_vanishing_h_in_a_stage():
     # h' = b h, so the first half stage lands on h = 1 + 0.5 * (-2) * 1 = 0
     with pytest.raises(DomainError):
@@ -311,9 +315,9 @@ def test_integrate_rejects_a_vanishing_h_in_a_stage():
 
 def reference_identity_row(st):
     """The identity residuals of one state, scalar formula by formula, with
-    a' through `dw_rhs`."""
-    ap = dw_rhs(st).ap
-    a, b, lam, kh2 = st.a, st.b, st.lam, st.k_h2()
+    a' through `rhs`."""
+    ap = rhs(st)[0]
+    a, b, lam, kh2 = st.a, st.b, st.lam, st.k / st.h**2
     if a == b:
         return {"inapplicable": 1.0}
     bp = ap + a * a - b * b
@@ -481,3 +485,86 @@ def test_cli_integrate_csv_evaluates_the_identities_once(tmp_path, monkeypatch):
     assert calls == [21]  # one evaluation, over all 21 states
     traj = integrate(product_state(1.0, -1.0), 1.02, 1e-3)
     assert out.read_text() == traj.identities.to_csv()
+
+
+# ---------------------------------------------------------------------------
+# exact witnesses: the package's flows and identity rows, called on sympy
+# symbols with their float literals made exact, against `symbolic`'s
+# derivation from the frame curvature
+
+a, b, fp, h, lam, k = (symbolic.a, symbolic.b, symbolic.fp, symbolic.h, symbolic.lam,
+                       symbolic.k)
+
+
+def exact(values):
+    """``values`` with each float literal replaced by the rational it is."""
+    return tuple(sp.nsimplify(v, rational=True) for v in values)
+
+
+def exact_rhs():
+    return exact(reduced._rhs(a, b, fp, h, lam))
+
+
+def exact_rows(kh2):
+    """The package's `IDENTITIES` rows, exact, with kh2 for k/h^2."""
+    return exact(reduced._identities(a, b, fp, lam, kh2, exact_rhs()[0], a**3))
+
+
+def test_rhs_is_the_soliton_flow_under_harmonic_weyl():
+    assert [sp.cancel(x - y) for x, y in zip(exact_rhs(), symbolic.dw_flow())] == [0] * 4
+
+
+def test_third_soliton_component_is_minus_the_linear_row():
+    tensor = symbolic.dw_soliton_tensor(exact_rhs())
+    linear = exact_rows(k / h**2)[0]
+    assert sorted(q for q, x in tensor.items() if x != 0) == [(2, 2), (3, 3)]
+    assert [sp.cancel(tensor[q] + linear) for q in ((2, 2), (3, 3))] == [0, 0]
+
+
+def test_warp3_rhs_is_the_warped_product_soliton_flow():
+    got = exact(warp3_rhs(h, symbolic.hp, fp, lam, k))
+    assert [sp.cancel(x - y) for x, y in zip(got, symbolic.warp3_flow())] == [0, 0]
+    assert set(symbolic.warp3_soliton_tensor(got).values()) == {0}  # every component
+
+
+def test_identity_rows_vanish_where_the_linear_row_and_its_derivatives_do():
+    flow, (c, *rows) = exact_rhs(), exact_rows(k / h**2)
+    c1 = symbolic.flow_derivative(c, flow)
+    c2 = symbolic.flow_derivative(c1, flow)
+    values, divisors = symbolic.linear_variety(c, flow)
+    on = lambda x: sp.cancel(x.xreplace(values))
+    assert not {fp, k} & set().union(*(v.free_symbols for v in values.values()))
+    assert [sp.cancel(x - y) for x, y in zip(divisors, (a - b, (a + b) / h**2))] == [0, 0]
+    assert [on(c), on(c1)] == [0, 0]
+    # second_order, quadratic and cubic_slope follow from C = C' = 0 ...
+    assert [on(x) for x in rows[:3]] == [0, 0, 0]
+    # ... and branch_cubic, which neither f' nor k enters, from C'' = 0 too
+    assert not {fp, k} & rows[3].free_symbols and rows[3] != 0
+    assert sp.cancel(on(c2) + 2 * (a - b) / (a + b) ** 2 * rows[3]) == 0
+
+
+@functools.cache
+def exact_row_values():
+    """The exact `IDENTITIES` rows as a function of (a, b, f', lambda, k/h^2)
+    that takes and returns `Fraction`s: integer coefficients only."""
+    kh2 = sp.Symbol("kh2")
+    return sp.lambdify((a, b, fp, lam, kh2), exact_rows(kh2))
+
+
+EPS = 2.0**-52
+# the batch rows hold the exact rows within ROUNDING eps sigma^(d/2): each
+# row sums at most a dozen products of terms of size at most 2 sigma^(d/2),
+# and the largest error seen on these runs is 3.2 eps sigma^(d/2)
+ROUNDING = 8.0
+
+
+@pytest.mark.parametrize("st0, s_end, step", REFERENCE_RUNS)
+def test_identity_rows_hold_the_exact_rows_within_rounding(st0, s_end, step):
+    table = integrate(st0, s_end, step).identities
+    for values, shown, st in zip(table.values.T, table.shown.T, table.columns.T.tolist()):
+        _, a_, b_, fp_, h_, lam_, k_ = map(Fraction, st)
+        want = exact_row_values()(a_, b_, fp_, lam_, k_ / h_**2)
+        assert all(type(w) is Fraction for w in want)
+        sigma = reference_sigma(ReducedState(*st))
+        for got, w, m, d in zip(values.tolist(), want, shown, reduced.IDENTITY_DIMS):
+            assert not m or abs(Fraction(got) - w) <= ROUNDING * EPS * sigma ** (d / 2)

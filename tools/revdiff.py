@@ -47,7 +47,10 @@ COMMANDS = ("verify", "oracle", "classify", "integrate")
 # CSV, integrate's refusals (an unknown family, a family without a reduced
 # start, and a bad --lam of one with it), a --lam on a family without one,
 # the known CLI defects that the benchmark's boundary jobs leave out, a
-# --tol that is not positive and an oracle grid too coarse for its fiber
+# --tol that is not positive, oracle grids too coarse for their fiber (one
+# on a range that %g cannot tell apart) and sizes that are not integers;
+# no job asks for more samples or nodes than the CLI allows, as the tree at
+# REV may try to allocate them
 EDGE_JOBS = (
     "verify --family gaussian --lam 1e308",
     "verify --family product --lam 1e200",
@@ -71,6 +74,9 @@ EDGE_JOBS = (
     "verify --family product --tol 0",
     "integrate --family product --tol -1",
     "oracle --family product --nodes 21",
+    "oracle --family product --s 1e10:1.0000001e10",
+    "verify --family product --samples x",
+    "oracle --family product --nodes 1.5",
 )
 # the rows of the samples files of `classify --samples-file` jobs, written
 # into the workspace so that both trees read them at one path: a product-like

@@ -17,8 +17,7 @@ for title, state in (("singular steady", singular_steady_state(1.0)),
                      ("product (lam = -1)", product_state(1.0, -1.0))):
     traj = integrate(state, 2.0, 1e-3)
     end = traj.final
-    worst = max(max(abs(v) for v in res.values())
-                for res in traj.identity_residual_rows())
+    worst = traj.identities.evidence().max_abs
     print(f"{title}: integrated s = 1 -> 2 in {len(traj.states) - 1} steps")
     print(f"  endpoint   a = {end.a:.12f}  b = {end.b:.12f}  f' = {end.fp:.12f}")
     print(f"  max identity residual along the way: {worst:.2e}")

@@ -70,10 +70,10 @@ class UsageError(Exception):
     pass
 
 
-# the largest --samples (verify, classify) and --nodes (oracle): each keeps a
-# run's peak memory near that of a MAX_STEPS integrate run (about 0.6 GB), at
-# about 0.43 KB a verify sample, 0.32 KB a classify sample and up to 4.3 KB
-# an oracle node
+# the largest --samples (verify, classify) and --nodes (oracle): at about
+# 0.43 KB a verify sample, 0.32 KB a classify sample and up to 4.3 KB an
+# oracle node, each keeps a run's peak memory under about 0.5 GB, near that
+# of a MAX_STEPS integrate run (ru_maxrss 413 MB as JSON and as CSV)
 MAX_SAMPLES = 10**6
 MAX_NODES = 10**5
 
@@ -210,7 +210,7 @@ def _cmd_integrate(args) -> tuple:
         "truncated": traj.truncated,
         "reason": traj.reason,
         "branch": list(branch_label(traj, args.tol)),
-        "steps": len(traj.states) - 1,
+        "steps": traj.columns.shape[1] - 1,
         "endpoint": {"s": end.s, "a": end.a, "b": end.b, "fp": end.fp, "h": end.h},
         "identities": identities.as_dict(),
     }
@@ -225,11 +225,16 @@ def _cmd_oracle(args) -> tuple:
     if n_s > MAX_NODES:
         raise UsageError(f"--nodes {n_s} is more than {MAX_NODES}")
     h = (hi - lo) / max(1, n_s - 1)
-    r_lo, r_hi = 1.0 - MARGIN_CODAZZI * h, 1.0 + MARGIN_CODAZZI * h
-    # 4 margin nodes on each side of the checked s nodes, and the fiber's 9
-    # r-nodes 1 +- 4h staying 10h away from r = 0, as `grid_from_family` tests it
+    # the fiber's 9 r-nodes r0 +- 4h: r0 = 1, or the equator of a shorter fiber
+    r0 = min(1.0, math.pi / (2.0 * math.sqrt(fam.k))) if fam.k > 0 else 1.0
+    r_lo, r_hi = r0 - MARGIN_CODAZZI * h, r0 + MARGIN_CODAZZI * h
+    # 4 margin nodes on each side of the checked s nodes, and the r-nodes 10h
+    # away from r = 0, as `grid_from_family` tests it, and so from the fiber's
+    # other pole 2 r0 where r0 is its equator: r0 >= 14h
     if n_s < 9 or r_lo < 10.0 * ((r_hi - r_lo) / 8):
-        raise UsageError(f"oracle needs --nodes >= 9 and an s-spacing h <= 1/14; --s "
+        bound = "1/14" if r0 == 1.0 else (f"r0/14, where r0 = {r0:.6g} is the equator of "
+                                          f"the fiber (k = {fam.k:g}, set by --lam)")
+        raise UsageError(f"oracle needs --nodes >= 9 and an s-spacing h <= {bound}; --s "
                          f"{_shown(lo)}:{_shown(hi)} on --nodes {n_s} gives h = {h:.6g}")
     grid = grid_from_family(fam, (lo, hi), n_s, n_r=9, r_range=(r_lo, r_hi))
     mid = [n // 2 for n in grid.shape]
@@ -356,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--nodes", type=int, default=129,
                    help=f"s-axis resolution, at most {MAX_NODES}, at least 9 and an "
-                        "s-spacing of at most 1/14; the 1e-6 agreement default is "
-                        "calibrated at 129")
+                        "s-spacing of at most 1/14 (r0/14 on a fiber whose equator r0 "
+                        "is below 1); the 1e-6 agreement default is calibrated at 129")
     p.set_defaults(handler=_cmd_oracle, tol=1e-6)
 
     p = sub.add_parser("classify", help="match sampled data to the four types")

@@ -33,13 +33,17 @@ a - b and a + b), and ``branch_cubic`` where C'' = 0 too;
 ``tests/symbolic.py`` derives the flow, the third component and these
 statements exactly.
 
-A state (`ReducedState`) is a named tuple: iterable, and equal to the plain
-tuple of its fields.  A trajectory turns its states into float columns
-once (`Trajectory.columns`) and evaluates the identities of all its states
-at once, one formula run on the columns (`Trajectory.identities`).  Its
-powers go through Python's float pow, in a single pass over the states,
-because numpy's ``power`` rounds some squares and cubes differently, and
-the integrate reports keep their bytes.
+A trajectory (`Trajectory`) is one (7, N) float array, a row per field of
+`ReducedState` (s, a, b, f', h, lambda, k) and a column per state.  Every
+state in it lies in integrate's range: all values finite, |a|, |b| and
+|f'| at most `BLOWUP_LIMIT`, and `H_FLOOR` <= h <= `BLOWUP_LIMIT`.
+`integrate` refuses a start outside it and stops at the first step that
+leaves it; the constructor refuses any other state outside it.  The
+identities of all the states are one formula run on the columns
+(`Trajectory.identities`); a^2, h^2 and a^3 go through Python's float pow,
+in one pass over the column lists, because numpy's ``power`` rounds some
+squares and cubes differently and the integrate reports keep their bytes.
+In the range no pow overflows and h^2 does not underflow.
 
 The identities and the branch factors are judged by the scale rule of
 :mod:`solitonlab.report`, against sigma, the largest of a^2, b^2, f'^2,
@@ -49,8 +53,9 @@ The identities and the branch factors are judged by the scale rule of
 
 from __future__ import annotations
 
-import itertools
 import math
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -63,6 +68,8 @@ from .report import Evidence, weigh
 BLOWUP_LIMIT = 1e8
 MAX_STEPS = 10**6
 H_FLOOR = 1e-8
+# the rows of a block of `_IdentityTable.to_csv`
+CSV_BLOCK = 1024
 
 BRANCH_FACTORS = ("b", "lambda+3ab", "lambda-2a^2+ab")
 BRANCH_DIMS = (1, 2, 2)
@@ -72,28 +79,15 @@ IDENTITY_DIMS = (2, 2, 3, 3, 5)
 REPORTED = IDENTITIES + ("inapplicable",)
 
 
-class ReducedState(NamedTuple):
-    """State of the reduced system at arc-length s: a tuple of its fields,
-    so it is iterable and equal to the plain tuple of them."""
-
-    s: float
-    a: float
-    b: float
-    fp: float
-    h: float
-    lam: float
-    k: float
-
-
-def _require_h(h: float) -> None:
-    if h == 0.0:
-        raise DomainError("h vanished: the fiber scale degenerated")
+# a state of the reduced system at arc-length s, each field a float: a tuple
+# of its fields, so it is iterable and equal to the plain tuple of them
+ReducedState = namedtuple("ReducedState", "s a b fp h lam k")
 
 
 def _rhs(a: float, b: float, fp: float, h: float, lam: float):
     """(a', b', fp', h') of the reduced system."""
     if h == 0.0:  # tested here, as RK4 calls this four times a step
-        _require_h(h)
+        raise DomainError("h vanished: the fiber scale degenerated")
     a2 = a**2
     ap = fp * a - a2 - 2.0 * a * b - lam
     return (ap, ap + a2 - b**2, 3.0 * ap + 3.0 * a2 + lam, b * h)
@@ -118,30 +112,47 @@ def product_state(s: float, lam: float) -> ReducedState:
     return ReducedState(s, 1.0 / s, 0.0, lam * s, 1.0, lam, lam)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """RK4 output: one row per accepted step, plus a truncation flag."""
+# integrate's range: the least and the greatest value of each field of a
+# state; s, lambda and k need only be finite
+_TOP = np.finfo(float).max
+_LOW = np.array([-_TOP] + [-BLOWUP_LIMIT] * 3 + [H_FLOOR] + [-_TOP] * 2)[:, None]
+_HIGH = np.array([_TOP] + [BLOWUP_LIMIT] * 4 + [_TOP] * 2)[:, None]
 
-    states: tuple[ReducedState, ...]
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """RK4 output: its states as one (7, N) float array, a row per
+    `ReducedState` field and a column per state, plus a truncation flag.
+    Every state lies in integrate's range: a DomainError names the first
+    that does not, its s, the field, the value and the bounds."""
+
+    columns: np.ndarray
     truncated: bool = False
     reason: str | None = None
 
+    def __post_init__(self):
+        ok = _LOW <= self.columns  # a NaN fails both tests
+        ok &= self.columns <= _HIGH
+        if not ok.all():
+            col = ok.all(axis=0).argmin()
+            row = ok[:, col].argmin()
+            s, v = self.columns[[0, row], col].tolist()
+            raise DomainError(f"the state at s = {s!r} has {ReducedState._fields[row]} = {v!r}, "
+                              f"outside [{_LOW[row, 0]:g}, {_HIGH[row, 0]:g}]")
+
     @property
     def final(self) -> ReducedState:
-        return self.states[-1]
+        return ReducedState._make(self.columns[:, -1].tolist())
 
     @cached_property
-    def columns(self) -> np.ndarray:
-        """The states as one (7, N) float array, a row per `ReducedState` field."""
-        return _columns(self.states)
+    def states(self) -> tuple[ReducedState, ...]:
+        """The columns as one `ReducedState` per state."""
+        return tuple(map(ReducedState._make, self.columns.T.tolist()))
 
     @cached_property
     def identities(self) -> _IdentityTable:
         """The identity residuals of every state, evaluated once."""
-        return _identity_table(self.states, self.columns)
-
-    def identity_residual_rows(self) -> list[dict[str, float]]:
-        return self.identities.rows()
+        return _identity_table(self.columns)
 
 
 def _rk4_step(y: tuple, ds: float, lam: float) -> tuple:
@@ -161,36 +172,40 @@ def _rk4_step(y: tuple, ds: float, lam: float) -> tuple:
 def integrate(st0: ReducedState, s_end: float, step: float) -> Trajectory:
     """Classical fixed-step RK4 from st0.s to s_end.
 
-    Stops early (flagging the partial trajectory) if the state blows up or h
-    crosses its positivity floor: singular-steady-type solutions genuinely
-    degenerate at s = 0 and the partial data is the useful output.  A run
-    of more than MAX_STEPS steps raises DomainError before the first step.
+    A start outside the range of a trajectory (`Trajectory`) raises
+    DomainError, and so does a run of more than MAX_STEPS steps, before
+    the first step.  A run stops early (flagging the partial trajectory) at
+    the first step that leaves the range: singular-steady-type solutions
+    genuinely degenerate at s = 0 and the partial data is the useful output.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
+    start = Trajectory(np.array(st0, dtype=float)[:, None])  # refuses a start out of range
     span = s_end - st0.s
     if span == 0.0:
-        return Trajectory((st0,))
+        return start
     if not abs(span) / step <= MAX_STEPS:
         raise DomainError(f"integrating from s={st0.s!r} to {s_end!r} at step {step!r} "
                           f"takes more than {MAX_STEPS} steps")
     n = max(1, round(abs(span) / step))
     ds = span / n
-    s0, lam, k, top = st0.s, st0.lam, st0.k, BLOWUP_LIMIT
-    states = [st0]
+    lam, top = st0.lam, BLOWUP_LIMIT
     y = (st0.a, st0.b, st0.fp, st0.h)
-    for i in range(n):
+    kept, reason = array("d", y), None  # (a, b, fp, h) of each accepted state
+    for _ in range(n):
         a, b, fp, h = y = _rk4_step(y, ds, lam)
         # false on a NaN, an infinity, |value| > top and h < H_FLOOR alike
         if not (-top <= a <= top and -top <= b <= top and -top <= fp <= top
                 and H_FLOOR <= h <= top):
             reason = ("non-finite state" if not all(map(math.isfinite, y)) else
                       "state blow-up" if max(map(abs, y)) > top else "h reached its floor")
-            return Trajectory(tuple(states), True, reason)
-        # s from the step count, so no additive drift; tuple.__new__ skips
-        # the named tuple's Python-level __new__
-        states.append(tuple.__new__(ReducedState, (s0 + (i + 1) * ds, a, b, fp, h, lam, k)))
-    return Trajectory(tuple(states))
+            break
+        kept.extend(y)
+    ys = np.frombuffer(kept).reshape(-1, 4).T
+    # s from the step count, so no additive drift: st0.s, then st0.s + i ds
+    s = np.concatenate(([st0.s], st0.s + np.arange(1, ys.shape[1]) * ds))
+    columns = np.vstack([s, ys, np.broadcast_to([[lam], [st0.k]], (2, len(s)))])
+    return Trajectory(columns, reason is not None, reason)
 
 
 def _branch_factors(a, b, lam):
@@ -219,11 +234,6 @@ class _IdentityTable(NamedTuple):
     shown: np.ndarray    # (6, N): whether the row of a state reports REPORTED[i]
     sigma: np.ndarray    # the scale of each state
 
-    def rows(self) -> list[dict[str, float]]:
-        """The residuals that each state reports, as one dict per state."""
-        return [{name: v for name, v, m in zip(REPORTED, vals, mask) if m}
-                for vals, mask in zip(self.values.T.tolist(), self.shown.T.tolist())]
-
     def evidence(self) -> Evidence:
         """The identities of every state as one `Evidence`, ``per_equation``
         naming each residual that some row reports; an inapplicable state
@@ -238,43 +248,28 @@ class _IdentityTable(NamedTuple):
         """One CSV row per state, each value as ``%.17g``.  The header is s, a,
         b, fp, h, then ``res_<name>`` in `REPORTED` order, each residual only
         where some row reports it; a cell that its row does not report is
-        empty."""
-        header = ["s", "a", "b", "fp", "h"]
-        cells = [["%.17g" % v for v in col] for col in self.columns[:5].tolist()]
-        for name, col, shown in zip(REPORTED, self.values.tolist(), self.shown):
-            if shown.any():
-                header.append(f"res_{name}")
-                cells.append(["%.17g" % v if m else "" for v, m in zip(col, shown.tolist())])
-        return "".join(",".join(row) + "\n" for row in (header, *zip(*cells)))
+        empty.  Rows are formatted column by column, `CSV_BLOCK` at a time."""
+        keep = self.shown.any(axis=1).tolist()
+        header = ["s", "a", "b", "fp", "h"] + [f"res_{n}" for n, m in zip(REPORTED, keep) if m]
+        cols = [*self.columns[:5]] + [v for v, m in zip(self.values, keep) if m]
+        masks = [np.ones_like(self.shown[0])] * 5 + [m for m, k in zip(self.shown, keep) if k]
+        text = [",".join(header) + "\n"]
+        for lo in range(0, len(masks[0]), CSV_BLOCK):
+            cells = [["%.17g" % v if m else "" for v, m in zip(col[lo:lo + CSV_BLOCK].tolist(),
+                                                               mask[lo:lo + CSV_BLOCK].tolist())]
+                     for col, mask in zip(cols, masks)]
+            text.append("".join(",".join(row) + "\n" for row in zip(*cells)))
+        return "".join(text)
 
 
-def _columns(states) -> np.ndarray:
-    """The states as one (7, N) float array, a row per `ReducedState` field."""
-    return np.fromiter(itertools.chain.from_iterable(states), float,
-                       7 * len(states)).reshape(-1, 7).T
-
-
-def _powers(states):
-    """a**2, k/h^2 and a**3 (0.0 where a = b) of each state in turn, by
-    Python's float pow, after the h = 0 test and the b**2 of `_rhs`: so the
-    first failing state raises what it raises alone."""
-    for _, a, b, _, h, _, k in states:
-        _require_h(h)
-        a2, _ = a**2, b**2  # b**2 for the OverflowError of `_rhs` only
-        yield a2
-        yield k / h**2
-        yield a**3 if a != b else 0.0
-
-
-def _identity_table(states, columns=None) -> _IdentityTable:
-    """The identities of every state at once.  One pass over the states takes
-    the powers (`_powers`) in Python, so it raises what the first failing
-    state raises in `_rhs` or in its powers; a' (in `_rhs`'s operation
-    order) and the formulas then run over the columns."""
-    columns = _columns(states) if columns is None else columns
-    _, a, b, fp, _, lam, k = columns
-    a2, kh2, a3 = np.fromiter(_powers(states), float, 3 * len(states)).reshape(-1, 3).T
+def _identity_table(columns: np.ndarray) -> _IdentityTable:
+    """The identities of every state at once.  One pass over the column
+    lists takes a**2, h**2 and a**3 by Python's pow; a' (in `_rhs`'s
+    operation order) and the formulas then run over the columns."""
+    _, a, b, fp, h, lam, k = columns
+    a2, a3, h2 = (np.array([x**e for x in col.tolist()]) for col, e in ((a, 2), (a, 3), (h, 2)))
     with np.errstate(all="ignore"):  # inf and nan, as float arithmetic gives them
+        kh2 = k / h2
         ap = fp * a - a2 - 2.0 * a * b - lam
         values = np.array([*_identities(a, b, fp, lam, kh2, ap, a3), np.ones_like(a)])
         sigma = np.abs([a2, b * b, fp * fp, lam, kh2]).max(axis=0)
@@ -288,8 +283,7 @@ def branch_label(traj: Trajectory, tol: float) -> tuple[str, ...]:
     trajectory, each judged against the sigma of its state; ties are
     labeled jointly."""
     s, a, b, _, _, lam, _ = traj.columns
-    with np.errstate(all="ignore"):
-        factors = _branch_factors(a, b, lam)
+    factors = _branch_factors(a, b, lam)  # in the range, none overflows
     return tuple(name for name, v, d in zip(BRANCH_FACTORS, factors, BRANCH_DIMS)
                  if weigh(s, [v], [d], traj.identities.sigma, what="branch factor").passes(tol))
 

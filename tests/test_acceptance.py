@@ -172,8 +172,7 @@ def test_criterion_6_reduced_ode_fidelity():
     traj = integrate(singular_steady_state(1.0), 2.0, 1e-3)
     end = traj.final
     endpoint_err = max(abs(end.a - 1 / 6), abs(end.b - 1 / 3), abs(end.fp - 1 / 3))
-    worst_identity = max(max(abs(v) for v in res.values())
-                         for res in traj.identity_residual_rows())
+    worst_identity = traj.identities.evidence().max_abs
     errs = []
     for step in (0.01, 0.0025):
         e = integrate(singular_steady_state(1.0), 2.0, step).final

@@ -272,6 +272,36 @@ def test_oracle_names_the_arguments_of_a_too_coarse_grid(capsys):
     assert capsys.readouterr().err == ""
 
 
+# fibers of curvature k > (pi/2)^2, whose poles lie less than 2 apart: at
+# r0 = 1 the window read 3.0e-6 to 5.2e-5 on the first, second, fourth and
+# fifth and ran past the pole on the third and the last
+SHORT_FIBERS = [("product", "7"), ("product", "8.9"), ("product", "10"), ("cylinder", "16"),
+                ("cylinder", "17.8"), ("cylinder", "30")]
+
+
+@pytest.mark.parametrize("family, lam", SHORT_FIBERS)
+def test_oracle_centres_its_window_on_a_short_fiber_at_its_equator(family, lam, capsys):
+    code, out = run(["oracle", "--family", family, "--lam", lam], capsys)
+    assert code == 0 and json.loads(out)["max_relative_deviation"] <= 1e-6
+
+
+def test_oracle_names_the_lam_of_a_fiber_too_short_for_its_grid(capsys):
+    # r0 = pi/20 at k = 100, less than 14 spacings of the default grid
+    line = assert_exit_2_with_one_line(["oracle", "--family", "product", "--lam", "100"], capsys)
+    assert all(flag in line for flag in ("--lam", "--nodes", "--s")), line
+
+
+@pytest.mark.parametrize("argv", [
+    ["--from", "1e-310"], ["--from", "1e-120", "--to", "1e-120"], ["--from", "1e-9", "--to", "1"],
+    ["--from", "1e-9", "--to", "1e-9"],
+], ids=["subnormal", "no-steps-overflowing", "blow-up-at-start", "no-steps"])
+def test_integrate_refuses_a_start_outside_its_range_naming_the_bound(argv, capsys):
+    # a = 1/(3s) is above 1e8 at each of these starts, infinite at the first
+    line = assert_exit_2_with_one_line(["integrate", "--family", "singular-steady", *argv],
+                                       capsys)
+    assert "has a = " in line and line.endswith(", outside [-1e+08, 1e+08]"), line
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])

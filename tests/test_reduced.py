@@ -1,9 +1,11 @@
 import csv
 import functools
+import gc
 import io
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,9 +27,22 @@ def rhs(st):
     return reduced._rhs(st.a, st.b, st.fp, st.h, st.lam)
 
 
+def trajectory(*states):
+    """The `Trajectory` of the given states, a column each."""
+    return reduced.Trajectory(np.array(states, dtype=float).T)
+
+
+def identity_rows(traj):
+    """The identity residuals that each state of ``traj`` reports, as one
+    dict per state, read off its identity table."""
+    table = traj.identities
+    return [{name: v for name, v, m in zip(reduced.REPORTED, vals, mask) if m}
+            for vals, mask in zip(table.values.T.tolist(), table.shown.T.tolist())]
+
+
 def row(st):
     """The identity residuals that one state reports."""
-    return reduced.Trajectory((st,)).identity_residual_rows()[0]
+    return identity_rows(trajectory(st))[0]
 
 
 # the residual of the third soliton component is minus the `linear` row
@@ -170,7 +185,7 @@ def test_identity_residuals_inapplicable_when_a_equals_b():
 ])
 def test_identities_and_branch_along_trajectories(state, expected_branch):
     traj = integrate(state, 2.0, 1e-3)
-    for res in traj.identity_residual_rows():
+    for res in identity_rows(traj):
         assert max(abs(v) for v in res.values()) <= 1e-10
         assert abs(res["linear"]) <= 1e-11  # minus the third soliton component
     assert branch_label(traj, TOL) == (expected_branch,)
@@ -201,8 +216,8 @@ def test_trajectory_csv_export():
 
 def test_trajectory_csv_header_is_the_union_of_the_rows_keys():
     # the first state has a == b, so its row holds only res_inapplicable
-    traj = reduced.Trajectory((ReducedState(0, .4, .4, .1, 1, 0, 1),
-                               ReducedState(0, .3, -.2, .5, 1.2, -1, 1)))
+    traj = trajectory(ReducedState(0, .4, .4, .1, 1, 0, 1),
+                      ReducedState(0, .3, -.2, .5, 1.2, -1, 1))
     rows = list(csv.reader(traj.identities.to_csv().splitlines()))
     assert rows[0] == ["s", "a", "b", "fp", "h", *(f"res_{k}" for k in reduced.IDENTITIES),
                        "res_inapplicable"]
@@ -217,7 +232,7 @@ def reference_csv(traj):
     the header the union of the rows' keys in the documented order."""
     rows = [{"s": st.s, "a": st.a, "b": st.b, "fp": st.fp, "h": st.h,
              **{f"res_{k}": v for k, v in res.items()}}
-            for st, res in zip(traj.states, traj.identity_residual_rows())]
+            for st, res in zip(traj.states, identity_rows(traj))]
     keys = set().union(*rows)
     order = ("s", "a", "b", "fp", "h",
              *(f"res_{k}" for k in (*reduced.IDENTITIES, "inapplicable")))
@@ -232,12 +247,14 @@ def reference_csv(traj):
 def test_trajectory_csv_has_the_bytes_of_the_dictwriter_table():
     same = ReducedState(0, .4, .4, .1, 1, 0, 1)  # a == b: inapplicable
     other = ReducedState(0, .3, -.2, .5, 1.2, -1, 1)
-    k0 = ReducedState(1, .3, -.2, math.nan, 1.2, -1, 0)  # no branch_cubic, NaN cells
+    k0 = ReducedState(1, .3, -.2, .5, 1.2, 1.7e308, 0)  # no branch_cubic, -inf cells
     runs = [integrate(singular_steady_state(1.0), 1.1, 0.01),
             integrate(product_state(1.0, -1.0), 1.2, 0.01),
             integrate(product_state(1.0, 3.0), 30.0, 0.01),  # truncated: state blow-up
-            reduced.Trajectory((same, same)), reduced.Trajectory((other, same, k0))]
-    assert runs[2].truncated
+            integrate(singular_steady_state(1.0), 3.5, 1e-3),  # rows of three blocks
+            trajectory(same, same), trajectory(other, same, k0)]
+    assert runs[2].truncated and len(runs[3].states) > 2 * reduced.CSV_BLOCK
+    assert "-inf" in runs[5].identities.to_csv()
     for traj in runs:
         assert traj.identities.to_csv() == reference_csv(traj)
 
@@ -368,17 +385,20 @@ def bits(rows):
 
 def assert_batch_matches_reference(traj):
     rows = [reference_identity_row(st) for st in traj.states]
-    assert bits(traj.identity_residual_rows()) == bits(rows)
-    if not all(math.isfinite(v) for st in traj.states for v in st):
-        # a non-finite residual or scale is a domain error, never a verdict
-        for judge in (traj.identities.evidence, lambda: branch_label(traj, TOL)):
-            with pytest.raises(DomainError):
-                judge()
+    assert bits(identity_rows(traj)) == bits(rows)
+    # a residual or a scale that is not finite is a domain error, never a verdict
+    if all(math.isfinite(reference_sigma(st)) for st in traj.states):
+        assert branch_label(traj, TOL) == reference_branch(traj.states)
+    else:
+        with pytest.raises(DomainError, match="branch factor"):
+            branch_label(traj, TOL)
+    if not all(math.isfinite(v) for row in rows for v in row.values()):
+        with pytest.raises(DomainError, match="identity residual"):
+            traj.identities.evidence()
         return
     evidence = traj.identities.evidence()
     assert evidence.max_abs == max(max(map(abs, row.values())) for row in rows)
     assert_allclose(evidence.ratio, reference_identity_ratio(traj.states), rtol=1e-14)
-    assert branch_label(traj, TOL) == reference_branch(traj.states)
 
 
 def seeded_starts(count=40, seed=24):
@@ -407,7 +427,7 @@ CLI_RUNS = [
 def test_identity_table_matches_the_state_by_state_formulas_bit_for_bit(st0, s_end, step):
     traj = integrate(st0, s_end, step)
     if st0.k != 0.0:
-        assert all("branch_cubic" in row for row in traj.identity_residual_rows())
+        assert all("branch_cubic" in row for row in identity_rows(traj))
     assert_batch_matches_reference(traj)
 
 
@@ -424,9 +444,11 @@ def test_cli_integrate_summary_matches_the_state_by_state_formulas(argv, st0, s_
     assert report["steps"] == len(traj.states) - 1
 
 
-NAN_FIRST = ReducedState(0.0, 1.0, 0.5, math.nan, 1.0, 0.0, 1.0)  # linear is NaN
-NAN_LATER = ReducedState(0.0, 1.0, 0.5, 0.2, 1.0, math.nan, 1.0)  # NaN after the first key
-INF_ROW = ReducedState(0.0, 1.0, 0.5, math.inf, 1.0, 0.0, 0.0)
+# states in integrate's range whose residuals overflow: lambda and k are
+# bounded only by being finite, and k/h^2 may reach 1e16 k
+INF_ROW = ReducedState(0.0, 1.0, 0.5, 0.2, 1.0, 1e300, 1.0)  # branch_cubic is inf
+# linear is -inf, and quadratic is 2e308 - inf, NaN, after it
+NAN_LATER = ReducedState(0.0, 1.5, -0.5, 0.2, 1e-8, 1e308, 1e308)
 EQUAL_AB = ReducedState(0.0, 0.4, 0.4, 0.1, 1.0, 0.0, 1.0)
 PLAIN = ReducedState(0.0, 0.3, -0.2, 0.5, 1.2, -1.0, 1.0)
 K_ZERO = ReducedState(0.0, 2.0, 3.0, 3.0, 1.0, 1.0, 0.0)  # |b (lambda+3ab) (..)| = 57, unreported
@@ -435,8 +457,8 @@ K_ZERO = ReducedState(0.0, 2.0, 3.0, 3.0, 1.0, 1.0, 0.0)  # |b (lambda+3ab) (..)
 @pytest.mark.parametrize("states", [
     (PLAIN, EQUAL_AB, INF_ROW),
     (EQUAL_AB, PLAIN),
-    (NAN_FIRST, PLAIN, INF_ROW),
-    (PLAIN, NAN_FIRST, INF_ROW),
+    (NAN_LATER, PLAIN, INF_ROW),
+    (PLAIN, NAN_LATER, INF_ROW),
     (NAN_LATER, PLAIN),
     (PLAIN, NAN_LATER, EQUAL_AB),
     (EQUAL_AB,),
@@ -444,32 +466,72 @@ K_ZERO = ReducedState(0.0, 2.0, 3.0, 3.0, 1.0, 1.0, 0.0)  # |b (lambda+3ab) (..)
 ], ids=["inf", "inapplicable-first", "nan-first-row", "nan-later-row",
         "nan-later-key", "nan-later-key-later-row", "inapplicable-only", "k-zero"])
 def test_identity_table_keeps_the_per_state_max_on_inapplicable_and_non_finite_rows(states):
-    assert_batch_matches_reference(reduced.Trajectory(states))
+    assert_batch_matches_reference(trajectory(*states))
 
 
-def test_identity_table_raises_what_the_first_failing_state_raises():
-    cube = ReducedState(0.0, 1e120, 0.5, 0.0, 1.0, 0.0, 0.0)  # a**3 overflows, a**2 not
-    vanished = ReducedState(0.0, 0.3, 0.5, 0.0, 0.0, 0.0, 0.0)  # h = 0 in `_rhs`
-    tiny_h = ReducedState(0.0, 0.3, 0.5, 0.0, 1e-200, 0.0, 1.0)  # h**2 = 0 in k/h^2
-    sq = ReducedState(0.0, 1e160, 0.5, 0.0, 1e-200, 0.0, 1.0)  # a**2 overflows, then h**2 = 0
-    b_sq = ReducedState(0.0, 0.3, 1e160, 0.0, 1e-200, 0.0, 1.0)  # b**2 in `_rhs` overflows
-    for states, error in [((PLAIN, cube, vanished), OverflowError),
-                          ((PLAIN, vanished, cube), DomainError),
-                          ((tiny_h, vanished), ZeroDivisionError),
-                          ((sq, tiny_h), OverflowError),
-                          ((tiny_h, sq), ZeroDivisionError),
-                          ((b_sq, tiny_h), OverflowError)]:
-        for st in states:  # the state-by-state evaluation raises this first
-            try:
-                reference_identity_row(st)
-            except Exception as exc:
-                assert type(exc) is error
-                break
-        with pytest.raises(error):
-            reduced.Trajectory(states).identity_residual_rows()
-    # a**3 is taken where a != b only, as one state at a time takes it
-    big = ReducedState(0.0, 1e120, 1e120, 0.0, 1.0, 0.0, 0.0)
-    assert reduced.Trajectory((big,)).identity_residual_rows() == [{"inapplicable": 1.0}]
+def test_trajectory_refuses_states_outside_integrates_range():
+    # each state in a column of its own between two in the range: a**3 or
+    # a**2 overflowing, h = 0 or h**2 underflowing, and a value not finite
+    cube = ReducedState(2.0, 1e120, 0.5, 0.0, 1.0, 0.0, 0.0)
+    vanished = ReducedState(2.0, 0.3, 0.5, 0.0, 0.0, 0.0, 0.0)
+    tiny_h = ReducedState(2.0, 0.3, 0.5, 0.0, 1e-200, 0.0, 1.0)
+    b_sq = ReducedState(2.0, 0.3, 1e160, 0.0, 1.0, 0.0, 1.0)
+    both = ReducedState(2.0, 1e120, 1e120, 0.0, 1.0, 0.0, 0.0)  # a = b
+    huge_fp = ReducedState(2.0, 0.3, 0.5, -1e9, 1.0, 0.0, 1.0)
+    wide_h = ReducedState(2.0, 0.3, 0.5, 0.0, 1e9, 0.0, 1.0)
+    nan_lam = ReducedState(2.0, 0.3, 0.5, 0.0, 1.0, math.nan, 1.0)
+    inf_k = ReducedState(2.0, 0.3, 0.5, 0.0, 1.0, 0.0, -math.inf)
+    nan_s = ReducedState(math.nan, 0.3, 0.5, 0.0, 1.0, 0.0, 1.0)
+    later = PLAIN._replace(s=3.0, h=0.0)  # out of range too, after the first
+    ab, h, finite = "[-1e+08, 1e+08]", "[1e-08, 1e+08]", "[-1.79769e+308, 1.79769e+308]"
+    for bad, field, bound in [(cube, "a", ab), (vanished, "h", h), (tiny_h, "h", h),
+                              (b_sq, "b", ab), (both, "a", ab), (huge_fp, "fp", ab),
+                              (wide_h, "h", h), (nan_lam, "lam", finite), (inf_k, "k", finite),
+                              (nan_s, "s", finite)]:
+        with pytest.raises(DomainError) as exc:
+            trajectory(PLAIN, bad, later)
+        message = str(exc.value)
+        assert message.startswith(f"the state at s = {bad.s!r} has {field} = "), message
+        assert message.endswith(f", outside {bound}"), message
+
+
+def test_integrate_refuses_a_start_outside_its_range():
+    for st0, field in [(singular_steady_state(1e-310), "a"), (singular_steady_state(1e-9), "a"),
+                       (PLAIN._replace(h=1e-9), "h"), (product_state(1.0, 1e200), "fp")]:
+        for s_end in (st0.s, 1.0):  # a run of no steps, and one of many
+            with pytest.raises(DomainError, match=f"has {field} = .*, outside \\["):
+                integrate(st0, s_end, 1e-3)
+
+
+def peak_bytes_per_state(build, count):
+    """The tracemalloc peak of ``build()`` above what was allocated before
+    it, per state of a run of ``count`` states, and what it returns.  The
+    cyclic GC is off meanwhile: it would free nothing that the peak holds,
+    and its collections over the test session's objects are slow to trace."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return (peak - before) / count, out
+
+
+def test_integrate_and_its_csv_hold_a_long_run_in_bounded_memory():
+    # 2e4 steps: the columns take 56 bytes a state, and a Python object
+    # per state would take 64 or more on top.  A short run first: the first
+    # run in a test session traces several times slower
+    integrate(singular_steady_state(1.0), 1.0001, 1e-6)
+    per_state, traj = peak_bytes_per_state(
+        lambda: integrate(singular_steady_state(1.0), 1.02, 1e-6), 20001)
+    assert traj.columns.shape == (7, 20001) and not traj.truncated
+    assert per_state <= 128
+    traj.identities  # the table is not part of the CSV's cost
+    per_state, text = peak_bytes_per_state(traj.identities.to_csv, 20001)
+    assert per_state * 20001 <= 3 * len(text)
 
 
 def test_cli_integrate_csv_evaluates_the_identities_once(tmp_path, monkeypatch):

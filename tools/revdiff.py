@@ -48,7 +48,11 @@ COMMANDS = ("verify", "oracle", "classify", "integrate")
 # start, and a bad --lam of one with it), a --lam on a family without one,
 # the known CLI defects that the benchmark's boundary jobs leave out, a
 # --tol that is not positive, oracle grids too coarse for their fiber (one
-# on a range that %g cannot tell apart) and sizes that are not integers;
+# on a range that %g cannot tell apart), sizes that are not integers,
+# integrate starts outside the range of a trajectory (a subnormal, an
+# overflowing and a blown-up --from, with and without steps), and oracle runs
+# on fibers of curvature k > (pi/2)^2, whose window sits at the fiber's
+# equator (one passing at r0 = 1 too, one too short for the default grid);
 # no job asks for more samples or nodes than the CLI allows, as the tree at
 # REV may try to allocate them
 EDGE_JOBS = (
@@ -77,6 +81,18 @@ EDGE_JOBS = (
     "oracle --family product --s 1e10:1.0000001e10",
     "verify --family product --samples x",
     "oracle --family product --nodes 1.5",
+    "integrate --family singular-steady --from 1e-310",
+    "integrate --family singular-steady --from 1e-120 --to 1e-120",
+    "integrate --family singular-steady --from 1e-9 --to 1",
+    "integrate --family singular-steady --from 1e-9 --to 1e-9",
+    "oracle --family product --lam 7",
+    "oracle --family product --lam 8.9",
+    "oracle --family product --lam 10",
+    "oracle --family cylinder --lam 16",
+    "oracle --family cylinder --lam 17.8",
+    "oracle --family cylinder --lam 30",
+    "oracle --family product --lam 100",
+    "oracle --family product --lam 4",
 )
 # the rows of the samples files of `classify --samples-file` jobs, written
 # into the workspace so that both trees read them at one path: a product-like

@@ -9,9 +9,14 @@ R_ijji of the frame planes (E_i, E_j) of the doubly-warped ansatz are
     R_2332 = R_2442 = -a b,   R_3443 = -b^2 + k/h^2,
 
 and for the 3-fiber warped product R_1ii1 = -h''/h, R_ijji = -b^2 + k/h^2.
-Ricci eigenvalues and scalar curvature follow by contraction.  The
-divergence-free-Weyl structure forces p''/p = h''/h; the tables evaluate
-the unconstrained formulas, which diagnose inputs that violate it.
+Ricci eigenvalues and scalar curvature follow by contraction.  The tables
+evaluate these formulas for any profiles.  delta W = 0 is the vanishing of
+`codazzi_components`, a third-order condition on the profiles: it does not
+force p''/p = h''/h, nor does p''/p = h''/h give it (p = cosh s, h = sinh s
+at k = 0).  The reduced flow of :mod:`solitonlab.reduced` sets p''/p = h''/h,
+and along it delta W = 0 holds where its ``linear`` identity and that
+identity's derivative vanish.  ``tests/symbolic.py`` derives the Codazzi
+tensor exactly and holds the components to it.
 
 Both ansaetze fill one `CurvatureTable`: the frame coefficients
 zeta_i = <grad_{E_i} E_1, E_i> ((a, b, b), or (b, b, b) for warped3), the

@@ -4,7 +4,7 @@ For the doubly-warped ansatz with a = p'/p, b = h'/h and potential slope
 fp = f', the soliton equation reduces, after eliminating curvature, to
 
     a'  = fp a - a^2 - 2 a b - lambda
-    b'  = a' + a^2 - b^2          (delta W = 0: p''/p = h''/h)
+    b'  = a' + a^2 - b^2          (p''/p = h''/h)
     fp' = 3 a' + 3 a^2 + lambda
     h'  = b h
 
@@ -32,6 +32,13 @@ and a state with a = b reports only the flag ``inapplicable``.  With C the
 a - b and a + b), and ``branch_cubic`` where C'' = 0 too;
 ``tests/symbolic.py`` derives the flow, the third component and these
 statements exactly.
+
+p''/p = h''/h is not delta W = 0 on this ansatz: p = cosh s, h = sinh s
+satisfies it, yet has delta W != 0 at k = 0 and k = -1.  Along the flow the
+Codazzi components of `solitonlab.curvature.codazzi_components` satisfy
+3 D_3 = b C + (a - b)(lambda + 3 a b - (a + b) f') and D_2 = -2 D_3 = -2 D_4,
+so delta W = 0 holds where C = C' = 0, where the identities hold too;
+``tests/symbolic.py`` derives this from the frame curvature.
 
 A trajectory (`Trajectory`) is one (7, N) float array, a row per field of
 `ReducedState` (s, a, b, f', h, lambda, k) and a column per state.  Every
@@ -267,7 +274,8 @@ def _identity_table(columns: np.ndarray) -> _IdentityTable:
     lists takes a**2, h**2 and a**3 by Python's pow; a' (in `_rhs`'s
     operation order) and the formulas then run over the columns."""
     _, a, b, fp, h, lam, k = columns
-    a2, a3, h2 = (np.array([x**e for x in col.tolist()]) for col, e in ((a, 2), (a, 3), (h, 2)))
+    al = a.tolist()  # one list of a for both of its powers
+    a2, a3, h2 = (np.array([x**e for x in c]) for c, e in ((al, 2), (al, 3), (h.tolist(), 2)))
     with np.errstate(all="ignore"):  # inf and nan, as float arithmetic gives them
         kh2 = k / h2
         ap = fp * a - a2 - 2.0 * a * b - lam

@@ -10,6 +10,7 @@ tensor, ``Ric_jl = g^ab R[j, a, b, l]``, is 3c g.
 
 import numpy as np
 
+from solitonlab.fdgrid import MetricGrid
 from solitonlab.frames import DIM
 
 
@@ -68,6 +69,20 @@ def weyl_from_riemann(riem, ric, scalar: float, g) -> np.ndarray:
     kulkarni = gr - gr.transpose(0, 1, 3, 2) + gr.transpose(1, 0, 3, 2) - gr.transpose(1, 0, 2, 3)
     metric_part = gg - gg.transpose(0, 1, 3, 2)
     return r + 0.5 * kulkarni - (scalar / 6.0) * metric_part
+
+
+def smooth_random_grid(shape, seed=0, spacing=0.1):
+    """A dense grid of the smooth, non-diagonal metric
+    g = I + 0.05 sum_k (A_k + A_k^T) sin(k . x + phi_k), three random waves."""
+    rng = np.random.default_rng(seed)
+    axes = tuple(np.arange(n) * spacing for n in shape)
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    g = np.tile(np.eye(4), shape + (1, 1))
+    for _ in range(3):
+        a = rng.standard_normal((4, 4))
+        wave = np.sin(x @ rng.uniform(-1.5, 1.5, 4) + rng.uniform(0.0, 2.0 * np.pi))
+        g += 0.05 * (a + a.T) * wave[..., None, None]
+    return MetricGrid(axes, g)
 
 
 def ricci_from_riemann(riem, g) -> np.ndarray:

@@ -31,9 +31,14 @@ expression; the identity holds when that is 0.
 The reduced systems: `soliton_tensor` is Ric + Hess f - lambda g of either
 ansatz, with the profiles and their derivatives replaced by the reduced
 variables.  `dw_flow` solves it on the doubly-warped ansatz, with
-delta W = 0, for (a', b', f'', h'), and `warp3_flow` on the warped product
+p''/p = h''/h, for (a', b', f'', h'), and `warp3_flow` on the warped product
 for (h'', f'').  `linear_variety` solves an identity C and its derivative
 C' along a flow for f' and k, naming the divisors that this takes.
+
+Harmonic Weyl curvature: `codazzi` is the Codazzi tensor of A = Ric - (R/6) g
+of either ansatz, which vanishes exactly where delta W = 0;
+`family_curvature` gives it at exact profiles, and `dw_codazzi` along a
+doubly-warped flow.
 """
 
 from functools import cache
@@ -115,30 +120,62 @@ def frame_curvature(diagonal, coords):
 
 
 @cache
-def _ansatz(warped3: bool):
-    """(zeta, riemann) of g = diag(1, p^2, h^2, h^2 u^2) on (s, t, r, theta)
-    or, on warped3, diag(1, h^2, h^2 u^2, h^2 u^2 sin^2 theta) on (s, r,
-    theta, phi), after u'' = -k u and u'^2 = 1 - k u^2; zeta_i =
-    <grad_{E_i} E_1, E_i> is Gamma^i_i1, as e_1 = 1."""
+def _frame(warped3: bool):
+    """(diagonal, coords, gamma, riemann) of g = diag(1, p^2, h^2, h^2 u^2) on
+    (s, t, r, theta) or, on warped3, diag(1, h^2, h^2 u^2, h^2 u^2 sin^2
+    theta) on (s, r, theta, phi), by `frame_curvature`."""
     p, h, u = _p(s), _h(s), _u(r)
     diagonal, coords = (((1, h, h * u, h * u * sp.sin(theta)), (s, r, theta, phi)) if warped3
                         else ((1, p, h, h * u), (s, sp.Symbol("t"), r, theta)))
-    gamma, riemann = frame_curvature(tuple(map(sp.sympify, diagonal)), coords)
-    up = sp.Symbol("up")  # u', of which only even powers are left
-    ode = {u.diff(r, 2): -k * u, u.diff(r): up}
-    fiber = lambda x: sp.cancel(sp.expand(x.xreplace(ode)).subs(up**2, 1 - k * u**2))
-    return (tuple(fiber(gamma[i, i, 0]) for i in (1, 2, 3)),
-            {q: fiber(x) for q, x in riemann.items()})
+    diagonal = tuple(map(sp.sympify, diagonal))
+    return (diagonal, coords, *frame_curvature(diagonal, coords))
+
+
+def _fiber(x):
+    """x after u'' = -k u and u'^2 = 1 - k u^2, of which only even powers of
+    u' are left."""
+    u, up = _u(r), sp.Symbol("up")
+    return sp.cancel(sp.expand(x.xreplace({u.diff(r, 2): -k * u, u.diff(r): up}))
+                     .subs(up**2, 1 - k * u**2))
+
+
+@cache
+def _ansatz(warped3: bool):
+    """(zeta, riemann) of `_frame` after `_fiber`; zeta_i = <grad_{E_i} E_1,
+    E_i> is Gamma^i_i1, as e_1 = 1."""
+    _, _, gamma, riemann = _frame(warped3)
+    return (tuple(_fiber(gamma[i, i, 0]) for i in (1, 2, 3)),
+            {q: _fiber(x) for q, x in riemann.items()})
+
+
+@cache
+def codazzi(warped3: bool):
+    """C[i, j, m] = (grad_{E_i} A)(E_j, E_m) - (grad_{E_j} A)(E_i, E_m) of A =
+    Ric - (R/6) g of `_ansatz`, in its frame, after `_fiber`.  In dimension 4
+    div W is a multiple of the exterior covariant derivative of A, so
+    delta W = 0 exactly where C = 0."""
+    diagonal, x, gamma, _ = _frame(warped3)
+    ric = ricci(_ansatz(warped3)[1])
+    # A_ii in the coordinates (A is diagonal, as Ric is); the terms
+    # Gamma^m_ij A_mm of (grad_i A)_jm - (grad_j A)_im cancel
+    coord = [(ric[i, i] - sum(ric[j, j] for j in range(4)) / 6) * e**2
+             for i, e in enumerate(diagonal)]
+    return {(i, j, m): _fiber((_d(j, m) * sp.diff(coord[j], x[i]) - gamma[j, i, m] * coord[j]
+                               - _d(i, m) * sp.diff(coord[i], x[j]) + gamma[i, j, m] * coord[i])
+                              / (diagonal[i] * diagonal[j] * diagonal[m]))
+            for i, j, m in product(range(4), repeat=3)}
 
 
 @cache
 def family_curvature(p, h, k_value):
-    """`_ansatz` at the profiles p(s), h(s), expressions in `s` (p None on
-    warped3), and the fiber curvature ``k_value``, as expressions in s."""
+    """(zeta, riemann, codazzi): `_ansatz` and `codazzi` at the profiles p(s),
+    h(s), expressions in `s` (p None on warped3), and the fiber curvature
+    ``k_value``, as expressions in s."""
     zeta, riemann = _ansatz(p is None)
     values = {_h(s): h, k: k_value, **({} if p is None else {_p(s): p})}
     on = lambda x: sp.cancel(x.subs(values).doit())
-    return tuple(map(on, zeta)), {q: on(x) for q, x in riemann.items()}
+    return (tuple(map(on, zeta)), {q: on(x) for q, x in riemann.items()},
+            {q: on(x) for q, x in codazzi(p is None).items()})
 
 
 def ricci(riemann):
@@ -189,8 +226,10 @@ def _dw_tensor():
 @cache
 def dw_flow():
     """(a', b', f'', h') of the doubly-warped soliton: the solution of its
-    components (0, 0) and (1, 1) and of delta W = 0, which on this ansatz is
-    p''/p = h''/h; h' = b h is the definition of b."""
+    components (0, 0) and (1, 1) and of p''/p = h''/h; h' = b h is the
+    definition of b.  p''/p = h''/h alone is not delta W = 0 (`codazzi`),
+    but along this flow delta W vanishes where the ``linear`` identity C and
+    its derivative C' do (`dw_codazzi`)."""
     t = _dw_tensor()
     (sol,) = sp.solve([t[0, 0], t[1, 1], A + a**2 - B - b**2], [A, B, F2], dict=True)
     return sol[A], sol[B], sol[F2], b * h
@@ -227,6 +266,19 @@ def flow_derivative(expr, rhs):
     """d expr / ds along the doubly-warped flow (a, b, f', h)' = rhs, with
     lambda and k constant."""
     return sum(sp.diff(expr, x) * v for x, v in zip((a, b, fp, h), rhs))
+
+
+def dw_codazzi(rhs):
+    """`codazzi` of the doubly-warped ansatz along the flow rhs = (a', b',
+    f'', h'): the derivatives of the profiles as p^(n) = q_n p, with q_0 = 1
+    and q_(n+1) = q_n' + a q_n along rhs, and h^(n) the same with b."""
+    jets, p0 = {}, sp.Symbol("p", positive=True)
+    for f, value, rate in ((_p(s), p0, a), (_h(s), h, b)):
+        q = sp.Integer(1)
+        for n in range(4):
+            jets[f.diff(s, n)] = q * value
+            q = sp.cancel(flow_derivative(q, rhs) + rate * q)
+    return {key: sp.cancel(x.xreplace(jets)) for key, x in codazzi(False).items()}
 
 
 def linear_variety(c, rhs):

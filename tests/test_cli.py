@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import functools
 import importlib.util
@@ -18,8 +19,8 @@ from solitonlab.cli import _build_family, main
 from solitonlab.families import canonical_family
 from solitonlab.report import canonical_csv, canonical_json, flatten
 
-CLI_FAMILIES = ["singular-steady", "product", "gaussian", "cylinder", "sphere",
-                "flat", "broken-product"]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import cli_jobs  # noqa: E402
 
 
 def run(argv, capsys):
@@ -37,35 +38,73 @@ def test_verify_singular_steady_passes(capsys):
     assert report["checks"]["codazzi"]["max_abs"] <= 1e-12
 
 
-# The known CLI defects: runs on exact solitons, each with the exit the
-# contract asks for and, for `classify`, the label the mathematics asks for.
-# A defect still open is a strict xfail that names the ROADMAP item that
-# mends it, so that mending it turns the case into a failure until it moves.
-DEFECT_LEDGER = [
-    ("verify --family sphere --s 0:4", 0, None),
-    ("verify --family sphere --s 3.0:3.1315", 0, None),
-    ("verify --family sphere --s 1e-5:0.5", 0, None),
-    ("integrate --family singular-steady --from 1 --to 1e-4", 0, None),
-    ("verify --family product --lam 1e4", 0, None),
-    ("verify --family gaussian --lam 1e4", 0, None),
-    ("verify --family singular-steady --s 1e-3:1e-2", 0, None),
-    ("classify --family singular-steady --s 100:1000", 0, "SingularSteady_iii"),
-    # far out along s, f'^2 outgrows the curvature of the product and of the
-    # flat metric; neither may read flat against it, nor overflow in it
-    ("classify --family product --lam 1e8", 0, "Product_ii"),
-    ("classify --family product --s 1e4:2e4", 0, "Product_ii"),
-    ("classify --family gaussian --lam 1e200", 0, "WarpedLCF_iv"),
-    pytest.param("integrate --family gaussian", 0, None, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 9: the warped families have no reduced path")),
-]
-
-
-@pytest.mark.parametrize("argv, code, label", DEFECT_LEDGER)
-def test_known_defect_runs_exit_as_the_contract_asks(argv, code, label, capsys):
+# Every row of the job catalogue (`cli_jobs.jobs()`) runs in-process, once: a
+# section in the test named for it, the other rows in
+# `test_cli_jobs_exit_as_the_contract_asks`.  Each exits as the contract
+# asks; a row that exits 2 writes one error line, no warning and no report,
+# and a label is classify's.  An open defect is a strict xfail naming the
+# ROADMAP item that mends it, so that mending it fails the case until the
+# row moves.
+def check_job(argv: str, code: int, label, capsys):
+    if code == 2:
+        assert_exit_2_with_one_line(argv.split(), capsys)
+        return
     got, out = run(argv.split(), capsys)
     assert got == code
     if label is not None:
         assert json.loads(out)["verdict"]["label"] == label
+
+
+def runs(jobs, name=None):
+    """The test that runs each of ``jobs`` by `check_job` in the directory
+    of the samples files, with the id ``name(argv)`` where given."""
+    @pytest.mark.parametrize("argv, code, label", [pytest.param(
+        *job[:3], id=name and name(job.argv), marks=[pytest.mark.xfail(
+            strict=True, reason=f"open defect, ROADMAP item {job.item}")] if job.item else [])
+        for job in jobs])
+    def test(argv, code, label, samples_dir, monkeypatch, capsys):
+        monkeypatch.chdir(samples_dir)
+        check_job(argv, code, label, capsys)
+    return test
+
+
+def refusals(jobs, ids=None):
+    """The test that each of ``jobs``, rows of exit 2, exits 2 with one line."""
+    @pytest.mark.parametrize("argv", [job.argv.split() for job in jobs], ids=ids)
+    def test(argv, capsys):
+        assert_exit_2_with_one_line(argv, capsys)
+    return test
+
+
+@pytest.fixture(scope="module")
+def samples_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("samples")
+    for name, rows in cli_jobs.SAMPLES_FILES.items():
+        (path / name).write_text(json.dumps(rows))
+    return path
+
+
+REFUSED = (cli_jobs.USAGE_ERRORS, cli_jobs.DOMAIN_ERRORS, cli_jobs.NON_FINITE_NUMBERS,
+           cli_jobs.ORACLE_GRID_ERRORS)
+SECTIONS = REFUSED + (cli_jobs.SHORT_FIBERS, cli_jobs.KNOWN_DEFECTS)
+test_usage_errors_exit_2 = refusals(cli_jobs.USAGE_ERRORS)
+test_domain_errors_exit_2_with_one_line = refusals(cli_jobs.DOMAIN_ERRORS)
+test_non_finite_numbers_exit_2_with_one_line = refusals(
+    cli_jobs.NON_FINITE_NUMBERS, ["to-inf", "tol-nan", "lam-nan", "range-inf"])
+test_oracle_grid_errors_exit_2_with_one_line = refusals(
+    cli_jobs.ORACLE_GRID_ERRORS, ["one-node", "no-checked-node", "grid-outside-domain"])
+test_oracle_centres_its_window_on_a_short_fiber_at_its_equator = runs(
+    cli_jobs.SHORT_FIBERS, lambda argv: "-".join(argv.split()[2::2]))
+test_known_defect_runs_exit_as_the_contract_asks = runs(cli_jobs.KNOWN_DEFECTS)
+test_cli_jobs_exit_as_the_contract_asks = runs(
+    job for job in cli_jobs.jobs() if not any(job in section for section in SECTIONS))
+
+
+def test_the_catalogue_holds_each_argv_once_and_every_boundary_job_at_its_gated_exit():
+    jobs = cli_jobs.jobs()
+    assert len({job.argv for job in jobs}) == len(jobs)
+    assert set(cli_jobs.boundary_jobs()) <= {(job.argv, job.exit) for job in jobs}
+    assert {job.exit for section in REFUSED for job in section} == {2}
 
 
 # The canonical solitons that the CLI can rescale, with lambda at c = 1:
@@ -159,10 +198,8 @@ def test_classify_family(capsys):
 
 
 def test_classify_samples_file(tmp_path, capsys):
-    rows = [{"s": 1.0 + 0.1 * i, "eigenvalues": [1.0, 0.5, 0.2, -0.1],
-             "fprime": 1.0, "scalar": 1.6, "weyl_sq": 1.0} for i in range(8)]
     path = tmp_path / "samples.json"
-    path.write_text(json.dumps(rows))
+    path.write_text(json.dumps(cli_jobs.SAMPLES_FILES["distinct_samples.json"]))
     code, out = run(["classify", "--samples-file", str(path)], capsys)
     assert code == 1
     assert json.loads(out)["verdict"]["label"] == "Unknown"
@@ -176,54 +213,6 @@ def test_job_file(tmp_path, capsys):
     code, out = run(["job", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["pass"] is True
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "--family", "no-such-family"],
-    ["verify", "--family", "singular-steady", "--s", "2.0:0.5"],
-    ["verify", "--family", "flat", "--s", "2:1"],
-    ["verify", "--family", "flat", "--s", "-1:-2"],
-    ["integrate", "--family", "gaussian"],
-    ["classify", "--family", "broken-product"],
-])
-def test_usage_errors_exit_2(argv, capsys):
-    assert main(argv) == 2
-
-
-@pytest.mark.parametrize("argv", [
-    ["integrate", "--family", "singular-steady", "--from", "-1"],
-    ["integrate", "--family", "singular-steady", "--step", "0"],
-    ["classify", "--family", "singular-steady", "--samples", "4"],
-    ["oracle", "--family", "singular-steady", "--nodes", "9"],
-    ["verify", "--family", "product", "--lam", "0"],
-    ["classify", "--family", "product", "--lam", "1e308"],
-    ["integrate", "--family", "singular-steady", "--to", "1e6"],
-    ["integrate", "--family", "singular-steady", "--step", "1e-300"],
-    ["oracle", "--family", "product", "--lam=-1e308"],
-    ["integrate", "--family", "product", "--lam", "1e200"],
-    ["verify", "--family", "gaussian", "--lam", "1e308"],
-    ["verify", "--family", "product", "--lam", "1e200"],
-    ["classify", "--family", "gaussian", "--lam", "1e308"],
-    # 10**15 float64 values are 8 PB, more than any address space: refused
-    # by the size bounds before any memory is touched
-    ["verify", "--family", "flat", "--samples", str(10**15)],
-    ["classify", "--family", "flat", "--samples", str(10**15)],
-    ["oracle", "--family", "flat", "--nodes", str(10**15)],
-    # a --lam on a family without a soliton constant, which nothing would read
-    ["verify", "--family", "sphere", "--lam", "5"],
-    ["oracle", "--family", "singular-steady", "--lam", "1"],
-    ["integrate", "--family", "singular-steady", "--lam", "1"],
-    ["classify", "--family", "flat", "--lam", "0"],
-    # the parser's own usage errors, with no usage block
-    ["verify", "--family", "product", "--samples", "x"],
-    ["oracle", "--family", "product", "--nodes", "1.5"],
-    ["verify", "--bogus", "1"],
-    ["verify", "--family", "product", "--no-such-option"],
-    ["nosuch"],
-    [],
-])
-def test_domain_errors_exit_2_with_one_line(argv, capsys):
-    assert_exit_2_with_one_line(argv, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,19 +261,6 @@ def test_oracle_names_the_arguments_of_a_too_coarse_grid(capsys):
     assert capsys.readouterr().err == ""
 
 
-# fibers of curvature k > (pi/2)^2, whose poles lie less than 2 apart: at
-# r0 = 1 the window read 3.0e-6 to 5.2e-5 on the first, second, fourth and
-# fifth and ran past the pole on the third and the last
-SHORT_FIBERS = [("product", "7"), ("product", "8.9"), ("product", "10"), ("cylinder", "16"),
-                ("cylinder", "17.8"), ("cylinder", "30")]
-
-
-@pytest.mark.parametrize("family, lam", SHORT_FIBERS)
-def test_oracle_centres_its_window_on_a_short_fiber_at_its_equator(family, lam, capsys):
-    code, out = run(["oracle", "--family", family, "--lam", lam], capsys)
-    assert code == 0 and json.loads(out)["max_relative_deviation"] <= 1e-6
-
-
 def test_oracle_names_the_lam_of_a_fiber_too_short_for_its_grid(capsys):
     # r0 = pi/20 at k = 100, less than 14 spacings of the default grid
     line = assert_exit_2_with_one_line(["oracle", "--family", "product", "--lam", "100"], capsys)
@@ -326,27 +302,8 @@ def test_size_arguments_above_their_bound_are_refused_before_allocating(argv, bo
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("argv", [
-    ["integrate", "--family", "singular-steady", "--to", "inf"],
-    ["verify", "--family", "broken-product", "--tol", "nan"],
-    ["verify", "--family", "gaussian", "--lam", "nan"],
-    ["verify", "--family", "flat", "--s", "0.5:inf"],
-], ids=["to-inf", "tol-nan", "lam-nan", "range-inf"])
-def test_non_finite_numbers_exit_2_with_one_line(argv, capsys):
-    assert_exit_2_with_one_line(argv, capsys)
-
-
-@pytest.mark.parametrize("argv", [
-    ["oracle", "--family", "flat", "--nodes", "1"],
-    ["oracle", "--family", "flat", "--s", "0.5:0.52", "--nodes", "5"],
-    ["oracle", "--family", "singular-steady", "--s=-1:1"],
-], ids=["one-node", "no-checked-node", "grid-outside-domain"])
-def test_oracle_grid_errors_exit_2_with_one_line(argv, capsys):
-    assert_exit_2_with_one_line(argv, capsys)
-
-
 @pytest.mark.parametrize("lam", [None, 0.75])
-@pytest.mark.parametrize("cli_name", CLI_FAMILIES)
+@pytest.mark.parametrize("cli_name", cli_jobs.CLI_FAMILIES)
 def test_cli_and_json_family_names_build_the_same_family(cli_name, lam):
     # a CLI name and the registry's underscore name build the same family
     from_cli = _build_family(cli_name, lam)
@@ -399,11 +356,11 @@ def test_traced_counters_name_public_functions_and_count_the_samples(monkeypatch
 
 def test_integrate_exit_codes_follow_the_family_records_and_the_benchmark_gate(workloads,
                                                                                capsys):
-    assert sorted(workloads.CLI_FAMILIES) == sorted(CLI_FAMILIES)
-    reduced = sorted(name for name in CLI_FAMILIES if _build_family(name, None).reduced)
+    assert sorted(workloads.CLI_FAMILIES) == sorted(cli_jobs.CLI_FAMILIES)
+    reduced = sorted(name for name in cli_jobs.CLI_FAMILIES if _build_family(name, None).reduced)
     refusal = ("solitonlab: error: integrate supports the families with reduced "
                f"data: {reduced}\n")
-    for family in CLI_FAMILIES:
+    for family in cli_jobs.CLI_FAMILIES:
         code = main(["integrate", "--family", family])
         assert code == workloads.default_exit("integrate", family), family
         assert capsys.readouterr().err == ("" if family in reduced else refusal), family
@@ -452,13 +409,8 @@ def test_bad_input_files_exit_2_with_one_line(argv, content, names, tmp_path, ca
         path.mkdir()
     elif content is not None:
         path.write_text(json.dumps(content))
-    assert main(argv + [str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("solitonlab: error: ")
-    assert "Traceback" not in captured.err
-    assert names is None or names in lines[0]  # the row and the key
+    line = assert_exit_2_with_one_line(argv + [str(path)], capsys)
+    assert names is None or names in line  # the row and the key
 
 
 @pytest.mark.parametrize("spaced, joined", [
@@ -491,20 +443,12 @@ def test_bad_job_file_exits_2(tmp_path, capsys):
 def test_job_range_without_two_ends_exits_2_with_one_line(ends, tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "verify", "family": "cylinder", "s_range": ends}))
-    assert main(["job", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and "range must look like 0.5:2.0" in lines[0]
+    assert "range must look like 0.5:2.0" in assert_exit_2_with_one_line(["job", str(path)],
+                                                                         capsys)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--family", "singular-steady", "--samples", "32"],
-    ["integrate", "--family", "singular-steady", "--from", "1", "--to", "1.5",
-     "--step", "0.01"],
-    ["classify", "--family", "gaussian"],
-    ["verify", "--family", "broken-product"],
-])
+@pytest.mark.parametrize("argv", [job.argv.split() for job in cli_jobs.DEFAULTS
+                                  if job.exit != 2 and not job.item and "csv" not in job.argv])
 def test_reports_are_byte_identical(argv, tmp_path):
     outs = []
     for i in range(2):
@@ -572,15 +516,16 @@ def test_report_csv_quotes_keys_and_line_breaks(tmp_path, capsys):
 
 
 # Exit-code contract: boundary values of every option give exit 0, 1 or 2,
-# never an escaping exception.  Sizes stay small, or far above their bound,
-# which refuses them before anything is allocated, so that no run builds a
-# large grid or takes many RK4 steps; only --lam also draws two huge values,
-# whose products overflow float arithmetic.
-NUMBERS = st.sampled_from(["0", "-0", "-1", "1", "2.5", "nan", "inf", "-inf", "x"])
+# never an escaping exception, and exit 2 one line on stderr.  Sizes stay
+# small, or far above their bound, which refuses them before anything is
+# allocated, so that no run builds a large grid or takes many RK4 steps;
+# every number may be +-1e308, whose differences and products overflow float
+# arithmetic, and --lam also 1e200.
+NUMBERS = st.sampled_from(["0", "-0", "-1", "1", "2.5", "nan", "inf", "-inf", "x", "1e308",
+                           "-1e308"])
 RANGES = st.one_of(st.tuples(NUMBERS, NUMBERS).map(":".join),
                    st.sampled_from(["1", "1:2:3", ":"]))
-COMMON = {"--lam": st.one_of(NUMBERS, st.sampled_from(["1e200", "-1e308"])),
-          "--tol": NUMBERS}
+COMMON = {"--lam": st.one_of(NUMBERS, st.just("1e200")), "--tol": NUMBERS}
 OPTIONS = {
     "verify": {"--s": RANGES, "--samples": st.sampled_from(["-1", "0", "2", "3", "8", "1e3",
                                                             str(10**12)])},
@@ -591,7 +536,7 @@ OPTIONS = {
     "integrate": {"--from": NUMBERS, "--to": NUMBERS, "--step": NUMBERS},
 }
 # mostly families the command can run, so that the values reach its code
-FAMILIES = {command: CLI_FAMILIES for command in OPTIONS}
+FAMILIES = {command: cli_jobs.CLI_FAMILIES for command in OPTIONS}
 FAMILIES["integrate"] = ["singular-steady", "product"]
 BAD_FAMILIES = ["nosuch", "singular_steady", "", "gaussian"]
 
@@ -613,8 +558,11 @@ def cli_argv(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cli_argv(), st.sampled_from(["contract_report.json", ".", "nosuch/report.json"]))
 def test_cli_exit_contract_on_boundary_values(tmp_path_factory, argv, out):
-    out = tmp_path_factory.getbasetemp() / out
-    assert main(argv + ["--out", str(out)]) in (0, 1, 2)
+    out, err = tmp_path_factory.getbasetemp() / out, io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(out)])
+    assert code in (0, 1, 2)
+    assert code != 2 or len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 # a job file's s_range as a list of JSON numbers, of any length

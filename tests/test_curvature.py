@@ -8,9 +8,10 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from solitonlab.curvature import PLANES, family_eigenvalues, family_table, family_weyl_sq
+from solitonlab.curvature import (PLANES, codazzi_components, family_eigenvalues, family_table,
+                                  family_weyl_sq)
 from solitonlab.errors import DomainError
-from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily,
+from solitonlab.families import (BOUNDARY_MARGIN, CANONICAL_FAMILIES, MetricFamily, Profile,
                                  canonical_family, constant_profile, power_profile,
                                  product_family, sin_profile, singular_steady_family)
 
@@ -70,16 +71,34 @@ EXACT_PROFILES = {  # each canonical family as exact (p, h, k), p None on warped
 }
 
 
-@pytest.mark.parametrize("s0", [sp.Rational(1, 2), sp.Integer(1), sp.Rational(7, 4)], ids=str)
-@pytest.mark.parametrize("name", sorted(CANONICAL_FAMILIES))
+# controls off the soliton flow, at s = 1/2, where their terms are largest:
+# p = cosh s, h = sinh s has p''/p = h''/h = 1 at every k, yet delta W
+# vanishes only at k = 1, where the metric is hyperbolic space; p = sinh s,
+# h = 1 (H^2 x S^2) has delta W = 0 and p''/p = 1 != h''/h = 0
+COSH, SINH = (Profile(f, g, f, g) for f, g in ((np.cosh, np.sinh), (np.sinh, np.cosh)))
+CONTROLS = {f"cosh_sinh_k{k}": (MetricFamily(SINH, k, p=COSH), (sp.cosh(_s), sp.sinh(_s), k))
+            for k in (0, -1, 1)}
+CONTROLS["sinh_one_k1"] = (MetricFamily(ONE, 1.0, p=SINH), (sp.sinh(_s), _1, 1))
+NOT_HARMONIC = ("broken_product", "cosh_sinh_k0", "cosh_sinh_k-1")  # delta W != 0
+EPS = 2.0**-52
+# the largest error seen on these cases is 2.4 eps sigma^(3/2)
+CODAZZI_ROUNDING = 8.0
+
+
+@pytest.mark.parametrize("name, s0", [
+    (name, s0) for name in sorted(CANONICAL_FAMILIES)
+    for s0 in (sp.Rational(1, 2), sp.Integer(1), sp.Rational(7, 4))]
+    + [(name, sp.Rational(1, 2)) for name in sorted(CONTROLS)], ids=str)
 def test_tables_are_the_exact_frame_curvature(name, s0):
     """Riemann is exactly 0 off the frame planes, and at a float s and in an
     array the 19 table values (zeta, six sectionals, lam, lam', R, R') are
-    exact to 1e-15 of the largest, and |W|^2 to 1e-13."""
-    fam = canonical_family(name)
-    p, h, k = EXACT_PROFILES[name]
+    exact to 1e-15 of the largest, |W|^2 to 1e-13, and the Codazzi components
+    (D_2, D_3, D_4) are C[0, i, i] of the exact Codazzi tensor within
+    `CODAZZI_ROUNDING` eps sigma^(3/2), sigma the `largest_term` of the
+    table, as D has length dimension -3."""
+    fam, (p, h, k) = CONTROLS.get(name) or (canonical_family(name), EXACT_PROFILES[name])
     assert (p is None) == (fam.p is None) and k == fam.k
-    zeta, riemann = symbolic.family_curvature(p, h, k)
+    zeta, riemann, codazzi = symbolic.family_curvature(p, h, k)
     at = lambda x: x.subs(_s, s0)
     riem = {q: at(x) for q, x in riemann.items()}
     assert all(x == 0 for (i, j, m, l), x in riem.items() if i == j or {i, j} != {m, l})
@@ -89,11 +108,25 @@ def test_tables_are_the_exact_frame_curvature(name, s0):
     want = np.array([float(sp.N(at(x), 30)) for x in exact])
     weyl_sq = float(sp.N(symbolic.weyl_sq(riem), 30))
     scale = max(1.0, float(np.max(np.abs(want))))
+    codazzi_want = np.array([float(sp.N(at(codazzi[0, i, i]), 30)) for i in (1, 2, 3)])
+    assert (np.abs(codazzi_want) > 1e-2).all() == (name in NOT_HARMONIC)
+    bound = CODAZZI_ROUNDING * EPS * largest_term(fam, family_table(fam, float(s0))) ** 1.5
     for s in (float(s0), np.array([float(s0)])):
         t = family_table(fam, s)
         got = np.hstack([*t.zeta, *t.sectional, *t.lam, *t.lamp, t.scalar, t.scalarp])
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
         assert abs(family_weyl_sq(fam, s) - weyl_sq) <= 1e-13 * max(1.0, weyl_sq)
+        assert np.all(np.abs(np.hstack(codazzi_components(t)) - codazzi_want) <= bound)
+
+
+def test_the_codazzi_tensor_has_three_components_on_the_ansatz_and_none_on_warped3():
+    # C[0, i, i] = -C[i, 0, i] = D_(i+1) of `codazzi_components`, the only ones
+    # it computes; warped3 is locally conformally flat
+    dw = {q: x for q, x in symbolic.codazzi(False).items() if x != 0}
+    assert sorted(dw) == sorted([(0, i, i) for i in (1, 2, 3)] + [(i, 0, i) for i in (1, 2, 3)])
+    assert [sp.cancel(dw[0, i, i] + dw[i, 0, i]) for i in (1, 2, 3)] == [0, 0, 0]
+    assert sp.cancel(dw[0, 1, 1] + 2 * dw[0, 2, 2]) == 0 and dw[0, 2, 2] == dw[0, 3, 3]
+    assert set(symbolic.codazzi(True).values()) == {0}
 
 
 # ---------------------------------------------------------------------------

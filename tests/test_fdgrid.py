@@ -18,7 +18,7 @@ from solitonlab.fdgrid import (MetricGrid, _bounding_box, _jet, fd_codazzi_block
 from solitonlab.frames import _cholesky, _sym2, sym_eigen, tensor_norm
 from solitonlab.verify import codazzi_residual_closed, oracle_deviation
 
-from helpers import ricci_from_riemann
+from helpers import ricci_from_riemann, smooth_random_grid
 
 
 def flat_grid(n=9, spacing=0.1):
@@ -532,20 +532,6 @@ def test_derivatives_along_killing_axes_are_exactly_zero(fam, killing):
 
 # ---------------------------------------------------------------------------
 # Codazzi from one Ricci field, evaluated in bounded node blocks
-
-def smooth_random_grid(shape, seed=0, spacing=0.1):
-    """A dense grid of the smooth, non-diagonal metric
-    g = I + 0.05 sum_k (A_k + A_k^T) sin(k . x + phi_k), three random waves."""
-    rng = np.random.default_rng(seed)
-    axes = tuple(np.arange(n) * spacing for n in shape)
-    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    g = np.tile(np.eye(4), shape + (1, 1))
-    for _ in range(3):
-        a = rng.standard_normal((4, 4))
-        wave = np.sin(x @ rng.uniform(-1.5, 1.5, 4) + rng.uniform(0.0, 2.0 * np.pi))
-        g += 0.05 * (a + a.T) * wave[..., None, None]
-    return MetricGrid(axes, g)
-
 
 def codazzi_reference(grid, nodes):
     """Codazzi residual from fd_ricci_block on the shifted node sets of the

@@ -603,6 +603,12 @@ def test_identity_rows_vanish_where_the_linear_row_and_its_derivatives_do():
     # ... and branch_cubic, which neither f' nor k enters, from C'' = 0 too
     assert not {fp, k} & rows[3].free_symbols and rows[3] != 0
     assert sp.cancel(on(c2) + 2 * (a - b) / (a + b) ** 2 * rows[3]) == 0
+    # the flow sets p''/p = h''/h, and delta W = 0 where C = C' = 0 too: its
+    # Codazzi components D_2 = -2 D_3 = -2 D_4 have 3 D_3 = b C + (a - b)
+    # (lambda + 3ab - (a + b) f')
+    d3 = symbolic.dw_codazzi(flow)[0, 2, 2]
+    assert sp.cancel(3 * d3 - b * c - (a - b) * (lam + 3 * a * b - (a + b) * fp)) == 0
+    assert on(d3) == 0
 
 
 @functools.cache

@@ -1,5 +1,6 @@
-"""Compare a git revision with the working tree: ``src/`` line counts, the
-bits of the FD oracle's outputs, and what the CLI and the demos print.
+"""Compare a git revision with the working tree: the line counts of
+``src/``, ``tests/`` and ``tools/``, the bits of the FD oracle's outputs, and
+what the CLI and the demos print.
 
     python3 tools/revdiff.py [REV]
 
@@ -7,8 +8,9 @@ REV (HEAD when not given) is extracted once, and each dump and job below runs
 in a fresh process, once with each tree's ``src/`` (`gitrev.Workspace`).  It
 prints:
 
-* each ``src/`` module's total and code-only lines (`line_counts`) at REV and
-  in the working tree, and the difference;
+* each module's total and code-only lines (`line_counts`) under ``src/``,
+  ``tests/`` and ``tools/`` at REV and in the working tree, and the
+  difference;
 * every FD array of `dump` that differs in bits or shape or that one tree
   lacks, comparing int64 views of the float64 values, so that the sign of
   zero counts;
@@ -41,72 +43,6 @@ BUNDLE_FIELDS = ("g", "christoffel", "riem", "ric", "scalar", "weyl", "codazzi_r
 RANDOM_GRIDS = (((11, 10, 9, 9), 0), ((9, 9, 8, 8), 1), ((12, 11, 10, 10), 2))
 # the child that writes `dump` of the solitonlab on its path to the file argv[1]
 DUMP = "import sys, numpy, revdiff; numpy.savez(sys.argv[1], **revdiff.dump())"
-COMMANDS = ("verify", "oracle", "classify", "integrate")
-# overflowing potentials, integrate runs whose CSV prints every state with
-# its identity residuals, a run that blows up (at step 317) as JSON and as
-# CSV, integrate's refusals (an unknown family, a family without a reduced
-# start, and a bad --lam of one with it), a --lam on a family without one,
-# the known CLI defects that the benchmark's boundary jobs leave out, a
-# --tol that is not positive, oracle grids too coarse for their fiber (one
-# on a range that %g cannot tell apart), sizes that are not integers,
-# integrate starts outside the range of a trajectory (a subnormal, an
-# overflowing and a blown-up --from, with and without steps), and oracle runs
-# on fibers of curvature k > (pi/2)^2, whose window sits at the fiber's
-# equator (one passing at r0 = 1 too, one too short for the default grid);
-# no job asks for more samples or nodes than the CLI allows, as the tree at
-# REV may try to allocate them
-EDGE_JOBS = (
-    "verify --family gaussian --lam 1e308",
-    "verify --family product --lam 1e200",
-    "classify --family gaussian --lam 1e308",
-    "integrate --family singular-steady --from 1 --to 0.01 --format csv",
-    "integrate --family product --lam 2.5 --from 0.5 --to 3 --step 1e-2 --format csv",
-    "integrate --family product --lam=-0.5 --from 2 --to 1 --step 1e-2 --format csv",
-    "integrate --family product --lam 3 --from 1 --to 30 --step 0.01",
-    "integrate --family product --lam 3 --from 1 --to 30 --step 0.01 --format csv",
-    "integrate --family nosuch",
-    "integrate --family cylinder --lam 0",
-    "integrate --family product --lam 0",
-    "verify --family sphere --lam 2",
-    "verify --family sphere --s 3.0:3.1315",
-    "verify --family sphere --s 1e-5:0.5",
-    "verify --family product --lam 1e4",
-    "verify --family gaussian --lam 1e4",
-    "verify --family singular-steady --s 1e-3:1e-2",
-    "classify --family singular-steady --s 100:1000",
-    "integrate --family gaussian",
-    "verify --family product --tol 0",
-    "integrate --family product --tol -1",
-    "oracle --family product --nodes 21",
-    "oracle --family product --s 1e10:1.0000001e10",
-    "verify --family product --samples x",
-    "oracle --family product --nodes 1.5",
-    "integrate --family singular-steady --from 1e-310",
-    "integrate --family singular-steady --from 1e-120 --to 1e-120",
-    "integrate --family singular-steady --from 1e-9 --to 1",
-    "integrate --family singular-steady --from 1e-9 --to 1e-9",
-    "oracle --family product --lam 7",
-    "oracle --family product --lam 8.9",
-    "oracle --family product --lam 10",
-    "oracle --family cylinder --lam 16",
-    "oracle --family cylinder --lam 17.8",
-    "oracle --family cylinder --lam 30",
-    "oracle --family product --lam 100",
-    "oracle --family product --lam 4",
-)
-# the rows of the samples files of `classify --samples-file` jobs, written
-# into the workspace so that both trees read them at one path: a product-like
-# set, a pairwise-distinct spectrum and integer values that reach the
-# singular steady test
-SAMPLES_FILES = {
-    "product_samples.json": [{"s": 0.5 + 0.25 * i, "eigenvalues": [0.0, 0.0, -1.0, -1.0],
-                              "fprime": -0.5 - 0.25 * i, "scalar": -2.0, "weyl_sq": 4 / 3}
-                             for i in range(8)],
-    "distinct_samples.json": [{"s": 1.0 + 0.1 * i, "eigenvalues": [1.0, 0.5, 0.2, -0.1],
-                               "fprime": 1.0, "scalar": 1.6, "weyl_sq": 1.0} for i in range(8)],
-    "integer_samples.json": [{"s": i, "eigenvalues": [1, 0, -1, -1], "fprime": i,
-                              "scalar": -1, "weyl_sq": 2} for i in range(1, 9)],
-}
 OUT = "report.out"
 
 
@@ -141,21 +77,6 @@ def table(src: Path, base_src: Path) -> list[str]:
             for name, (total, code), (b_total, b_code) in rows]
 
 
-def random_grid(shape, seed, spacing=0.1):
-    """The dense grid of g = I + 0.05 sum_k (A_k + A_k^T) sin(k . x + phi_k),
-    three random waves, as ``smooth_random_grid`` of the tests builds it."""
-    from solitonlab.fdgrid import MetricGrid
-    rng = np.random.default_rng(seed)
-    axes = tuple(np.arange(n) * spacing for n in shape)
-    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    g = np.tile(np.eye(4), shape + (1, 1))
-    for _ in range(3):
-        a = rng.standard_normal((4, 4))
-        wave = np.sin(x @ rng.uniform(-1.5, 1.5, 4) + rng.uniform(0.0, 2.0 * np.pi))
-        g += 0.05 * (a + a.T) * wave[..., None, None]
-    return MetricGrid(axes, g)
-
-
 def dump() -> dict[str, np.ndarray]:
     """The FD arrays compared, by name, computed with the ``solitonlab`` on
     the path:
@@ -172,6 +93,7 @@ def dump() -> dict[str, np.ndarray]:
       grids with 9 nodes or more on every axis (the Codazzi margin needs
       them).
     """
+    from helpers import smooth_random_grid  # of tests/, on the path of `DUMP`'s child
     from solitonlab.families import CANONICAL_FAMILIES
     from solitonlab.fdgrid import (fd_codazzi_block, fd_curvature, fd_ricci_block,
                                    grid_from_family)
@@ -200,27 +122,19 @@ def dump() -> dict[str, np.ndarray]:
             for key, val in fd_ricci_block(grid, grid.interior_nodes()).items():
                 out[f"bulk {fam_name} ricci {key}"] = val
     for shape, seed in RANDOM_GRIDS:
-        grid = random_grid(shape, seed)
+        grid = smooth_random_grid(shape, seed)
         calls(f"random seed {seed}", grid, grid.interior_nodes(margin=2),
               grid.interior_nodes(), tuple(k // 2 for k in shape))
     return out
 
 
 def jobs(tree: Path) -> list[tuple[str, list[str]]]:
-    """(name, argv after the interpreter) of every job, for one tree:
-    ``verify``, ``oracle``, ``classify`` and ``integrate`` at their defaults
-    for every CLI family, as JSON and as CSV; the boundary arguments of the
-    benchmark (``BOUNDARY_JOBS`` in ``bench/workloads.py``) and `EDGE_JOBS`;
-    ``classify`` on each of `SAMPLES_FILES`; the demos, each tree running its
-    own copy."""
-    from workloads import BOUNDARY_JOBS, CLI_FAMILIES  # main puts bench/ on the path
-    cli = ["-m", "solitonlab.cli"]
-    out = [(f"{command} --family {family} --format {fmt}",
-            cli + [command, "--family", family, "--format", fmt, "--out", OUT])
-           for command in COMMANDS for family in CLI_FAMILIES for fmt in ("json", "csv")]
-    out += [(text, cli + text.split() + ["--out", OUT])
-            for text in [text for text, _ in BOUNDARY_JOBS] + list(EDGE_JOBS)
-            + [f"classify --samples-file {name}" for name in SAMPLES_FILES]]
+    """(name, argv after the interpreter) of every job, for one tree: every
+    row of the CLI job catalogue (``tools/cli_jobs.py``), with ``--out``, and
+    the demos, each tree running its own copy."""
+    import cli_jobs
+    out = [(job.argv, ["-m", "solitonlab.cli", *job.argv.split(), "--out", OUT])
+           for job in cli_jobs.jobs()]
     out += [(f"demos/{demo.name}", [str(tree / "demos" / demo.name)])
             for demo in sorted((ROOT / "demos").glob("*.py"))]
     return out
@@ -268,15 +182,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD", help="the git revision to compare with")
     rev = parser.parse_args(argv).rev
-    sys.dont_write_bytecode = True  # read the job lists, leave no cache beside them
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.path.insert(0, str(ROOT / "src"))  # for the job catalogue
+    from cli_jobs import SAMPLES_FILES
     with Workspace("revdiff") as ws:
         base = ws.extract(rev)
-        print(f"src/ lines, total / code only: {rev} -> working tree (difference)")
-        print("\n".join(table(ROOT / "src", base / "src")), flush=True)
+        for top in ("src", "tests", "tools"):
+            print(f"{top}/ lines, total / code only: {rev} -> working tree (difference)")
+            print("\n".join(table(ROOT / top, base / top)), flush=True)
         for tree, name in ((base, "rev.npz"), (ROOT, "tree.npz")):
             ws.run([sys.executable, "-c", DUMP, name], ws.dir, fail=2,
-                   PYTHONPATH=f"{tree / 'src'}:{ROOT / 'tools'}")
+                   PYTHONPATH=f"{tree / 'src'}:{ROOT / 'tools'}:{ROOT / 'tests'}")
         with np.load(ws.dir / "rev.npz") as old, np.load(ws.dir / "tree.npz") as new:
             names = sorted(set(old.files) | set(new.files))
             arrays = [name for name in names if name not in old.files or name not in new.files
